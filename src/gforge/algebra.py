@@ -9,7 +9,7 @@ emits subfield-rational generating sets together with a span verification.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
 from .config import CAPS
 from .cyclo import CycScalar, SubfieldDescriptor, as_cyc, phi
@@ -18,7 +18,8 @@ from .groups import SubgroupData, subgroup_group
 from .modlinalg import solve_mod
 from .presentation import (Presentation, normalize_with_details, related_reps,
                            validate_presentation)
-from .twisted import Cocycle, conjugate_cocycle, galois_twist, sub_exponent
+from .twisted import (Cocycle, coboundary_rows, conjugate_cocycle, sub_exponent,
+                      unit_lifts)
 
 
 class GradedAlgebra:
@@ -378,7 +379,7 @@ def build_k_form(p: Presentation, mode: str = "corrected",
         found = None
         for enforce in ((True, False) if involutive else (False,)):
             for u_n in dict.fromkeys((j_inv, jc)):
-                for u in _unit_lifts(u_n, n_root, m_alpha):
+                for u in unit_lifts(u_n, n_root, m_alpha):
                     f = _descent_witness(grp, sub, alpha, gc, u,
                                          n_root, big_m, enforce)
                     if f is not None:
@@ -476,16 +477,9 @@ def _descent_witness(grp, sub, alpha, gc: int, u: int, n_root: int,
     nv = len(elems) - 1
     if nv == 0:
         return (0,)
-    rows, rhs = [], []
-    for x in elems:
-        for y in elems:
-            row = [0] * nv
-            for el, sgn in ((x, 1), (y, 1), (grp.mul(x, y), -1)):
-                p = pos[el]
-                if p:
-                    row[p - 1] = (row[p - 1] + sgn) % big_m
-            rows.append(row)
-            rhs.append((step * ((u * alpha.value(x, y)) % m - beta.value(x, y))) % big_m)
+    rows = coboundary_rows(sub, big_m)
+    rhs = [(step * ((u * alpha.value(x, y)) % m - beta.value(x, y))) % big_m
+           for x in elems for y in elems]
     if enforce:
         for x in elems[1:]:
             if n_root > 1:
@@ -504,15 +498,6 @@ def _descent_witness(grp, sub, alpha, gc: int, u: int, n_root: int,
     if sol is None:
         return None
     return (0,) + tuple(int(v) % big_m for v in sol)
-
-
-def _unit_lifts(j: int, n: int, m: int):
-    """All units mod m congruent to j mod n, requiring n | m."""
-    if m % n:
-        raise PreconditionError("n must divide m")
-    if n == 1:
-        return [u for u in range(1, m + 1) if gcd(u, m) == 1] if m > 1 else [1]
-    return [u for u in range(j % n, m + 1, n) if gcd(u, m) == 1]
 
 
 def _span_report(algebra: GradedAlgebra, field: SubfieldDescriptor,

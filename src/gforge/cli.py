@@ -30,18 +30,12 @@ class RunConfig:
     command: str
     input: str
     input2: str | None = None
-    word_bound: int | None = None
     budget: int | None = None
     as_json: bool = False
-    workers: int = 1
 
     def __post_init__(self):
-        if self.word_bound is not None and self.word_bound < 2:
-            raise PreconditionError("word bound must be at least 2")
         if self.budget is not None and self.budget < 1:
             raise PreconditionError("budget must be at least 1")
-        if self.workers < 1:
-            raise PreconditionError("workers must be at least 1")
 
 
 def _load(path: str):
@@ -85,7 +79,7 @@ def cmd_validate(cfg: RunConfig):
 
 def cmd_normalize(cfg: RunConfig):
     p = _checked_presentation(cfg.input)
-    nf = normalize_with_details(p, cfg.word_bound)
+    nf = normalize_with_details(p)
     report = schemas.normal_form_to_json(nf)
     lines = [
         f"theta: {nf.theta}",
@@ -97,7 +91,7 @@ def cmd_normalize(cfg: RunConfig):
 
 def cmd_invariants(cfg: RunConfig):
     p = _checked_presentation(cfg.input)
-    chain = compute_KNS(p, cfg.word_bound)
+    chain = compute_KNS(p)
     report = schemas.chain_to_json(chain)
     field = chain.field
     lines = [
@@ -113,7 +107,7 @@ def cmd_invariants(cfg: RunConfig):
 
 def cmd_classify(cfg: RunConfig):
     p = _checked_presentation(cfg.input)
-    flags = classify(p, cfg.word_bound)
+    flags = classify(p)
     report = schemas.flags_to_json(flags)
     lines = [
         f"divisionForm:  {flags.division_form}",
@@ -146,9 +140,8 @@ def cmd_identity(cfg: RunConfig):
             "invalid presentation: " + "; ".join(rep.issues or ("disconnected grading",)))
     poly = schemas.parse_polynomial(doc["polynomial"])
     algebra = GradedAlgebra(p)
-    result = identity_report(poly, algebra, budget=cfg.budget, workers=cfg.workers)
+    result = identity_report(poly, algebra, budget=cfg.budget)
     report = schemas.identity_report_to_json(result)
-    report["workers"] = cfg.workers
     lines = [
         f"isIdentity: {result.identity}",
         f"searchSpace: {result.search_space} (checked {result.checked},"
@@ -205,7 +198,7 @@ def cmd_h2(cfg: RunConfig):
 
 def cmd_kform(cfg: RunConfig):
     p = _checked_presentation(cfg.input)
-    res = build_k_form(p, word_bound=cfg.word_bound)
+    res = build_k_form(p)
     rep = res.report
     report = {
         "mode": rep.mode,
@@ -250,13 +243,9 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("command", choices=sorted(COMMANDS))
     ap.add_argument("--input", required=True, help="input JSON file")
     ap.add_argument("--input2", help="second input file (iso)")
-    ap.add_argument("--word-bound", type=int, default=None,
-                    help=f"word length for root-of-unity scans (default {CAPS.word_bound})")
     ap.add_argument("--budget", type=int, default=None,
                     help=f"evaluation budget for searches (default {CAPS.budget})")
     ap.add_argument("--json", action="store_true", help="emit a JSON report")
-    ap.add_argument("--workers", type=int, default=1,
-                    help="worker count hint for library scans")
     return ap
 
 
@@ -264,8 +253,7 @@ def run(argv=None) -> int:
     ns = build_parser().parse_args(argv)
     try:
         cfg = RunConfig(command=ns.command, input=ns.input, input2=ns.input2,
-                        word_bound=ns.word_bound, budget=ns.budget,
-                        as_json=ns.json, workers=ns.workers)
+                        budget=ns.budget, as_json=ns.json)
         code, report, lines = COMMANDS[cfg.command](cfg)
     except ParseError as exc:
         return _fail(ns.json, "parse", str(exc), 1)

@@ -20,7 +20,7 @@ class Caps:
     h2_subgroup: int = 16         # largest |H| for cohomology class enumeration
     algebra_dim: int = 4096       # largest |H| * n^2 for algebra construction
     designated: int = 6           # largest per-block designated set (d_e!)
-    word_bound: int = 4           # default word length L for root-of-unity scans
+    word_bound: int = 4           # default word length L for find_primitive_binomial
     budget: int = 10_000_000      # default evaluation budget for the identity oracle
 
 

@@ -140,7 +140,7 @@ def poly_mul(p: GradedPolynomial, q: GradedPolynomial) -> GradedPolynomial:
     return GradedPolynomial(p.variables + q.variables, monos)
 
 
-def _as_triple(algebra: GradedAlgebra, value):
+def _as_triple(value):
     if isinstance(value, tuple) and len(value) == 3:
         return value
     return None
@@ -156,7 +156,7 @@ def _check_assignment(p: GradedPolynomial, algebra: GradedAlgebra,
                 raise PreconditionError(f"unassigned variable {v}")
             continue
         val = assignment[v]
-        t = _as_triple(algebra, val)
+        t = _as_triple(val)
         if t is not None:
             if algebra.degree(*t) != d:
                 raise PreconditionError(
@@ -229,16 +229,14 @@ class IdentityReport:
 
 
 def identity_report(p: GradedPolynomial, algebra: GradedAlgebra,
-                    budget: int | None = None, workers: int = 1) -> IdentityReport:
+                    budget: int | None = None) -> IdentityReport:
     """Exhaustive identity test over degree-respecting basis assignments.
 
     Multihomogeneous input is linearized first; the verdicts agree in
-    characteristic zero.  workers only partitions the (sequential) scan.
+    characteristic zero.
     """
     if budget is None:
         budget = CAPS.budget
-    if workers < 1:
-        raise PreconditionError("workers must be positive")
     linearized = False
     if not p.multilinear:
         p = linearize(p)

@@ -12,6 +12,11 @@ Galois data and minimal field, tuple derivatives, and isomorphism testing.
 K is computed three independent ways (multiset stabilizer, coset-frequency
 preservation, literal factoring of the multiset) and the results are cross
 checked at runtime; a mismatch raises InternalError rather than guessing.
+The root-of-unity data comes from cohomology solves over Z/M with
+M = modulus * exp(H): n is the order of the class of alpha, N collects the
+normalizer elements g with alpha^g ~ j * alpha for a unit j mod n, and that
+j is the Galois character of g. None of it depends on a word bound; the
+chain only records the one it was given.
 """
 
 from __future__ import annotations
@@ -26,11 +31,10 @@ from .errors import InternalError, PreconditionError, PresentationError
 from .groups import CosetMultiset, Group, SubgroupData
 from .twisted import (
     Cocycle,
+    class_order,
     conjugate_cocycle,
-    image_mu_n,
+    galois_character,
     is_cohomologous,
-    kernel_preserved,
-    normalizes_binomial_structure,
 )
 
 
@@ -220,20 +224,17 @@ def compute_KNS(p: Presentation, word_bound: int | None = None) -> InvariantChai
         raise InternalError("stabilizer, frequency, and factoring disagree on K")
     SubgroupData(grp, k_stab)  # certifies closure
 
-    n_part = tuple(g for g in ngh if kernel_preserved(g, p.alpha, L))
+    n = class_order(p.alpha)
+    coset_char: dict[int, int | None] = {}
+    for g in ngh:
+        cid = sub.coset_id_of[g]
+        if cid not in coset_char:
+            coset_char[cid] = galois_character(g, p.alpha, n)
+    n_part = tuple(g for g in ngh if coset_char[sub.coset_id_of[g]] is not None)
     s_part = tuple(sorted(k_set & set(n_part)))
     if not sub.eset <= set(s_part):
         raise InternalError("the subgroup must be contained in S")
-
-    n, stable = image_mu_n(p.alpha, L)
-    chars = []
-    for s in s_part:
-        ok, j = normalizes_binomial_structure(s, p.alpha, L)
-        if not ok:
-            raise PreconditionError(
-                f"word bound {L} is too small to determine a Galois character "
-                f"for element {s}")
-        chars.append((s, j % n))
+    chars = [(s, coset_char[sub.coset_id_of[s]]) for s in s_part]
     char_of = dict(chars)
     for s1 in s_part:
         for s2 in s_part:
@@ -245,7 +246,7 @@ def compute_KNS(p: Presentation, word_bound: int | None = None) -> InvariantChai
         raise InternalError("character image is not closed under multiplication")
     return InvariantChain(
         K=tuple(sorted(k_set)), N=n_part, S=s_part,
-        n=n, image_stable=stable, word_bound=L,
+        n=n, image_stable=True, word_bound=L,
         s_characters=tuple(chars), sbar_image=sbar, field=field,
     )
 

@@ -2,12 +2,14 @@
 
 A Cocycle stores exponents e(h1, h2) with scalar value zeta_modulus^e; tables
 are normalized (identity row and column zero) and indexed by position in the
-sorted subgroup element list. The word calculus folds a word to its
-accumulated exponent, groups words into buckets by (multiset, product), and
-reads off binomial ratios; those drive the root-of-unity image, the
-normalizer of the twisted algebra's binomial structure, and the Galois
-character of its elements. Cohomology tests solve coboundary systems over
-Z/M with M = modulus * exp(H) unless an explicit extension is supplied.
+sorted subgroup element list. Cohomology tests solve coboundary systems over
+Z/M with M = modulus * exp(H) unless an explicit extension is supplied. The
+binomial ratios of F^alpha H depend only on the class of alpha, so the data
+the invariant chain needs comes from such solves: the order n of the class
+(the ratios generate the n-th roots of unity), and for g normalizing H the
+unit j with alpha^g ~ j * alpha, which is the Galois character of g. The
+word calculus (folding a word to its accumulated exponent, bucketing words
+by multiset and product) only serves to exhibit explicit binomial identities.
 """
 
 from __future__ import annotations
@@ -188,15 +190,8 @@ def find_primitive_binomial(alpha: Cocycle, n: int,
     return None
 
 
-_word_cache: dict = {}
-
-
 def _word_data(alpha: Cocycle, L: int):
     """All words of length 1..L: exponent map and (multiset, product) buckets."""
-    key = (id(alpha.sub.group), alpha.sub.elements, alpha.modulus, alpha.exps, L)
-    hit = _word_cache.get(key)
-    if hit is not None:
-        return hit
     size = alpha.sub.order
     total = sum(size ** ell for ell in range(1, L + 1))
     if total > CAPS.budget:
@@ -218,105 +213,7 @@ def _word_data(alpha: Cocycle, L: int):
             for h in alpha.sub.elements:
                 nxt[w + (h,)] = ((e + alpha.value(p, h)) % m, grp.mul(p, h))
         layer = nxt
-    _word_cache[key] = (exps, buckets)
     return exps, buckets
-
-
-def image_mu_n(alpha: Cocycle, L: int | None = None) -> tuple[int, bool]:
-    """(n, stable): binomial ratios generate the n-th roots; stable means the
-    scan at length L-1 already produced the same n."""
-    if L is None:
-        L = CAPS.word_bound
-    if L < 2:
-        raise PreconditionError("word bound must be at least 2")
-    m = alpha.modulus
-    if m == 1 or alpha.is_trivial():
-        return 1, True
-    exps, buckets = _word_data(alpha, L)
-    d_prev = m
-    d_full = m
-    for (mset, _), words in buckets.items():
-        base = exps[words[0]]
-        for w in words[1:]:
-            r = (exps[w] - base) % m
-            d_full = gcd(d_full, r)
-            if len(mset) < L:
-                d_prev = gcd(d_prev, r)
-    n = m // d_full
-    return n, (m // d_prev) == n
-
-
-def normalizes_binomial_structure(
-        g: int, alpha: Cocycle, L: int | None = None) -> tuple[bool, int | None]:
-    """Does conjugation by g rescale every binomial ratio by one Galois unit?
-
-    Returns (ok, j) with j the unit mod n; g must normalize the subgroup.
-    """
-    if L is None:
-        L = CAPS.word_bound
-    sub = alpha.sub
-    if g not in sub.normalizer:
-        raise PreconditionError("element must normalize the subgroup")
-    n, _ = image_mu_n(alpha, L)
-    if n == 1:
-        return True, 1
-    m = alpha.modulus
-    grp = sub.group
-    exps, buckets = _word_data(alpha, L)
-    conj = {h: grp.conj(h, g) for h in sub.elements}
-    js = [j for j in range(1, n + 1) if gcd(j, n) == 1]
-    for (_, _), words in buckets.items():
-        w0 = words[0]
-        c0 = exps[tuple(conj[h] for h in w0)]
-        e0 = exps[w0]
-        for w in words[1:]:
-            r = (exps[w] - e0) % m
-            rc = (exps[tuple(conj[h] for h in w)] - c0) % m
-            js = [j for j in js if (j * r - rc) % m == 0]
-            if not js:
-                return False, None
-    if len(js) > 1:
-        raise InternalError("galois character is not unique; ratio image inconsistent")
-    return True, js[0] % n if n > 1 else 1
-
-
-def kernel_preserved(g: int, alpha: Cocycle, L: int | None = None) -> bool:
-    """Does conjugation by g preserve vanishing of binomial ratios, both ways?
-
-    For every pair of words with equal letter multiset and equal product, the
-    ratio is zero exactly when the ratio of the entrywise-conjugated pair is
-    zero. g must normalize the subgroup.
-    """
-    if L is None:
-        L = CAPS.word_bound
-    sub = alpha.sub
-    if g not in sub.normalizer:
-        raise PreconditionError("element must normalize the subgroup")
-    if alpha.modulus == 1 or alpha.is_trivial():
-        return True
-    grp = sub.group
-    exps, buckets = _word_data(alpha, L)
-    conj = {h: grp.conj(h, g) for h in sub.elements}
-    for words in buckets.values():
-        if len(words) < 2:
-            continue
-        part: dict[int, set[int]] = {}
-        for w in words:
-            part.setdefault(exps[w], set()).add(exps[tuple(conj[h] for h in w)])
-        cells = list(part.values())
-        if any(len(c) != 1 for c in cells):
-            return False
-        if len({next(iter(c)) for c in cells}) != len(cells):
-            return False
-    return True
-
-
-def galois_character(s: int, alpha: Cocycle, L: int | None = None) -> int:
-    """The unit j mod n by which conjugation by s scales binomial ratios."""
-    ok, j = normalizes_binomial_structure(s, alpha, L)
-    if not ok:
-        raise PreconditionError("element does not normalize the binomial structure")
-    return j
 
 
 def conjugate_cocycle(alpha: Cocycle, theta: int,
@@ -345,20 +242,22 @@ def galois_twist(alpha: Cocycle, j: int) -> Cocycle:
                         [[(j * e) for e in row] for row in alpha.exps])
 
 
-def lift_unit(j: int, n: int, m: int) -> int:
-    """A unit mod m congruent to j mod n; requires n | m and gcd(j, n) = 1."""
+def unit_lifts(j: int, n: int, m: int) -> list[int]:
+    """Every unit mod m congruent to j mod n, least first; requires n | m and
+    gcd(j, n) = 1."""
     if m % n:
         raise PreconditionError("n must divide m")
-    if n == 1:
-        return 1
-    j %= n
     if gcd(j, n) != 1:
-        raise PreconditionError(f"{j} is not a unit mod {n}")
-    for t in range(m // n):
-        cand = j + t * n
-        if gcd(cand, m) == 1:
-            return cand
-    raise InternalError("unit lifting failed")
+        raise PreconditionError(f"{j % n} is not a unit mod {n}")
+    lifts = [u for u in range(1, m + 1) if u % n == j % n and gcd(u, m) == 1]
+    if not lifts:
+        raise InternalError("unit lifting failed")
+    return lifts
+
+
+def lift_unit(j: int, n: int, m: int) -> int:
+    """The least unit mod m congruent to j mod n (see unit_lifts)."""
+    return unit_lifts(j, n, m)[0]
 
 
 def shift_by_coboundary(alpha: Cocycle, f) -> Cocycle:
@@ -380,6 +279,27 @@ def shift_by_coboundary(alpha: Cocycle, f) -> Cocycle:
     return make_cocycle(sub, alpha.modulus, exps)
 
 
+def coboundary_rows(sub: SubgroupData, M: int) -> list[list[int]]:
+    """The coboundary map over Z/M as rows: row (i, j) in row-major order sends
+    f (f[identity] = 0 dropped, one column per other element) to
+    f(h_i) + f(h_j) - f(h_i h_j)."""
+    grp, els, pos = sub.group, sub.elements, sub.pos
+    nvars = sub.order - 1
+    rows = []
+    for x in els:
+        for y in els:
+            row = [0] * nvars
+            for p, sign in ((pos[x], 1), (pos[y], 1), (pos[grp.mul(x, y)], -1)):
+                if p:
+                    row[p - 1] = (row[p - 1] + sign) % M
+            rows.append(row)
+    return rows
+
+
+def _flat(alpha: Cocycle) -> list[int]:
+    return [e for row in alpha.exps for e in row]
+
+
 def is_cohomologous(a: Cocycle, b: Cocycle,
                     extension: int | None = None) -> tuple[bool, tuple[int, ...] | None, int]:
     """Do a and b differ by a coboundary valued in the extended roots of unity?
@@ -396,28 +316,64 @@ def is_cohomologous(a: Cocycle, b: Cocycle,
     M = lcm(a.modulus, b.modulus) * ext
     ae = a.embedded(M)
     be = b.embedded(M)
-    size = sub.order
-    nvars = size - 1
-    if nvars == 0:
+    if sub.order == 1:
         return (ae.exps == be.exps), (0,), M
-    grp = sub.group
-    rows, rhs = [], []
-    for i in range(size):
-        for j in range(size):
-            row = [0] * nvars
-            k = sub.pos[grp.mul(sub.elements[i], sub.elements[j])]
-            for idx, sign in ((i, 1), (j, 1), (k, -1)):
-                if idx:
-                    row[idx - 1] = (row[idx - 1] + sign) % M
-            rows.append(row)
-            rhs.append((be.exps[i][j] - ae.exps[i][j]) % M)
-    sol = solve_mod(rows, rhs, M)
+    rhs = [(eb - ea) % M for ea, eb in zip(_flat(ae), _flat(be))]
+    sol = solve_mod(coboundary_rows(sub, M), rhs, M)
     if sol is None:
         return False, None, M
     f = (0,) + tuple(sol)
     if shift_by_coboundary(ae, f).exps != be.exps:
         raise InternalError("coboundary witness failed verification")
     return True, f, M
+
+
+def class_order(alpha: Cocycle) -> int:
+    """The order n of the class of alpha over Z/M, M = modulus * exp(H): the
+    least d dividing the modulus with d * alpha ~ 0. The binomial ratios of
+    F^alpha H generate exactly the n-th roots of unity."""
+    m = alpha.modulus
+    if alpha.is_trivial():
+        return 1
+    zero = trivial_cocycle(alpha.sub, m)
+    for d in range(1, m):
+        if m % d == 0 and is_cohomologous(
+                make_cocycle(alpha.sub, m, [[d * e for e in row] for row in alpha.exps]),
+                zero)[0]:
+            return d
+    return m
+
+
+def galois_character(g: int, alpha: Cocycle, n: int | None = None) -> int | None:
+    """The unit j mod n with alpha^g ~ j * alpha over Z/M, or None if there is none.
+
+    n is the class order of alpha, computed when not given; g must normalize
+    the subgroup. j exists exactly when conjugation by g rescales every
+    binomial ratio by one Galois unit, and it is found by one solve of
+    delta f + j * alpha = alpha^g in the unknowns (f, j). Conjugation by a
+    subgroup element fixes every class, so j is constant on H-cosets.
+    """
+    sub = alpha.sub
+    if g not in sub.normalizer:
+        raise PreconditionError("element must normalize the subgroup")
+    if n is None:
+        n = class_order(alpha)
+    if n == 1:
+        return 0
+    M = alpha.modulus * sub_exponent(sub)
+    ae = alpha.embedded(M)
+    be = conjugate_cocycle(alpha, g).embedded(M)
+    rows = [row + [e] for row, e in zip(coboundary_rows(sub, M), _flat(ae))]
+    sol = solve_mod(rows, _flat(be), M)
+    if sol is None:
+        return None
+    f, j = (0,) + sol[:-1], sol[-1]
+    scaled = make_cocycle(sub, M, [[j * e for e in row] for row in ae.exps])
+    if shift_by_coboundary(scaled, f).exps != be.exps:
+        raise InternalError("Galois character witness failed verification")
+    if gcd(j, n) != 1:
+        raise InternalError("Galois character is not a unit mod the class order")
+    return j % n
 
 
 def _coords_in_echelon(z, gens, m: int):
@@ -442,19 +398,10 @@ def _coords_in_echelon(z, gens, m: int):
     return coeffs
 
 
-def h2_classes(sub: SubgroupData, m: int) -> list[Cocycle]:
-    """Representatives of normalized cocycle classes modulo coboundaries.
-
-    Enumerates the mod-m cocycle solution module, quotients by mod-m
-    coboundaries, then merges representatives that become cohomologous over
-    the extended modulus m * exp(H). Result is sorted with the trivial class
-    first.
-    """
-    if sub.order > CAPS.h2_subgroup:
-        raise CapExceeded(
-            f"cohomology enumeration capped at subgroup order {CAPS.h2_subgroup}")
-    if m == 1:
-        return [trivial_cocycle(sub, 1)]
+def _raw_classes(sub: SubgroupData, m: int) -> tuple[dict, tuple[int, ...]]:
+    """Normalized cocycle tables over Z/m, one per class modulo mod-m
+    coboundaries, each mapped to its coordinates y in the product of the
+    Z/d over the returned orders d; y -> class is a group isomorphism."""
     size = sub.order
     grp = sub.group
     pos = sub.pos
@@ -481,7 +428,7 @@ def h2_classes(sub: SubgroupData, m: int) -> list[Cocycle]:
             rows.append(row)
     gens = kernel_mod(rows, nvars, m)
     if not gens:
-        return [trivial_cocycle(sub, m)]
+        return {trivial_cocycle(sub, m).exps: ()}, ()
     r = len(gens)
     orders = []
     for g in gens:
@@ -505,22 +452,48 @@ def h2_classes(sub: SubgroupData, m: int) -> list[Cocycle]:
     diag, _, uinv = snf(mat)
     if any(d <= 0 for d in diag[:r]):
         raise InternalError("quotient lattice is not full rank")
+    diag = tuple(diag[:r])
     total = 1
-    for d in diag[:r]:
+    for d in diag:
         total *= d
     if total > 4096:
         raise CapExceeded(f"{total} raw classes exceeds the enumeration cap")
-    tables = set()
-    for y in iproduct(*(range(d) for d in diag[:r])):
+    raw = {}
+    for y in iproduct(*(range(d) for d in diag)):
         x = [sum(uinv[i][k] * y[k] for k in range(r)) for i in range(r)]
         flat = [0] * nvars
         for xi, g in zip(x, gens):
             if xi % m:
                 flat = [(zz + xi * gi) % m for zz, gi in zip(flat, g)]
-        tables.add(tuple(tuple(flat[v(i, j)] for j in range(size)) for i in range(size)))
+        raw[tuple(tuple(flat[v(i, j)] for j in range(size)) for i in range(size))] = y
+    return raw, diag
+
+
+def h2_classes(sub: SubgroupData, m: int) -> list[Cocycle]:
+    """Representatives of normalized cocycle classes modulo coboundaries.
+
+    Enumerates the mod-m cocycle solution module modulo mod-m coboundaries
+    (the raw classes), then merges raw classes that become cohomologous over
+    the extended modulus m * exp(H). Those merged away form the subgroup K0
+    of raw classes that are coboundaries over Z/M, found by one solve per
+    raw class; each output class is a coset of K0, represented by its
+    lex-least table. Result is sorted with the trivial class first.
+    """
+    if sub.order > CAPS.h2_subgroup:
+        raise CapExceeded(
+            f"cohomology enumeration capped at subgroup order {CAPS.h2_subgroup}")
+    if m == 1:
+        return [trivial_cocycle(sub, 1)]
+    raw, diag = _raw_classes(sub, m)
+    cocycles = {table: Cocycle(sub, m, table) for table in sorted(raw)}
+    zero = trivial_cocycle(sub, m)
+    k0 = [raw[t] for t, c in cocycles.items() if is_cohomologous(c, zero)[0]]
     reps: list[Cocycle] = []
-    for table in sorted(tables):
-        cand = Cocycle(sub, m, table)
-        if not any(is_cohomologous(cand, rep)[0] for rep in reps):
-            reps.append(cand)
+    merged: set[tuple[int, ...]] = set()
+    for table, cand in cocycles.items():
+        y = raw[table]
+        if y in merged:
+            continue
+        reps.append(cand)
+        merged.update(tuple((a + b) % d for a, b, d in zip(y, k, diag)) for k in k0)
     return reps

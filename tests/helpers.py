@@ -1,13 +1,20 @@
-"""Shared builders for the test corpus and random instances."""
+"""Shared builders for the test corpus and random instances, and reference
+implementations that the library is tested against."""
 
 from __future__ import annotations
 
 import random
+from math import gcd
 
+import numpy as np
+
+from gforge.cyclo import SubfieldDescriptor
 from gforge.groups import (Group, SubgroupData, cyclic, dihedral,
                            direct_product, semidirect_product)
 from gforge.presentation import Presentation
-from gforge.twisted import Cocycle, h2_classes, make_cocycle, trivial_cocycle
+from gforge.twisted import (Cocycle, _raw_classes, conjugate_cocycle,
+                            h2_classes, is_cohomologous, make_cocycle,
+                            trivial_cocycle)
 
 
 def pairing_cocycle(sub: SubgroupData, p: int) -> Cocycle:
@@ -112,3 +119,83 @@ def random_move(rng: random.Random, p: Presentation) -> dict:
         rng.shuffle(perm)
         return {"type": "permute", "perm": perm}
     return {"type": "translate", "g": rng.randrange(p.group.order)}
+
+
+# Reference implementations kept as differential oracles for the direct
+# cohomology computations in gforge.twisted and gforge.presentation.
+
+def _word_arrays(alpha: Cocycle, L: int):
+    """Exponent mod m, product position and letter-multiset code of every
+    word of length 1..L over the subgroup (as numpy arrays)."""
+    size, m = alpha.sub.order, alpha.modulus
+    assert (L + 1) ** size * size < 2 ** 62, "multiset codes would overflow int64"
+    tab = np.asarray(alpha.exps, dtype=np.int64)
+    pmul = alpha._pmul
+    letter = (L + 1) ** np.arange(size, dtype=np.int64)
+    e, prod, mset = np.zeros(size, np.int64), np.arange(size), letter
+    out = [(e, prod, mset)]
+    for _ in range(L - 1):
+        e = ((e[:, None] + tab[prod]) % m).ravel()
+        prod = pmul[prod].ravel()
+        mset = (mset[:, None] + letter).ravel()
+        out.append((e, prod, mset))
+    return tuple(np.concatenate(parts) for parts in zip(*out))
+
+
+def scan_chain(p: Presentation, L: int) -> dict:
+    """n, N, S, characters and field read off every word of length <= L.
+
+    Words with equal letter multiset and product form a bucket; the ratio
+    of a word is its exponent minus that of the bucket's first word. n is
+    the order of the group the ratios generate. g normalizing H lies in N
+    when conjugating every word by g preserves which words of a bucket have
+    equal exponents; its character is the unique unit j mod n with
+    j * (ratio) = (ratio of the conjugated word) throughout. Raises
+    AssertionError when L is too short to pin a character.
+    """
+    alpha, sub = p.alpha, p.sub
+    m = alpha.modulus
+    e, prod, mset = _word_arrays(alpha, L)
+    _, first, bucket = np.unique(mset * sub.order + prod, return_index=True,
+                                 return_inverse=True)
+    r = (e - e[first][bucket]) % m
+    n = m // gcd(m, int(np.gcd.reduce(r)))
+
+    def classes(*cols):
+        key = bucket
+        for c in cols:
+            key = key * m + c
+        return len(np.unique(key))
+
+    lam = p.lam
+    n_part, chars = [], []
+    for g in sub.normalizer:
+        ec = _word_arrays(conjugate_cocycle(alpha, g), L)[0]
+        rc = (ec - ec[first][bucket]) % m
+        if not classes(r) == classes(r, rc) == classes(rc):
+            continue
+        n_part.append(g)
+        if lam.translated(g) == lam:
+            js = [j for j in range(1, n + 1)
+                  if gcd(j, n) == 1 and not np.any((j * r - rc) % m)]
+            assert len(js) == 1, "word bound too short to pin a character"
+            chars.append((g, js[0] % n))
+    chars.sort()
+    sbar = tuple(sorted({j for _, j in chars}))
+    return {"n": n, "N": tuple(n_part), "S": tuple(s for s, _ in chars),
+            "s_characters": tuple(chars),
+            "field": SubfieldDescriptor.from_generators(n, sbar)}
+
+
+def h2_classes_pairwise(sub: SubgroupData, m: int) -> list[Cocycle]:
+    """h2_classes by merging each raw class into every representative kept
+    so far, one cohomology solve per pair."""
+    if m == 1:
+        return [trivial_cocycle(sub, 1)]
+    raw, _ = _raw_classes(sub, m)
+    reps: list[Cocycle] = []
+    for table in sorted(raw):
+        cand = Cocycle(sub, m, table)
+        if not any(is_cohomologous(cand, rep)[0] for rep in reps):
+            reps.append(cand)
+    return reps

@@ -1,3 +1,5 @@
+import json
+import os
 import random
 
 import pytest
@@ -5,15 +7,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gforge.errors import PreconditionError, PresentationError
-from gforge.groups import CosetMultiset, SubgroupData, cyclic, dihedral
+from gforge.groups import (CosetMultiset, SubgroupData, cyclic, dihedral,
+                           direct_product, semidirect_product)
 from gforge.presentation import (Presentation, apply_move, classify,
                                  compute_KNS, find_theta, full_derivative,
                                  iso_test, iso_witness, minimal_field,
                                  normalize, normalize_with_details,
                                  pointwise_derivative, validate_presentation)
-from gforge.twisted import trivial_cocycle
+from gforge.schemas import parse_presentation
+from gforge.twisted import h2_classes, shift_by_coboundary, trivial_cocycle
 
 import helpers
+from conftest import DATA_DIR
 
 
 def test_presentation_validation(p_pauli):
@@ -200,3 +205,65 @@ def test_moves_preserve_normal_form(data):
     for _ in range(data.draw(st.integers(1, 4))):
         q = apply_move(q, helpers.random_move(rng, q))
     assert normalize(q) == base
+
+
+def _corpus_presentations():
+    """Every presentation in the data directory, including those embedded in
+    identity inputs."""
+    found = {}
+    for name in sorted(os.listdir(DATA_DIR)):
+        with open(os.path.join(DATA_DIR, name), encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc = doc.get("presentation", doc)
+        if "tuple" in doc:
+            found[name] = doc
+    return found
+
+
+def _swap_factors(hh, x):
+    """C2 acting on C2^3 (index (a*2 + b)*2 + c) by swapping a and b."""
+    return x if hh == 0 else ((x // 2) % 2 * 2 + x // 4) * 2 + x % 2
+
+
+def _chain_ambients():
+    """(G, H) pairs, H of the type named by the key and G adding conjugations
+    of H that are not inner."""
+    c2, c3, c4 = cyclic(2), cyclic(3), cyclic(4)
+    c24 = direct_product(c2, c4)
+    c222 = direct_product(direct_product(c2, c2), c2)
+    return {
+        "C2xC2": (dihedral(4), (0, 2, 4, 6)),
+        "C2xC4": (semidirect_product(c24, c2, lambda h, x: c24.inv(x) if h else x),
+                  tuple(range(0, 16, 2))),
+        "C3xC3": (semidirect_product(direct_product(c3, c3), c2, helpers.swap_action),
+                  tuple(range(0, 18, 2))),
+        "D4": (dihedral(8), tuple(range(0, 16, 2))),
+        "D3": (dihedral(6), tuple(range(0, 12, 2))),
+        "C2xD3": (direct_product(c2, dihedral(3)), tuple(range(12))),
+        "C2^3": (semidirect_product(c222, c2, _swap_factors), tuple(range(0, 16, 2))),
+    }
+
+
+def _chain_fields(chain):
+    return {"n": chain.n, "N": chain.N, "S": chain.S,
+            "s_characters": chain.s_characters, "field": chain.field}
+
+
+@pytest.mark.parametrize("name", sorted(_corpus_presentations()))
+def test_chain_matches_word_scan_on_corpus(name):
+    p = parse_presentation(_corpus_presentations()[name])
+    assert _chain_fields(compute_KNS(p)) == helpers.scan_chain(p, 4)
+
+
+@pytest.mark.parametrize("name", sorted(_chain_ambients()))
+@pytest.mark.parametrize("m", (2, 3, 4, 6))
+def test_chain_matches_word_scan_on_shifted_classes(name, m):
+    grp, elems = _chain_ambients()[name]
+    sub = SubgroupData(grp, elems)
+    rng = random.Random(f"{name}/{m}")
+    for alpha in h2_classes(sub, m):
+        f = [0] + [rng.randrange(m) for _ in range(sub.order - 1)]
+        p = Presentation(grp, sub, shift_by_coboundary(alpha, f), sub.transversal)
+        chain = compute_KNS(p, 4)
+        assert chain.image_stable and chain.word_bound == 4
+        assert _chain_fields(chain) == helpers.scan_chain(p, 4)

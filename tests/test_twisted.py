@@ -8,12 +8,12 @@ from gforge.cyclo import CycScalar
 from gforge.errors import CapExceeded, CocycleError, PreconditionError
 from gforge.groups import SubgroupData, cyclic, dihedral, direct_product
 from gforge.twisted import (BinomialDatum, Cocycle, binomial_datum,
-                            binomial_ratio, conjugate_cocycle,
+                            binomial_ratio, class_order, conjugate_cocycle,
                             find_primitive_binomial, galois_character,
-                            galois_twist, h2_classes, image_mu_n,
-                            is_binomial_identity, is_cohomologous, lift_unit,
-                            make_cocycle, shift_by_coboundary,
-                            trivial_cocycle, word_exponent)
+                            galois_twist, h2_classes, is_binomial_identity,
+                            is_cohomologous, lift_unit, make_cocycle,
+                            shift_by_coboundary, trivial_cocycle,
+                            word_exponent)
 
 import helpers
 
@@ -102,10 +102,11 @@ def test_find_primitive_binomial(alpha_pauli, alpha_inner):
 
 
 def test_image_mu_n(alpha_pauli, alpha_inner):
-    assert image_mu_n(alpha_pauli) == (2, True)
-    assert image_mu_n(alpha_inner) == (3, True)
+    # the binomial ratios generate the roots of unity of the class order
+    assert class_order(alpha_pauli) == 2
+    assert class_order(alpha_inner) == 3
     sub = SubgroupData(cyclic(3), range(3))
-    assert image_mu_n(trivial_cocycle(sub))[0] == 1
+    assert class_order(trivial_cocycle(sub)) == 1
 
 
 def test_galois_character_on_swap():
@@ -114,6 +115,10 @@ def test_galois_character_on_swap():
     assert chars[0] == 1
     # the swapping reflection inverts the root of unity
     assert chars[1] == 2
+    # the character is constant on cosets of the subgroup
+    assert all(galois_character(s, p.alpha) == 2 for s in range(1, 18, 2))
+    with pytest.raises(PreconditionError):
+        galois_character(1, helpers.build_related().alpha)  # does not normalize
 
 
 def test_conjugate_and_twist(alpha_inner):
@@ -165,6 +170,26 @@ def test_h2_subgroup_cap():
     big = SubgroupData(p.group, range(18))
     with pytest.raises(CapExceeded):
         h2_classes(big, 2)
+
+
+H2_REFERENCE_CASES = {
+    "C2^3": (lambda: direct_product(direct_product(cyclic(2), cyclic(2)), cyclic(2)),
+             (2, 6)),
+    "C4xC4": (lambda: direct_product(cyclic(4), cyclic(4)), (2, 4)),
+    "D4": (lambda: dihedral(4), (4,)),
+    "C2xD3": (lambda: direct_product(cyclic(2), dihedral(3)), (6,)),
+    "C3xC3": (lambda: direct_product(cyclic(3), cyclic(3)), (6,)),
+}
+
+
+@pytest.mark.parametrize("name,m", [(name, m) for name, (_, ms) in
+                                    H2_REFERENCE_CASES.items() for m in ms])
+def test_h2_classes_match_pairwise_merge(name, m):
+    grp = H2_REFERENCE_CASES[name][0]()
+    sub = SubgroupData(grp, range(grp.order))
+    got = h2_classes(sub, m)
+    want = helpers.h2_classes_pairwise(sub, m)
+    assert [(c.modulus, c.exps) for c in got] == [(c.modulus, c.exps) for c in want]
 
 
 @settings(deadline=None, max_examples=15)
