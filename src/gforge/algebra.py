@@ -30,7 +30,8 @@ class GradedAlgebra:
     """
 
     __slots__ = ("presentation", "group", "sub", "alpha", "entries", "size",
-                 "dim", "dims", "blocks", "block_of", "_deg", "_by_degree")
+                 "dim", "dims", "blocks", "block_of", "_deg", "_by_degree",
+                 "_table", "_root_modulus")
 
     def __init__(self, presentation: Presentation):
         report = validate_presentation(presentation)
@@ -76,6 +77,13 @@ class GradedAlgebra:
             for i in members:
                 block_of[i] = b
         self.block_of = tuple(block_of)
+
+        # _table[pos a][pos b] = (ab, alpha(a, b)); _root_modulus is 1 when
+        # every zeta^alpha(a, b) is +-1, else the cocycle modulus
+        elements, m = sub.elements, self.alpha.modulus
+        self._table = tuple(tuple(zip((elements[p] for p in prow), erow))
+                            for prow, erow in zip(self.alpha._pmul.tolist(), self.alpha.exps))
+        self._root_modulus = m if any((2 * e) % m for row in self.alpha.exps for e in row) else 1
 
         if sum(dims.values()) != dim:
             raise InternalError("degree dimensions do not sum to the total dimension")
@@ -196,20 +204,72 @@ def _same_algebra(x: AlgElement, y: AlgElement) -> None:
 
 
 def multiply(x: AlgElement, y: AlgElement) -> AlgElement:
-    """(u_a e_ij)(u_b e_kl) = [j == k] zeta^alpha(a,b) u_ab e_il."""
+    """(u_a e_ij)(u_b e_kl) = [j == k] zeta_m^alpha(a,b) u_ab e_il.
+
+    y's terms are grouped by row, so only pairs with j == k are visited.
+    When the coefficients and the nonrational roots zeta_m^alpha(a,b) all
+    live at one modulus L (or all are rational), each pair adds an integer
+    vector in Z[x]/(x^L - 1), the root a rotation by alpha(a,b) * L/m, and
+    each output key is reduced to a scalar once: at modulus L, or at 1 when
+    rational, which is the modulus that adding the terms one by one gives.
+    With mixed moduli that modulus depends on the partial sums, so each pair
+    is added as a scalar product instead.
+    """
     _same_algebra(x, y)
     alg = x.algebra
-    grp, alpha = alg.group, alg.alpha
-    m = alpha.modulus
-    acc: dict = {}
-    for (a, i, j), ca in x.terms.items():
-        for (b, k, l), cb in y.terms.items():
-            if j != k:
-                continue
-            key = (grp.mul(a, b), i, l)
-            c = ca * cb * CycScalar.from_root(m, alpha.value(a, b))
-            acc[key] = acc[key] + c if key in acc else c
-    return AlgElement(alg, acc)
+    pos, table, m = alg.sub.pos, alg._table, alg.alpha.modulus
+    by_row: dict = {}
+    moduli = {alg._root_modulus}
+    for (b, k, l), cb in y.terms.items():
+        by_row.setdefault(k, []).append((pos[b], l, cb))
+        moduli.add(cb.modulus)
+    xs = [(pos[a], i, j, ca) for (a, i, j), ca in x.terms.items() if j in by_row]
+    if not xs:
+        return AlgElement(alg, {})
+    moduli.update(ca.modulus for _, _, _, ca in xs)
+    moduli.discard(1)
+    if len(moduli) > 1:
+        roots = [CycScalar.from_root(m, e) for e in range(m)]
+        acc: dict = {}
+        for pa, i, j, ca in xs:
+            row = table[pa]
+            for pb, l, cb in by_row[j]:
+                ab, e = row[pb]
+                key = (ab, i, l)
+                c = ca * cb * roots[e]
+                acc[key] = acc[key] + c if key in acc else c
+        return AlgElement(alg, acc)
+
+    L = moduli.pop() if moduli else 1
+    if L % m:
+        # every root in the table is +1 or -1
+        rot = [(0, -1 if e else 1) for e in range(m)]
+    else:
+        rot = [(e * (L // m), 1) for e in range(m)]
+    dx = lcm(*(ca.den for _, _, _, ca in xs))
+    dy = lcm(*(c.den for c in y.terms.values()))
+    lifted = {k: [(pb, l, [(t, v * (dy // cb.den)) for t, v in enumerate(cb.nums) if v])
+                  for pb, l, cb in terms]
+              for k, terms in by_row.items()}
+    vecs: dict = {}
+    for pa, i, j, ca in xs:
+        row = table[pa]
+        f = dx // ca.den
+        va = [(t, v * f) for t, v in enumerate(ca.nums) if v]
+        for pb, l, vb in lifted[j]:
+            ab, e = row[pb]
+            s, sign = rot[e]
+            key = (ab, i, l)
+            vec = vecs.get(key)
+            if vec is None:
+                vec = vecs[key] = [0] * L
+            for t1, v1 in va:
+                v1 *= sign
+                for t2, v2 in vb:
+                    vec[(t1 + t2 + s) % L] += v1 * v2
+    den = dx * dy
+    return AlgElement(alg, {key: CycScalar.from_powers(L, vec, den)
+                            for key, vec in vecs.items()})
 
 
 SAME_BLOCK = "sameBlock"

@@ -1,10 +1,14 @@
 """Exact cyclotomic arithmetic.
 
 Scalars live in Q(zeta_m), represented on the power basis 1, x, ..., x^(phi(m)-1)
-modulo the m-th cyclotomic polynomial, with Fraction coefficients. Values that
-turn out rational are demoted to modulus 1, and mixed-modulus arithmetic
-promotes both sides to the lcm, so equality is field equality. CycScalar is
-deliberately unhashable: equal values can carry different moduli.
+modulo the m-th cyclotomic polynomial. A scalar stores integer numerators on
+that basis over one positive denominator, with no common factor, so its
+arithmetic runs on Python ints and equal values at one modulus have equal
+representations; `coeffs` reads the coefficients back as Fractions in lowest
+terms. Values that turn out rational are demoted to modulus 1, and
+mixed-modulus arithmetic promotes both sides to the lcm, so equality is field
+equality. CycScalar is deliberately unhashable: equal values can carry
+different moduli.
 """
 
 from __future__ import annotations
@@ -87,60 +91,124 @@ def _power_rows(m: int) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
-def _reduce_poly(m: int, coeffs: list[Fraction]) -> list[Fraction]:
-    deg = phi(m)
+def _reduce_poly(m: int, coeffs) -> list[int]:
+    """Integer coefficients of powers of x, reduced to the power basis at m."""
     rows = _power_rows(m)
-    out = [Fraction(0)] * deg
-    for t, c in enumerate(coeffs):
+    deg = len(rows[0])
+    out = list(coeffs[:deg])
+    out += [0] * (deg - len(out))
+    for t in range(deg, len(coeffs)):
+        c = coeffs[t]
         if c:
-            row = rows[t % m] if t >= deg else None
-            if row is None:
-                out[t] += c
-            else:
-                for i, r in enumerate(row):
-                    if r:
-                        out[i] += c * r
+            for i, r in enumerate(rows[t % m]):
+                if r:
+                    out[i] += c * r
     return out
 
 
-@dataclass(frozen=True, eq=False)
+def _convolve(a, b) -> list:
+    """Product of two coefficient lists as polynomials (ints or Fractions)."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    out[i + j] += x * y
+    return out
+
+
+def _integral(coeffs) -> tuple[list[int], int]:
+    """Rationals as integer numerators over their least common denominator
+    (so with no factor common to all of them)."""
+    coeffs = [Fraction(c) for c in coeffs]
+    den = lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
+_new_object = object.__new__
+_set = object.__setattr__
+
+
+def _scalar(m: int, nums, den: int = 1) -> "CycScalar":
+    """The scalar nums / den at modulus m, with the common factor removed."""
+    g = gcd(den, *nums)
+    if g != 1:
+        nums = [c // g for c in nums]
+        den //= g
+    x = _new_object(CycScalar)
+    _set(x, "modulus", m)
+    _set(x, "nums", tuple(nums))
+    _set(x, "den", den)
+    return x
+
+
+def _demoted(m: int, nums, den: int = 1) -> "CycScalar":
+    """_scalar, at modulus 1 when the value is rational."""
+    if m > 1 and not any(nums[1:]):
+        return _scalar(1, nums[:1], den)
+    return _scalar(m, nums, den)
+
+
 class CycScalar:
-    """Element of Q(zeta_modulus) on the power basis."""
+    """Element of Q(zeta_modulus) on the power basis: nums[i] / den is the
+    coefficient of x^i, den > 0 and gcd(den, *nums) == 1. Immutable."""
 
-    modulus: int
-    coeffs: tuple[Fraction, ...]
-
+    __slots__ = ("modulus", "nums", "den")
     __hash__ = None  # equal values may carry different moduli
+
+    def __init__(self, modulus: int, coeffs):
+        nums, den = _integral(coeffs)
+        _set(self, "modulus", modulus)
+        _set(self, "nums", tuple(nums))
+        _set(self, "den", den)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"CycScalar is immutable; cannot set {name!r}")
+
+    def __reduce__(self):
+        return _scalar, (self.modulus, self.nums, self.den)
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The power-basis coefficients, in lowest terms."""
+        den = self.den
+        if den == 1:
+            return tuple(map(Fraction, self.nums))
+        return tuple(Fraction(c, den) for c in self.nums)
 
     @staticmethod
     def _make(m: int, coeffs) -> "CycScalar":
-        coeffs = [Fraction(c) for c in coeffs]
+        nums, den = _integral(coeffs)
         deg = phi(m)
-        if len(coeffs) != deg:
+        if len(nums) != deg:
             raise PreconditionError(f"need {deg} coefficients at modulus {m}")
-        if m > 1 and not any(coeffs[1:]):
-            return CycScalar(1, (coeffs[0],))
-        return CycScalar(m, tuple(coeffs))
+        return _demoted(m, nums, den)
+
+    @staticmethod
+    def from_powers(m: int, vec, den: int = 1) -> "CycScalar":
+        """(sum of vec[t] * zeta_m^t) / den for integers vec[t] and den > 0,
+        at modulus 1 when the value is rational."""
+        return _demoted(m, _reduce_poly(m, vec), den)
 
     @staticmethod
     def from_rational(q) -> "CycScalar":
-        return CycScalar(1, (Fraction(q),))
+        q = Fraction(q)
+        return _scalar(1, (q.numerator,), q.denominator)
 
     @staticmethod
     def from_root(m: int, k: int) -> "CycScalar":
         """zeta_m ** k."""
         if m < 1:
             raise PreconditionError("modulus must be positive")
-        rows = _power_rows(m)
-        return CycScalar._make(m, rows[k % m])
+        return _demoted(m, _power_rows(m)[k % m])
 
     @staticmethod
     def zero() -> "CycScalar":
-        return CycScalar(1, (Fraction(0),))
+        return _scalar(1, (0,))
 
     @staticmethod
     def one() -> "CycScalar":
-        return CycScalar(1, (Fraction(1),))
+        return _scalar(1, (1,))
 
     def _promoted(self, m: int) -> "CycScalar":
         if m == self.modulus:
@@ -148,24 +216,32 @@ class CycScalar:
         if m % self.modulus:
             raise PreconditionError("can only promote to a multiple modulus")
         step = m // self.modulus
-        acc = [Fraction(0)] * m
-        for i, c in enumerate(self.coeffs):
+        acc = [0] * m
+        for i, c in enumerate(self.nums):
             acc[(i * step) % m] += c
-        return CycScalar(m, tuple(_reduce_poly(m, acc)))
+        return _scalar(m, _reduce_poly(m, acc), self.den)
 
     def _pair(self, other) -> tuple["CycScalar", "CycScalar"]:
         other = as_cyc(other)
+        if self.modulus == other.modulus:
+            return self, other
         m = lcm(self.modulus, other.modulus)
         return self._promoted(m), other._promoted(m)
 
     def __add__(self, other) -> "CycScalar":
         a, b = self._pair(other)
-        return CycScalar._make(a.modulus, [x + y for x, y in zip(a.coeffs, b.coeffs)])
+        da, db = a.den, b.den
+        if da == db:
+            nums = [x + y for x, y in zip(a.nums, b.nums)]
+        else:
+            nums = [x * db + y * da for x, y in zip(a.nums, b.nums)]
+            da *= db
+        return _demoted(a.modulus, nums, da)
 
     __radd__ = __add__
 
     def __neg__(self) -> "CycScalar":
-        return CycScalar(self.modulus, tuple(-c for c in self.coeffs))
+        return _scalar(self.modulus, [-c for c in self.nums], self.den)
 
     def __sub__(self, other) -> "CycScalar":
         return self + (-as_cyc(other))
@@ -175,28 +251,26 @@ class CycScalar:
 
     def __mul__(self, other) -> "CycScalar":
         a, b = self._pair(other)
-        conv = [Fraction(0)] * (len(a.coeffs) + len(b.coeffs) - 1)
-        for i, x in enumerate(a.coeffs):
-            if x:
-                for j, y in enumerate(b.coeffs):
-                    if y:
-                        conv[i + j] += x * y
-        return CycScalar._make(a.modulus, _reduce_poly(a.modulus, conv))
+        m = a.modulus
+        if m == 1:
+            return _scalar(1, (a.nums[0] * b.nums[0],), a.den * b.den)
+        return CycScalar.from_powers(m, _convolve(a.nums, b.nums), a.den * b.den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "CycScalar":
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
-        if self.modulus == 1:
-            return CycScalar(1, (1 / self.coeffs[0],))
-        mod = [Fraction(c) for c in cyclotomic_polynomial(self.modulus)]
+        m = self.modulus
+        if m == 1:
+            q = self.den / Fraction(self.nums[0])
+            return _scalar(1, (q.numerator,), q.denominator)
+        mod = [Fraction(c) for c in cyclotomic_polynomial(m)]
         g, u = _poly_xgcd(list(self.coeffs), mod)
         if len(g) != 1:
             raise ArithmeticError("gcd with the cyclotomic polynomial is not constant")
-        scale = 1 / g[0]
-        inv = CycScalar._make(self.modulus,
-                              _reduce_poly(self.modulus, [c * scale for c in u]))
+        nums, den = _integral(c / g[0] for c in u)
+        inv = CycScalar.from_powers(m, nums, den)
         if not (self * inv).is_one():
             raise ArithmeticError("inverse verification failed")
         return inv
@@ -222,13 +296,13 @@ class CycScalar:
         if not isinstance(other, (CycScalar, int, Fraction)):
             return NotImplemented
         a, b = self._pair(other)
-        return a.coeffs == b.coeffs
+        return a.den == b.den and a.nums == b.nums
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not any(self.nums)
 
     def is_one(self) -> bool:
-        return self.modulus == 1 and self.coeffs[0] == 1
+        return self.modulus == 1 and self.nums[0] == 1 and self.den == 1
 
     def is_rational(self) -> bool:
         return self.modulus == 1
@@ -236,7 +310,7 @@ class CycScalar:
     def as_rational(self) -> Fraction:
         if self.modulus != 1:
             raise PreconditionError("value is not rational")
-        return self.coeffs[0]
+        return Fraction(self.nums[0], self.den)
 
     def galois(self, j: int) -> "CycScalar":
         """Field automorphism zeta -> zeta^j; j must be a unit mod the modulus."""
@@ -245,19 +319,20 @@ class CycScalar:
             return self
         if gcd(j, m) != 1:
             raise PreconditionError(f"galois exponent {j} is not a unit mod {m}")
-        acc = [Fraction(0)] * m
-        for i, c in enumerate(self.coeffs):
+        acc = [0] * m
+        for i, c in enumerate(self.nums):
             acc[(i * j) % m] += c
-        return CycScalar._make(m, _reduce_poly(m, acc))
+        return CycScalar.from_powers(m, acc, self.den)
 
     def conjugate(self) -> "CycScalar":
         return self.galois(self.modulus - 1) if self.modulus > 1 else self
 
     def __repr__(self) -> str:
+        coeffs = self.coeffs
         if self.modulus == 1:
-            return f"Cyc({self.coeffs[0]})"
+            return f"Cyc({coeffs[0]})"
         terms = []
-        for i, c in enumerate(self.coeffs):
+        for i, c in enumerate(coeffs):
             if c:
                 base = "1" if i == 0 else (f"z{self.modulus}" if i == 1 else f"z{self.modulus}^{i}")
                 terms.append(f"{c}*{base}" if i else f"{c}")
@@ -270,19 +345,9 @@ def _poly_xgcd(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], li
     u0, u1 = [Fraction(1)], [Fraction(0)]
     while r1 != [Fraction(0)] and any(r1):
         q = _poly_divmod(r0, r1)[0]
-        r0, r1 = r1, _trim(_poly_sub(r0, _poly_mul(q, r1)))
-        u0, u1 = u1, _trim(_poly_sub(u0, _poly_mul(q, u1)))
+        r0, r1 = r1, _trim(_poly_sub(r0, _convolve(q, r1)))
+        u0, u1 = u1, _trim(_poly_sub(u0, _convolve(q, u1)))
     return r0, u0
-
-
-def _poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return out
 
 
 def _poly_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:

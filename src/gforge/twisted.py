@@ -50,16 +50,20 @@ class Cocycle:
             raise CocycleError("exponents must lie in [0, modulus)")
         if np.any(tab[0]) or np.any(tab[:, 0]):
             raise CocycleError("table must be normalized at the identity")
-        grp = sub.group
-        pmul = np.asarray(
-            [[sub.pos[grp.mul(a, b)] for b in sub.elements] for a in sub.elements],
-            dtype=np.int64,
-        )
-        for i in range(size):
-            lhs = (tab[i][:, None] + tab[pmul[i]]) % m
-            rhs = (tab + tab[i][pmul]) % m
-            if not np.array_equal(lhs, rhs):
-                raise CocycleError(f"cocycle identity fails at row {i}")
+        els = np.asarray(sub.elements, dtype=np.int64)
+        pos_of = np.zeros(sub.group.order, dtype=np.int64)
+        pos_of[els] = np.arange(size)
+        pmul = pos_of[sub.group._np[els[:, None], els]]
+        # alpha(i,j) + alpha(ij,k) = alpha(j,k) + alpha(i,jk), for blocks of
+        # rows i at a time so the (rows, |H|, |H|) arrays stay small
+        step = max(1, 2 ** 20 // size ** 2)
+        for start in range(0, size, step):
+            rows = np.arange(start, min(start + step, size))
+            lhs = (tab[rows, :, None] + tab[pmul[rows]]) % m
+            rhs = (tab[None] + tab[rows[:, None, None], pmul[None]]) % m
+            bad = np.any(lhs != rhs, axis=(1, 2))
+            if bad.any():
+                raise CocycleError(f"cocycle identity fails at row {rows[bad.argmax()]}")
         object.__setattr__(self, "_pmul", pmul)
 
     def value(self, h1: int, h2: int) -> int:

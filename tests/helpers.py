@@ -4,11 +4,14 @@ implementations that the library is tested against."""
 from __future__ import annotations
 
 import random
-from math import gcd
+from dataclasses import dataclass
+from fractions import Fraction
+from math import gcd, lcm
 
 import numpy as np
 
-from gforge.cyclo import SubfieldDescriptor
+from gforge.cyclo import (SubfieldDescriptor, _power_rows, cyclotomic_polynomial,
+                          phi)
 from gforge.groups import (Group, SubgroupData, cyclic, dihedral,
                            direct_product, semidirect_product)
 from gforge.presentation import Presentation
@@ -199,3 +202,190 @@ def h2_classes_pairwise(sub: SubgroupData, m: int) -> list[Cocycle]:
         if not any(is_cohomologous(cand, rep)[0] for rep in reps):
             reps.append(cand)
     return reps
+
+
+# Reference cyclotomic scalars on Fraction coefficients and the pairwise
+# product, kept as differential oracles for the integer-backed CycScalar
+# and the exponent-table multiply in gforge.
+
+def _ref_reduce_poly(m: int, coeffs: list[Fraction]) -> list[Fraction]:
+    deg = phi(m)
+    rows = _power_rows(m)
+    out = [Fraction(0)] * deg
+    for t, c in enumerate(coeffs):
+        if c:
+            row = rows[t % m] if t >= deg else None
+            if row is None:
+                out[t] += c
+            else:
+                for i, r in enumerate(row):
+                    if r:
+                        out[i] += c * r
+    return out
+
+
+def _ref_trim(p: list) -> list:
+    while len(p) > 1 and p[-1] == 0:
+        p.pop()
+    return p
+
+
+def _ref_poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    out[i + j] += x * y
+    return out
+
+
+def _ref_poly_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+    n = max(len(a), len(b))
+    return [(a[i] if i < len(a) else Fraction(0)) - (b[i] if i < len(b) else Fraction(0))
+            for i in range(n)]
+
+
+def _ref_poly_divmod(a: list[Fraction], b: list[Fraction]):
+    a, b = _ref_trim(list(a)), _ref_trim(list(b))
+    if len(a) < len(b):
+        return [Fraction(0)], a
+    quo = [Fraction(0)] * (len(a) - len(b) + 1)
+    lead = b[-1]
+    for k in range(len(quo) - 1, -1, -1):
+        c = a[k + len(b) - 1] / lead
+        quo[k] = c
+        if c:
+            for i, y in enumerate(b):
+                a[k + i] -= c * y
+    return quo, _ref_trim(a)
+
+
+def _ref_poly_xgcd(a: list[Fraction], b: list[Fraction]):
+    r0, r1 = _ref_trim([Fraction(c) for c in a]), _ref_trim([Fraction(c) for c in b])
+    u0, u1 = [Fraction(1)], [Fraction(0)]
+    while r1 != [Fraction(0)] and any(r1):
+        q = _ref_poly_divmod(r0, r1)[0]
+        r0, r1 = r1, _ref_trim(_ref_poly_sub(r0, _ref_poly_mul(q, r1)))
+        u0, u1 = u1, _ref_trim(_ref_poly_sub(u0, _ref_poly_mul(q, u1)))
+    return r0, u0
+
+
+@dataclass(frozen=True, eq=False)
+class RefScalar:
+    """Element of Q(zeta_modulus) on the power basis, Fraction coefficients;
+    rational results of _make are demoted to modulus 1."""
+
+    modulus: int
+    coeffs: tuple[Fraction, ...]
+
+    @staticmethod
+    def _make(m: int, coeffs) -> "RefScalar":
+        coeffs = [Fraction(c) for c in coeffs]
+        assert len(coeffs) == phi(m)
+        if m > 1 and not any(coeffs[1:]):
+            return RefScalar(1, (coeffs[0],))
+        return RefScalar(m, tuple(coeffs))
+
+    @staticmethod
+    def of(x) -> "RefScalar":
+        """The reference scalar with the modulus and coefficients of x."""
+        if isinstance(x, RefScalar):
+            return x
+        if isinstance(x, (int, Fraction)):
+            return RefScalar(1, (Fraction(x),))
+        return RefScalar(x.modulus, tuple(x.coeffs))
+
+    @staticmethod
+    def from_root(m: int, k: int) -> "RefScalar":
+        return RefScalar._make(m, _power_rows(m)[k % m])
+
+    def _promoted(self, m: int) -> "RefScalar":
+        if m == self.modulus:
+            return self
+        assert m % self.modulus == 0
+        step = m // self.modulus
+        acc = [Fraction(0)] * m
+        for i, c in enumerate(self.coeffs):
+            acc[(i * step) % m] += c
+        return RefScalar(m, tuple(_ref_reduce_poly(m, acc)))
+
+    def _pair(self, other):
+        other = RefScalar.of(other)
+        m = lcm(self.modulus, other.modulus)
+        return self._promoted(m), other._promoted(m)
+
+    def __add__(self, other) -> "RefScalar":
+        a, b = self._pair(other)
+        return RefScalar._make(a.modulus, [x + y for x, y in zip(a.coeffs, b.coeffs)])
+
+    def __neg__(self) -> "RefScalar":
+        return RefScalar(self.modulus, tuple(-c for c in self.coeffs))
+
+    def __mul__(self, other) -> "RefScalar":
+        a, b = self._pair(other)
+        conv = _ref_poly_mul(list(a.coeffs), list(b.coeffs))
+        return RefScalar._make(a.modulus, _ref_reduce_poly(a.modulus, conv))
+
+    def inverse(self) -> "RefScalar":
+        assert any(self.coeffs)
+        if self.modulus == 1:
+            return RefScalar(1, (1 / self.coeffs[0],))
+        mod = [Fraction(c) for c in cyclotomic_polynomial(self.modulus)]
+        g, u = _ref_poly_xgcd(list(self.coeffs), mod)
+        assert len(g) == 1
+        scale = 1 / g[0]
+        return RefScalar._make(self.modulus,
+                               _ref_reduce_poly(self.modulus, [c * scale for c in u]))
+
+    def galois(self, j: int) -> "RefScalar":
+        m = self.modulus
+        if m == 1:
+            return self
+        assert gcd(j, m) == 1
+        acc = [Fraction(0)] * m
+        for i, c in enumerate(self.coeffs):
+            acc[(i * j) % m] += c
+        return RefScalar._make(m, _ref_reduce_poly(m, acc))
+
+    def __repr__(self) -> str:
+        if self.modulus == 1:
+            return f"Cyc({self.coeffs[0]})"
+        terms = []
+        for i, c in enumerate(self.coeffs):
+            if c:
+                base = "1" if i == 0 else (f"z{self.modulus}" if i == 1 else f"z{self.modulus}^{i}")
+                terms.append(f"{c}*{base}" if i else f"{c}")
+        return "Cyc(" + (" + ".join(terms) or "0") + ")"
+
+
+def multiply_pairwise(x, y) -> dict:
+    """The product of two algebra elements, one full scalar product per
+    pair of terms, on reference scalars: key -> RefScalar, zeros dropped."""
+    alg = x.algebra
+    grp, alpha = alg.group, alg.alpha
+    m = alpha.modulus
+    acc: dict = {}
+    for (a, i, j), ca in x.terms.items():
+        for (b, k, l), cb in y.terms.items():
+            if j != k:
+                continue
+            key = (grp.mul(a, b), i, l)
+            c = RefScalar.of(ca) * RefScalar.of(cb) * RefScalar.from_root(m, alpha.value(a, b))
+            acc[key] = acc[key] + c if key in acc else c
+    return {k: v for k, v in acc.items() if any(v.coeffs)}
+
+
+def cocycle_first_bad_row(sub: SubgroupData, m: int, exps) -> int | None:
+    """First row i at which alpha(i,j) + alpha(ij,k) = alpha(j,k) + alpha(i,jk)
+    fails mod m, checked one row at a time; None when the identity holds."""
+    tab = np.asarray(exps, dtype=np.int64)
+    grp = sub.group
+    pmul = np.asarray([[sub.pos[grp.mul(a, b)] for b in sub.elements]
+                       for a in sub.elements], dtype=np.int64)
+    for i in range(sub.order):
+        lhs = (tab[i][:, None] + tab[pmul[i]]) % m
+        rhs = (tab + tab[i][pmul]) % m
+        if not np.array_equal(lhs, rhs):
+            return i
+    return None

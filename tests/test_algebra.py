@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -9,9 +10,9 @@ from gforge.algebra import (RELATED_DISTINCT, SAME_BLOCK, UNRELATED,
                             relate, twisted_group_algebra)
 from gforge.cyclo import CycScalar, as_cyc
 from gforge.errors import (CapExceeded, PreconditionError, PresentationError)
-from gforge.groups import cyclic, dihedral, SubgroupData
-from gforge.twisted import trivial_cocycle
-from gforge.presentation import Presentation
+from gforge.groups import cyclic, dihedral, direct_product, SubgroupData
+from gforge.twisted import h2_classes, shift_by_coboundary, trivial_cocycle
+from gforge.presentation import Presentation, normalize
 
 import helpers
 
@@ -225,3 +226,94 @@ def test_algebra_random_properties(data):
         prod = bx * by
         if not prod.is_zero():
             assert prod.homogeneous_degree() == a.group.mul(a.degree(*x), a.degree(*y))
+
+
+# differential tests of multiply against the pairwise product on the
+# Fraction-coefficient reference scalars
+
+def _shifted_k4_algebra():
+    """The C2 x C2 algebra with the m = 4 class shifted so zeta_4 occurs."""
+    grp = direct_product(cyclic(2), cyclic(2))
+    sub = SubgroupData(grp, range(4))
+    alpha = shift_by_coboundary(h2_classes(sub, 4)[1], [0, 1, 0, 2])
+    return GradedAlgebra(Presentation(grp, sub, alpha, (0,)))
+
+
+def _dense(rng, alg, moduli):
+    """Random coefficients on a random share of the basis: rationals, roots
+    of unity and sums of two roots at the given moduli, times rationals."""
+    terms = {}
+    for t in alg._deg:
+        if rng.random() < 0.6:
+            n = rng.choice(moduli)
+            c = CycScalar.from_root(n, rng.randrange(n))
+            if rng.random() < 0.3:
+                c = c + CycScalar.from_root(n, rng.randrange(n))
+            terms[t] = c * Fraction(rng.choice((1, -1, 2, -3)), rng.choice((1, 2, 3)))
+    return alg.element(terms)
+
+
+def assert_matches_pairwise(x, y):
+    got = multiply(x, y).terms
+    want = helpers.multiply_pairwise(x, y)
+    assert list(got) == list(want)
+    for key, ref in want.items():
+        c = got[key]
+        assert (c.modulus, c.coeffs, repr(c)) == (ref.modulus, ref.coeffs, repr(ref)), key
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.data())
+def test_multiply_matches_pairwise_reference(algebras, data):
+    names = sorted(algebras) + ["k4_shifted"]
+    name = data.draw(st.sampled_from(names))
+    alg = _shifted_k4_algebra() if name == "k4_shifted" else algebras[name]
+    m = alg.alpha.modulus
+    # n does not divide m; a single modulus takes the vector path, a mix of
+    # moduli the scalar one
+    n = data.draw(st.sampled_from([k for k in (3, 4, 5, 8, 12) if m % k]))
+    rng = random.Random(data.draw(st.integers(0, 10 ** 6)))
+    mx = data.draw(st.sampled_from(((1,), (1, m), (m,), (n,), (1, n), (1, m, n))))
+    my = data.draw(st.sampled_from(((1,), (1, m), (n,), (m, n))))
+    x, y = _dense(rng, alg, mx), _dense(rng, alg, my)
+    assert_matches_pairwise(x, y)
+    assert_matches_pairwise(y, x)
+    assert_matches_pairwise(x, alg.one())
+
+
+def test_multiply_moduli_follow_partial_sums(algebras):
+    """The partial sum at (0, 0, 0) is zeta_3, then rational, then gains
+    zeta_4: the product carries modulus 4, not lcm(3, 4) = 12."""
+    a = algebras["mat3"]
+    z3, z4 = CycScalar.from_root(3, 1), CycScalar.from_root(4, 1)
+    x = a.element({(0, 0, 0): z3, (0, 0, 1): 1 - z3, (0, 0, 2): z4})
+    y = a.element({(0, 0, 0): 1, (0, 1, 0): 1, (0, 2, 0): 1})
+    prod = multiply(x, y)
+    assert prod.terms[(0, 0, 0)].modulus == 4
+    assert prod.terms[(0, 0, 0)] == 1 + z4
+    assert_matches_pairwise(x, y)
+    x3 = a.element({(0, 0, 0): z3, (0, 0, 1): -z3})
+    assert multiply(x3, y).is_zero()
+
+
+# _span_report takes its working modulus from the field and the generator
+# coefficients, not from the cocycle, so some coboundary shifts of the m = 4
+# class on C2 x C2 fail to promote; others close the span.
+def _k4_m4_normal_form(f):
+    grp = direct_product(cyclic(2), cyclic(2))
+    sub = SubgroupData(grp, range(4))
+    alpha = shift_by_coboundary(h2_classes(sub, 4)[1], f)
+    return normalize(Presentation(grp, sub, alpha, (0,)))
+
+
+@pytest.mark.xfail(strict=True, raises=PreconditionError,
+                   reason="_span_report promotes to a modulus the cocycle does not divide")
+@pytest.mark.parametrize("f", [[0, 1, 0, 2], [0, 3, 1, 3], [0, 0, 1, 0]])
+def test_k_form_shifted_m4_class_promotion_fault(f):
+    build_k_form(_k4_m4_normal_form(f))
+
+
+@pytest.mark.parametrize("f", [[0, 2, 2, 0], [0, 3, 1, 0], [0, 1, 3, 2]])
+def test_k_form_shifted_m4_class(f):
+    rep = build_k_form(_k4_m4_normal_form(f)).report
+    assert rep.ok and rep.k_dim == 4

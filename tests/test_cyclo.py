@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +8,8 @@ from hypothesis import strategies as st
 from gforge.cyclo import (CycScalar, SubfieldDescriptor, as_cyc,
                           cyclotomic_polynomial, divisors, phi)
 from gforge.errors import PreconditionError
+
+import helpers
 
 rationals = st.fractions(
     min_value=-20, max_value=20,
@@ -126,3 +129,67 @@ def test_quadratic_subfield_membership():
     assert f.contains(gauss)
     assert not f.contains(z)
     assert not gauss.is_rational()
+
+
+# differential tests against the Fraction-coefficient reference scalars
+
+MODULI = (1, 2, 3, 4, 5, 6, 8, 9, 12)
+
+
+@st.composite
+def scalars(draw, moduli=MODULI):
+    """A scalar made by _make, by a root times a rational, or by promoting
+    either (which can leave a rational value at a modulus above 1)."""
+    m = draw(st.sampled_from(moduli))
+    kind = draw(st.sampled_from(("make", "root", "promoted")))
+    if kind == "root":
+        x = CycScalar.from_root(m, draw(st.integers(0, 2 * m))) * draw(rationals)
+    else:
+        sparse = st.one_of(st.just(Fraction(0)), rationals)
+        x = CycScalar._make(m, draw(st.lists(sparse, min_size=phi(m), max_size=phi(m))))
+    if kind == "promoted":
+        x = x._promoted(x.modulus * draw(st.sampled_from((1, 2, 3))))
+    return x
+
+
+def same(x, ref) -> bool:
+    """Equal modulus, coefficients and repr: the reference's exact output."""
+    return (isinstance(x, CycScalar) and x.modulus == ref.modulus
+            and x.coeffs == ref.coeffs and repr(x) == repr(ref))
+
+
+@settings(deadline=None, max_examples=150)
+@given(scalars(), scalars())
+def test_arithmetic_matches_reference(a, b):
+    ra, rb = helpers.RefScalar.of(a), helpers.RefScalar.of(b)
+    assert same(a * b, ra * rb)
+    assert same(a + b, ra + rb)
+    assert same(a - b, ra + (-rb))
+    assert same(-a, -ra)
+    pa, pb = ra._pair(rb)
+    assert (a == b) == (pa.coeffs == pb.coeffs)
+    assert all(type(c) is Fraction for c in (a * b).coeffs)
+
+
+@settings(deadline=None, max_examples=100)
+@given(scalars(), st.integers(1, 40), st.sampled_from((1, 2, 3, 5)))
+def test_inverse_galois_promotion_match_reference(a, j, step):
+    ra = helpers.RefScalar.of(a)
+    m = a.modulus
+    if not a.is_zero():
+        assert same(a.inverse(), ra.inverse())
+    if gcd(j, m) == 1:
+        assert same(a.galois(j), ra.galois(j))
+    assert same(a._promoted(m * step), ra._promoted(m * step))
+
+
+def test_representation_is_canonical():
+    x = CycScalar._make(4, [Fraction(2, 6), Fraction(-4, 3)])
+    assert (x.modulus, x.nums, x.den) == (4, (1, -4), 3)
+    assert x.coeffs == (Fraction(1, 3), Fraction(-4, 3))
+    y = CycScalar._make(3, [Fraction(4, 2), Fraction(6, 3)])
+    assert (y.nums, y.den) == ((2, 2), 1)
+    assert CycScalar.zero().nums == (0,) and CycScalar.zero().den == 1
+    assert CycScalar(6, [Fraction(1, 2), 0]).coeffs == (Fraction(1, 2), Fraction(0))
+    with pytest.raises(AttributeError):
+        x.modulus = 8

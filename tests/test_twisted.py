@@ -165,6 +165,67 @@ def test_h2_counts():
     assert len(h2_classes(SubgroupData(g33, range(9)), 3)) == 3
 
 
+def test_cocycle_identity_failure_row(alpha_inner):
+    sub, m = alpha_inner.sub, alpha_inner.modulus
+    exps = [list(row) for row in alpha_inner.exps]
+    exps[4][5] = (exps[4][5] + 1) % m
+    with pytest.raises(CocycleError, match="cocycle identity fails at row 1$"):
+        Cocycle(sub, m, tuple(map(tuple, exps)))
+    # rows 0 and 1 hold, row 2 is the first to fail
+    k4 = SubgroupData(direct_product(cyclic(2), cyclic(2)), range(4))
+    table = ((0, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 1), (0, 0, 0, 1))
+    with pytest.raises(CocycleError, match="cocycle identity fails at row 2$"):
+        Cocycle(k4, 2, table)
+    # on C2 x C64 (elements 0..63 form C64), alpha(x, y) = h(y) when x lies
+    # outside C64: the rows of C64 hold, row 64 fails, past the first block
+    # of 64 rows the check takes at a time at this order
+    grp = direct_product(cyclic(2), cyclic(64))
+    rng = random.Random(3)
+    h = [0] + [rng.randrange(2) for _ in range(127)]
+    table = tuple(tuple(h[y] if x >= 64 else 0 for y in range(128)) for x in range(128))
+    sub = SubgroupData(grp, range(128))
+    assert helpers.cocycle_first_bad_row(sub, 2, table) == 64
+    with pytest.raises(CocycleError, match="cocycle identity fails at row 64$"):
+        Cocycle(sub, 2, table)
+
+
+def _check_against_row_loop(sub, m, table):
+    want = helpers.cocycle_first_bad_row(sub, m, table)
+    if want is None:
+        assert Cocycle(sub, m, table).exps == table
+    else:
+        with pytest.raises(CocycleError, match=f"fails at row {want}$"):
+            Cocycle(sub, m, table)
+    return want
+
+
+def test_cocycle_identity_check_matches_row_loop():
+    # every normalized table on C2 x C2 over Z/2, then corrupted cocycles
+    k4 = SubgroupData(direct_product(cyclic(2), cyclic(2)), range(4))
+    rows = set()
+    for bits in range(2 ** 9):
+        table = ((0, 0, 0, 0),) + tuple(
+            (0,) + tuple((bits >> (3 * r + c)) & 1 for c in range(3)) for r in range(3))
+        rows.add(_check_against_row_loop(k4, 2, table))
+    assert rows == {None, 1, 2}
+    rng = random.Random(41)
+    cases = [(direct_product(cyclic(2), cyclic(2)), 2), (dihedral(4), 4),
+             (direct_product(cyclic(2), cyclic(4)), 4), (direct_product(cyclic(3), cyclic(3)), 3),
+             (direct_product(cyclic(2), dihedral(3)), 6)]
+    seen = set()
+    for grp, m in cases:
+        sub = SubgroupData(grp, range(grp.order))
+        reps = h2_classes(sub, m)
+        for _ in range(60):
+            exps = [list(row) for row in shift_by_coboundary(
+                rng.choice(reps), [0] + [rng.randrange(m) for _ in range(sub.order - 1)]).exps]
+            for _ in range(rng.randint(0, 3)):
+                r, c = rng.randrange(1, sub.order), rng.randrange(1, sub.order)
+                exps[r][c] = rng.randrange(m)
+            seen.add(_check_against_row_loop(sub, m, tuple(map(tuple, exps))))
+    assert None in seen and 1 in seen
+
+
 def test_h2_subgroup_cap():
     p = helpers.build_swap_raw()
     big = SubgroupData(p.group, range(18))
