@@ -31,7 +31,7 @@ class GradedAlgebra:
 
     __slots__ = ("presentation", "group", "sub", "alpha", "entries", "size",
                  "dim", "dims", "blocks", "block_of", "_deg", "_by_degree",
-                 "_table", "_root_modulus")
+                 "_table", "_root_modulus", "_walks")
 
     def __init__(self, presentation: Presentation):
         report = validate_presentation(presentation)
@@ -84,6 +84,7 @@ class GradedAlgebra:
         self._table = tuple(tuple(zip((elements[p] for p in prow), erow))
                             for prow, erow in zip(self.alpha._pmul.tolist(), self.alpha.exps))
         self._root_modulus = m if any((2 * e) % m for row in self.alpha.exps for e in row) else 1
+        self._walks = None  # walk_index, filled on use by the identity oracle
 
         if sum(dims.values()) != dim:
             raise InternalError("degree dimensions do not sum to the total dimension")
@@ -99,6 +100,24 @@ class GradedAlgebra:
 
     def basis_of_degree(self, g: int):
         return self._by_degree.get(g, ())
+
+    def walk_index(self, g: int) -> tuple:
+        """(by_row, by_col) for the degree-g basis triples (h, i, j), built on
+        first use and kept: by_row[i] lists (index in basis_of_degree(g),
+        pos h, j) for row i, by_col[j] lists (index, pos h, i) for column j."""
+        walks = self._walks
+        if walks is None:
+            walks = self._walks = {}
+        hit = walks.get(g)
+        if hit is None:
+            pos = self.sub.pos
+            by_row: dict = {}
+            by_col: dict = {}
+            for c, (h, i, j) in enumerate(self.basis_of_degree(g)):
+                by_row.setdefault(i, []).append((c, pos[h], j))
+                by_col.setdefault(j, []).append((c, pos[h], i))
+            hit = walks[g] = (by_row, by_col)
+        return hit
 
     def basis_element(self, h: int, i: int, j: int, coeff=1) -> "AlgElement":
         self.degree(h, i, j)

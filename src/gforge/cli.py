@@ -52,13 +52,16 @@ def _presentation_from(path: str):
     return schemas.parse_presentation(_load(path))
 
 
-def _checked_presentation(path: str):
-    p = _presentation_from(path)
+def _require_valid(p):
     rep = validate_presentation(p)
     if not (rep.wellformed and rep.connected):
         raise PreconditionError(
             "invalid presentation: " + "; ".join(rep.issues or ("disconnected grading",)))
     return p
+
+
+def _checked_presentation(path: str):
+    return _require_valid(_presentation_from(path))
 
 
 def _triple(t) -> list:
@@ -133,11 +136,7 @@ def cmd_iso(cfg: RunConfig):
 def cmd_identity(cfg: RunConfig):
     doc = _load(cfg.input)
     schemas._check_keys(doc, "identity input", ("presentation", "polynomial"))
-    p = schemas.parse_presentation(doc["presentation"])
-    rep = validate_presentation(p)
-    if not (rep.wellformed and rep.connected):
-        raise PreconditionError(
-            "invalid presentation: " + "; ".join(rep.issues or ("disconnected grading",)))
+    p = _require_valid(schemas.parse_presentation(doc["presentation"]))
     poly = schemas.parse_polynomial(doc["polynomial"])
     algebra = GradedAlgebra(p)
     result = identity_report(poly, algebra, budget=cfg.budget)

@@ -2,9 +2,12 @@
 
 The polynomial IR stores variables with homogeneous degrees and monomials as
 coefficient/sequence pairs.  Evaluation runs on basis triples with a fast
-scalar-accumulation path; the identity oracle enumerates every
-degree-respecting basis assignment under a budget.  Linearization polarizes
-repeated variables into fresh ones.  Good-permutation and path machinery
+scalar-accumulation path.  The identity oracle decides a polynomial over
+every degree-respecting basis assignment, within a budget, without visiting
+them one by one: a monomial is nonzero on basis triples only along a walk
+whose rows continue the previous columns, so it enumerates those walks and
+sums them per assignment.  Linearization polarizes repeated variables into
+fresh ones, within the same budget.  Good-permutation and path machinery
 compare H-coset prefixes of monomials; the witness constructions walk the
 diagonal e-blocks of an algebra (Euler circuit per block, lemma-compliant
 bridges between blocks) and alternate the designated variables.  The m-product
@@ -16,11 +19,11 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import permutations
 from itertools import product as iproduct
-from math import factorial, prod
+from math import factorial, lcm, prod
 
 from .algebra import AlgElement, GradedAlgebra, bridge, multiply
 from .config import CAPS
-from .cyclo import CycScalar, as_cyc
+from .cyclo import CycScalar, _reduce_poly, as_cyc
 from .errors import (
     BudgetExceeded,
     CapExceeded,
@@ -228,23 +231,32 @@ class IdentityReport:
     value: AlgElement | None
 
 
+# Largest slab of assignments whose walks are enumerated at once; more
+# leading variables are fixed while a slab would be larger, so the walks and
+# sums kept in memory stay bounded for every search space within the budget.
+SLAB_LIMIT = 4096
+
+
 def identity_report(p: GradedPolynomial, algebra: GradedAlgebra,
                     budget: int | None = None) -> IdentityReport:
-    """Exhaustive identity test over degree-respecting basis assignments.
+    """Identity test over every degree-respecting basis assignment.
 
     Multihomogeneous input is linearized first; the verdicts agree in
-    characteristic zero.
+    characteristic zero.  `checked` counts the assignments up to and
+    including the first one, in itertools.product order over the variables'
+    `basis_of_degree` lists, on which p is nonzero.
     """
     if budget is None:
         budget = CAPS.budget
     linearized = False
     if not p.multilinear:
-        p = linearize(p)
+        p = linearize(p, budget)
         linearized = True
     if not p.monomials:
         return IdentityReport(True, 0, 0, linearized, None, None)
-    used = tuple(v for v, _ in p.variables
-                 if any(v in s for _, s in p.monomials))
+    # multilinear: every monomial uses each used variable exactly once
+    in_use = set(p.monomials[0][1])
+    used = tuple(v for v, _ in p.variables if v in in_use)
     cand = [algebra.basis_of_degree(p.vdeg[v]) for v in used]
     space = prod(len(c) for c in cand)
     if space == 0:
@@ -252,37 +264,110 @@ def identity_report(p: GradedPolynomial, algebra: GradedAlgebra,
     if space > budget:
         raise BudgetExceeded(
             f"identity search needs {space} evaluations, over budget {budget}")
-    pos = {v: t for t, v in enumerate(used)}
-    compiled = [(coeff, tuple(pos[v] for v in seq)) for coeff, seq in p.monomials]
-    grp, alpha = algebra.group, algebra.alpha
-    m = alpha.modulus
-    checked = 0
-    for combo in iproduct(*cand):
-        checked += 1
+    first = _first_nonzero(p, algebra, used, cand)
+    if first is None:
+        return IdentityReport(True, space, space, linearized, None, None)
+    combo, rest = [], first
+    for c in reversed(cand):
+        rest, k = divmod(rest, len(c))
+        combo.append(c[k])
+    witness = dict(zip(used, reversed(combo)))
+    value = evaluate(p, algebra, witness)
+    if value.is_zero():
+        raise InternalError("walk sums found a nonzero assignment that evaluates to zero")
+    return IdentityReport(False, space, first + 1, linearized, witness, value)
+
+
+def _first_nonzero(p: GradedPolynomial, algebra: GradedAlgebra, used,
+                   cand) -> int | None:
+    """Index, in itertools.product order over cand, of the first assignment
+    on which the multilinear p is nonzero, or None.
+
+    On basis triples a monomial is nonzero only along a walk
+    (h1, i1, j1)(h2, j1, j2)..., so its nonzero assignments are found by
+    growing walks from the leading variable one position at a time: to the
+    right through the candidates whose row is the current column, to the
+    left through those whose column is the current row (by the cocycle
+    identity, multiplying on the left gives the exponent of the
+    left-to-right fold, mod m).  Each finished walk
+    adds coeff * zeta_m^e to the sum of its (assignment, output key), an
+    integer vector in Z[x]/(x^L - 1) over one common denominator, with the
+    root a rotation (or a sign, when every root in the cocycle is +-1, as in
+    `multiply`).  Slabs of assignments with the leading variables fixed are
+    enumerated in order, so the first slab with a nonzero sum holds the
+    answer.
+    """
+    table = algebra._table
+    pos = algebra.sub.pos
+    m = algebra.alpha.modulus
+    L = lcm(algebra._root_modulus, *(c.modulus for c, _ in p.monomials))
+    den = lcm(*(c.den for c, _ in p.monomials))
+    if L % m:
+        # every zeta_m^alpha(a, b) is +1 or -1, and so is each product of them
+        rot = [(0, -1 if e else 1) for e in range(m)]
+    else:
+        rot = [(e * (L // m), 1) for e in range(m)]
+    sizes = [len(c) for c in cand]
+    strides = [prod(sizes[t + 1:]) for t in range(len(sizes))]
+    fixed = 1
+    while fixed < len(sizes) and strides[fixed - 1] > SLAB_LIMIT:
+        fixed += 1
+    index = [algebra.walk_index(p.vdeg[v]) for v in used]
+    right = [by_row for by_row, _ in index]
+    left = [by_col for _, by_col in index]
+    var_of = {v: t for t, v in enumerate(used)}
+    monos = []
+    for c, seq in p.monomials:
+        step, scale = L // c.modulus, den // c.den
+        vec = [(t * step, x * scale) for t, x in enumerate(c.nums) if x]
+        seq = [var_of[v] for v in seq]
+        k = seq.index(0)
+        monos.append((vec, [(t, strides[t]) for t in seq[k + 1:]],
+                      [(t, strides[t]) for t in reversed(seq[:k])]))
+    for lead in iproduct(*(range(s) for s in sizes[:fixed])):
+        for t, c in enumerate(lead):
+            h, i, j = cand[t][c]
+            right[t] = {i: ((0, pos[h], j),)}
+            left[t] = {j: ((0, pos[h], i),)}
+        h, i, j = cand[0][lead[0]]
+        start = [(0, h, i, j, 0)]
         acc: dict = {}
-        for coeff, idxs in compiled:
-            h, i, j = combo[idxs[0]]
-            e = 0
-            dead = False
-            for t in idxs[1:]:
-                h2, i2, j2 = combo[t]
-                if j != i2:
-                    dead = True
-                    break
-                e += alpha.value(h, h2)
-                h = grp.mul(h, h2)
-                j = j2
-            if dead:
-                continue
-            key = (h, i, j)
-            c = coeff * CycScalar.from_root(m, e % m)
-            acc[key] = acc[key] + c if key in acc else c
-        value = AlgElement(algebra, acc)
-        if not value.is_zero():
-            witness = dict(zip(used, combo))
-            return IdentityReport(False, space, checked, linearized,
-                                  witness, value)
-    return IdentityReport(True, space, checked, linearized, None, None)
+        for vec, after, before in monos:
+            walks = start
+            for t, st in after:
+                by_row = right[t]
+                nxt = []
+                for idx, h, i, j, e in walks:
+                    tab = table[pos[h]]
+                    for c, pb, j2 in by_row.get(j, ()):
+                        hb, de = tab[pb]
+                        nxt.append((idx + c * st, hb, i, j2, e + de))
+                walks = nxt
+            for t, st in before:
+                by_col = left[t]
+                nxt = []
+                for idx, h, i, j, e in walks:
+                    ph = pos[h]
+                    for c, pa, i2 in by_col.get(i, ()):
+                        ah, de = table[pa][ph]
+                        nxt.append((idx + c * st, ah, i2, j, e + de))
+                walks = nxt
+            for idx, h, i, j, e in walks:
+                key = (idx, h, i, j)
+                sums = acc.get(key)
+                if sums is None:
+                    sums = acc[key] = [0] * L
+                r, sign = rot[e % m]
+                for t, x in vec:
+                    sums[(t + r) % L] += sign * x
+        best = None
+        for (idx, _, _, _), sums in acc.items():
+            if ((best is None or idx < best) and any(sums)
+                    and any(_reduce_poly(L, sums))):
+                best = idx
+        if best is not None:
+            return best + sum(c * st for c, st in zip(lead, strides))
+    return None
 
 
 def is_identity(p: GradedPolynomial, algebra: GradedAlgebra,
@@ -290,15 +375,25 @@ def is_identity(p: GradedPolynomial, algebra: GradedAlgebra,
     return identity_report(p, algebra, budget).identity
 
 
-def linearize(p: GradedPolynomial) -> GradedPolynomial:
+def linearize(p: GradedPolynomial, budget: int | None = None) -> GradedPolynomial:
     """Polarize repeated variables: k occurrences become all k! orderings of
     fresh variables, iterated until the polynomial is multilinear.
 
     Collapsing the fresh variables back to the original one recovers each
     original monomial k! times, so the output stays in the T-ideal of p.
+    The expansion makes up to len(monomials) * prod(count_v!) monomials;
+    more than the budget raises BudgetExceeded before any is made.
     """
     if not p.multihomogeneous:
         raise PreconditionError("linearize needs a multihomogeneous polynomial")
+    if budget is None:
+        budget = CAPS.budget
+    if p.monomials:
+        count = len(p.monomials) * prod(
+            factorial(k) for k in Counter(p.monomials[0][1]).values())
+        if count > budget:
+            raise BudgetExceeded(
+                f"linearization needs {count} monomials, over budget {budget}")
     fresh = 0
     while not p.multilinear:
         counts = Counter(p.monomials[0][1])
@@ -403,7 +498,7 @@ def path_check(p: GradedPolynomial, algebra: GradedAlgebra,
     Needs every H-coset at most once in the tuple; then each path's
     assignment is forced position by position along the base monomial.  For
     subfield coefficients the verdicts must agree: vanishing on path one,
-    vanishing on every path, and the brute-force identity test.
+    vanishing on every path, and the identity oracle.
     """
     pres = algebra.presentation
     if max(mult for _, mult in pres.lam.counts) > 1:

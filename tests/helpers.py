@@ -6,18 +6,21 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from itertools import product as iproduct
+from math import gcd, lcm, prod
 
 import numpy as np
 
-from gforge.cyclo import (SubfieldDescriptor, _power_rows, cyclotomic_polynomial,
-                          phi)
+from gforge.cyclo import (CycScalar, SubfieldDescriptor, _power_rows,
+                          cyclotomic_polynomial, phi)
+from gforge.algebra import AlgElement
 from gforge.groups import (Group, SubgroupData, cyclic, dihedral,
                            direct_product, semidirect_product)
+from gforge.identities import IdentityReport, linearize
 from gforge.presentation import Presentation
 from gforge.twisted import (Cocycle, _raw_classes, conjugate_cocycle,
                             h2_classes, is_cohomologous, make_cocycle,
-                            trivial_cocycle)
+                            shift_by_coboundary, trivial_cocycle)
 
 
 def pairing_cocycle(sub: SubgroupData, p: int) -> Cocycle:
@@ -110,6 +113,33 @@ def random_presentation(rng: random.Random, pool, max_len: int = 8,
     entries = tuple(rng.randrange(grp.order)
                     for _ in range(rng.randint(1, max_len)))
     return Presentation(grp, sub, alpha, entries)
+
+
+PATTERN_SUBGROUPS = {  # m -> subgroups H, each a list of cyclic orders
+    2: ((2,), (2, 2), (4,)),
+    3: ((3,), (3, 3)),
+    4: ((4,), (2, 2), (2,)),
+    6: ((6,), (2,), (3,)),
+}
+
+
+def pattern_presentation(rng: random.Random, m: int, mults) -> Presentation:
+    """G = C_k x H with a seeded cocycle class over Z/m shifted by a seeded
+    coboundary, and a tuple whose k entries lie in distinct H-cosets with
+    the given multiplicities (shuffled)."""
+    h_grp = None
+    for k in rng.choice(PATTERN_SUBGROUPS[m]):
+        h_grp = cyclic(k) if h_grp is None else direct_product(h_grp, cyclic(k))
+    grp = direct_product(cyclic(len(mults)), h_grp)
+    sub = SubgroupData(grp, range(h_grp.order))
+    alpha = shift_by_coboundary(
+        rng.choice(h2_classes(sub, m)),
+        [0] + [rng.randrange(m) for _ in range(h_grp.order - 1)])
+    entries = []
+    for coset, mult in enumerate(mults):
+        entries += [coset * h_grp.order + rng.randrange(h_grp.order)] * mult
+    rng.shuffle(entries)
+    return Presentation(grp, sub, alpha, tuple(entries))
 
 
 def random_move(rng: random.Random, p: Presentation) -> dict:
@@ -389,3 +419,55 @@ def cocycle_first_bad_row(sub: SubgroupData, m: int, exps) -> int | None:
         if not np.array_equal(lhs, rhs):
             return i
     return None
+
+
+# The identity oracle's assignment scan, kept as the differential oracle for
+# the walk enumeration in gforge.identities.identity_report.
+
+def identity_report_scan(p, algebra, budget: int) -> IdentityReport:
+    """Fold every monomial on every degree-respecting basis assignment, in
+    itertools.product order, until one gives a nonzero value."""
+    linearized = False
+    if not p.multilinear:
+        p = linearize(p, budget)
+        linearized = True
+    if not p.monomials:
+        return IdentityReport(True, 0, 0, linearized, None, None)
+    used = tuple(v for v, _ in p.variables
+                 if any(v in s for _, s in p.monomials))
+    cand = [algebra.basis_of_degree(p.vdeg[v]) for v in used]
+    space = prod(len(c) for c in cand)
+    if space == 0:
+        return IdentityReport(True, 0, 0, linearized, None, None)
+    assert space <= budget, "the scan only runs within the budget"
+    pos = {v: t for t, v in enumerate(used)}
+    compiled = [(coeff, tuple(pos[v] for v in seq)) for coeff, seq in p.monomials]
+    grp, alpha = algebra.group, algebra.alpha
+    m = alpha.modulus
+    checked = 0
+    for combo in iproduct(*cand):
+        checked += 1
+        acc: dict = {}
+        for coeff, idxs in compiled:
+            h, i, j = combo[idxs[0]]
+            e = 0
+            dead = False
+            for t in idxs[1:]:
+                h2, i2, j2 = combo[t]
+                if j != i2:
+                    dead = True
+                    break
+                e += alpha.value(h, h2)
+                h = grp.mul(h, h2)
+                j = j2
+            if dead:
+                continue
+            key = (h, i, j)
+            c = coeff * CycScalar.from_root(m, e % m)
+            acc[key] = acc[key] + c if key in acc else c
+        value = AlgElement(algebra, acc)
+        if not value.is_zero():
+            witness = dict(zip(used, combo))
+            return IdentityReport(False, space, checked, linearized,
+                                  witness, value)
+    return IdentityReport(True, space, checked, linearized, None, None)

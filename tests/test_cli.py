@@ -106,6 +106,35 @@ def test_identity_budget(capsys, tmp_path):
     assert code == 0 and rep["linearized"] is True
 
 
+def test_identity_search_mat3_s3(capsys):
+    # s_3 on 3x3 matrices graded by C2: 125 assignments, the 8th is nonzero
+    code, rep = run_json(capsys, "identity", "--input",
+                         path("identity_mat3_s3.json"))
+    assert code == 0
+    assert rep["isIdentity"] is False and rep["searchSpace"] == 125
+    assert rep["checked"] == 8 and rep["linearized"] is False
+    assert rep["counterexample"] == [
+        {"var": "x1", "h": 0, "i": 0, "j": 0},
+        {"var": "x2", "h": 0, "i": 0, "j": 1},
+        {"var": "x3", "h": 0, "i": 1, "j": 0}]
+    one = {"modulus": 1, "coeffs": [[1, 1]]}
+    assert rep["value"] == {"terms": [
+        {"h": 0, "i": 0, "j": 0, "coeff": {"modulus": 1, "coeffs": [[2, 1]]}},
+        {"h": 0, "i": 1, "j": 1, "coeff": one}]}
+
+
+def test_identity_linearization_budget(capsys, tmp_path):
+    doc = json.loads(open(path("identity_pauli.json")).read())
+    doc["polynomial"] = {"vars": [{"id": "x", "degree": 1}],
+                         "monomials": [{"coeff": 1, "seq": ["x"] * 8}]}
+    f = tmp_path / "x8.json"
+    f.write_text(json.dumps(doc))
+    code, rep = run_json(capsys, "identity", "--input", str(f), "--budget", "10")
+    assert code == 3 and rep == {
+        "error": "budget",
+        "reason": "linearization needs 40320 monomials, over budget 10"}
+
+
 def test_witness_command(capsys):
     code, rep = run_json(capsys, "witness", "--input", path("mat3.json"))
     assert code == 0

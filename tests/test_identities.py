@@ -1,13 +1,18 @@
 import random
+import time
+from fractions import Fraction
 from itertools import permutations
+from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gforge.algebra import GradedAlgebra, twisted_group_algebra
-from gforge.cyclo import as_cyc
-from gforge.errors import (BudgetExceeded, CapExceeded, PreconditionError)
+from gforge import identities
+from gforge.cyclo import CycScalar, as_cyc
+from gforge.errors import (BudgetExceeded, CapExceeded, InternalError,
+                           PreconditionError)
 from gforge.identities import (GradedPolynomial, binomial_polynomial,
                                build_m_product, build_witness, evaluate,
                                identity_report, is_good_permutation,
@@ -293,3 +298,188 @@ def test_identity_perm_always_good(data):
     r = data.draw(st.integers(1, 4))
     degrees = [rng.randrange(p.group.order) for _ in range(r)]
     assert is_good_permutation(p, degrees, tuple(range(r))) is True
+
+
+# The walk enumeration of identity_report against the assignment scan it
+# replaced (helpers.identity_report_scan), field by field.
+
+def _assert_same_report(got, want):
+    assert (got.identity, got.search_space, got.checked, got.linearized) == (
+        want.identity, want.search_space, want.checked, want.linearized)
+    assert got.counterexample == want.counterexample
+    if want.counterexample is not None:
+        assert list(got.counterexample) == list(want.counterexample)
+    if want.value is None:
+        assert got.value is None
+        return
+    assert [(k, c.modulus, c.nums, c.den) for k, c in got.value.terms.items()] == [
+        (k, c.modulus, c.nums, c.den) for k, c in want.value.terms.items()]
+
+
+def _check_against_scan(p, algebra, budget=10 ** 7):
+    got = identity_report(p, algebra, budget)
+    _assert_same_report(got, helpers.identity_report_scan(p, algebra, budget))
+    return got
+
+
+def _random_coeff(rng, m):
+    kind = rng.randrange(3)
+    if kind == 0:
+        return Fraction(rng.choice((-3, -1, 1, 2)), rng.randint(1, 4))
+    if kind == 1:
+        return CycScalar.from_root(m, rng.randrange(m))
+    n = rng.choice([n for n in (3, 4, 5, 8) if m % n])
+    return CycScalar.from_root(n, rng.randrange(n)) * Fraction(1, rng.randint(1, 3))
+
+
+def _random_polynomial(rng, algebra, max_space=3000):
+    """1-4 variables of seeded degrees (mostly ones with basis elements,
+    often nonzero ones), 1-5 monomials over all of them; sometimes one
+    variable occurs twice in every monomial, which needs linearization."""
+    grp = algebra.group
+    present = sorted(algebra.dims)
+    r = rng.randint(1, 4)
+    degs = [0 if rng.random() < 0.4 else rng.choice(present) for _ in range(r)]
+    if rng.random() < 0.05:
+        degs[-1] = rng.randrange(grp.order)  # possibly an empty degree
+    while r > 1 and prod(len(algebra.basis_of_degree(d)) for d in degs) > max_space:
+        degs.pop()
+        r -= 1
+    ids = [f"x{t + 1}" for t in range(r)]
+    word = ids + ids[:1] if r < 4 and rng.random() < 0.15 else ids
+    monos = []
+    for _ in range(rng.randint(1, 5)):
+        seq = word[:]
+        rng.shuffle(seq)
+        monos.append((_random_coeff(rng, algebra.alpha.modulus), tuple(seq)))
+    return GradedPolynomial(tuple(zip(ids, degs)), tuple(monos))
+
+
+def _pattern_algebra(rng, mults=None):
+    m = rng.choice((2, 3, 4, 6))
+    if mults is None:
+        mults = rng.choice(((1,), (2,), (1, 1), (2, 1), (2, 2), (1, 1, 1)))
+    return GradedAlgebra(helpers.pattern_presentation(rng, m, mults))
+
+
+@settings(deadline=None, max_examples=60)
+@given(data=st.data())
+def test_identity_report_matches_scan(algebras, data):
+    rng = random.Random(data.draw(st.integers(0, 10 ** 6)))
+    if rng.random() < 0.4:
+        algebra = algebras[rng.choice(sorted(algebras))]
+    else:
+        algebra = _pattern_algebra(rng)
+    _check_against_scan(_random_polynomial(rng, algebra), algebra)
+
+
+@settings(deadline=None, max_examples=30)
+@given(data=st.data())
+def test_identity_report_matches_scan_on_small_slabs(algebras, data):
+    # a small slab limit fixes several leading variables per slab
+    rng = random.Random(data.draw(st.integers(0, 10 ** 6)))
+    algebra = (algebras[rng.choice(sorted(algebras))] if rng.random() < 0.4
+               else _pattern_algebra(rng))
+    p = _random_polynomial(rng, algebra)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(identities, "SLAB_LIMIT", data.draw(st.sampled_from((1, 2, 8))))
+        _check_against_scan(p, algebra)
+
+
+def test_identity_report_past_first_slab(algebras):
+    d6 = algebras["d6"]
+    p = GradedPolynomial((("x1", 0), ("x2", 1)), ((1, ("x2", "x1")),))
+    rep = _check_against_scan(p, d6)
+    slab = len(d6.basis_of_degree(1))
+    assert rep.identity is False and rep.checked > 4 * slab
+    three = GradedPolynomial((("x1", 0), ("x2", 0), ("x3", 4)),
+                             ((1, ("x1", "x3", "x2")), (-1, ("x1", "x2", "x3")),
+                              (2, ("x2", "x3", "x1"))))
+    rep = _check_against_scan(three, d6)
+    assert rep.checked > len(d6.basis_of_degree(0)) * len(d6.basis_of_degree(4))
+
+
+def _standard(r):
+    ids = [f"x{t + 1}" for t in range(r)]
+    return GradedPolynomial(
+        tuple((v, 0) for v in ids),
+        tuple((_sign(s), tuple(ids[t] for t in s))
+              for s in permutations(range(r))))
+
+
+def _sign(perm):
+    inv = sum(1 for i in range(len(perm)) for j in range(i) if perm[j] > perm[i])
+    return -1 if inv % 2 else 1
+
+
+def test_identity_report_matches_scan_on_identities():
+    rng = random.Random(5)
+    # s_4 is an identity of the 2x2 diagonal blocks, s_3 is not
+    for _ in range(3):
+        algebra = _pattern_algebra(rng, (2, 2))
+        assert _check_against_scan(_standard(4), algebra).identity is True
+        assert _check_against_scan(_standard(3), algebra).identity is False
+    # the Hall polynomial [[x, y]^2, z], linearized, on 2x2 blocks
+    c = (("x", "y", 1), ("y", "x", -1))
+    sq = [(s1 * s2, (a1, b1, a2, b2)) for a1, b1, s1 in c for a2, b2, s2 in c]
+    hall = GradedPolynomial(
+        (("x", 0), ("y", 0), ("z", 0)),
+        tuple([(s, w + ("z",)) for s, w in sq] + [(-s, ("z",) + w) for s, w in sq]))
+    rep = _check_against_scan(hall, _pattern_algebra(rng, (2, 1)))
+    assert rep.identity is True and rep.linearized is True
+
+
+def test_identity_report_matches_scan_on_m_products(p_pauli, p_swap, p_inner):
+    for pres in (p_pauli, p_swap, p_inner):
+        alpha = pres.alpha
+        chain = compute_KNS(pres)
+        prod_poly = build_m_product(alpha, chain,
+                                    find_primitive_binomial(alpha, chain.n))
+        for s in chain.S[:3]:
+            tga = twisted_group_algebra(conjugate_cocycle(alpha, s))
+            assert _check_against_scan(prod_poly, tga).identity is True
+        for j in range(2, chain.n):
+            if gcd(j, chain.n) == 1 and j not in chain.sbar_image:
+                tw = galois_twist(alpha, lift_unit(j, chain.n, alpha.modulus))
+                rep = _check_against_scan(prod_poly, twisted_group_algebra(tw))
+                assert rep.identity is False
+
+
+def test_identity_report_budget_edge(algebras):
+    a = algebras["mat3"]
+    p = _standard(3)
+    rep = _check_against_scan(p, a, budget=125)
+    assert rep.search_space == 125 and rep.checked == 8
+    with pytest.raises(BudgetExceeded, match="needs 125 evaluations, over budget 124"):
+        identity_report(p, a, budget=124)
+
+
+def test_identity_report_cross_checks_the_witness(algebras, monkeypatch):
+    # an enumeration that named a zero assignment is caught by evaluate
+    p_plus = GradedPolynomial((("x", 1), ("y", 2)),
+                              ((1, ("x", "y")), (1, ("y", "x"))))
+    monkeypatch.setattr(identities, "_first_nonzero", lambda *args: 0)
+    with pytest.raises(InternalError, match="evaluates to zero"):
+        identity_report(p_plus, algebras["pauli"])
+
+
+def test_linearize_budget(algebras):
+    pauli = algebras["pauli"]
+    x8 = GradedPolynomial((("x", 1),), ((1, ("x",) * 8),))
+    with pytest.raises(BudgetExceeded,
+                       match="linearization needs 40320 monomials, over budget 10"):
+        identity_report(x8, pauli, budget=10)
+    with pytest.raises(BudgetExceeded, match="over budget 10"):
+        linearize(x8, budget=10)
+    # 12! monomials would not fit in memory; the count is refused first
+    x12 = GradedPolynomial((("x", 1),), ((1, ("x",) * 12),))
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded, match="linearization needs 479001600 monomials"):
+        identity_report(x12, pauli)
+    assert time.perf_counter() - start < 1.0
+    # monomials times the factorial of every repeat count, at the edge
+    sqy = GradedPolynomial((("x", 1), ("y", 0)),
+                           ((1, ("x", "x", "y", "y", "y")), (2, ("y", "x", "x", "y", "y"))))
+    assert len(linearize(sqy, budget=24).monomials) == 24
+    with pytest.raises(BudgetExceeded):
+        linearize(sqy, budget=23)
