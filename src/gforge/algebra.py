@@ -16,8 +16,7 @@ from .cyclo import CycScalar, SubfieldDescriptor, as_cyc, phi
 from .errors import CapExceeded, InternalError, PreconditionError, PresentationError
 from .groups import SubgroupData, subgroup_group
 from .modlinalg import solve_mod
-from .presentation import (Presentation, normalize_with_details, related_reps,
-                           validate_presentation)
+from .presentation import Presentation, normalize_with_details, related_reps
 from .twisted import (Cocycle, coboundary_rows, conjugate_cocycle, sub_exponent,
                       unit_lifts)
 
@@ -34,9 +33,6 @@ class GradedAlgebra:
                  "_table", "_root_modulus", "_walks")
 
     def __init__(self, presentation: Presentation):
-        report = validate_presentation(presentation)
-        if not report.wellformed:
-            raise PresentationError("; ".join(report.issues))
         self.presentation = presentation
         grp = presentation.group
         sub = presentation.sub
@@ -82,7 +78,7 @@ class GradedAlgebra:
         # every zeta^alpha(a, b) is +-1, else the cocycle modulus
         elements, m = sub.elements, self.alpha.modulus
         self._table = tuple(tuple(zip((elements[p] for p in prow), erow))
-                            for prow, erow in zip(self.alpha._pmul.tolist(), self.alpha.exps))
+                            for prow, erow in zip(sub.pmul, self.alpha.exps))
         self._root_modulus = m if any((2 * e) % m for row in self.alpha.exps for e in row) else 1
         self._walks = None  # walk_index, filled on use by the identity oracle
 
@@ -213,7 +209,7 @@ def twisted_group_algebra(alpha: Cocycle) -> GradedAlgebra:
     """
     h_grp, _, _ = subgroup_group(alpha.sub.group, alpha.sub.elements)
     full = SubgroupData(h_grp, range(h_grp.order))
-    beta = Cocycle(full, alpha.modulus, alpha.exps)
+    beta = Cocycle._derived(full, alpha.modulus, alpha.exps)
     return GradedAlgebra(Presentation(h_grp, full, beta, (0,)))
 
 

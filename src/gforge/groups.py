@@ -17,10 +17,13 @@ from .errors import CapExceeded, GroupError, PreconditionError
 
 
 class Group:
-    __slots__ = ("order", "name", "names", "_mul", "_inv", "_np")
+    __slots__ = ("order", "name", "names", "_mul", "_inv")
 
     def __init__(self, table, names=None, name="G"):
-        tab = np.asarray(table, dtype=np.int64)
+        try:
+            tab = np.asarray(table, dtype=np.int64)
+        except ValueError:  # rows of different lengths
+            raise GroupError("multiplication table must be square") from None
         if tab.ndim != 2 or tab.shape[0] != tab.shape[1]:
             raise GroupError("multiplication table must be square")
         order = int(tab.shape[0])
@@ -45,7 +48,6 @@ class Group:
         if not np.all(tab[inv, rng] == 0):
             raise GroupError("one-sided inverses only")
         self.order = order
-        self._np = tab
         self._mul = tuple(tuple(int(x) for x in row) for row in tab)
         self._inv = tuple(int(x) for x in inv)
         if names is None:
@@ -119,7 +121,8 @@ class SubgroupData:
     """A subgroup together with its right-coset decomposition and normalizer."""
 
     __slots__ = ("group", "elements", "eset", "order", "pos",
-                 "coset_id_of", "cosets", "transversal", "normalizer", "is_normal")
+                 "coset_id_of", "cosets", "transversal", "normalizer", "is_normal",
+                 "_pmul")
 
     def __init__(self, group: Group, elems):
         elements = tuple(sorted(set(int(x) for x in elems)))
@@ -151,6 +154,16 @@ class SubgroupData:
         )
         self.normalizer = nz
         self.is_normal = len(nz) == group.order
+        self._pmul = None
+
+    @property
+    def pmul(self) -> tuple[tuple[int, ...], ...]:
+        """pmul[i][j] is the position of h_i * h_j (positions index the sorted
+        elements); built on first use and kept."""
+        if self._pmul is None:
+            pos, mul, els = self.pos, self.group._mul, self.elements
+            self._pmul = tuple(tuple(pos[mul[a][b]] for b in els) for a in els)
+        return self._pmul
 
     def index(self) -> int:
         return self.group.order // self.order

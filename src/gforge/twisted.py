@@ -2,14 +2,18 @@
 
 A Cocycle stores exponents e(h1, h2) with scalar value zeta_modulus^e; tables
 are normalized (identity row and column zero) and indexed by position in the
-sorted subgroup element list. Cohomology tests solve coboundary systems over
-Z/M with M = modulus * exp(H) unless an explicit extension is supplied. The
-binomial ratios of F^alpha H depend only on the class of alpha, so the data
-the invariant chain needs comes from such solves: the order n of the class
-(the ratios generate the n-th roots of unity), and for g normalizing H the
-unit j with alpha^g ~ j * alpha, which is the Galois character of g. The
-word calculus (folding a word to its accumulated exponent, bucketing words
-by multiset and product) only serves to exhibit explicit binomial identities.
+sorted subgroup element list. A table is checked in full once, where it
+enters: the Cocycle constructor, make_cocycle (every parsed input) and the
+kernel solve of h2_classes. Embedding, Galois twists, conjugation, coboundary
+shifts and scaling keep the cocycle laws, so their tables skip the check.
+Cohomology tests solve coboundary systems over Z/M with M = modulus * exp(H)
+unless an explicit extension is supplied. The binomial ratios of F^alpha H
+depend only on the class of alpha, so the data the invariant chain needs
+comes from such solves: the order n of the class (the ratios generate the
+n-th roots of unity), and for g normalizing H the unit j with
+alpha^g ~ j * alpha, which is the Galois character of g. The word calculus
+(folding a word to its accumulated exponent, bucketing words by multiset and
+product) only serves to exhibit explicit binomial identities.
 """
 
 from __future__ import annotations
@@ -32,6 +36,11 @@ from .groups import SubgroupData
 from .modlinalg import kernel_mod, snf, solve_mod
 
 
+def _check_modulus(m: int) -> None:
+    if m < 1:
+        raise CocycleError("modulus must be positive")
+
+
 @dataclass(frozen=True, eq=False)
 class Cocycle:
     sub: SubgroupData
@@ -40,8 +49,7 @@ class Cocycle:
 
     def __post_init__(self):
         m, sub = self.modulus, self.sub
-        if m < 1:
-            raise CocycleError("modulus must be positive")
+        _check_modulus(m)
         size = sub.order
         if len(self.exps) != size or any(len(r) != size for r in self.exps):
             raise CocycleError("exponent table shape must match the subgroup")
@@ -50,10 +58,7 @@ class Cocycle:
             raise CocycleError("exponents must lie in [0, modulus)")
         if np.any(tab[0]) or np.any(tab[:, 0]):
             raise CocycleError("table must be normalized at the identity")
-        els = np.asarray(sub.elements, dtype=np.int64)
-        pos_of = np.zeros(sub.group.order, dtype=np.int64)
-        pos_of[els] = np.arange(size)
-        pmul = pos_of[sub.group._np[els[:, None], els]]
+        pmul = np.asarray(sub.pmul, dtype=np.int64)
         # alpha(i,j) + alpha(ij,k) = alpha(j,k) + alpha(i,jk), for blocks of
         # rows i at a time so the (rows, |H|, |H|) arrays stay small
         step = max(1, 2 ** 20 // size ** 2)
@@ -64,7 +69,14 @@ class Cocycle:
             bad = np.any(lhs != rhs, axis=(1, 2))
             if bad.any():
                 raise CocycleError(f"cocycle identity fails at row {rows[bad.argmax()]}")
-        object.__setattr__(self, "_pmul", pmul)
+
+    @classmethod
+    def _derived(cls, sub: SubgroupData, modulus: int, exps) -> "Cocycle":
+        """A table derived from checked cocycles by an operation that keeps
+        the cocycle laws; it is not checked again."""
+        alpha = object.__new__(cls)
+        alpha.__dict__.update(sub=sub, modulus=modulus, exps=exps)
+        return alpha
 
     def value(self, h1: int, h2: int) -> int:
         return self.exps[self.sub.pos[h1]][self.sub.pos[h2]]
@@ -75,19 +87,26 @@ class Cocycle:
     def embedded(self, m_new: int) -> "Cocycle":
         if m_new % self.modulus:
             raise PreconditionError("can only embed into a multiple modulus")
-        step = m_new // self.modulus
-        return Cocycle(self.sub, m_new,
-                       tuple(tuple((e * step) % m_new for e in row) for row in self.exps))
+        return _scaled(self, m_new // self.modulus, m_new)
+
+
+def _scaled(alpha: Cocycle, k: int, m: int) -> Cocycle:
+    """k * alpha read mod m; m divides k * alpha.modulus, so the cocycle laws
+    carry over."""
+    return Cocycle._derived(alpha.sub, m,
+                            tuple(tuple((k * e) % m for e in row) for row in alpha.exps))
 
 
 def make_cocycle(sub: SubgroupData, modulus: int, exps) -> Cocycle:
+    _check_modulus(modulus)
     table = tuple(tuple(int(e) % modulus for e in row) for row in exps)
     return Cocycle(sub, modulus, table)
 
 
 def trivial_cocycle(sub: SubgroupData, modulus: int = 1) -> Cocycle:
+    _check_modulus(modulus)
     zero = tuple(tuple(0 for _ in range(sub.order)) for _ in range(sub.order))
-    return Cocycle(sub, modulus, zero)
+    return Cocycle._derived(sub, modulus, zero)
 
 
 def sub_exponent(sub: SubgroupData) -> int:
@@ -236,14 +255,13 @@ def conjugate_cocycle(alpha: Cocycle, theta: int,
         tuple(alpha.value(back[x], back[y]) for y in new_sub.elements)
         for x in new_sub.elements
     )
-    return Cocycle(new_sub, alpha.modulus, exps)
+    return Cocycle._derived(new_sub, alpha.modulus, exps)
 
 
 def galois_twist(alpha: Cocycle, j: int) -> Cocycle:
     if gcd(j, alpha.modulus) != 1:
         raise PreconditionError(f"{j} is not a unit mod {alpha.modulus}")
-    return make_cocycle(alpha.sub, alpha.modulus,
-                        [[(j * e) for e in row] for row in alpha.exps])
+    return _scaled(alpha, j, alpha.modulus)
 
 
 def unit_lifts(j: int, n: int, m: int) -> list[int]:
@@ -266,34 +284,29 @@ def lift_unit(j: int, n: int, m: int) -> int:
 
 def shift_by_coboundary(alpha: Cocycle, f) -> Cocycle:
     """beta(h1, h2) = alpha(h1, h2) + f(h1) + f(h2) - f(h1 h2)."""
-    f = [int(x) % alpha.modulus for x in f]
-    sub = alpha.sub
+    m, sub = alpha.modulus, alpha.sub
+    f = [int(x) % m for x in f]
     if len(f) != sub.order:
         raise PreconditionError("coboundary vector length must match the subgroup")
-    if f[0] % alpha.modulus:
+    if f[0]:
         raise PreconditionError("coboundary must vanish at the identity")
-    grp = sub.group
-    exps = [
-        [
-            (alpha.exps[i][j] + f[i] + f[j] - f[sub.pos[grp.mul(a, b)]]) % alpha.modulus
-            for j, b in enumerate(sub.elements)
-        ]
-        for i, a in enumerate(sub.elements)
-    ]
-    return make_cocycle(sub, alpha.modulus, exps)
+    exps = tuple(
+        tuple((e + fi + fj - f[p]) % m for e, fj, p in zip(row, f, prow))
+        for row, fi, prow in zip(alpha.exps, f, sub.pmul)
+    )
+    return Cocycle._derived(sub, m, exps)
 
 
 def coboundary_rows(sub: SubgroupData, M: int) -> list[list[int]]:
     """The coboundary map over Z/M as rows: row (i, j) in row-major order sends
     f (f[identity] = 0 dropped, one column per other element) to
     f(h_i) + f(h_j) - f(h_i h_j)."""
-    grp, els, pos = sub.group, sub.elements, sub.pos
     nvars = sub.order - 1
     rows = []
-    for x in els:
-        for y in els:
+    for i, prow in enumerate(sub.pmul):
+        for j, ij in enumerate(prow):
             row = [0] * nvars
-            for p, sign in ((pos[x], 1), (pos[y], 1), (pos[grp.mul(x, y)], -1)):
+            for p, sign in ((i, 1), (j, 1), (ij, -1)):
                 if p:
                     row[p - 1] = (row[p - 1] + sign) % M
             rows.append(row)
@@ -341,9 +354,7 @@ def class_order(alpha: Cocycle) -> int:
         return 1
     zero = trivial_cocycle(alpha.sub, m)
     for d in range(1, m):
-        if m % d == 0 and is_cohomologous(
-                make_cocycle(alpha.sub, m, [[d * e for e in row] for row in alpha.exps]),
-                zero)[0]:
+        if m % d == 0 and is_cohomologous(_scaled(alpha, d, m), zero)[0]:
             return d
     return m
 
@@ -372,8 +383,7 @@ def galois_character(g: int, alpha: Cocycle, n: int | None = None) -> int | None
     if sol is None:
         return None
     f, j = (0,) + sol[:-1], sol[-1]
-    scaled = make_cocycle(sub, M, [[j * e for e in row] for row in ae.exps])
-    if shift_by_coboundary(scaled, f).exps != be.exps:
+    if shift_by_coboundary(_scaled(ae, j, M), f).exps != be.exps:
         raise InternalError("Galois character witness failed verification")
     if gcd(j, n) != 1:
         raise InternalError("Galois character is not a unit mod the class order")
@@ -407,15 +417,12 @@ def _raw_classes(sub: SubgroupData, m: int) -> tuple[dict, tuple[int, ...]]:
     coboundaries, each mapped to its coordinates y in the product of the
     Z/d over the returned orders d; y -> class is a group isomorphism."""
     size = sub.order
-    grp = sub.group
-    pos = sub.pos
-    els = sub.elements
     nvars = size * size
 
     def v(i, j):
         return i * size + j
 
-    pmul = [[pos[grp.mul(a, b)] for b in els] for a in els]
+    pmul = sub.pmul
     rows = []
     for i in range(size):
         for j in range(size):
@@ -486,6 +493,7 @@ def h2_classes(sub: SubgroupData, m: int) -> list[Cocycle]:
     if sub.order > CAPS.h2_subgroup:
         raise CapExceeded(
             f"cohomology enumeration capped at subgroup order {CAPS.h2_subgroup}")
+    _check_modulus(m)
     if m == 1:
         return [trivial_cocycle(sub, 1)]
     raw, diag = _raw_classes(sub, m)

@@ -163,7 +163,7 @@ def _word_arrays(alpha: Cocycle, L: int):
     size, m = alpha.sub.order, alpha.modulus
     assert (L + 1) ** size * size < 2 ** 62, "multiset codes would overflow int64"
     tab = np.asarray(alpha.exps, dtype=np.int64)
-    pmul = alpha._pmul
+    pmul = np.asarray(alpha.sub.pmul, dtype=np.int64)
     letter = (L + 1) ** np.arange(size, dtype=np.int64)
     e, prod, mset = np.zeros(size, np.int64), np.arange(size), letter
     out = [(e, prod, mset)]
@@ -404,6 +404,15 @@ def multiply_pairwise(x, y) -> dict:
             c = RefScalar.of(ca) * RefScalar.of(cb) * RefScalar.from_root(m, alpha.value(a, b))
             acc[key] = acc[key] + c if key in acc else c
     return {k: v for k, v in acc.items() if any(v.coeffs)}
+
+
+def gathered_pmul(sub: SubgroupData) -> np.ndarray:
+    """pos[h_i * h_j] gathered through the group's numpy table, as each
+    Cocycle once built it for itself; the reference for SubgroupData.pmul."""
+    els = np.asarray(sub.elements, dtype=np.int64)
+    pos_of = np.zeros(sub.group.order, dtype=np.int64)
+    pos_of[els] = np.arange(sub.order)
+    return pos_of[np.asarray(sub.group._mul, dtype=np.int64)[els[:, None], els]]
 
 
 def cocycle_first_bad_row(sub: SubgroupData, m: int, exps) -> int | None:

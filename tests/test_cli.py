@@ -207,3 +207,39 @@ def test_deterministic_reports(capsys):
         run(["invariants", "--input", path("swap.json"), "--json"])
         outs.append(capsys.readouterr().out)
     assert outs[0] == outs[1]
+
+
+def _write_variant(tmp_path, name, edit):
+    doc = json.loads(open(path(name)).read())
+    edit(doc)
+    f = tmp_path / f"variant-{name}"
+    f.write_text(json.dumps(doc))
+    return str(f)
+
+
+@pytest.mark.parametrize("command", ["validate", "invariants"])
+def test_zero_cocycle_modulus_is_a_precondition(capsys, tmp_path, command):
+    f = _write_variant(tmp_path, "pauli.json",
+                       lambda doc: doc["cocycle"].update(modulus=0))
+    code, rep = run_json(capsys, command, "--input", f)
+    assert code == 2 and rep == {"error": "precondition",
+                                 "reason": "modulus must be positive"}
+
+
+def test_zero_h2_modulus_is_a_precondition(capsys, tmp_path):
+    f = _write_variant(tmp_path, "h2_z2z2.json", lambda doc: doc.update(modulus=0))
+    code, rep = run_json(capsys, "h2", "--input", f)
+    assert code == 2 and rep == {"error": "precondition",
+                                 "reason": "modulus must be positive"}
+    code = run(["h2", "--input", f])
+    assert code == 2
+    assert capsys.readouterr().err == "error (precondition): modulus must be positive\n"
+
+
+def test_ragged_group_table_is_a_precondition(capsys, tmp_path):
+    def cut_row(doc):
+        doc["group"]["table"][2] = doc["group"]["table"][2][:3]
+    f = _write_variant(tmp_path, "pauli.json", cut_row)
+    code, rep = run_json(capsys, "validate", "--input", f)
+    assert code == 2 and rep == {"error": "precondition",
+                                 "reason": "multiplication table must be square"}

@@ -38,8 +38,10 @@ def test_table_validation():
         Group([[0, 1], [1, 1]])
     with pytest.raises(GroupError):
         Group([[1, 0], [0, 1]])  # identity must be element 0
-    with pytest.raises(GroupError):
+    with pytest.raises(GroupError, match="^multiplication table must be square$"):
         Group([[0, 1, 2], [1, 2, 0]])
+    with pytest.raises(GroupError, match="^multiplication table must be square$"):
+        Group([[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0], [3, 2, 1, 0]])  # ragged
     # Z2 is fine
     assert Group([[0, 1], [1, 0]]).order == 2
 
@@ -80,6 +82,15 @@ def test_subgroup_data():
     assert rot.is_normal
     with pytest.raises(GroupError):
         SubgroupData(g, (0, 1))  # not closed
+
+
+def test_subgroup_product_table():
+    rng = random.Random(7)
+    for grp in helpers.group_pool(16):
+        for _ in range(3):
+            sub = helpers.random_subgroup(rng, grp)
+            assert sub.pmul == tuple(map(tuple, helpers.gathered_pmul(sub).tolist()))
+            assert sub.pmul is sub.pmul  # built once, kept on the subgroup
 
 
 def test_subgroup_group_and_quotient():

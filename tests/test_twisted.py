@@ -1,9 +1,13 @@
 import random
+from contextlib import contextmanager
+from functools import lru_cache
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gforge.algebra import twisted_group_algebra
 from gforge.cyclo import CycScalar
 from gforge.errors import CapExceeded, CocycleError, PreconditionError
 from gforge.groups import SubgroupData, cyclic, dihedral, direct_product
@@ -12,8 +16,8 @@ from gforge.twisted import (BinomialDatum, Cocycle, binomial_datum,
                             find_primitive_binomial, galois_character,
                             galois_twist, h2_classes, is_binomial_identity,
                             is_cohomologous, lift_unit, make_cocycle,
-                            shift_by_coboundary, trivial_cocycle,
-                            word_exponent)
+                            shift_by_coboundary, sub_exponent,
+                            trivial_cocycle, word_exponent)
 
 import helpers
 
@@ -277,3 +281,76 @@ def test_binomial_ratio_move_invariance(alpha_inner):
     for word, tau in (((1, 3), (1, 0)), ((3, 1), (1, 0))):
         assert (binomial_ratio(alpha_inner, word, tau)
                 == binomial_ratio(shifted, word, tau))
+
+
+DERIVED_GROUPS = {
+    "C2xC2": lambda: direct_product(cyclic(2), cyclic(2)),
+    "C2xC4": lambda: direct_product(cyclic(2), cyclic(4)),
+    "D4": lambda: dihedral(4),
+    "C3xC3": lambda: direct_product(cyclic(3), cyclic(3)),
+    "C2xD3": lambda: direct_product(cyclic(2), dihedral(3)),
+}
+
+
+@lru_cache(maxsize=None)
+def _derived_group(name):
+    return DERIVED_GROUPS[name]()
+
+
+@lru_cache(maxsize=None)
+def _derived_classes(name, gens, m):
+    grp = _derived_group(name)
+    sub = SubgroupData(grp, grp.closure(gens) if gens else range(grp.order))
+    return sub, h2_classes(sub, m)
+
+
+@contextmanager
+def _recording_derived():
+    """Every table built through Cocycle._derived while the block runs."""
+    made = []
+    original = vars(Cocycle)["_derived"]
+
+    def spy(cls, sub, modulus, exps):
+        alpha = original.__func__(cls, sub, modulus, exps)
+        made.append(alpha)
+        return alpha
+
+    Cocycle._derived = classmethod(spy)
+    try:
+        yield made
+    finally:
+        Cocycle._derived = original
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.data())
+def test_derived_tables_pass_the_full_check(data):
+    rng = random.Random(data.draw(st.integers(0, 10 ** 6)))
+    name = rng.choice(sorted(DERIVED_GROUPS))
+    grp = _derived_group(name)
+    gens = () if rng.random() < 0.5 else tuple(
+        sorted(rng.randrange(grp.order) for _ in range(rng.randint(1, 2))))
+    m = rng.choice((2, 3, 4, 6))
+    sub, classes = _derived_classes(name, gens, m)
+    with _recording_derived() as made:
+        alpha = shift_by_coboundary(
+            rng.choice(classes), [0] + [rng.randrange(m) for _ in range(sub.order - 1)])
+        alpha.embedded(m * rng.choice((1, 2, sub_exponent(sub))))
+        for j in range(1, m):
+            if gcd(j, m) == 1:
+                galois_twist(alpha, j)
+        outside = [g for g in range(grp.order) if g not in sub.normalizer]
+        for g in rng.sample(sub.normalizer, min(3, len(sub.normalizer))):
+            conjugate_cocycle(alpha, g)
+            galois_character(g, alpha)
+        for g in rng.sample(outside, min(2, len(outside))):
+            conjugate_cocycle(alpha, g, sub.conjugated(g))
+        shift_by_coboundary(alpha, [0] + [rng.randrange(m) for _ in range(sub.order - 1)])
+        class_order(alpha)
+        trivial_cocycle(sub, m)
+        twisted_group_algebra(alpha)
+    moduli = {d.modulus for d in made}
+    assert m in moduli and (alpha.is_trivial() or m * sub_exponent(sub) in moduli)
+    for d in made:
+        assert Cocycle(d.sub, d.modulus, d.exps).exps == d.exps
+        assert d.sub.pmul == tuple(map(tuple, helpers.gathered_pmul(d.sub).tolist()))
