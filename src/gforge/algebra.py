@@ -550,8 +550,6 @@ def _descent_witness(grp, sub, alpha, gc: int, u: int, n_root: int,
     elems = sub.elements
     pos = sub.pos
     nv = len(elems) - 1
-    if nv == 0:
-        return (0,)
     rows = coboundary_rows(sub, big_m)
     rhs = [(step * ((u * alpha.value(x, y)) % m - beta.value(x, y))) % big_m
            for x in elems for y in elems]

@@ -122,7 +122,7 @@ class SubgroupData:
 
     __slots__ = ("group", "elements", "eset", "order", "pos",
                  "coset_id_of", "cosets", "transversal", "normalizer", "is_normal",
-                 "_pmul")
+                 "_pmul", "coboundary_echelons")
 
     def __init__(self, group: Group, elems):
         elements = tuple(sorted(set(int(x) for x in elems)))
@@ -155,6 +155,8 @@ class SubgroupData:
         self.normalizer = nz
         self.is_normal = len(nz) == group.order
         self._pmul = None
+        # M -> image echelon of the coboundary map over Z/M (gforge.twisted)
+        self.coboundary_echelons: dict[int, list] = {}
 
     @property
     def pmul(self) -> tuple[tuple[int, ...], ...]:

@@ -3,8 +3,11 @@
 howell_echelon returns an echelon generating set of a row module over Z/M
 with Howell saturation, so rows of the span with leading zeros are reachable
 from rows below; that property is what makes kernel extraction by block
-columns sound over a non-field. snf is integer Smith normal form with the
-left transform and its inverse tracked, used for quotient representatives.
+columns and greedy reduction sound over a non-field. One echelon of (A^T | I)
+answers kernel and solve queries for A alike (split_echelon), and its image
+part can be kept and reduced against for every right-hand side. snf is
+integer Smith normal form with the left transform and its inverse tracked,
+used for quotient representatives.
 """
 
 from __future__ import annotations
@@ -61,25 +64,60 @@ def howell_echelon(rows, M: int) -> list[tuple[int, ...]]:
         else:
             pivots[c] = r
             queue.append(((M // gcd(int(r[c]), M)) * r) % M)
-    return [tuple(int(x) for x in pivots[c]) for c in sorted(pivots)]
+    return [tuple(pivots[c].tolist()) for c in sorted(pivots)]
 
 
-def kernel_mod(a_rows, n_vars: int, M: int) -> list[tuple[int, ...]]:
-    """Generators of {x in (Z/M)^n : A x = 0 mod M}; A given as rows of length n."""
+def split_echelon(a_rows, n_vars: int, M: int):
+    """Howell echelon of the rows (column i of A | e_i), A given as rows of
+    length n_vars, split into the rows (A x | x) with A x != 0, a Howell basis
+    of the image carrying preimages, and the kernel generators x of the rest."""
     a_rows = [list(r) for r in a_rows]
     for r in a_rows:
         if len(r) != n_vars:
             raise PreconditionError("equation width mismatch")
-    if M == 1 or n_vars == 0:
-        return []
     k = len(a_rows)
-    aug = []
-    for i in range(n_vars):
-        row = [a_rows[j][i] for j in range(k)] + [0] * n_vars
-        row[k + i] = 1
-        aug.append(row)
+    aug = [[r[i] for r in a_rows] + [int(i == t) for t in range(n_vars)]
+           for i in range(n_vars)]
     ech = howell_echelon(aug, M)
-    return [row[k:] for row in ech if not any(row[:k])]
+    return ([row for row in ech if any(row[:k])],
+            [row[k:] for row in ech if not any(row[:k])])
+
+
+def reduce_mod(z, ech, M: int):
+    """(c, z - sum c_i ech_i) with every pivot entry of z cleared, or None if
+    one lies outside its pivot's ideal; ech is a Howell echelon sorted by
+    leading column, so z lies in its span exactly when the remainder is 0."""
+    z = [int(x) % M for x in z]
+    coeffs = []
+    for g in ech:
+        lead = next((c for c, v in enumerate(g) if v), None)
+        if lead is None:
+            raise InternalError("zero generator in echelon basis")
+        v = g[lead]
+        gg = gcd(v, M)
+        if z[lead] % gg:
+            return None
+        mi = M // gg  # > 1, as 0 < v < M
+        ai = (z[lead] // gg) * pow(v // gg, -1, mi) % mi
+        if ai:
+            z[lead:] = [(zz - ai * gi) % M for zz, gi in zip(z[lead:], g[lead:])]
+        coeffs.append(ai)
+    return coeffs, z
+
+
+def kernel_mod(a_rows, n_vars: int, M: int) -> list[tuple[int, ...]]:
+    """Generators of {x in (Z/M)^n : A x = 0 mod M}; A given as rows of length n."""
+    return split_echelon(a_rows, n_vars, M)[1]
+
+
+def solve_in_image(image, b, n_vars: int, M: int) -> tuple[int, ...] | None:
+    """One x with A x = b over Z/M, or None; `image` is the image part of
+    split_echelon(A, n_vars, M). Reducing (b | 0) to (0 | -x) finds it."""
+    b = list(b)
+    red = reduce_mod(b + [0] * n_vars, image, M)
+    if red is None or any(red[1][:len(b)]):
+        return None
+    return tuple(-t % M for t in red[1][len(b):])
 
 
 def solve_mod(a_rows, b, M: int) -> tuple[int, ...] | None:
@@ -91,21 +129,13 @@ def solve_mod(a_rows, b, M: int) -> tuple[int, ...] | None:
     if not a_rows:
         return ()
     n = len(a_rows[0])
-    aug = [row + [(-bi) % M] for row, bi in zip(a_rows, b)]
-    gens = kernel_mod(aug, n + 1, M)
-    t_acc = M
-    x_acc = [0] * n
-    for vec in gens:
-        t = vec[n]
-        g, u, v = xgcd(t_acc, t)
-        x_acc = [(u * xa + v * xv) % M for xa, xv in zip(x_acc, vec[:n])]
-        t_acc = g
-    if t_acc != 1:
+    x = solve_in_image(split_echelon(a_rows, n, M)[0], b, n, M)
+    if x is None:
         return None
     for row, bi in zip(a_rows, b):
-        if sum(c * x for c, x in zip(row, x_acc)) % M != bi % M:
+        if sum(c * xi for c, xi in zip(row, x)) % M != bi % M:
             raise InternalError("solver produced a non-solution")
-    return tuple(x_acc)
+    return x
 
 
 def _ident(n: int) -> list[list[int]]:

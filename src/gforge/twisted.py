@@ -6,13 +6,15 @@ sorted subgroup element list. A table is checked in full once, where it
 enters: the Cocycle constructor, make_cocycle (every parsed input) and the
 kernel solve of h2_classes. Embedding, Galois twists, conjugation, coboundary
 shifts and scaling keep the cocycle laws, so their tables skip the check.
-Cohomology tests solve coboundary systems over Z/M with M = modulus * exp(H)
-unless an explicit extension is supplied. The binomial ratios of F^alpha H
-depend only on the class of alpha, so the data the invariant chain needs
-comes from such solves: the order n of the class (the ratios generate the
-n-th roots of unity), and for g normalizing H the unit j with
-alpha^g ~ j * alpha, which is the Galois character of g. The word calculus
-(folding a word to its accumulated exponent, bucketing words by multiset and
+Cohomology is tested over Z/M with M = modulus * exp(H): a Howell basis of
+the coboundaries B^2(H, Z/M), each row carrying its preimage f, is built on
+the first query for (H, M) and kept on the SubgroupData; every query is one
+reduction against it, and the witness f it yields is verified. The binomial
+ratios of F^alpha H depend only on the class of alpha, so the data the
+invariant chain needs comes from such reductions: the order n of the class
+(the ratios generate the n-th roots of unity), and for g normalizing H the
+unit j with alpha^g ~ j * alpha, which is the Galois character of g. The
+word calculus (folding a word to its accumulated exponent, bucketing words by multiset and
 product) only serves to exhibit explicit binomial identities.
 """
 
@@ -20,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product as iproduct
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 import numpy as np
 
@@ -33,7 +35,7 @@ from .errors import (
     PreconditionError,
 )
 from .groups import SubgroupData
-from .modlinalg import kernel_mod, snf, solve_mod
+from .modlinalg import kernel_mod, reduce_mod, snf, solve_in_image, split_echelon
 
 
 def _check_modulus(m: int) -> None:
@@ -317,29 +319,32 @@ def _flat(alpha: Cocycle) -> list[int]:
     return [e for row in alpha.exps for e in row]
 
 
-def is_cohomologous(a: Cocycle, b: Cocycle,
-                    extension: int | None = None) -> tuple[bool, tuple[int, ...] | None, int]:
+def _coboundary_witness(sub: SubgroupData, M: int, z) -> tuple[int, ...] | None:
+    """f with f[identity] = 0 and delta f = z over Z/M (z a flat table), or
+    None. Reduces against the image echelon of the coboundary map, built on
+    the first query for (sub, M) and kept on the subgroup."""
+    image = sub.coboundary_echelons.get(M)
+    if image is None:
+        image = split_echelon(coboundary_rows(sub, M), sub.order - 1, M)[0]
+        sub.coboundary_echelons[M] = image
+    x = solve_in_image(image, z, sub.order - 1, M)
+    return None if x is None else (0,) + x
+
+
+def is_cohomologous(a: Cocycle, b: Cocycle) -> tuple[bool, tuple[int, ...] | None, int]:
     """Do a and b differ by a coboundary valued in the extended roots of unity?
 
-    Works over Z/M with M = lcm(moduli) * extension (default exp(H)).
+    Works over Z/M with M = lcm(moduli) * exp(H).
     Returns (ok, witness f with f[identity] = 0, M).
     """
-    if a.sub is not b.sub and a.sub.elements != b.sub.elements:
+    if a.sub is not b.sub and (a.sub.elements != b.sub.elements
+                               or a.sub.pmul != b.sub.pmul):
         raise PreconditionError("cocycles live on different subgroups")
-    sub = a.sub
-    ext = sub_exponent(sub) if extension is None else extension
-    if ext < 1:
-        raise PreconditionError("extension must be positive")
-    M = lcm(a.modulus, b.modulus) * ext
-    ae = a.embedded(M)
-    be = b.embedded(M)
-    if sub.order == 1:
-        return (ae.exps == be.exps), (0,), M
-    rhs = [(eb - ea) % M for ea, eb in zip(_flat(ae), _flat(be))]
-    sol = solve_mod(coboundary_rows(sub, M), rhs, M)
-    if sol is None:
+    M = lcm(a.modulus, b.modulus) * sub_exponent(a.sub)
+    ae, be = a.embedded(M), b.embedded(M)
+    f = _coboundary_witness(a.sub, M, [(y - x) % M for x, y in zip(_flat(ae), _flat(be))])
+    if f is None:
         return False, None, M
-    f = (0,) + tuple(sol)
     if shift_by_coboundary(ae, f).exps != be.exps:
         raise InternalError("coboundary witness failed verification")
     return True, f, M
@@ -353,10 +358,8 @@ def class_order(alpha: Cocycle) -> int:
     if alpha.is_trivial():
         return 1
     zero = trivial_cocycle(alpha.sub, m)
-    for d in range(1, m):
-        if m % d == 0 and is_cohomologous(_scaled(alpha, d, m), zero)[0]:
-            return d
-    return m
+    return next((d for d in range(1, m)
+                 if m % d == 0 and is_cohomologous(_scaled(alpha, d, m), zero)[0]), m)
 
 
 def galois_character(g: int, alpha: Cocycle, n: int | None = None) -> int | None:
@@ -364,9 +367,10 @@ def galois_character(g: int, alpha: Cocycle, n: int | None = None) -> int | None
 
     n is the class order of alpha, computed when not given; g must normalize
     the subgroup. j exists exactly when conjugation by g rescales every
-    binomial ratio by one Galois unit, and it is found by one solve of
-    delta f + j * alpha = alpha^g in the unknowns (f, j). Conjugation by a
-    subgroup element fixes every class, so j is constant on H-cosets.
+    binomial ratio by one Galois unit. Since n * alpha ~ 0, j * alpha depends
+    only on j mod n, so each j < n is tried by one reduction of
+    alpha^g - j * alpha against the coboundary echelon of (H, M). Conjugation
+    by a subgroup element fixes every class, so j is constant on H-cosets.
     """
     sub = alpha.sub
     if g not in sub.normalizer:
@@ -378,38 +382,16 @@ def galois_character(g: int, alpha: Cocycle, n: int | None = None) -> int | None
     M = alpha.modulus * sub_exponent(sub)
     ae = alpha.embedded(M)
     be = conjugate_cocycle(alpha, g).embedded(M)
-    rows = [row + [e] for row, e in zip(coboundary_rows(sub, M), _flat(ae))]
-    sol = solve_mod(rows, _flat(be), M)
-    if sol is None:
-        return None
-    f, j = (0,) + sol[:-1], sol[-1]
-    if shift_by_coboundary(_scaled(ae, j, M), f).exps != be.exps:
-        raise InternalError("Galois character witness failed verification")
-    if gcd(j, n) != 1:
-        raise InternalError("Galois character is not a unit mod the class order")
-    return j % n
-
-
-def _coords_in_echelon(z, gens, m: int):
-    """Coefficients expressing z over echelon generators mod m, else None."""
-    z = [int(x) % m for x in z]
-    coeffs = []
-    for g in gens:
-        lead = next((c for c, v in enumerate(g) if v), None)
-        if lead is None:
-            raise InternalError("zero generator in echelon basis")
-        v = g[lead]
-        gg = gcd(v, m)
-        if z[lead] % gg:
-            return None
-        mi = m // gg
-        ai = ((z[lead] // gg) * pow(v // gg, -1, mi)) % mi if mi > 1 else 0
-        if ai:
-            z = [(zz - ai * gi) % m for zz, gi in zip(z, g)]
-        coeffs.append(ai)
-    if any(z):
-        return None
-    return coeffs
+    flat_a, flat_b = _flat(ae), _flat(be)
+    for j in range(n):
+        f = _coboundary_witness(sub, M, [(y - j * x) % M for x, y in zip(flat_a, flat_b)])
+        if f is not None:
+            if shift_by_coboundary(_scaled(ae, j, M), f).exps != be.exps:
+                raise InternalError("Galois character witness failed verification")
+            if gcd(j, n) != 1:
+                raise InternalError("Galois character is not a unit mod the class order")
+            return j
+    return None
 
 
 def _raw_classes(sub: SubgroupData, m: int) -> tuple[dict, tuple[int, ...]]:
@@ -432,41 +414,26 @@ def _raw_classes(sub: SubgroupData, m: int) -> tuple[dict, tuple[int, ...]]:
                                   (v(j, k), -1), (v(i, pmul[j][k]), -1)):
                     row[col] = (row[col] + sign) % m
                 rows.append(row)
-    for t in range(size):
-        for col in (v(0, t), v(t, 0)):
-            row = [0] * nvars
-            row[col] = 1
-            rows.append(row)
+    rows += [[int(c == col) for c in range(nvars)]
+             for t in range(size) for col in (v(0, t), v(t, 0))]
     gens = kernel_mod(rows, nvars, m)
     if not gens:
         return {trivial_cocycle(sub, m).exps: ()}, ()
     r = len(gens)
-    orders = []
-    for g in gens:
-        lead_val = next(vv for vv in g if vv)
-        orders.append(m // gcd(lead_val, m))
-    cob_cols = []
-    for t in range(1, size):
-        delta = [0] * nvars
-        for i in range(size):
-            for j in range(size):
-                val = (i == t) + (j == t) - (pmul[i][j] == t)
-                delta[v(i, j)] = val % m
-        coords = _coords_in_echelon(delta, gens, m)
-        if coords is None:
-            raise InternalError("coboundary is not in the cocycle module")
-        cob_cols.append(coords)
+    orders = [m // gcd(next(vv for vv in g if vv), m) for g in gens]
+    cob = coboundary_rows(sub, m)
+    cob_cols = [reduce_mod([row[t] for row in cob], gens, m) for t in range(size - 1)]
+    if any(red is None or any(red[1]) for red in cob_cols):
+        raise InternalError("coboundary is not in the cocycle module")
     mat = [
-        [cob_cols[t][i] for t in range(size - 1)] + [orders[i] if k == i else 0 for k in range(r)]
+        [cob_cols[t][0][i] for t in range(size - 1)] + [orders[i] if k == i else 0 for k in range(r)]
         for i in range(r)
     ]
     diag, _, uinv = snf(mat)
     if any(d <= 0 for d in diag[:r]):
         raise InternalError("quotient lattice is not full rank")
     diag = tuple(diag[:r])
-    total = 1
-    for d in diag:
-        total *= d
+    total = prod(diag)
     if total > 4096:
         raise CapExceeded(f"{total} raw classes exceeds the enumeration cap")
     raw = {}
@@ -485,10 +452,11 @@ def h2_classes(sub: SubgroupData, m: int) -> list[Cocycle]:
 
     Enumerates the mod-m cocycle solution module modulo mod-m coboundaries
     (the raw classes), then merges raw classes that become cohomologous over
-    the extended modulus m * exp(H). Those merged away form the subgroup K0
-    of raw classes that are coboundaries over Z/M, found by one solve per
-    raw class; each output class is a coset of K0, represented by its
-    lex-least table. Result is sorted with the trivial class first.
+    the extended modulus M = m * exp(H). Those merged away form the subgroup
+    K0 of raw classes that are coboundaries over Z/M, found by one reduction
+    per raw class against the coboundary echelon of (H, M); each output
+    class is a coset of K0, represented by its lex-least table. Result is
+    sorted with the trivial class first.
     """
     if sub.order > CAPS.h2_subgroup:
         raise CapExceeded(

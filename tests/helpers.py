@@ -14,13 +14,16 @@ import numpy as np
 from gforge.cyclo import (CycScalar, SubfieldDescriptor, _power_rows,
                           cyclotomic_polynomial, phi)
 from gforge.algebra import AlgElement
+from gforge.errors import InternalError, PreconditionError
 from gforge.groups import (Group, SubgroupData, cyclic, dihedral,
                            direct_product, semidirect_product)
 from gforge.identities import IdentityReport, linearize
+from gforge.modlinalg import kernel_mod, xgcd
 from gforge.presentation import Presentation
-from gforge.twisted import (Cocycle, _raw_classes, conjugate_cocycle,
-                            h2_classes, is_cohomologous, make_cocycle,
-                            shift_by_coboundary, trivial_cocycle)
+from gforge.twisted import (Cocycle, _flat, _raw_classes, coboundary_rows,
+                            conjugate_cocycle, h2_classes, make_cocycle,
+                            shift_by_coboundary, sub_exponent,
+                            trivial_cocycle)
 
 
 def pairing_cocycle(sub: SubgroupData, p: int) -> Cocycle:
@@ -220,16 +223,89 @@ def scan_chain(p: Presentation, L: int) -> dict:
             "field": SubfieldDescriptor.from_generators(n, sbar)}
 
 
+def solve_mod_by_kernel(a_rows, b, M: int) -> tuple[int, ...] | None:
+    """One solution of A x = b over Z/M, or None: generators of the kernel
+    of [A | -b], combined by xgcd until their last entries reach gcd 1."""
+    a_rows = [list(r) for r in a_rows]
+    b = list(b)
+    if not a_rows:
+        return ()
+    n = len(a_rows[0])
+    gens = kernel_mod([row + [(-bi) % M] for row, bi in zip(a_rows, b)], n + 1, M)
+    t_acc, x_acc = M, [0] * n
+    for vec in gens:
+        g, u, v = xgcd(t_acc, vec[n])
+        x_acc = [(u * xa + v * xv) % M for xa, xv in zip(x_acc, vec[:n])]
+        t_acc = g
+    if t_acc != 1:
+        return None
+    for row, bi in zip(a_rows, b):
+        if sum(c * x for c, x in zip(row, x_acc)) % M != bi % M:
+            raise InternalError("solver produced a non-solution")
+    return tuple(x_acc)
+
+
+def is_cohomologous_by_solve(a: Cocycle, b: Cocycle):
+    """is_cohomologous with the coboundary system rebuilt and solved afresh
+    on every call; (ok, witness f with f[identity] = 0, M)."""
+    if a.sub is not b.sub and a.sub.elements != b.sub.elements:
+        raise PreconditionError("cocycles live on different subgroups")
+    sub = a.sub
+    M = lcm(a.modulus, b.modulus) * sub_exponent(sub)
+    ae, be = a.embedded(M), b.embedded(M)
+    if sub.order == 1:
+        return (ae.exps == be.exps), (0,), M
+    rhs = [(eb - ea) % M for ea, eb in zip(_flat(ae), _flat(be))]
+    sol = solve_mod_by_kernel(coboundary_rows(sub, M), rhs, M)
+    if sol is None:
+        return False, None, M
+    f = (0,) + tuple(sol)
+    if shift_by_coboundary(ae, f).exps != be.exps:
+        raise InternalError("coboundary witness failed verification")
+    return True, f, M
+
+
+def class_order_by_solve(alpha: Cocycle) -> int:
+    """The least d dividing the modulus with d * alpha ~ 0, each d tested by
+    is_cohomologous_by_solve."""
+    m = alpha.modulus
+    zero = trivial_cocycle(alpha.sub, m)
+    return next(d for d in range(1, m + 1) if m % d == 0 and is_cohomologous_by_solve(
+        make_cocycle(alpha.sub, m, [[d * e for e in row] for row in alpha.exps]), zero)[0])
+
+
+def galois_character_by_solve(g: int, alpha: Cocycle, n: int) -> int | None:
+    """The unit j mod n with alpha^g ~ j * alpha from one solve of
+    delta f + j * alpha = alpha^g in the unknowns (f, j) over Z/M."""
+    if n == 1:
+        return 0
+    sub = alpha.sub
+    M = alpha.modulus * sub_exponent(sub)
+    ae = alpha.embedded(M)
+    be = conjugate_cocycle(alpha, g).embedded(M)
+    rows = [row + [e] for row, e in zip(coboundary_rows(sub, M), _flat(ae))]
+    sol = solve_mod_by_kernel(rows, _flat(be), M)
+    if sol is None:
+        return None
+    f, j = (0,) + sol[:-1], sol[-1]
+    scaled = make_cocycle(sub, M, [[j * e for e in row] for row in ae.exps])
+    if shift_by_coboundary(scaled, f).exps != be.exps:
+        raise InternalError("Galois character witness failed verification")
+    if gcd(j, n) != 1:
+        raise InternalError("Galois character is not a unit mod the class order")
+    return j % n
+
+
 def h2_classes_pairwise(sub: SubgroupData, m: int) -> list[Cocycle]:
     """h2_classes by merging each raw class into every representative kept
-    so far, one cohomology solve per pair."""
+    so far, one fresh cohomology solve per pair."""
     if m == 1:
         return [trivial_cocycle(sub, 1)]
     raw, _ = _raw_classes(sub, m)
     reps: list[Cocycle] = []
     for table in sorted(raw):
         cand = Cocycle(sub, m, table)
-        if not any(is_cohomologous(cand, rep)[0] for rep in reps):
+        if not any(is_cohomologous_by_solve(cand, rep)[0] for rep in reps):
             reps.append(cand)
     return reps
 

@@ -1,0 +1,121 @@
+"""Linear algebra over Z/M checked against brute force over (Z/M)^n, n <= 3."""
+
+import random
+from itertools import product as iproduct
+
+import pytest
+
+from gforge.errors import PreconditionError
+from gforge.modlinalg import (howell_echelon, kernel_mod, reduce_mod, solve_mod,
+                              split_echelon)
+
+import helpers
+
+MODULI = (1, 2, 4, 6, 8, 12)
+
+
+def _apply(rows, x, M):
+    return tuple(sum(c * xi for c, xi in zip(row, x)) % M for row in rows)
+
+
+def _span(gens, n, M):
+    """Every Z/M-combination of gens, as a set of tuples."""
+    seen = {(0,) * n}
+    frontier = list(seen)
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for g in gens:
+                w = tuple((a + b) % M for a, b in zip(v, g))
+                if w not in seen:
+                    seen.add(w)
+                    nxt.append(w)
+        frontier = nxt
+    return seen
+
+
+def _systems(M):
+    """Random systems A (k rows of width n) over Z/M with k, n in 0..3, the
+    empty system and zero rows included."""
+    rng = random.Random(M)
+    for n in range(4):
+        for k in range(4):
+            for _ in range(4):
+                yield [[rng.randrange(M) for _ in range(n)] for _ in range(k)], n
+            yield [[0] * n for _ in range(k)], n
+
+
+@pytest.mark.parametrize("M", MODULI)
+def test_kernel_mod_spans_the_brute_force_kernel(M):
+    for rows, n in _systems(M):
+        space = list(iproduct(range(M), repeat=n))
+        want = {x for x in space if not any(_apply(rows, x, M))}
+        gens = kernel_mod(rows, n, M)
+        assert all(len(g) == n for g in gens)
+        assert _span(gens, n, M) == want, (rows, n)
+
+
+@pytest.mark.parametrize("M", MODULI)
+def test_solve_mod_finds_a_solution_exactly_when_one_exists(M):
+    rng = random.Random(100 + M)
+    for rows, n in _systems(M):
+        k = len(rows)
+        image = {_apply(rows, x, M) for x in iproduct(range(M), repeat=n)}
+        rhs = list(iproduct(range(M), repeat=k))
+        for b in rng.sample(rhs, min(len(rhs), 12)) + rng.sample(sorted(image), 1):
+            x = solve_mod(rows, b, M)
+            if not rows:
+                assert x == ()
+                continue
+            assert (x is not None) == (b in image), (rows, b)
+            assert (helpers.solve_mod_by_kernel(rows, b, M) is not None) == (b in image)
+            if x is not None:
+                assert len(x) == n and all(0 <= xi < M for xi in x)
+                assert _apply(rows, x, M) == tuple(bi % M for bi in b)
+
+
+@pytest.mark.parametrize("M", MODULI)
+def test_split_echelon_parts(M):
+    # image rows are (A x | x) with A x != 0 and span the image of A
+    for rows, n in _systems(M):
+        k = len(rows)
+        image, kernel = split_echelon(rows, n, M)
+        assert kernel == kernel_mod(rows, n, M)
+        for row in image:
+            assert any(row[:k]) and row[:k] == _apply(rows, row[k:], M)
+        want = {_apply(rows, x, M) for x in iproduct(range(M), repeat=n)}
+        assert _span([row[:k] for row in image], k, M) == want
+
+
+@pytest.mark.parametrize("M", MODULI)
+def test_reduce_mod_decides_membership(M):
+    rng = random.Random(200 + M)
+    for _ in range(30):
+        n = rng.randint(0, 3)
+        rows = [[rng.randrange(M) for _ in range(n)] for _ in range(rng.randint(0, 3))]
+        ech = howell_echelon(rows, M)
+        span = _span(ech, n, M)
+        assert span == _span(rows, n, M)
+        for z in iproduct(range(M), repeat=n):
+            red = reduce_mod(z, ech, M)
+            inside = red is not None and not any(red[1])
+            assert inside == (z in span), (rows, z)
+            if red is not None:
+                c, rem = red
+                combo = [sum(ci * g[t] for ci, g in zip(c, ech)) for t in range(n)]
+                assert tuple((zt - ct) % M for zt, ct in zip(z, combo)) == tuple(rem)
+
+
+def test_degenerate_shapes():
+    assert kernel_mod([], 0, 6) == [] and kernel_mod([[], []], 0, 6) == []
+    assert solve_mod([[], []], [0, 6], 6) == ()
+    assert solve_mod([[], []], [0, 1], 6) is None
+    assert solve_mod([], [], 4) == ()
+    assert solve_mod([[3, 5]], [7], 1) == (0, 0)
+    assert split_echelon([], 2, 4) == ([], [(1, 0), (0, 1)])
+    with pytest.raises(PreconditionError, match="width"):
+        kernel_mod([[1, 2], [3]], 2, 4)
+    with pytest.raises(PreconditionError, match="rhs length"):
+        solve_mod([[1, 2]], [1, 2], 4)
+    with pytest.raises(PreconditionError, match="modulus"):
+        solve_mod([[1, 2]], [1], 0)
