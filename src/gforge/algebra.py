@@ -17,7 +17,7 @@ from .errors import CapExceeded, InternalError, PreconditionError, PresentationE
 from .groups import SubgroupData, subgroup_group
 from .modlinalg import solve_mod
 from .presentation import Presentation, normalize_with_details, related_reps
-from .twisted import (Cocycle, coboundary_rows, conjugate_cocycle, sub_exponent,
+from .twisted import (Cocycle, _flat, coboundary_rows, conjugate_cocycle, sub_exponent,
                       unit_lifts)
 
 
@@ -545,14 +545,11 @@ def _descent_witness(grp, sub, alpha, gc: int, u: int, n_root: int,
     u * f(x) + f(gc x gc^-1) = 0.
     """
     beta = conjugate_cocycle(alpha, grp.inv(gc))
-    m = alpha.modulus
-    step = big_m // m
     elems = sub.elements
     pos = sub.pos
     nv = len(elems) - 1
     rows = coboundary_rows(sub, big_m)
-    rhs = [(step * ((u * alpha.value(x, y)) % m - beta.value(x, y))) % big_m
-           for x in elems for y in elems]
+    rhs = [(u * a - b) % big_m for a, b in zip(_flat(alpha, big_m), _flat(beta, big_m))]
     if enforce:
         for x in elems[1:]:
             if n_root > 1:

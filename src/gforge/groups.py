@@ -8,6 +8,7 @@ by their minimal element.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from math import lcm
 
 import numpy as np
@@ -16,23 +17,30 @@ from .config import CAPS
 from .errors import CapExceeded, GroupError, PreconditionError
 
 
+def all_ints(rows) -> bool:
+    """Whether every entry of the rows is exactly an int (so not a bool)."""
+    return set(map(type, chain.from_iterable(rows))) <= {int}
+
+
 class Group:
     __slots__ = ("order", "name", "names", "_mul", "_inv")
 
     def __init__(self, table, names=None, name="G"):
         try:
-            tab = np.asarray(table, dtype=np.int64)
-        except ValueError:  # rows of different lengths
+            rows = [list(row) for row in table]
+        except TypeError:  # a row that is not a sequence
             raise GroupError("multiplication table must be square") from None
-        if tab.ndim != 2 or tab.shape[0] != tab.shape[1]:
+        order = len(rows)
+        if order == 0 or any(len(row) != order for row in rows):
             raise GroupError("multiplication table must be square")
-        order = int(tab.shape[0])
-        if order == 0:
-            raise GroupError("empty table")
         if order > CAPS.group_order:
             raise CapExceeded(f"group order {order} exceeds cap {CAPS.group_order}")
-        if tab.min() < 0 or tab.max() >= order:
+        # type and range on the Python ints, before numpy could cast or overflow
+        if not all_ints(rows):
+            raise GroupError("table entries must be integers")
+        if min(map(min, rows)) < 0 or max(map(max, rows)) >= order:
             raise GroupError("table entries out of range")
+        tab = np.asarray(rows, dtype=np.int64)
         rng = np.arange(order)
         if not (np.array_equal(tab[0], rng) and np.array_equal(tab[:, 0], rng)):
             raise GroupError("identity must be element 0")

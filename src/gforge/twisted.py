@@ -4,18 +4,22 @@ A Cocycle stores exponents e(h1, h2) with scalar value zeta_modulus^e; tables
 are normalized (identity row and column zero) and indexed by position in the
 sorted subgroup element list. A table is checked in full once, where it
 enters: the Cocycle constructor, make_cocycle (every parsed input) and the
-kernel solve of h2_classes. Embedding, Galois twists, conjugation, coboundary
-shifts and scaling keep the cocycle laws, so their tables skip the check.
+kernel solve of h2_classes; its entries are checked as Python ints before
+numpy reads them. Embedding, Galois twists, conjugation, coboundary shifts
+and scaling keep the cocycle laws, so their tables skip the check.
 Cohomology is tested over Z/M with M = modulus * exp(H): a Howell basis of
 the coboundaries B^2(H, Z/M), each row carrying its preimage f, is built on
-the first query for (H, M) and kept on the SubgroupData; every query is one
-reduction against it, and the witness f it yields is verified. The binomial
-ratios of F^alpha H depend only on the class of alpha, so the data the
-invariant chain needs comes from such reductions: the order n of the class
-(the ratios generate the n-th roots of unity), and for g normalizing H the
-unit j with alpha^g ~ j * alpha, which is the Galois character of g. The
-word calculus (folding a word to its accumulated exponent, bucketing words by multiset and
-product) only serves to exhibit explicit binomial identities.
+the first query for (H, M) and kept on the SubgroupData. A query reads its
+cocycles as flat Z/M vectors (exponents scaled by M / modulus), builds no
+Cocycle for them, and answers each question by one reduction of such a
+vector z in _coboundary_witness, which verifies delta f = z for every
+witness f it returns. The binomial ratios of F^alpha H depend only on the
+class of alpha, so the data the invariant chain needs comes from such
+reductions: the order n of the class (the ratios generate the n-th roots of
+unity), and for g normalizing H the unit j with alpha^g ~ j * alpha, which
+is the Galois character of g. The word calculus (folding a word to its
+accumulated exponent, bucketing words by multiset and product) only serves
+to exhibit explicit binomial identities.
 """
 
 from __future__ import annotations
@@ -34,13 +38,17 @@ from .errors import (
     InternalError,
     PreconditionError,
 )
-from .groups import SubgroupData
+from .groups import SubgroupData, all_ints
 from .modlinalg import kernel_mod, reduce_mod, snf, solve_in_image, split_echelon
 
 
 def _check_modulus(m: int) -> None:
+    if type(m) is not int:  # so not a bool either, as for the exponents
+        raise CocycleError("modulus must be an integer")
     if m < 1:
         raise CocycleError("modulus must be positive")
+    if m >= 2 ** 62:  # the int64 cocycle check adds two exponents
+        raise CocycleError("modulus must be below 2**62")
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,9 +63,12 @@ class Cocycle:
         size = sub.order
         if len(self.exps) != size or any(len(r) != size for r in self.exps):
             raise CocycleError("exponent table shape must match the subgroup")
-        tab = np.asarray(self.exps, dtype=np.int64)
-        if tab.size and (tab.min() < 0 or tab.max() >= m):
+        # type and range on the Python ints, before numpy could cast or overflow
+        if not all_ints(self.exps):
+            raise CocycleError("exponents must be integers")
+        if min(map(min, self.exps)) < 0 or max(map(max, self.exps)) >= m:
             raise CocycleError("exponents must lie in [0, modulus)")
+        tab = np.asarray(self.exps, dtype=np.int64)
         if np.any(tab[0]) or np.any(tab[:, 0]):
             raise CocycleError("table must be normalized at the identity")
         pmul = np.asarray(sub.pmul, dtype=np.int64)
@@ -87,8 +98,8 @@ class Cocycle:
         return not any(any(row) for row in self.exps)
 
     def embedded(self, m_new: int) -> "Cocycle":
-        if m_new % self.modulus:
-            raise PreconditionError("can only embed into a multiple modulus")
+        if m_new < 1 or m_new % self.modulus:
+            raise PreconditionError("can only embed into a positive multiple modulus")
         return _scaled(self, m_new // self.modulus, m_new)
 
 
@@ -250,13 +261,10 @@ def conjugate_cocycle(alpha: Cocycle, theta: int,
             raise PreconditionError(
                 "conjugator must normalize the subgroup unless a target is given")
         new_sub = alpha.sub
-    back = {x: grp.conj(x, theta) for x in new_sub.elements}
-    if set(back.values()) != set(alpha.sub.elements):
+    back = [alpha.sub.pos.get(grp.conj(x, theta), -1) for x in new_sub.elements]
+    if sorted(back) != list(range(alpha.sub.order)):
         raise PreconditionError("target subgroup is not the conjugate of the source")
-    exps = tuple(
-        tuple(alpha.value(back[x], back[y]) for y in new_sub.elements)
-        for x in new_sub.elements
-    )
+    exps = tuple(tuple(alpha.exps[p][q] for q in back) for p in back)
     return Cocycle._derived(new_sub, alpha.modulus, exps)
 
 
@@ -269,6 +277,8 @@ def galois_twist(alpha: Cocycle, j: int) -> Cocycle:
 def unit_lifts(j: int, n: int, m: int) -> list[int]:
     """Every unit mod m congruent to j mod n, least first; requires n | m and
     gcd(j, n) = 1."""
+    if n < 1 or m < 1:
+        raise PreconditionError("n and m must be positive")
     if m % n:
         raise PreconditionError("n must divide m")
     if gcd(j, n) != 1:
@@ -315,20 +325,30 @@ def coboundary_rows(sub: SubgroupData, M: int) -> list[list[int]]:
     return rows
 
 
-def _flat(alpha: Cocycle) -> list[int]:
-    return [e for row in alpha.exps for e in row]
+def _flat(alpha: Cocycle, M: int) -> list[int]:
+    """alpha read over Z/M (M a multiple of its modulus) as one flat vector,
+    row-major in subgroup positions."""
+    k = M // alpha.modulus
+    return [k * e for row in alpha.exps for e in row]
 
 
 def _coboundary_witness(sub: SubgroupData, M: int, z) -> tuple[int, ...] | None:
     """f with f[identity] = 0 and delta f = z over Z/M (z a flat table), or
     None. Reduces against the image echelon of the coboundary map, built on
-    the first query for (sub, M) and kept on the subgroup."""
+    the first query for (sub, M) and kept on the subgroup; every witness is
+    checked against z before it is returned."""
     image = sub.coboundary_echelons.get(M)
     if image is None:
         image = split_echelon(coboundary_rows(sub, M), sub.order - 1, M)[0]
         sub.coboundary_echelons[M] = image
     x = solve_in_image(image, z, sub.order - 1, M)
-    return None if x is None else (0,) + x
+    if x is None:
+        return None
+    f = (0,) + x
+    delta = (fi + fj - f[p] for fi, prow in zip(f, sub.pmul) for fj, p in zip(f, prow))
+    if any((d - zz) % M for d, zz in zip(delta, z)):
+        raise InternalError("coboundary witness failed verification")
+    return f
 
 
 def is_cohomologous(a: Cocycle, b: Cocycle) -> tuple[bool, tuple[int, ...] | None, int]:
@@ -341,13 +361,8 @@ def is_cohomologous(a: Cocycle, b: Cocycle) -> tuple[bool, tuple[int, ...] | Non
                                or a.sub.pmul != b.sub.pmul):
         raise PreconditionError("cocycles live on different subgroups")
     M = lcm(a.modulus, b.modulus) * sub_exponent(a.sub)
-    ae, be = a.embedded(M), b.embedded(M)
-    f = _coboundary_witness(a.sub, M, [(y - x) % M for x, y in zip(_flat(ae), _flat(be))])
-    if f is None:
-        return False, None, M
-    if shift_by_coboundary(ae, f).exps != be.exps:
-        raise InternalError("coboundary witness failed verification")
-    return True, f, M
+    f = _coboundary_witness(a.sub, M, [y - x for x, y in zip(_flat(a, M), _flat(b, M))])
+    return f is not None, f, M
 
 
 def class_order(alpha: Cocycle) -> int:
@@ -357,37 +372,37 @@ def class_order(alpha: Cocycle) -> int:
     m = alpha.modulus
     if alpha.is_trivial():
         return 1
-    zero = trivial_cocycle(alpha.sub, m)
-    return next((d for d in range(1, m)
-                 if m % d == 0 and is_cohomologous(_scaled(alpha, d, m), zero)[0]), m)
+    M = m * sub_exponent(alpha.sub)
+    z = _flat(alpha, M)
+    return next((d for d in range(1, m) if m % d == 0 and _coboundary_witness(
+        alpha.sub, M, [d * e for e in z]) is not None), m)
 
 
 def galois_character(g: int, alpha: Cocycle, n: int | None = None) -> int | None:
     """The unit j mod n with alpha^g ~ j * alpha over Z/M, or None if there is none.
 
-    n is the class order of alpha, computed when not given; g must normalize
-    the subgroup. j exists exactly when conjugation by g rescales every
-    binomial ratio by one Galois unit. Since n * alpha ~ 0, j * alpha depends
-    only on j mod n, so each j < n is tried by one reduction of
-    alpha^g - j * alpha against the coboundary echelon of (H, M). Conjugation
-    by a subgroup element fixes every class, so j is constant on H-cosets.
+    n is the class order of alpha, computed when not given, and must divide
+    the modulus; g must normalize the subgroup. j exists exactly when
+    conjugation by g rescales every binomial ratio by one Galois unit. Since
+    n * alpha ~ 0, j * alpha depends only on j mod n, so each j < n is tried
+    by one reduction of alpha^g - j * alpha against the coboundary echelon
+    of (H, M). Conjugation by a subgroup element fixes every class, so j is
+    constant on H-cosets.
     """
     sub = alpha.sub
     if g not in sub.normalizer:
         raise PreconditionError("element must normalize the subgroup")
     if n is None:
         n = class_order(alpha)
+    if n < 1 or alpha.modulus % n:
+        raise PreconditionError("n must be a positive divisor of the modulus")
     if n == 1:
         return 0
     M = alpha.modulus * sub_exponent(sub)
-    ae = alpha.embedded(M)
-    be = conjugate_cocycle(alpha, g).embedded(M)
-    flat_a, flat_b = _flat(ae), _flat(be)
+    flat_a, flat_b = _flat(alpha, M), _flat(conjugate_cocycle(alpha, g), M)
     for j in range(n):
-        f = _coboundary_witness(sub, M, [(y - j * x) % M for x, y in zip(flat_a, flat_b)])
-        if f is not None:
-            if shift_by_coboundary(_scaled(ae, j, M), f).exps != be.exps:
-                raise InternalError("Galois character witness failed verification")
+        z = [y - j * x for x, y in zip(flat_a, flat_b)]
+        if _coboundary_witness(sub, M, z) is not None:
             if gcd(j, n) != 1:
                 raise InternalError("Galois character is not a unit mod the class order")
             return j
@@ -466,8 +481,9 @@ def h2_classes(sub: SubgroupData, m: int) -> list[Cocycle]:
         return [trivial_cocycle(sub, 1)]
     raw, diag = _raw_classes(sub, m)
     cocycles = {table: Cocycle(sub, m, table) for table in sorted(raw)}
-    zero = trivial_cocycle(sub, m)
-    k0 = [raw[t] for t, c in cocycles.items() if is_cohomologous(c, zero)[0]]
+    M = m * sub_exponent(sub)
+    k0 = [raw[t] for t, c in cocycles.items()
+          if _coboundary_witness(sub, M, _flat(c, M)) is not None]
     reps: list[Cocycle] = []
     merged: set[tuple[int, ...]] = set()
     for table, cand in cocycles.items():

@@ -20,7 +20,7 @@ from gforge.groups import (Group, SubgroupData, cyclic, dihedral,
 from gforge.identities import IdentityReport, linearize
 from gforge.modlinalg import kernel_mod, xgcd
 from gforge.presentation import Presentation
-from gforge.twisted import (Cocycle, _flat, _raw_classes, coboundary_rows,
+from gforge.twisted import (Cocycle, _raw_classes, coboundary_rows,
                             conjugate_cocycle, h2_classes, make_cocycle,
                             shift_by_coboundary, sub_exponent,
                             trivial_cocycle)
@@ -245,6 +245,11 @@ def solve_mod_by_kernel(a_rows, b, M: int) -> tuple[int, ...] | None:
     return tuple(x_acc)
 
 
+def _flat_table(alpha: Cocycle) -> list[int]:
+    """The exponent table of alpha as one list, row by row."""
+    return [e for row in alpha.exps for e in row]
+
+
 def is_cohomologous_by_solve(a: Cocycle, b: Cocycle):
     """is_cohomologous with the coboundary system rebuilt and solved afresh
     on every call; (ok, witness f with f[identity] = 0, M)."""
@@ -255,7 +260,7 @@ def is_cohomologous_by_solve(a: Cocycle, b: Cocycle):
     ae, be = a.embedded(M), b.embedded(M)
     if sub.order == 1:
         return (ae.exps == be.exps), (0,), M
-    rhs = [(eb - ea) % M for ea, eb in zip(_flat(ae), _flat(be))]
+    rhs = [(eb - ea) % M for ea, eb in zip(_flat_table(ae), _flat_table(be))]
     sol = solve_mod_by_kernel(coboundary_rows(sub, M), rhs, M)
     if sol is None:
         return False, None, M
@@ -283,8 +288,8 @@ def galois_character_by_solve(g: int, alpha: Cocycle, n: int) -> int | None:
     M = alpha.modulus * sub_exponent(sub)
     ae = alpha.embedded(M)
     be = conjugate_cocycle(alpha, g).embedded(M)
-    rows = [row + [e] for row, e in zip(coboundary_rows(sub, M), _flat(ae))]
-    sol = solve_mod_by_kernel(rows, _flat(be), M)
+    rows = [row + [e] for row, e in zip(coboundary_rows(sub, M), _flat_table(ae))]
+    sol = solve_mod_by_kernel(rows, _flat_table(be), M)
     if sol is None:
         return None
     f, j = (0,) + sol[:-1], sol[-1]

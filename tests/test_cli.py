@@ -243,3 +243,22 @@ def test_ragged_group_table_is_a_precondition(capsys, tmp_path):
     code, rep = run_json(capsys, "validate", "--input", f)
     assert code == 2 and rep == {"error": "precondition",
                                  "reason": "multiplication table must be square"}
+
+
+def _huge_group_entry(doc):
+    doc["group"]["table"][1][1] = 2 ** 70
+
+
+def _huge_cocycle_modulus(doc):
+    doc["cocycle"]["modulus"] = 2 ** 70
+    doc["cocycle"]["exps"][1][2] = 2 ** 65
+
+
+@pytest.mark.parametrize("edit, reason", [
+    (_huge_group_entry, "table entries out of range"),
+    (_huge_cocycle_modulus, "modulus must be below 2**62"),
+], ids=["group-entry", "cocycle-modulus"])
+def test_oversized_integers_are_a_precondition(capsys, tmp_path, edit, reason):
+    f = _write_variant(tmp_path, "pauli.json", edit)
+    code, rep = run_json(capsys, "validate", "--input", f)
+    assert code == 2 and rep == {"error": "precondition", "reason": reason}

@@ -46,6 +46,17 @@ def test_table_validation():
     assert Group([[0, 1], [1, 0]]).order == 2
 
 
+@pytest.mark.parametrize("entry, message", [
+    (0.5, "^table entries must be integers$"),
+    (True, "^table entries must be integers$"),
+    ("0", "^table entries must be integers$"),
+    (2 ** 70, "^table entries out of range$"),
+])
+def test_table_entries_are_checked_as_python_ints(entry, message):
+    with pytest.raises(GroupError, match=message):
+        Group([[0, 1], [1, entry]])
+
+
 def test_from_permutations():
     s3 = from_permutations([(1, 0, 2), (0, 2, 1)])
     assert s3.order == 6

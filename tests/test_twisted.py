@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 from gforge import twisted
 from gforge.algebra import twisted_group_algebra
 from gforge.cyclo import CycScalar
-from gforge.errors import CapExceeded, CocycleError, PreconditionError
+from gforge.errors import (CapExceeded, CocycleError, InternalError,
+                           PreconditionError)
 from gforge.groups import SubgroupData, cyclic, dihedral, direct_product
 from gforge.presentation import compute_KNS
 from gforge.twisted import (BinomialDatum, Cocycle, binomial_datum,
@@ -50,6 +51,63 @@ def test_cocycle_validation():
     assert ok.value(1, 1) == 1
     triv = trivial_cocycle(sub)
     assert triv.modulus == 1 and triv.value(1, 1) == 0
+
+
+@pytest.mark.parametrize("modulus, exps, message", [
+    (2, ((0, 0), (0, 1.5)), "^exponents must be integers$"),
+    (2, ((0, 0), (0, "1")), "^exponents must be integers$"),
+    (2, ((0, 0), (0, True)), "^exponents must be integers$"),
+    (4, ((0, 0), (0, 2 ** 70)), r"^exponents must lie in \[0, modulus\)$"),
+    (2 ** 70, ((0, 0), (0, 2 ** 65)), r"^modulus must be below 2\*\*62$"),
+    (2 ** 62, ((0, 0), (0, 0)), r"^modulus must be below 2\*\*62$"),
+    (2.0, ((0, 0), (0, 0)), "^modulus must be an integer$"),
+])
+def test_cocycle_entries_are_checked_as_python_ints(modulus, exps, message):
+    sub = SubgroupData(cyclic(2), (0, 1))
+    with pytest.raises(CocycleError, match=message):
+        Cocycle(sub, modulus, exps)
+
+
+def test_cocycle_modulus_just_below_the_int64_limit():
+    sub = SubgroupData(cyclic(2), (0, 1))
+    big = 2 ** 62 - 1
+    alpha = Cocycle(sub, big, ((0, 0), (0, big - 1)))
+    assert alpha.value(1, 1) == big - 1
+
+
+@pytest.mark.parametrize("call", [
+    lambda alpha: lift_unit(1, 0, 4),
+    lambda alpha: lift_unit(1, 2, 0),
+    lambda alpha: alpha.embedded(0),
+    lambda alpha: galois_character(0, alpha.embedded(4), 0),
+    lambda alpha: galois_character(0, alpha.embedded(4), -1),
+    lambda alpha: galois_character(0, alpha.embedded(4), 3),
+], ids=["lift-n0", "lift-m0", "embed-0", "character-n0", "character-n-1", "character-n3"])
+def test_bad_arguments_are_preconditions(alpha_pauli, call):
+    # alpha_pauli embedded at modulus 4 is a class of order 2 there
+    assert class_order(alpha_pauli.embedded(4)) == 2
+    with pytest.raises(PreconditionError):
+        call(alpha_pauli)
+
+
+@pytest.mark.parametrize("query", [
+    lambda alpha: is_cohomologous(alpha, alpha),
+    class_order,
+    lambda alpha: galois_character(0, alpha, 2),
+    lambda alpha: h2_classes(alpha.sub, 2),
+], ids=["is_cohomologous", "class_order", "galois_character", "h2_classes"])
+def test_a_corrupted_witness_is_caught(monkeypatch, query):
+    # every query finds a witness here, so each must reach the one check
+    solve = twisted.solve_in_image
+
+    def corrupted(image, b, n_vars, M):
+        x = solve(image, b, n_vars, M)
+        return None if x is None else ((x[0] + 1) % M,) + x[1:]
+
+    monkeypatch.setattr(twisted, "solve_in_image", corrupted)
+    alpha = helpers.build_pauli().alpha.embedded(4)
+    with pytest.raises(InternalError, match="^coboundary witness failed verification$"):
+        query(alpha)
 
 
 def test_cocycle_condition_holds(alpha_pauli, alpha_inner):
@@ -362,6 +420,7 @@ def test_derived_tables_pass_the_full_check(data):
         alpha = shift_by_coboundary(
             rng.choice(classes), [0] + [rng.randrange(m) for _ in range(sub.order - 1)])
         alpha.embedded(m * rng.choice((1, 2, sub_exponent(sub))))
+        alpha.embedded(m * sub_exponent(sub))
         for j in range(1, m):
             if gcd(j, m) == 1:
                 galois_twist(alpha, j)
