@@ -4,12 +4,14 @@ A presentation (G, H, alpha, tuple) realizes the algebra F^alpha H (x) M_n(F)
 with basis u_h (x) e_ij and the elementary grading deg(u_h (x) e_ij) =
 g_i^-1 h g_j.  This module builds the algebra, multiplies sparse elements
 exactly, answers block-relation queries with explicit bridge elements, and
-emits subfield-rational generating sets together with a span verification.
+emits subfield-rational generating sets together with a span verification:
+the k-span of the generators, closed under left multiplication by them, is
+measured in one echelon of integer rows over Q, which also decides whether
+it spans the algebra over the cyclotomic field.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .config import CAPS
 from .cyclo import CycScalar, SubfieldDescriptor, as_cyc, phi
@@ -575,9 +577,14 @@ def _span_report(algebra: GradedAlgebra, field: SubfieldDescriptor,
                  descent_enforced: bool) -> KFormReport:
     """Close the k-span of the generators under multiplication and measure it.
 
-    The closure is a k-subspace by construction, so its Q-dimension is a
-    multiple of [k:Q]; the report compares the k-dimension against dim_F A
-    and checks that the closure spans A over the cyclotomic field.
+    The k-span V of all words in the generators is closed under left
+    multiplication by the generators, so each new basis element x queues
+    only g * x for g in gens. Elements enter one echelon over Q as integer
+    rows (the power-basis numerators at modulus big over one common
+    denominator), reduced fraction-free as in Bareiss (1968). V is a
+    k-subspace, so its Q-dimension is a multiple of [k:Q]. F V = A exactly
+    when the multiples zeta_big^t x (t < phi(big)) of the basis of V reach
+    Q-dimension dim_F A * phi(big) in the same echelon.
     """
     slot = {key: idx for idx, key in enumerate(sorted(
         (h, i, j) for h in algebra.sub.elements
@@ -588,28 +595,29 @@ def _span_report(algebra: GradedAlgebra, field: SubfieldDescriptor,
             big = lcm(big, c.modulus)
     width = phi(big)
 
-    def qvec(x: AlgElement) -> dict[int, Fraction]:
-        out: dict[int, Fraction] = {}
-        for key, c in x.terms.items():
-            base = slot[key] * width
-            for t, q in enumerate(c._promoted(big).coeffs):
-                if q:
-                    out[base + t] = q
-        return out
+    def row(x: AlgElement) -> dict[int, int]:
+        cs = [(slot[key] * width, c._promoted(big)) for key, c in x.terms.items()]
+        den = lcm(*(c.den for _, c in cs))
+        return {base + t: v * (den // c.den)
+                for base, c in cs for t, v in enumerate(c.nums) if v}
 
-    def reduce_q(vec: dict[int, Fraction], ech: dict) -> dict[int, Fraction]:
+    ech: dict[int, dict[int, int]] = {}
+
+    def insert(vec: dict[int, int]) -> bool:
+        """Reduce vec against ech (vec := a * vec - b * row, over the content
+        of the result); a nonzero remainder becomes a primitive pivot row."""
         while vec:
             piv = min(vec)
-            if piv not in ech:
-                return vec
-            coef = vec[piv]
-            for idx, val in ech[piv].items():
-                nv = vec.get(idx, Fraction(0)) - coef * val
-                if nv:
-                    vec[idx] = nv
-                else:
-                    vec.pop(idx, None)
-        return vec
+            prow = ech.get(piv)
+            if prow is None:
+                g = gcd(*vec.values())
+                ech[piv] = {i: v // g for i, v in vec.items()}
+                return True
+            a, b = prow[piv], vec[piv]
+            vec = {i: a * vec.get(i, 0) - b * prow.get(i, 0) for i in vec.keys() | prow.keys()}
+            g = gcd(*vec.values())
+            vec = {i: v // g for i, v in vec.items() if v}
+        return False
 
     k_basis = []
     for a in range(field.n):
@@ -619,51 +627,24 @@ def _span_report(algebra: GradedAlgebra, field: SubfieldDescriptor,
         if not acc.is_zero():
             k_basis.append(acc)
 
-    ech: dict[int, dict[int, Fraction]] = {}
-    basis_elems: list[AlgElement] = []
+    basis: list[AlgElement] = []
     queue = [g.scaled(kb) for kb in k_basis for g in gens]
     while queue:
         x = queue.pop()
-        if x.is_zero():
-            continue
-        vec = reduce_q(qvec(x), ech)
-        if not vec:
-            continue
-        piv = min(vec)
-        inv = Fraction(1) / vec[piv]
-        ech[piv] = {i: v * inv for i, v in vec.items()}
-        basis_elems.append(x)
-        for b in basis_elems:
-            queue.append(multiply(b, x))
-            if b is not x:
-                queue.append(multiply(x, b))
+        if x.terms and insert(row(x)):
+            basis.append(x)
+            queue.extend(multiply(g, x) for g in gens)
 
-    rank = len(basis_elems)
     k_deg = field.degree_over_q()
-    if rank % k_deg:
+    if len(basis) % k_deg:
         raise InternalError("closure is not a module over the subfield")
-    k_dim = rank // k_deg
+    k_dim = len(basis) // k_deg
 
-    cech: dict[int, dict] = {}
-    f_rank = 0
-    for x in basis_elems:
-        vec = {slot[key]: c for key, c in x.terms.items()}
-        while vec:
-            piv = min(vec)
-            if piv not in cech:
-                inv = vec[piv].inverse()
-                cech[piv] = {i: v * inv for i, v in vec.items()}
-                f_rank += 1
-                break
-            coef = vec[piv]
-            for idx, val in cech[piv].items():
-                nv = vec.get(idx, CycScalar.zero()) - coef * val
-                if nv.is_zero():
-                    vec.pop(idx, None)
-                else:
-                    vec[idx] = nv
+    for x in basis:
+        for t in range(1, width):
+            insert(row(x.scaled(CycScalar.from_root(big, t))))
 
     expected = algebra.dim
-    f_full = f_rank == expected
+    f_full = len(ech) == expected * width
     return KFormReport(mode, k_dim, expected, f_full, tuple(slot_units),
                        descent_enforced, k_dim == expected and f_full)

@@ -7,7 +7,8 @@ columns and greedy reduction sound over a non-field. One echelon of (A^T | I)
 answers kernel and solve queries for A alike (split_echelon), and its image
 part can be kept and reduced against for every right-hand side. snf is
 integer Smith normal form with the left transform and its inverse tracked,
-used for quotient representatives.
+used for quotient representatives. The echelon runs in int64, so its
+modulus must be below 2**31.
 """
 
 from __future__ import annotations
@@ -38,6 +39,8 @@ def howell_echelon(rows, M: int) -> list[tuple[int, ...]]:
     """Echelon generating set of the Z/M row module spanned by `rows`."""
     if M < 1:
         raise PreconditionError("modulus must be positive")
+    if M >= 2 ** 31:  # the int64 steps below reach 2 * M**2
+        raise PreconditionError("modulus must be below 2**31")
     if M == 1:
         return []
     queue = [np.asarray(r, dtype=np.int64) % M for r in rows]

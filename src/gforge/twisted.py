@@ -112,8 +112,10 @@ def _scaled(alpha: Cocycle, k: int, m: int) -> Cocycle:
 
 def make_cocycle(sub: SubgroupData, modulus: int, exps) -> Cocycle:
     _check_modulus(modulus)
-    table = tuple(tuple(int(e) % modulus for e in row) for row in exps)
-    return Cocycle(sub, modulus, table)
+    rows = [tuple(row) for row in exps]
+    if not all_ints(rows):
+        raise CocycleError("exponents must be integers")
+    return Cocycle(sub, modulus, tuple(tuple(e % modulus for e in row) for row in rows))
 
 
 def trivial_cocycle(sub: SubgroupData, modulus: int = 1) -> Cocycle:
@@ -297,7 +299,10 @@ def lift_unit(j: int, n: int, m: int) -> int:
 def shift_by_coboundary(alpha: Cocycle, f) -> Cocycle:
     """beta(h1, h2) = alpha(h1, h2) + f(h1) + f(h2) - f(h1 h2)."""
     m, sub = alpha.modulus, alpha.sub
-    f = [int(x) % m for x in f]
+    f = list(f)
+    if not all_ints([f]):
+        raise PreconditionError("coboundary values must be integers")
+    f = [x % m for x in f]
     if len(f) != sub.order:
         raise PreconditionError("coboundary vector length must match the subgroup")
     if f[0]:

@@ -13,7 +13,7 @@ import numpy as np
 
 from gforge.cyclo import (CycScalar, SubfieldDescriptor, _power_rows,
                           cyclotomic_polynomial, phi)
-from gforge.algebra import AlgElement
+from gforge.algebra import AlgElement, KFormReport, multiply
 from gforge.errors import InternalError, PreconditionError
 from gforge.groups import (Group, SubgroupData, cyclic, dihedral,
                            direct_product, semidirect_product)
@@ -485,6 +485,103 @@ def multiply_pairwise(x, y) -> dict:
             c = RefScalar.of(ca) * RefScalar.of(cb) * RefScalar.from_root(m, alpha.value(a, b))
             acc[key] = acc[key] + c if key in acc else c
     return {k: v for k, v in acc.items() if any(v.coeffs)}
+
+
+def span_report_pairwise(algebra, field: SubfieldDescriptor, gens: tuple,
+                         mode: str, slot_units: tuple,
+                         descent_enforced: bool) -> KFormReport:
+    """algebra._span_report as it was before the integer echelon: the k-span
+    is closed by both-sided products of every new basis element with every
+    earlier one, in an echelon of Fraction vectors, and the F-span is read
+    off a second echelon over the cyclotomic scalars themselves."""
+    slot = {key: idx for idx, key in enumerate(sorted(
+        (h, i, j) for h in algebra.sub.elements
+        for i in range(algebra.size) for j in range(algebra.size)))}
+    big = field.n
+    for g in gens:
+        for c in g.terms.values():
+            big = lcm(big, c.modulus)
+    width = phi(big)
+
+    def qvec(x: AlgElement) -> dict[int, Fraction]:
+        out: dict[int, Fraction] = {}
+        for key, c in x.terms.items():
+            base = slot[key] * width
+            for t, q in enumerate(c._promoted(big).coeffs):
+                if q:
+                    out[base + t] = q
+        return out
+
+    def reduce_q(vec: dict[int, Fraction], ech: dict) -> dict[int, Fraction]:
+        while vec:
+            piv = min(vec)
+            if piv not in ech:
+                return vec
+            coef = vec[piv]
+            for idx, val in ech[piv].items():
+                nv = vec.get(idx, Fraction(0)) - coef * val
+                if nv:
+                    vec[idx] = nv
+                else:
+                    vec.pop(idx, None)
+        return vec
+
+    k_basis = []
+    for a in range(field.n):
+        acc = CycScalar.zero()
+        for u in field.units:
+            acc = acc + CycScalar.from_root(field.n, (a * u) % field.n)
+        if not acc.is_zero():
+            k_basis.append(acc)
+
+    ech: dict[int, dict[int, Fraction]] = {}
+    basis_elems: list[AlgElement] = []
+    queue = [g.scaled(kb) for kb in k_basis for g in gens]
+    while queue:
+        x = queue.pop()
+        if x.is_zero():
+            continue
+        vec = reduce_q(qvec(x), ech)
+        if not vec:
+            continue
+        piv = min(vec)
+        inv = Fraction(1) / vec[piv]
+        ech[piv] = {i: v * inv for i, v in vec.items()}
+        basis_elems.append(x)
+        for b in basis_elems:
+            queue.append(multiply(b, x))
+            if b is not x:
+                queue.append(multiply(x, b))
+
+    rank = len(basis_elems)
+    k_deg = field.degree_over_q()
+    if rank % k_deg:
+        raise InternalError("closure is not a module over the subfield")
+    k_dim = rank // k_deg
+
+    cech: dict[int, dict] = {}
+    f_rank = 0
+    for x in basis_elems:
+        vec = {slot[key]: c for key, c in x.terms.items()}
+        while vec:
+            piv = min(vec)
+            if piv not in cech:
+                inv = vec[piv].inverse()
+                cech[piv] = {i: v * inv for i, v in vec.items()}
+                f_rank += 1
+                break
+            coef = vec[piv]
+            for idx, val in cech[piv].items():
+                nv = vec.get(idx, CycScalar.zero()) - coef * val
+                if nv.is_zero():
+                    vec.pop(idx, None)
+                else:
+                    vec[idx] = nv
+
+    expected = algebra.dim
+    f_full = f_rank == expected
+    return KFormReport(mode, k_dim, expected, f_full, tuple(slot_units),
+                       descent_enforced, k_dim == expected and f_full)
 
 
 def gathered_pmul(sub: SubgroupData) -> np.ndarray:

@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gforge.algebra import (RELATED_DISTINCT, SAME_BLOCK, UNRELATED,
+from gforge import algebra as algebra_mod
+from gforge.algebra import (MODES, RELATED_DISTINCT, SAME_BLOCK, UNRELATED,
                             GradedAlgebra, bridge, build_k_form, multiply,
                             relate, twisted_group_algebra)
 from gforge.cyclo import CycScalar, as_cyc
-from gforge.errors import (CapExceeded, PreconditionError, PresentationError)
+from gforge.errors import (CapExceeded, GForgeError, PreconditionError,
+                           PresentationError)
 from gforge.groups import cyclic, dihedral, direct_product, SubgroupData
 from gforge.twisted import h2_classes, shift_by_coboundary, trivial_cocycle
 from gforge.presentation import Presentation, normalize
@@ -317,3 +319,81 @@ def test_k_form_shifted_m4_class_promotion_fault(f):
 def test_k_form_shifted_m4_class(f):
     rep = build_k_form(_k4_m4_normal_form(f)).report
     assert rep.ok and rep.k_dim == 4
+
+
+# differential tests of _span_report against the pairwise closure with the
+# Fraction and cyclotomic echelons it replaced
+
+def _span_outcome(report_fn, args):
+    try:
+        rep = report_fn(*args)
+    except GForgeError as e:
+        return type(e)
+    return rep.k_dim, rep.f_span_full, rep.ok
+
+
+def _span_args(p, mode, monkeypatch):
+    """The arguments build_k_form passes to _span_report, or None when it
+    fails before the span check."""
+    seen = []
+    real = algebra_mod._span_report
+
+    def capture(*args):
+        seen.append(args)
+        return real(*args)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(algebra_mod, "_span_report", capture)
+        try:
+            build_k_form(p, mode)
+        except GForgeError:
+            pass
+    return seen[0] if seen else None
+
+
+def _span_cases():
+    for name, build in sorted(helpers.CORPUS_BUILDERS.items()):
+        yield name, lambda build=build: normalize(build())
+    for f in ([0, 1, 0, 2], [0, 3, 1, 3], [0, 0, 1, 0], [0, 2, 2, 0]):
+        yield f"k4-m4-{f}", lambda f=f: _k4_m4_normal_form(f)
+    for seed in range(3):
+        for m in sorted(helpers.PATTERN_SUBGROUPS):
+            def shifted(seed=seed, m=m):
+                rng = random.Random(f"span:{seed}:{m}")
+                mults = [rng.randint(1, 2) for _ in range(rng.randint(1, 2))]
+                return normalize(helpers.pattern_presentation(rng, m, mults))
+            yield f"pattern-{m}-{seed}", shifted
+
+
+SPAN_CASES = dict(_span_cases())
+
+
+@pytest.mark.parametrize("name", SPAN_CASES)
+def test_span_report_matches_pairwise_closure(name, monkeypatch):
+    p = SPAN_CASES[name]()
+    for mode in MODES:
+        args = _span_args(p, mode, monkeypatch)
+        if args is None:
+            continue
+        # every other generator as well: spans that do not close at dim_F A
+        # or do not span A over F
+        algebra, field, gens, *rest = args
+        for sub_args in (args, (algebra, field, gens[::2], *rest)):
+            want = _span_outcome(helpers.span_report_pairwise, sub_args)
+            assert _span_outcome(algebra_mod._span_report, sub_args) == want, mode
+
+
+@pytest.mark.parametrize("name", ["pauli", "swap"])
+def test_span_closure_multiplies_only_generator_by_new_element(corpus, name, monkeypatch):
+    calls = []
+    real = algebra_mod.multiply
+
+    def counted(x, y):
+        calls.append(1)
+        return real(x, y)
+
+    monkeypatch.setattr(algebra_mod, "multiply", counted)
+    res = build_k_form(corpus[name])
+    assert res.report.ok
+    k_deg = res.field.degree_over_q()
+    assert len(calls) == len(res.generators) * res.report.k_dim * k_deg

@@ -262,3 +262,19 @@ def test_oversized_integers_are_a_precondition(capsys, tmp_path, edit, reason):
     f = _write_variant(tmp_path, "pauli.json", edit)
     code, rep = run_json(capsys, "validate", "--input", f)
     assert code == 2 and rep == {"error": "precondition", "reason": reason}
+
+
+def test_cohomology_modulus_above_the_echelon_limit(capsys, tmp_path):
+    # a random coboundary at modulus 2**40 + 15: the solve at
+    # M = 2 * (2**40 + 15) is refused rather than overflowing int64
+    m = 2 ** 40 + 15
+    f = [0, 123456789012, 987654321098, 555555555555]
+
+    def coboundary(doc):
+        table = doc["group"]["table"]
+        doc["cocycle"] = {"modulus": m, "exps": [
+            [(f[i] + f[j] - f[table[i][j]]) % m for j in range(4)] for i in range(4)]}
+    path_ = _write_variant(tmp_path, "pauli.json", coboundary)
+    code, rep = run_json(capsys, "invariants", "--input", path_)
+    assert code == 2 and rep == {"error": "precondition",
+                                 "reason": "modulus must be below 2**31"}

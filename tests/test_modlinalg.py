@@ -119,3 +119,10 @@ def test_degenerate_shapes():
         solve_mod([[1, 2]], [1, 2], 4)
     with pytest.raises(PreconditionError, match="modulus"):
         solve_mod([[1, 2]], [1], 0)
+
+
+def test_howell_echelon_modulus_limit():
+    M = 2 ** 31 - 1
+    assert howell_echelon([[M - 1, 1], [1, M - 1]], M) == [(1, M - 1)]
+    with pytest.raises(PreconditionError, match=r"^modulus must be below 2\*\*31$"):
+        howell_echelon([[1, 1]], 2 ** 31)

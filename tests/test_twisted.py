@@ -75,6 +75,56 @@ def test_cocycle_modulus_just_below_the_int64_limit():
     assert alpha.value(1, 1) == big - 1
 
 
+@pytest.mark.parametrize("exps", [
+    [[0, 0], [0, 1.5]],
+    [[0, 0], [0, "1"]],
+    [[0, 0], [0, True]],
+], ids=["float", "str", "bool"])
+def test_make_cocycle_does_not_coerce_exponents(exps):
+    sub = SubgroupData(cyclic(2), (0, 1))
+    with pytest.raises(CocycleError, match="^exponents must be integers$"):
+        make_cocycle(sub, 2, exps)
+
+
+@pytest.mark.parametrize("f", [
+    [0, 1.5, 0, 0],
+    [0, "1", 0, 0],
+    [0, True, 0, 0],
+], ids=["float", "str", "bool"])
+def test_shift_by_coboundary_does_not_coerce_values(alpha_pauli, f):
+    with pytest.raises(PreconditionError, match="^coboundary values must be integers$"):
+        shift_by_coboundary(alpha_pauli, f)
+
+
+def _random_coboundary(sub, m, seed):
+    rng = random.Random(seed)
+    f = [0] + [rng.randrange(m) for _ in range(sub.order - 1)]
+    return shift_by_coboundary(trivial_cocycle(sub, m), f)
+
+
+@pytest.mark.parametrize("query", [
+    lambda alpha: is_cohomologous(alpha, trivial_cocycle(alpha.sub)),
+    class_order,
+], ids=["is_cohomologous", "class_order"])
+def test_cohomology_modulus_above_the_echelon_limit(alpha_pauli, query):
+    # M = 2 * (2**40 + 15) would overflow the int64 Howell echelon
+    alpha = _random_coboundary(alpha_pauli.sub, 2 ** 40 + 15, 1)
+    with pytest.raises(PreconditionError, match=r"^modulus must be below 2\*\*31$"):
+        query(alpha)
+
+
+def test_cohomology_modulus_just_below_the_echelon_limit(alpha_pauli):
+    # M = 2 * (2**30 - 1) = 2**31 - 2, the largest the echelon takes here
+    m = 2 ** 30 - 1
+    sub = alpha_pauli.sub
+    alpha, beta = (_random_coboundary(sub, m, seed) for seed in (1, 2))
+    ok, f, M = is_cohomologous(alpha, trivial_cocycle(sub))
+    assert ok and M == 2 ** 31 - 2
+    assert shift_by_coboundary(alpha.embedded(M), f).exps == trivial_cocycle(sub, M).exps
+    assert is_cohomologous(alpha, beta)[0]
+    assert class_order(alpha) == 1
+
+
 @pytest.mark.parametrize("call", [
     lambda alpha: lift_unit(1, 0, 4),
     lambda alpha: lift_unit(1, 2, 0),
