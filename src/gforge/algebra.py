@@ -408,18 +408,10 @@ def build_k_form(p: Presentation, mode: str = "corrected",
     tau = tuple(sorted({sub.coset_id_of[x] for x in t_elems}))
     t_len = len(tau)
 
-    s_sub = SubgroupData(grp, chain.S)
-    s_index = s_sub.order // sub.order
-    by_scoset: dict[int, list[tuple[int, int]]] = {}
-    for cid, mult in p.lam.counts:
-        by_scoset.setdefault(s_sub.coset_id_of[cid], []).append((cid, mult))
-    b_seq = []
-    for sid in sorted(by_scoset):
-        hits = by_scoset[sid]
-        mults = {m for _, m in hits}
-        if len(hits) != s_index or len(mults) != 1:
-            raise InternalError("tuple does not factor along S")
-        b_seq.extend([sid] * mults.pop())
+    s_blocks = p.lam.blocks_along(chain.S)
+    if s_blocks is None:
+        raise InternalError("tuple does not factor along S")
+    b_seq = [sid for sid in sorted(s_blocks) for _ in range(s_blocks[sid])]
     r = len(b_seq)
 
     def pos(i: int, c: int, d: int) -> int:

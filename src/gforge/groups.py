@@ -133,7 +133,10 @@ class SubgroupData:
                  "_pmul", "coboundary_echelons")
 
     def __init__(self, group: Group, elems):
-        elements = tuple(sorted(set(int(x) for x in elems)))
+        elements = tuple(elems)
+        if not all_ints([elements]):
+            raise GroupError("subgroup elements must be integers")
+        elements = tuple(sorted(set(elements)))
         bad = [x for x in elements if not 0 <= x < group.order]
         if bad:
             raise GroupError(f"subgroup elements out of range: {bad}")
@@ -227,6 +230,26 @@ class CosetMultiset:
     def matches(self, other: "CosetMultiset") -> bool:
         """Equality across distinct SubgroupData objects with the same elements."""
         return self.sub.elements == other.sub.elements and self.counts == other.counts
+
+    def blocks_along(self, u_elems) -> dict[int, int] | None:
+        """{U-coset id: d} when each U-coset the multiset meets holds all [U:H]
+        of its H-cosets with one multiplicity d, ids being least elements as in
+        SubgroupData; None otherwise, also when the subgroup U does not contain H."""
+        sub = self.sub
+        u_set = set(u_elems)
+        if not sub.eset <= u_set:
+            return None
+        cid, mul = sub.coset_id_of, sub.group._mul
+        # U*c is the union of the H-cosets H*r*c over one r per H-coset in U
+        reps = {cid[u] for u in u_set}
+        counts = dict(self.counts)
+        blocks: dict[int, int] = {}
+        for c, d in self.counts:
+            hits = [cid[mul[r][c]] for r in reps]
+            if any(counts.get(x) != d for x in hits):
+                return None
+            blocks[min(hits)] = d
+        return blocks
 
     def uniform_multiplicity(self) -> int | None:
         """Common multiplicity if every H-coset of the parent group appears equally."""

@@ -608,6 +608,9 @@ def build_witness(algebra: GradedAlgebra) -> WitnessBundle:
     element, and blocks are joined by least-index lemma-compliant bridges.
     The product starts and ends with an extra non-designated e-element.
     """
+    # a block walk covers the e-basis only when each coset has one entry
+    if len(set(algebra.entries)) != len(algebra.presentation.lam.counts):
+        raise PreconditionError("tuple uses two representatives of one coset")
     d_e = algebra.dims.get(0, 0)
     if d_e > CAPS.designated:
         raise CapExceeded(

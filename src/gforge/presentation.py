@@ -12,6 +12,8 @@ Galois data and minimal field, tuple derivatives, and isomorphism testing.
 K is computed three independent ways (multiset stabilizer, coset-frequency
 preservation, literal factoring of the multiset) and the results are cross
 checked at runtime; a mismatch raises InternalError rather than guessing.
+The factoring check and the K blocks of the normal form go through
+CosetMultiset.blocks_along, which reads the group table and builds no subgroup.
 The root-of-unity data comes from cohomology solves over Z/M with
 M = modulus * exp(H): n is the order of the class of alpha, N collects the
 normalizer elements g with alpha^g ~ j * alpha for a unit j mod n, and that
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 from .config import CAPS
 from .cyclo import SubfieldDescriptor
 from .errors import InternalError, PreconditionError, PresentationError
-from .groups import CosetMultiset, Group, SubgroupData
+from .groups import CosetMultiset, Group, SubgroupData, all_ints
 from .twisted import (
     Cocycle,
     class_order,
@@ -48,7 +50,9 @@ class Presentation:
     entries: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(int(x) for x in self.entries))
+        object.__setattr__(self, "entries", tuple(self.entries))
+        if not all_ints([self.entries]):
+            raise PresentationError("tuple entries must be integers")
         if self.sub.group is not self.group:
             raise PresentationError("subgroup must live in the ambient group")
         if self.alpha.sub is not self.sub:
@@ -134,8 +138,11 @@ def apply_move(p: Presentation, move: dict) -> Presentation:
                                          gHg^-1 and alpha accordingly.
     """
     kind = move.get("type")
+    for key in ("pos", "h") if kind == "entry" else ("g",) if kind == "translate" else ():
+        if type(move.get(key)) is not int:
+            raise PreconditionError(f"move field {key!r} must be an integer")
     if kind == "entry":
-        pos, h = int(move["pos"]), int(move["h"])
+        pos, h = move["pos"], move["h"]
         if not 0 <= pos < len(p.entries):
             raise PreconditionError(f"position {pos} out of range")
         if not p.sub.contains(h):
@@ -144,13 +151,15 @@ def apply_move(p: Presentation, move: dict) -> Presentation:
         entries[pos] = p.group.mul(h, entries[pos])
         return Presentation(p.group, p.sub, p.alpha, tuple(entries))
     if kind == "permute":
-        perm = tuple(int(x) for x in move["perm"])
+        perm = move.get("perm")
+        if not isinstance(perm, (list, tuple)) or not all_ints([perm]):
+            raise PreconditionError("move field 'perm' must be a list of integers")
         if sorted(perm) != list(range(len(p.entries))):
             raise PreconditionError("not a permutation of the tuple positions")
         return Presentation(p.group, p.sub, p.alpha,
                             tuple(p.entries[i] for i in perm))
     if kind == "translate":
-        g = int(move["g"])
+        g = move["g"]
         if not 0 <= g < p.group.order:
             raise PreconditionError(f"element {g} out of range")
         entries = tuple(p.group.mul(g, x) for x in p.entries)
@@ -167,31 +176,6 @@ def related_reps(grp: Group, sub: SubgroupData, a: int, b: int) -> bool:
     return any(grp.mul(grp.mul(ai, h), b) in sub.eset for h in sub.elements)
 
 
-def _factors_along(grp: Group, sub: SubgroupData, lam: CosetMultiset, u_elems) -> bool:
-    """Is lam exactly (subgroup cosets of U) x (one coset per U-coset hit)?"""
-    u_set = set(u_elems)
-    if not sub.eset <= u_set:
-        return False
-    u_sub = SubgroupData(grp, u_set)
-    counts = dict(lam.counts)
-    by_ucoset: dict[int, list[int]] = {}
-    for cid in counts:
-        by_ucoset.setdefault(u_sub.coset_id_of[cid], []).append(cid)
-    u_reps = sorted({sub.coset_id_of[u] for u in u_set})
-    rebuilt: dict[int, int] = {}
-    for uc in by_ucoset:
-        mults = {counts[c] for c in by_ucoset[uc]}
-        if len(mults) != 1:
-            return False
-        d = mults.pop()
-        for u in u_reps:
-            c = sub.coset_id_of[grp.mul(u, uc)]
-            if c in rebuilt:
-                return False
-            rebuilt[c] = d
-    return rebuilt == counts
-
-
 def compute_KNS(p: Presentation, word_bound: int | None = None) -> InvariantChain:
     L = CAPS.word_bound if word_bound is None else int(word_bound)
     grp, sub, lam = p.group, p.sub, p.lam
@@ -203,15 +187,16 @@ def compute_KNS(p: Presentation, word_bound: int | None = None) -> InvariantChai
         if all(lam.multiplicity(grp.mul(g, b)) == lam.multiplicity(b)
                for b in sub.transversal)
     )
+    if not grp.is_subgroup(k_stab):
+        raise InternalError("the stabilizer K is not closed under multiplication")
     k_set = set(k_stab)
-    factored = _factors_along(grp, sub, lam, k_set)
+    factored = lam.blocks_along(k_set) is not None
     maximal = all(
-        not _factors_along(grp, sub, lam, grp.closure(k_stab + (g,)))
+        lam.blocks_along(grp.closure(k_stab + (g,))) is None
         for g in ngh if g not in k_set
     )
     if not (k_set == set(k_freq) and factored and maximal):
         raise InternalError("stabilizer, frequency, and factoring disagree on K")
-    SubgroupData(grp, k_stab)  # certifies closure
 
     n = class_order(p.alpha)
     coset_char: dict[int, int | None] = {}
@@ -255,29 +240,22 @@ def _factored_form(grp: Group, sub: SubgroupData, lam: CosetMultiset,
     classes, then nonsingletons; within a category larger multiplicities
     first and ties by element index.
     """
-    k_sub = SubgroupData(grp, k_set)
-    counts = dict(lam.counts)
     ucosets = sorted({sub.coset_id_of[k] for k in k_set})
     u_s = [c for c in ucosets if c in s_set and c != 0]
     u_rest = [c for c in ucosets if c not in s_set]
     ufactor = (0, *u_s, *u_rest)
 
-    by_kcoset: dict[int, list[int]] = {}
-    for cid in counts:
-        by_kcoset.setdefault(k_sub.coset_id_of[cid], []).append(cid)
-    if 0 not in by_kcoset:
+    blocks = lam.blocks_along(k_set)
+    if blocks is None:
+        raise InternalError("multiset does not factor along K")
+    if 0 not in blocks:
         raise InternalError("identity coset missing from a normalized multiset")
-    support = list(counts)
     ngh_set = set(sub.normalizer)
     tail = []
-    for kc, hcosets in by_kcoset.items():
-        mults = {counts[c] for c in hcosets}
-        if len(mults) != 1 or len(hcosets) != k_sub.order // sub.order:
-            raise InternalError("multiset does not factor along K")
-        d = mults.pop()
+    for kc, d in blocks.items():
         if kc == 0:
             continue
-        class_size = sum(1 for c in support if related_reps(grp, sub, kc, c))
+        class_size = sum(1 for c, _ in lam.counts if related_reps(grp, sub, kc, c))
         if kc in ngh_set:
             if class_size != 1:
                 raise InternalError("normalizing representative in a wide class")
@@ -286,7 +264,7 @@ def _factored_form(grp: Group, sub: SubgroupData, lam: CosetMultiset,
             cat = 1 if class_size == 1 else 2
         tail.append((cat, -d, kc))
     tail.sort()
-    core = ((0, counts[0]),) + tuple((kc, -negd) for _, negd, kc in tail)
+    core = ((0, blocks[0]),) + tuple((kc, -negd) for _, negd, kc in tail)
     return ufactor, core
 
 
@@ -377,7 +355,9 @@ def classify(p: Presentation, word_bound: int | None = None) -> ClassificationFl
 
 def pointwise_derivative(p: Presentation, h_tuple) -> tuple[int, ...]:
     """(g_1^-1 h_1 g_2, g_2^-1 h_2 g_3, ..., g_n^-1 h_n g_1)."""
-    h_tuple = tuple(int(x) for x in h_tuple)
+    h_tuple = tuple(h_tuple)
+    if not all_ints([h_tuple]):
+        raise PreconditionError("derivative direction entries must be integers")
     if len(h_tuple) != len(p.entries):
         raise PreconditionError("derivative direction must match the tuple length")
     for h in h_tuple:

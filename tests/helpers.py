@@ -15,8 +15,8 @@ from gforge.cyclo import (CycScalar, SubfieldDescriptor, _power_rows,
                           cyclotomic_polynomial, phi)
 from gforge.algebra import AlgElement, KFormReport, multiply
 from gforge.errors import InternalError, PreconditionError
-from gforge.groups import (Group, SubgroupData, cyclic, dihedral,
-                           direct_product, semidirect_product)
+from gforge.groups import (CosetMultiset, Group, SubgroupData, cyclic,
+                           dihedral, direct_product, semidirect_product)
 from gforge.identities import IdentityReport, linearize
 from gforge.modlinalg import kernel_mod, xgcd
 from gforge.presentation import Presentation
@@ -157,8 +157,38 @@ def random_move(rng: random.Random, p: Presentation) -> dict:
     return {"type": "translate", "g": rng.randrange(p.group.order)}
 
 
-# Reference implementations kept as differential oracles for the direct
-# cohomology computations in gforge.twisted and gforge.presentation.
+# Reference implementations kept as differential oracles for the coset
+# factoring of gforge.groups and the direct cohomology computations in
+# gforge.twisted and gforge.presentation.
+
+def factors_along_by_subgroup(grp: Group, sub: SubgroupData, lam: CosetMultiset,
+                              u_elems) -> bool:
+    """Is lam exactly (subgroup cosets of U) x (one coset per U-coset hit)?
+
+    Builds a SubgroupData for U and groups lam by its coset ids; the
+    reference for CosetMultiset.blocks_along."""
+    u_set = set(u_elems)
+    if not sub.eset <= u_set:
+        return False
+    u_sub = SubgroupData(grp, u_set)
+    counts = dict(lam.counts)
+    by_ucoset: dict[int, list[int]] = {}
+    for cid in counts:
+        by_ucoset.setdefault(u_sub.coset_id_of[cid], []).append(cid)
+    u_reps = sorted({sub.coset_id_of[u] for u in u_set})
+    rebuilt: dict[int, int] = {}
+    for uc in by_ucoset:
+        mults = {counts[c] for c in by_ucoset[uc]}
+        if len(mults) != 1:
+            return False
+        d = mults.pop()
+        for u in u_reps:
+            c = sub.coset_id_of[grp.mul(u, uc)]
+            if c in rebuilt:
+                return False
+            rebuilt[c] = d
+    return rebuilt == counts
+
 
 def _word_arrays(alpha: Cocycle, L: int):
     """Exponent mod m, product position and letter-multiset code of every

@@ -108,8 +108,17 @@ def test_c02_three_characterizations_agree():
                 g for g in ngh
                 if all(lam.multiplicity(grp.mul(g, b)) == lam.multiplicity(b)
                        for b in sub.transversal))
-            factoring = [u for u in _subgroups_over(grp, sub.elements, ngh)
-                         if _factors_along_greedy(grp, sub, lam, u)]
+            factoring = []
+            for u in _subgroups_over(grp, sub.elements, ngh):
+                blocks = lam.blocks_along(u)
+                assert ((blocks is not None)
+                        == helpers.factors_along_by_subgroup(grp, sub, lam, u)
+                        == _factors_along_greedy(grp, sub, lam, u))
+                if blocks is not None:
+                    # each U-block holds [U:H] cosets of one multiplicity
+                    index = len(u) // sub.order
+                    assert sum(blocks.values()) * index == lam.total()
+                    factoring.append(u)
             k_fact = max(factoring, key=len)
             # the factoring subgroups have a unique maximal element
             assert all(set(u) <= set(k_fact) for u in factoring)

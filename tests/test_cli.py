@@ -153,6 +153,21 @@ def test_witness_cap(capsys):
     assert "designated set of size 16" in rep["reason"]
 
 
+def test_witness_rejects_two_representatives_of_one_coset(capsys, tmp_path):
+    # C4 with H = {0, 2}: entries 0 and 2 are distinct members of one coset
+    doc = {"group": {"order": 4, "table": [[(a + b) % 4 for b in range(4)]
+                                            for a in range(4)]},
+           "subgroup": [0, 2],
+           "cocycle": {"modulus": 1, "exps": [[0, 0], [0, 0]]},
+           "tuple": [0, 1, 2]}
+    f = tmp_path / "c4.json"
+    f.write_text(json.dumps(doc))
+    code, rep = run_json(capsys, "witness", "--input", str(f))
+    assert code == 2 and rep == {
+        "error": "precondition",
+        "reason": "tuple uses two representatives of one coset"}
+
+
 def test_h2_command(capsys):
     code, rep = run_json(capsys, "h2", "--input", path("h2_z2z2.json"))
     assert code == 0

@@ -57,6 +57,12 @@ def test_table_entries_are_checked_as_python_ints(entry, message):
         Group([[0, 1], [1, entry]])
 
 
+@pytest.mark.parametrize("elems", [(0, 2.7), (0, 2.0), (0, True), (0, "2")])
+def test_subgroup_elements_are_checked_as_python_ints(elems):
+    with pytest.raises(GroupError, match="^subgroup elements must be integers$"):
+        SubgroupData(cyclic(4), elems)
+
+
 def test_from_permutations():
     s3 = from_permutations([(1, 0, 2), (0, 2, 1)])
     assert s3.order == 6
@@ -132,6 +138,19 @@ def test_coset_multiset():
     assert moved.multiplicity(3) == 2
     assert lam.matches(moved)
     assert lam != CosetMultiset.from_elements(sub, (0, 1))
+
+
+def test_blocks_along():
+    g = dihedral(3)
+    lam = CosetMultiset.from_elements(SubgroupData(g, (0,)), (0, 0, 1, 1, 3, 3, 5, 5))
+    # right cosets of {e, t} are {0, 3}, {1, 5}, {2, 4}, keyed by least element
+    assert lam.blocks_along((0, 3)) == {0: 2, 1: 2}
+    assert lam.blocks_along((0,)) == {0: 2, 1: 2, 3: 2, 5: 2}
+    assert lam.blocks_along((0, 1, 2)) is None  # the rotations miss 2
+    assert lam.blocks_along(range(6)) is None
+    one_each = CosetMultiset.from_elements(SubgroupData(g, (0, 3)), (0, 1, 2))
+    assert one_each.blocks_along(range(6)) == {0: 1}
+    assert one_each.blocks_along((0, 1, 2)) is None  # does not contain H
 
 
 def test_group_order_cap():

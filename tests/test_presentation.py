@@ -31,6 +31,62 @@ def test_presentation_validation(p_pauli):
         Presentation(p_pauli.group, p_pauli.sub, p_pauli.alpha, ())
 
 
+@pytest.mark.parametrize("entries", [(0, 1.9, True), (0, 1.0), (0, "1")])
+def test_tuple_entries_are_checked_as_python_ints(p_d6, entries):
+    with pytest.raises(PresentationError, match="^tuple entries must be integers$"):
+        Presentation(p_d6.group, p_d6.sub, p_d6.alpha, entries)
+
+
+@pytest.mark.parametrize("move, message", [
+    ({"type": "entry", "h": 0}, "move field 'pos' must be an integer"),
+    ({"type": "entry", "pos": 1.2, "h": 0}, "move field 'pos' must be an integer"),
+    ({"type": "entry", "pos": True, "h": 0}, "move field 'pos' must be an integer"),
+    ({"type": "entry", "pos": 1, "h": 0.0}, "move field 'h' must be an integer"),
+    ({"type": "permute"}, "move field 'perm' must be a list of integers"),
+    ({"type": "permute", "perm": "10234567"},
+     "move field 'perm' must be a list of integers"),
+    ({"type": "permute", "perm": [1.0, 0, 2, 3, 4, 5, 6, 7]},
+     "move field 'perm' must be a list of integers"),
+    ({"type": "translate", "g": "x"}, "move field 'g' must be an integer"),
+    ({"type": "translate"}, "move field 'g' must be an integer"),
+])
+def test_move_fields_are_checked_as_python_ints(p_d6, move, message):
+    with pytest.raises(PreconditionError, match=f"^{message}$"):
+        apply_move(p_d6, move)
+
+
+@pytest.mark.parametrize("direction", [(0, 2.5), (0, 2.0), (0, False)])
+def test_derivative_direction_is_checked_as_python_ints(p_swap_raw, direction):
+    with pytest.raises(PreconditionError,
+                       match="^derivative direction entries must be integers$"):
+        pointwise_derivative(p_swap_raw, direction)
+
+
+def test_invariant_chain_builds_no_subgroup_data(corpus, p_swap_raw, monkeypatch):
+    """compute_KNS factors the multiset with CosetMultiset.blocks_along, so
+    the only SubgroupData that normalize builds are its conjugated candidates."""
+    built, conjugated = [], []
+    init, conj = SubgroupData.__init__, SubgroupData.conjugated
+
+    def counting_init(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    def counting_conj(self, theta):
+        conjugated.append(theta)
+        return conj(self, theta)
+
+    monkeypatch.setattr(SubgroupData, "__init__", counting_init)
+    monkeypatch.setattr(SubgroupData, "conjugated", counting_conj)
+    for p in (*corpus.values(), p_swap_raw):
+        compute_KNS(p)
+        assert built == [] and conjugated == []
+        normalize_with_details(p)
+        assert conjugated and len(built) == len(conjugated)
+        built.clear()
+        conjugated.clear()
+
+
 def test_disconnected_grading_detected():
     g = cyclic(4)
     sub = SubgroupData(g, (0, 2))
