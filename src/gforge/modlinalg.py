@@ -5,10 +5,12 @@ with Howell saturation, so rows of the span with leading zeros are reachable
 from rows below; that property is what makes kernel extraction by block
 columns and greedy reduction sound over a non-field. One echelon of (A^T | I)
 answers kernel and solve queries for A alike (split_echelon), and its image
-part can be kept and reduced against for every right-hand side. snf is
-integer Smith normal form with the left transform and its inverse tracked,
-used for quotient representatives. The echelon runs in int64, so its
-modulus must be below 2**31.
+part can be kept and reduced against for every right-hand side. The same
+greedy reduction tests membership (reduce_mod) or finds the lex-least member
+of a coset of the span (reduce_least). snf is integer Smith normal form with
+the left transform and its inverse tracked, used for quotient
+representatives. The echelon runs in int64, so its modulus must be below
+2**31.
 """
 
 from __future__ import annotations
@@ -86,10 +88,10 @@ def split_echelon(a_rows, n_vars: int, M: int):
             [row[k:] for row in ech if not any(row[:k])])
 
 
-def reduce_mod(z, ech, M: int):
-    """(c, z - sum c_i ech_i) with every pivot entry of z cleared, or None if
-    one lies outside its pivot's ideal; ech is a Howell echelon sorted by
-    leading column, so z lies in its span exactly when the remainder is 0."""
+def _reduce(z, ech, M: int, least: bool):
+    """Subtract multiples of the rows of ech from z, left to right, taking
+    each pivot entry of z to its least residue modulo the pivot's ideal;
+    None when that residue is not 0 unless `least` is set."""
     z = [int(x) % M for x in z]
     coeffs = []
     for g in ech:
@@ -98,14 +100,31 @@ def reduce_mod(z, ech, M: int):
             raise InternalError("zero generator in echelon basis")
         v = g[lead]
         gg = gcd(v, M)
-        if z[lead] % gg:
+        rest = z[lead] % gg
+        if rest and not least:
             return None
         mi = M // gg  # > 1, as 0 < v < M
-        ai = (z[lead] // gg) * pow(v // gg, -1, mi) % mi
+        ai = ((z[lead] - rest) // gg) * pow(v // gg, -1, mi) % mi
         if ai:
             z[lead:] = [(zz - ai * gi) % M for zz, gi in zip(z[lead:], g[lead:])]
         coeffs.append(ai)
     return coeffs, z
+
+
+def reduce_mod(z, ech, M: int):
+    """(c, z - sum c_i ech_i) with every pivot entry of z cleared, or None if
+    one lies outside its pivot's ideal; ech is a Howell echelon sorted by
+    leading column, so z lies in its span exactly when the remainder is 0."""
+    return _reduce(z, ech, M, least=False)
+
+
+def reduce_least(z, ech, M: int) -> list[int]:
+    """The lex-least member of z + span(ech) over Z/M, for ech a Howell
+    echelon sorted by leading column: the span's members that vanish before
+    a column are combinations of the rows that lead at or after it, so each
+    pivot entry in turn can only move within its pivot's ideal, and no
+    other entry can move at all."""
+    return _reduce(z, ech, M, least=True)[1]
 
 
 def kernel_mod(a_rows, n_vars: int, M: int) -> list[tuple[int, ...]]:

@@ -191,10 +191,17 @@ def compute_KNS(p: Presentation, word_bound: int | None = None) -> InvariantChai
         raise InternalError("the stabilizer K is not closed under multiplication")
     k_set = set(k_stab)
     factored = lam.blocks_along(k_set) is not None
-    maximal = all(
-        lam.blocks_along(grp.closure(k_stab + (g,))) is None
-        for g in ngh if g not in k_set
-    )
+    # <K, g> is the same subgroup for every g in one coset gK, so the scan
+    # takes one g per coset of K in N_G(H) outside K
+    scanned = set(k_set)
+    maximal = True
+    for g in ngh:
+        if g in scanned:
+            continue
+        scanned.update(grp.mul(g, k) for k in k_stab)
+        if lam.blocks_along(grp.closure(k_stab + (g,))) is not None:
+            maximal = False
+            break
     if not (k_set == set(k_freq) and factored and maximal):
         raise InternalError("stabilizer, frequency, and factoring disagree on K")
 

@@ -4,7 +4,7 @@ A Cocycle stores exponents e(h1, h2) with scalar value zeta_modulus^e; tables
 are normalized (identity row and column zero) and indexed by position in the
 sorted subgroup element list. A table is checked in full once, where it
 enters: the Cocycle constructor, make_cocycle (every parsed input) and the
-kernel solve of h2_classes; its entries are checked as Python ints before
+classes h2_classes returns; its entries are checked as Python ints before
 numpy reads them. Embedding, Galois twists, conjugation, coboundary shifts
 and scaling keep the cocycle laws, so their tables skip the check.
 Cohomology is tested over Z/M with M = modulus * exp(H): a Howell basis of
@@ -17,9 +17,18 @@ witness f it returns. The binomial ratios of F^alpha H depend only on the
 class of alpha, so the data the invariant chain needs comes from such
 reductions: the order n of the class (the ratios generate the n-th roots of
 unity), and for g normalizing H the unit j with alpha^g ~ j * alpha, which
-is the Galois character of g. The word calculus (folding a word to its
-accumulated exponent, bucketing words by multiset and product) only serves
-to exhibit explicit binomial identities.
+is the Galois character of g.
+
+h2_classes works on a generating set S of H. A normalized alpha with
+delta alpha(s, g, h) = 0 for every s in S is a cocycle, and then its values
+on S x H fix it by alpha(sg, h) = alpha(g, h) + alpha(s, gh) - alpha(s, g);
+so Z^2(H, Z/m) is the kernel of a system in |S| * (|H| - 1) unknowns. The
+classes over Z/M are the quotient Z^2 / L, with L the coboundaries over Z/M
+whose values are m-th roots of unity, and each class is represented by its
+lex-least such table, found by one reduction against a Howell basis of L.
+The word calculus (folding a word to its accumulated exponent, bucketing
+words by multiset and product) only serves to exhibit explicit binomial
+identities.
 """
 
 from __future__ import annotations
@@ -39,7 +48,8 @@ from .errors import (
     PreconditionError,
 )
 from .groups import SubgroupData, all_ints
-from .modlinalg import kernel_mod, reduce_mod, snf, solve_in_image, split_echelon
+from .modlinalg import (howell_echelon, kernel_mod, reduce_least, reduce_mod, snf,
+                        solve_in_image, split_echelon)
 
 
 def _check_modulus(m: int) -> None:
@@ -337,6 +347,12 @@ def _flat(alpha: Cocycle, M: int) -> list[int]:
     return [k * e for row in alpha.exps for e in row]
 
 
+def _delta(sub: SubgroupData, f):
+    """delta f(h_i, h_j) = f(h_i) + f(h_j) - f(h_i h_j), unreduced, row-major
+    in subgroup positions."""
+    return (fi + fj - f[p] for fi, prow in zip(f, sub.pmul) for fj, p in zip(f, prow))
+
+
 def _coboundary_witness(sub: SubgroupData, M: int, z) -> tuple[int, ...] | None:
     """f with f[identity] = 0 and delta f = z over Z/M (z a flat table), or
     None. Reduces against the image echelon of the coboundary map, built on
@@ -350,8 +366,7 @@ def _coboundary_witness(sub: SubgroupData, M: int, z) -> tuple[int, ...] | None:
     if x is None:
         return None
     f = (0,) + x
-    delta = (fi + fj - f[p] for fi, prow in zip(f, sub.pmul) for fj, p in zip(f, prow))
-    if any((d - zz) % M for d, zz in zip(delta, z)):
+    if any((d - zz) % M for d, zz in zip(_delta(sub, f), z)):
         raise InternalError("coboundary witness failed verification")
     return f
 
@@ -414,69 +429,111 @@ def galois_character(g: int, alpha: Cocycle, n: int | None = None) -> int | None
     return None
 
 
-def _raw_classes(sub: SubgroupData, m: int) -> tuple[dict, tuple[int, ...]]:
-    """Normalized cocycle tables over Z/m, one per class modulo mod-m
-    coboundaries, each mapped to its coordinates y in the product of the
-    Z/d over the returned orders d; y -> class is a group isomorphism."""
-    size = sub.order
-    nvars = size * size
-
-    def v(i, j):
-        return i * size + j
-
+def _generating_set(sub: SubgroupData) -> tuple[int, ...]:
+    """Subgroup positions S generating H, chosen greedily: the least position
+    outside the subgroup generated by those chosen so far."""
     pmul = sub.pmul
-    rows = []
-    for i in range(size):
-        for j in range(size):
-            for k in range(size):
-                row = [0] * nvars
-                for col, sign in ((v(i, j), 1), (v(pmul[i][j], k), 1),
-                                  (v(j, k), -1), (v(i, pmul[j][k]), -1)):
-                    row[col] = (row[col] + sign) % m
-                rows.append(row)
-    rows += [[int(c == col) for c in range(nvars)]
-             for t in range(size) for col in (v(0, t), v(t, 0))]
-    gens = kernel_mod(rows, nvars, m)
-    if not gens:
-        return {trivial_cocycle(sub, m).exps: ()}, ()
-    r = len(gens)
-    orders = [m // gcd(next(vv for vv in g if vv), m) for g in gens]
-    cob = coboundary_rows(sub, m)
-    cob_cols = [reduce_mod([row[t] for row in cob], gens, m) for t in range(size - 1)]
-    if any(red is None or any(red[1]) for red in cob_cols):
-        raise InternalError("coboundary is not in the cocycle module")
-    mat = [
-        [cob_cols[t][0][i] for t in range(size - 1)] + [orders[i] if k == i else 0 for k in range(r)]
-        for i in range(r)
-    ]
-    diag, _, uinv = snf(mat)
-    if any(d <= 0 for d in diag[:r]):
-        raise InternalError("quotient lattice is not full rank")
-    diag = tuple(diag[:r])
-    total = prod(diag)
-    if total > 4096:
-        raise CapExceeded(f"{total} raw classes exceeds the enumeration cap")
-    raw = {}
-    for y in iproduct(*(range(d) for d in diag)):
-        x = [sum(uinv[i][k] * y[k] for k in range(r)) for i in range(r)]
-        flat = [0] * nvars
-        for xi, g in zip(x, gens):
-            if xi % m:
-                flat = [(zz + xi * gi) % m for zz, gi in zip(flat, g)]
-        raw[tuple(tuple(flat[v(i, j)] for j in range(size)) for i in range(size))] = y
-    return raw, diag
+    gens: list[int] = []
+    reached = {0}
+    for x in range(sub.order):
+        if x in reached:
+            continue
+        gens.append(x)
+        stack = list(reached)
+        while stack:
+            g = stack.pop()
+            for s in gens:
+                if pmul[s][g] not in reached:
+                    reached.add(pmul[s][g])
+                    stack.append(pmul[s][g])
+    return tuple(gens)
+
+
+def _cocycle_system(sub: SubgroupData, m: int):
+    """The normalized cocycles over Z/m as the solutions of a linear system
+    in the values alpha(s, x), s in S = _generating_set(sub) and x != e;
+    variable (i, x) is column i * (|H| - 1) + x - 1.
+
+    Every alpha(g, .) is expanded along a BFS tree of the Cayley graph of
+    (H, S) by alpha(sg, h) = alpha(g, h) + alpha(s, gh) - alpha(s, g), and
+    each edge (s, g) outside the tree gives the |H| - 1 rows of that
+    identity at h != e. Returns (S, tree, rows), tree listing the edges
+    (s, g, sg) in BFS order, for _expand."""
+    size, pmul = sub.order, sub.pmul
+    gens = _generating_set(sub)
+    nvars = len(gens) * (size - 1)
+    forms = {0: [[0] * nvars for _ in range(size)]}
+    tree, rows = [], []
+    order = [0]
+    for g in order:  # grows as the BFS reaches new elements
+        for i, s in enumerate(gens):
+            step = []
+            for h in range(size):  # alpha(g, h) + alpha(s, gh) - alpha(s, g)
+                form = forms[g][h][:]
+                for x, sign in ((pmul[g][h], 1), (g, -1)):
+                    if x:
+                        form[i * (size - 1) + x - 1] += sign
+                step.append(form)
+            sg = pmul[s][g]
+            if sg not in forms:
+                forms[sg] = [[c % m for c in form] for form in step]
+                tree.append((s, g, sg))
+                order.append(sg)
+            else:
+                rows += [[(a - b) % m for a, b in zip(step[h], forms[sg][h])]
+                         for h in range(1, size)]
+    return gens, tree, rows
+
+
+def _expand(sub: SubgroupData, gens, tree, x, m: int) -> list[int]:
+    """The flat table (row-major in subgroup positions) that the cocycle
+    expansion of _cocycle_system gives the values x of alpha on S x H."""
+    size, pmul = sub.order, sub.pmul
+    on_gen = {s: (0, *x[i * (size - 1):(i + 1) * (size - 1)]) for i, s in enumerate(gens)}
+    rows = {0: [0] * size}
+    for s, g, sg in tree:
+        a, back = on_gen[s], on_gen[s][g]
+        rows[sg] = [(e + a[p] - back) % m for e, p in zip(rows[g], pmul[g])]
+    return [e for i in range(size) for e in rows[i]]
+
+
+def _root_coboundaries(sub: SubgroupData, m: int, gens) -> list[tuple[int, ...]]:
+    """A Howell basis over Z/m, in flat table coordinates, of L: the
+    coboundaries delta f over Z/M, M = m * exp(H), whose values lie in
+    (M/m) Z/M, divided by M/m. Then m * delta f = 0, so f mod M/m is a
+    homomorphism, and f(sh) = f(s) + f(h) for s in gens is enough for that."""
+    size = sub.order
+    M = m * sub_exponent(sub)
+    cob = coboundary_rows(sub, M)
+    hom_rows = [[m * c for c in cob[s * size + h]] for s in gens for h in range(size)]
+    ell = []
+    for f in kernel_mod(hom_rows, size - 1, M):
+        delta = [d % M for d in _delta(sub, (0, *f))]
+        if any(d % (M // m) for d in delta):
+            raise InternalError("coboundary is not in the cocycle module")
+        ell.append([d // (M // m) for d in delta])
+    return howell_echelon(ell, m)
 
 
 def h2_classes(sub: SubgroupData, m: int) -> list[Cocycle]:
-    """Representatives of normalized cocycle classes modulo coboundaries.
+    """One representative of each class of normalized cocycles over Z/m
+    modulo the coboundaries over Z/M, M = m * exp(H): the classes alpha in
+    H^2(H, F*) with alpha^m ~ 1.
 
-    Enumerates the mod-m cocycle solution module modulo mod-m coboundaries
-    (the raw classes), then merges raw classes that become cohomologous over
-    the extended modulus M = m * exp(H). Those merged away form the subgroup
-    K0 of raw classes that are coboundaries over Z/M, found by one reduction
-    per raw class against the coboundary echelon of (H, M); each output
-    class is a coset of K0, represented by its lex-least table. Result is
-    sorted with the trivial class first.
+    Each class is represented by the lex-least table, over Z/m, of all its
+    members with values in the m-th roots of unity; result sorted, so the
+    trivial class comes first. Those members are alpha + L, with L the
+    coboundaries delta f over Z/M whose values lie in (M/m) Z/M, divided by
+    M/m; L holds every coboundary over Z/m, and the output is Z^2 / L.
+
+    Z^2 comes from the generating-set system of _cocycle_system: a
+    normalized alpha with delta alpha(s, g, h) = 0 for all s in S is a
+    cocycle (beta = delta alpha is a 3-cocycle, so delta beta(s, g, h, k) = 0
+    gives beta(sg, h, k) = beta(g, h, k), and S generates H as a monoid), so
+    its |S| * (|H| - 1) values on S x H determine it. The quotient Z^2 / L
+    is read off one Smith normal form of L's coordinates, and each of its
+    elements is expanded to a full table and reduced to its lex-least member
+    against a Howell basis of L.
     """
     if sub.order > CAPS.h2_subgroup:
         raise CapExceeded(
@@ -484,17 +541,47 @@ def h2_classes(sub: SubgroupData, m: int) -> list[Cocycle]:
     _check_modulus(m)
     if m == 1:
         return [trivial_cocycle(sub, 1)]
-    raw, diag = _raw_classes(sub, m)
-    cocycles = {table: Cocycle(sub, m, table) for table in sorted(raw)}
-    M = m * sub_exponent(sub)
-    k0 = [raw[t] for t, c in cocycles.items()
-          if _coboundary_witness(sub, M, _flat(c, M)) is not None]
-    reps: list[Cocycle] = []
-    merged: set[tuple[int, ...]] = set()
-    for table, cand in cocycles.items():
-        y = raw[table]
-        if y in merged:
-            continue
-        reps.append(cand)
-        merged.update(tuple((a + b) % d for a, b, d in zip(y, k, diag)) for k in k0)
-    return reps
+    size = sub.order
+    gens, tree, rows = _cocycle_system(sub, m)
+    z2 = kernel_mod(rows, len(gens) * (size - 1), m)
+    if not z2:
+        return [trivial_cocycle(sub, m)]
+    ell = _root_coboundaries(sub, m, gens)
+
+    def combined(coeffs):
+        return [sum(c * g[col] for c, g in zip(coeffs, z2)) % m for col in range(len(z2[0]))]
+
+    # each row of L as a combination of the cocycle generators, which must
+    # expand back to the row: L lies in Z^2
+    l_coords = []
+    for row in ell:
+        red = reduce_mod([row[s * size + x] for s in gens for x in range(1, size)], z2, m)
+        if red is None or _expand(sub, gens, tree, combined(red[0]), m) != list(row):
+            raise InternalError("coboundary is not in the cocycle module")
+        l_coords.append(red[0])
+    # the relations of the generators: (m / gcd(lead, m)) * z2_i reduces
+    # against the generators after it, as z2 is a Howell echelon
+    r = len(z2)
+    relations = []
+    for i, g in enumerate(z2):
+        order = m // gcd(next(v for v in g if v), m)
+        red = reduce_mod([order * v for v in g], z2, m)
+        if red is None or any(red[1]):
+            raise InternalError("cocycle generators are not a Howell echelon")
+        relations.append([(order if t == i else 0) - c for t, c in enumerate(red[0])])
+    cols = relations + l_coords
+    diag, _, uinv = snf([[col[i] for col in cols] for i in range(r)])
+    if any(d <= 0 for d in diag[:r]):
+        raise InternalError("quotient lattice is not full rank")
+    total = prod(diag[:r])
+    if total > 4096:
+        raise CapExceeded(f"{total} raw classes exceeds the enumeration cap")
+    free = [t for t in range(r) if diag[t] > 1]
+    tables = set()
+    for y in iproduct(*(range(diag[t]) for t in free)):
+        x = [sum(uinv[i][t] * yt for t, yt in zip(free, y)) for i in range(r)]
+        flat = reduce_least(_expand(sub, gens, tree, combined(x), m), ell, m)
+        tables.add(tuple(tuple(flat[i * size:(i + 1) * size]) for i in range(size)))
+    if len(tables) != total:
+        raise InternalError("class representatives are not distinct")
+    return [Cocycle(sub, m, table) for table in sorted(tables)]

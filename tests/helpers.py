@@ -18,9 +18,10 @@ from gforge.errors import InternalError, PreconditionError
 from gforge.groups import (CosetMultiset, Group, SubgroupData, cyclic,
                            dihedral, direct_product, semidirect_product)
 from gforge.identities import IdentityReport, linearize
-from gforge.modlinalg import kernel_mod, xgcd
+from gforge.modlinalg import (howell_echelon, kernel_mod, reduce_least, reduce_mod,
+                              snf, xgcd)
 from gforge.presentation import Presentation
-from gforge.twisted import (Cocycle, _raw_classes, coboundary_rows,
+from gforge.twisted import (Cocycle, _coboundary_witness, _flat, coboundary_rows,
                             conjugate_cocycle, h2_classes, make_cocycle,
                             shift_by_coboundary, sub_exponent,
                             trivial_cocycle)
@@ -331,18 +332,148 @@ def galois_character_by_solve(g: int, alpha: Cocycle, n: int) -> int | None:
     return j % n
 
 
+def _raw_classes(sub: SubgroupData, m: int) -> tuple[dict, tuple[int, ...]]:
+    """Normalized cocycle tables over Z/m from the full |H|^3-row cocycle
+    system, one per class modulo mod-m coboundaries, each mapped to its
+    coordinates y in the product of the Z/d over the returned orders d;
+    y -> class is a group isomorphism."""
+    size = sub.order
+    nvars = size * size
+
+    def v(i, j):
+        return i * size + j
+
+    pmul = sub.pmul
+    rows = []
+    for i in range(size):
+        for j in range(size):
+            for k in range(size):
+                row = [0] * nvars
+                for col, sign in ((v(i, j), 1), (v(pmul[i][j], k), 1),
+                                  (v(j, k), -1), (v(i, pmul[j][k]), -1)):
+                    row[col] = (row[col] + sign) % m
+                rows.append(row)
+    rows += [[int(c == col) for c in range(nvars)]
+             for t in range(size) for col in (v(0, t), v(t, 0))]
+    gens = kernel_mod(rows, nvars, m)
+    if not gens:
+        return {trivial_cocycle(sub, m).exps: ()}, ()
+    r = len(gens)
+    orders = [m // gcd(next(vv for vv in g if vv), m) for g in gens]
+    cob = coboundary_rows(sub, m)
+    cob_cols = [reduce_mod([row[t] for row in cob], gens, m) for t in range(size - 1)]
+    if any(red is None or any(red[1]) for red in cob_cols):
+        raise InternalError("coboundary is not in the cocycle module")
+    mat = [
+        [cob_cols[t][0][i] for t in range(size - 1)] + [orders[i] if k == i else 0 for k in range(r)]
+        for i in range(r)
+    ]
+    diag, _, uinv = snf(mat)
+    if any(d <= 0 for d in diag[:r]):
+        raise InternalError("quotient lattice is not full rank")
+    diag = tuple(diag[:r])
+    raw = {}
+    for y in iproduct(*(range(d) for d in diag)):
+        x = [sum(uinv[i][k] * y[k] for k in range(r)) for i in range(r)]
+        flat = [0] * nvars
+        for xi, g in zip(x, gens):
+            if xi % m:
+                flat = [(zz + xi * gi) % m for zz, gi in zip(flat, g)]
+        raw[tuple(tuple(flat[v(i, j)] for j in range(size)) for i in range(size))] = y
+    return raw, diag
+
+
+def h2_classes_full_system(sub: SubgroupData, m: int) -> list[Cocycle]:
+    """h2_classes from the raw classes of the full cocycle system, merged by
+    the subgroup K0 of raw classes that are coboundaries over Z/M (one
+    reduction per raw class); each class is the lex-least raw table of its
+    K0 coset, so its table depends on the kernel's generators."""
+    if m == 1:
+        return [trivial_cocycle(sub, 1)]
+    raw, diag = _raw_classes(sub, m)
+    cocycles = {table: Cocycle(sub, m, table) for table in sorted(raw)}
+    M = m * sub_exponent(sub)
+    k0 = [raw[t] for t, c in cocycles.items()
+          if _coboundary_witness(sub, M, _flat(c, M)) is not None]
+    reps: list[Cocycle] = []
+    merged: set[tuple[int, ...]] = set()
+    for table, cand in cocycles.items():
+        y = raw[table]
+        if y in merged:
+            continue
+        reps.append(cand)
+        merged.update(tuple((a + b) % d for a, b, d in zip(y, k, diag)) for k in k0)
+    return reps
+
+
 def h2_classes_pairwise(sub: SubgroupData, m: int) -> list[Cocycle]:
     """h2_classes by merging each raw class into every representative kept
-    so far, one fresh cohomology solve per pair."""
+    so far, one fresh cohomology solve per pair; each class is then mapped
+    to its lex-least member with values in the m-th roots of unity, by
+    reduction against a Howell basis of the mod-m coboundaries and the raw
+    tables that are coboundaries over Z/M."""
     if m == 1:
         return [trivial_cocycle(sub, 1)]
     raw, _ = _raw_classes(sub, m)
     reps: list[Cocycle] = []
+    k0 = []  # the raw tables merged into the first, trivial, representative
     for table in sorted(raw):
         cand = Cocycle(sub, m, table)
-        if not any(is_cohomologous_by_solve(cand, rep)[0] for rep in reps):
+        match = next((i for i, rep in enumerate(reps)
+                      if is_cohomologous_by_solve(cand, rep)[0]), None)
+        if match is None:
             reps.append(cand)
-    return reps
+        elif match == 0:
+            k0.append(_flat_table(cand))
+    mod_m = [[row[p] for row in coboundary_rows(sub, m)] for p in range(sub.order - 1)]
+    ell = howell_echelon(mod_m + k0, m)
+    size = sub.order
+    least = [reduce_least(_flat_table(rep), ell, m) for rep in reps]
+    return sorted((Cocycle(sub, m, tuple(tuple(f[i * size:(i + 1) * size])
+                                         for i in range(size))) for f in least),
+                  key=lambda c: c.exps)
+
+
+def h2_lex_least_by_search(alpha: Cocycle) -> tuple[tuple[int, ...], ...]:
+    """The lex-least table with values in the m-th roots of unity that is
+    cohomologous to alpha over Z/M, M = m * exp(H), by search over every f
+    on H with f(e) = 0 and m * delta f = 0 over Z/M. Such an f is a lift of
+    a homomorphism phi: H -> Z/(M/m) plus (M/m) * g for any g over Z/m; the
+    members are alpha + delta(phi)/(M/m) + delta g."""
+    sub, m = alpha.sub, alpha.modulus
+    size, pmul = sub.order, np.asarray(sub.pmul, dtype=np.int64)
+    k = sub_exponent(sub)  # M / m
+    left = np.repeat(np.arange(size), size)
+    right, prod_ = np.tile(np.arange(size), size), pmul.reshape(-1)
+
+    def delta(f):  # f with one row per function, column 0 the identity
+        return f[:, left] + f[:, right] - f[:, prod_]
+
+    def all_functions(n):
+        vals = np.asarray(list(iproduct(range(n), repeat=size - 1)), dtype=np.int64)
+        return np.hstack([np.zeros((len(vals), 1), dtype=np.int64), vals.reshape(len(vals), size - 1)])
+
+    lifts = all_functions(k)
+    homs = lifts[~np.any(delta(lifts) % k, axis=1)]
+    base = np.asarray(alpha.exps, dtype=np.int64).reshape(-1)
+    shifts = delta(all_functions(m))
+    best = None
+    for phi in homs:
+        tables = (base + delta(phi[None])[0] // k + shifts) % m
+        for col in range(size * size):  # keep the rows least in each column
+            tables = tables[tables[:, col] == tables[:, col].min()]
+        cand = tuple(tables[0].tolist())
+        best = cand if best is None else min(best, cand)
+    return tuple(best[i * size:(i + 1) * size] for i in range(size))
+
+
+def cocycle_rows_hold(sub: SubgroupData, m: int, exps, rows) -> bool:
+    """Does alpha(i,j) + alpha(ij,k) = alpha(j,k) + alpha(i,jk) hold mod m
+    at every row i in `rows`?"""
+    tab = np.asarray(exps, dtype=np.int64)
+    pmul = np.asarray(sub.pmul, dtype=np.int64)
+    return all(np.array_equal((tab[i][:, None] + tab[pmul[i]]) % m,
+                              (tab + tab[i][pmul]) % m) for i in rows)
 
 
 # Reference cyclotomic scalars on Fraction coefficients and the pairwise

@@ -87,6 +87,36 @@ def test_invariant_chain_builds_no_subgroup_data(corpus, p_swap_raw, monkeypatch
         conjugated.clear()
 
 
+def test_maximality_scan_takes_one_element_per_coset_of_k(corpus, p_swap_raw, p_related,
+                                                          monkeypatch):
+    """<K, g> is one subgroup for all g in a coset gK, so compute_KNS closes
+    K with one g per coset of K in N_G(H) outside K."""
+    rng = random.Random(5)
+    pool = helpers.group_pool(12)
+    cases = [*corpus.values(), p_swap_raw, p_related]
+    cases += [helpers.random_presentation(rng, pool) for _ in range(30)]
+    scanned = 0
+    for p in cases:
+        grp = p.group
+        closed = []
+        real = type(grp).closure
+
+        def counting(self, elems):
+            closed.append(tuple(elems))
+            return real(self, elems)
+
+        monkeypatch.setattr(type(grp), "closure", counting)
+        chain = compute_KNS(p)
+        monkeypatch.undo()
+        k = set(chain.K)
+        cosets = {frozenset(grp.mul(g, x) for x in k)
+                  for g in p.sub.normalizer if g not in k}
+        assert len(closed) == len(cosets)
+        assert {frozenset(grp.mul(e[-1], x) for x in k) for e in closed} == cosets
+        scanned += len(closed)
+    assert scanned > len(cases)
+
+
 def test_disconnected_grading_detected():
     g = cyclic(4)
     sub = SubgroupData(g, (0, 2))

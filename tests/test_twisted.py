@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gforge import twisted
+from gforge import modlinalg, twisted
 from gforge.algebra import twisted_group_algebra
 from gforge.cyclo import CycScalar
 from gforge.errors import (CapExceeded, CocycleError, InternalError,
@@ -144,8 +144,7 @@ def test_bad_arguments_are_preconditions(alpha_pauli, call):
     lambda alpha: is_cohomologous(alpha, alpha),
     class_order,
     lambda alpha: galois_character(0, alpha, 2),
-    lambda alpha: h2_classes(alpha.sub, 2),
-], ids=["is_cohomologous", "class_order", "galois_character", "h2_classes"])
+], ids=["is_cohomologous", "class_order", "galois_character"])
 def test_a_corrupted_witness_is_caught(monkeypatch, query):
     # every query finds a witness here, so each must reach the one check
     solve = twisted.solve_in_image
@@ -388,6 +387,112 @@ def test_h2_classes_match_pairwise_merge(name, m):
     got = h2_classes(sub, m)
     want = helpers.h2_classes_pairwise(sub, m)
     assert [(c.modulus, c.exps) for c in got] == [(c.modulus, c.exps) for c in want]
+
+
+SMALL_GROUPS = {
+    "C2": lambda: cyclic(2), "C3": lambda: cyclic(3), "C4": lambda: cyclic(4),
+    "C2xC2": lambda: direct_product(cyclic(2), cyclic(2)), "C5": lambda: cyclic(5),
+    "C6": lambda: cyclic(6), "S3": lambda: dihedral(3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SMALL_GROUPS))
+@pytest.mark.parametrize("m", (2, 3, 4, 6))
+def test_h2_classes_are_lex_least_by_search(name, m):
+    grp = SMALL_GROUPS[name]()
+    sub = SubgroupData(grp, range(grp.order))
+    for alpha in h2_classes(sub, m):
+        assert alpha.exps == helpers.h2_lex_least_by_search(alpha)
+
+
+FULL_SYSTEM_CASES = [(name, m) for name, (_, ms) in H2_REFERENCE_CASES.items()
+                     for m in ms] + [("C2^4", 2)]
+
+
+@pytest.mark.parametrize("name,m", FULL_SYSTEM_CASES)
+def test_h2_classes_match_the_full_system(name, m):
+    # one class per class of the |H|^3-row system and its K0 merge; only the
+    # representative may differ
+    if name == "C2^4":
+        grp = direct_product(H2_REFERENCE_CASES["C2^3"][0](), cyclic(2))
+    else:
+        grp = H2_REFERENCE_CASES[name][0]()
+    sub = SubgroupData(grp, range(grp.order))
+    got = h2_classes(sub, m)
+    want = helpers.h2_classes_full_system(sub, m)
+    assert len(got) == len(want)
+    for alpha in got:
+        assert sum(is_cohomologous(alpha, beta)[0] for beta in want) == 1
+
+
+def test_h2_classes_named_tables():
+    k4 = SubgroupData(direct_product(cyclic(2), cyclic(2)), range(4))
+    # the lex-least table of the class: the full system's K0 coset gave the
+    # rows (0, 3, 2, 5)
+    assert h2_classes(k4, 6)[1].exps == ((0, 0, 0, 0), (0, 0, 0, 0),
+                                         (0, 3, 0, 3), (0, 3, 0, 3))
+    # unchanged: the input of the k-form xfails
+    assert h2_classes(k4, 4)[1].exps == ((0, 0, 0, 0), (0, 0, 0, 0),
+                                         (0, 2, 0, 2), (0, 2, 0, 2))
+    assert h2_classes(k4, 6)[1].exps != helpers.h2_classes_full_system(k4, 6)[1].exps
+
+
+@pytest.mark.parametrize("grp", helpers.group_pool(16), ids=lambda g: str(g.order))
+def test_cocycle_system_shape(grp):
+    sub = SubgroupData(grp, range(grp.order))
+    gens, tree, rows = twisted._cocycle_system(sub, 4)
+    size = sub.order
+    assert grp.closure([sub.elements[s] for s in gens]) == sub.elements
+    assert len(tree) == size - 1
+    assert len(rows) == (len(gens) * size - size + 1) * (size - 1)
+    assert all(len(row) == len(gens) * (size - 1) for row in rows)
+
+
+def test_generating_set_rows_decide_the_cocycle_identity():
+    # normalized tables, cocycles and not: delta alpha on the rows s in S
+    # vanishes exactly when the full check passes
+    rng = random.Random(11)
+    outcomes = []
+    for grp in helpers.group_pool(12):
+        sub = SubgroupData(grp, range(grp.order))
+        gens = twisted._generating_set(sub)
+        for m in (2, 3, 4, 6):
+            classes = h2_classes(sub, m)
+            for _ in range(20):
+                exps = [list(row) for row in shift_by_coboundary(
+                    rng.choice(classes), [0] + [rng.randrange(m) for _ in range(sub.order - 1)]).exps]
+                for _ in range(rng.choice((0, 1, 1, 2, 5))):
+                    r, c = rng.randrange(1, sub.order), rng.randrange(1, sub.order)
+                    exps[r][c] = rng.randrange(m)
+                table = tuple(map(tuple, exps))
+                try:
+                    Cocycle(sub, m, table)
+                    full = True
+                except CocycleError:
+                    full = False
+                assert helpers.cocycle_rows_hold(sub, m, table, gens) == full
+                outcomes.append(full)
+    assert len(outcomes) >= 900 and outcomes.count(False) >= 300
+
+
+def _wrong_coordinates(z, ech, M):  # reduce_mod, off by one in every coordinate
+    c, rest = modlinalg.reduce_mod(z, ech, M)
+    return [(x + 1) % M for x in c], rest
+
+
+@pytest.mark.parametrize("target, fake, message", [
+    # L from every f, not only the homomorphisms mod M/m
+    ("coboundary_rows", lambda sub, M: [[0] * (sub.order - 1)] * sub.order ** 2,
+     "^coboundary is not in the cocycle module$"),
+    ("reduce_mod", _wrong_coordinates, "^coboundary is not in the cocycle module$"),
+    # every class on one table
+    ("reduce_least", lambda z, ech, M: [0] * len(z), "^class representatives are not distinct$"),
+], ids=["hom", "coordinates", "distinct"])
+def test_h2_cross_checks_catch_a_corruption(monkeypatch, target, fake, message):
+    monkeypatch.setattr(twisted, target, fake)
+    sub = SubgroupData(direct_product(cyclic(2), cyclic(2)), range(4))
+    with pytest.raises(InternalError, match=message):
+        h2_classes(sub, 2)
 
 
 @settings(deadline=None, max_examples=15)
