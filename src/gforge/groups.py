@@ -11,8 +11,6 @@ from dataclasses import dataclass
 from itertools import chain
 from math import lcm
 
-import numpy as np
-
 from .config import CAPS
 from .errors import CapExceeded, GroupError, PreconditionError
 
@@ -20,6 +18,34 @@ from .errors import CapExceeded, GroupError, PreconditionError
 def all_ints(rows) -> bool:
     """Whether every entry of the rows is exactly an int (so not a bool)."""
     return set(map(type, chain.from_iterable(rows))) <= {int}
+
+
+def generating_set(table) -> tuple[int, ...]:
+    """Elements S reaching every element from 0 by left multiplication in the
+    table (table[a][b] = a * b), each the least one not reached yet: so
+    |S| <= log2 |G| on a group, and if a set of elements holds 0 and is closed
+    under products, the least element outside it is in S."""
+    gens: list[int] = []
+    reached = {0}
+    for x in range(len(table)):
+        if x in reached:
+            continue
+        gens.append(x)
+        stack = list(reached)
+        while stack:
+            g = stack.pop()
+            for s in gens:
+                sg = table[s][g]
+                if sg not in reached:
+                    reached.add(sg)
+                    stack.append(sg)
+    return tuple(gens)
+
+
+def _associative_at(rows, a: int) -> bool:
+    """Whether (ab)c = a(bc) for every b and c in the table."""
+    at = rows[a].__getitem__
+    return all(rows[ab] == list(map(at, rb)) for ab, rb in zip(rows[a], rows))
 
 
 class Group:
@@ -35,29 +61,28 @@ class Group:
             raise GroupError("multiplication table must be square")
         if order > CAPS.group_order:
             raise CapExceeded(f"group order {order} exceeds cap {CAPS.group_order}")
-        # type and range on the Python ints, before numpy could cast or overflow
         if not all_ints(rows):
             raise GroupError("table entries must be integers")
         if min(map(min, rows)) < 0 or max(map(max, rows)) >= order:
             raise GroupError("table entries out of range")
-        tab = np.asarray(rows, dtype=np.int64)
-        rng = np.arange(order)
-        if not (np.array_equal(tab[0], rng) and np.array_equal(tab[:, 0], rng)):
+        rng = list(range(order))
+        if rows[0] != rng or [row[0] for row in rows] != rng:
             raise GroupError("identity must be element 0")
-        if not np.array_equal(np.sort(tab, axis=1), np.tile(rng, (order, 1))):
+        if any(len(set(row)) != order for row in rows):
             raise GroupError("rows are not permutations")
-        if not np.array_equal(np.sort(tab, axis=0), np.tile(rng.reshape(-1, 1), (1, order))):
+        if any(len(set(col)) != order for col in zip(*rows)):
             raise GroupError("columns are not permutations")
-        for a in range(order):
-            # (a*b)*c vs a*(b*c), one slab per a
-            if not np.array_equal(tab[tab[a]], tab[a][tab]):
-                raise GroupError(f"associativity fails at element {a}")
-        inv = np.argmax(tab == 0, axis=1)
-        if not np.all(tab[inv, rng] == 0):
+        # Light's test: the a with (ab)c = a(bc) are closed under products, so
+        # S decides, and its first failure is the least element that fails
+        a = next((a for a in generating_set(rows) if not _associative_at(rows, a)), None)
+        if a is not None:
+            raise GroupError(f"associativity fails at element {a}")
+        inv = [row.index(0) for row in rows]
+        if any(rows[b][a] for a, b in enumerate(inv)):
             raise GroupError("one-sided inverses only")
         self.order = order
-        self._mul = tuple(tuple(int(x) for x in row) for row in tab)
-        self._inv = tuple(int(x) for x in inv)
+        self._mul = tuple(map(tuple, rows))
+        self._inv = tuple(inv)
         if names is None:
             names = ["e"] + [f"g{i}" for i in range(1, order)]
         if len(names) != order:

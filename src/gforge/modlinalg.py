@@ -9,15 +9,13 @@ part can be kept and reduced against for every right-hand side. The same
 greedy reduction tests membership (reduce_mod) or finds the lex-least member
 of a coset of the span (reduce_least). snf is integer Smith normal form with
 the left transform and its inverse tracked, used for quotient
-representatives. The echelon runs in int64, so its modulus must be below
-2**31.
+representatives. Everything runs on Python ints.
 """
 
 from __future__ import annotations
 
+from itertools import compress, count
 from math import gcd
-
-import numpy as np
 
 from .errors import InternalError, PreconditionError
 
@@ -41,35 +39,34 @@ def howell_echelon(rows, M: int) -> list[tuple[int, ...]]:
     """Echelon generating set of the Z/M row module spanned by `rows`."""
     if M < 1:
         raise PreconditionError("modulus must be positive")
-    if M >= 2 ** 31:  # the int64 steps below reach 2 * M**2
+    if M >= 2 ** 31:  # kept so that out-of-range input keeps its error and exit code
         raise PreconditionError("modulus must be below 2**31")
     if M == 1:
         return []
-    queue = [np.asarray(r, dtype=np.int64) % M for r in rows]
-    if any(q.ndim != 1 for q in queue):
-        raise PreconditionError("rows must be one-dimensional")
-    pivots: dict[int, np.ndarray] = {}
+    try:
+        queue = [[int(x) % M for x in r] for r in rows]
+    except TypeError:
+        raise PreconditionError("rows must be one-dimensional") from None
+    pivots: dict[int, list[int]] = {}
     while queue:
-        r = queue.pop() % M
-        nz = np.nonzero(r)[0]
-        if nz.size == 0:
+        r = queue.pop()
+        c = next(compress(count(), r), None)
+        if c is None:
             continue
-        c = int(nz[0])
+        # both rows vanish before column c, so each step starts there
+        head, r = r[:c], r[c:]
         if c in pivots:
-            p = pivots[c]
-            a, b = int(p[c]), int(r[c])
-            g, x, y = xgcd(a, b)
-            # [[x, y], [-b/g, a/g]] is unimodular, so the span is unchanged
-            newp = (x * p + y * r) % M
-            newr = ((a // g) * r - (b // g) * p) % M
-            queue.append(newr)
-            if g != a % M:
-                pivots[c] = newp
-                queue.append(((M // gcd(g, M)) * newp) % M)
-        else:
-            pivots[c] = r
-            queue.append(((M // gcd(int(r[c]), M)) * r) % M)
-    return [tuple(pivots[c].tolist()) for c in sorted(pivots)]
+            p = pivots[c][c:]
+            g, x, y = xgcd(p[0], r[0])
+            a, b = p[0] // g, r[0] // g
+            # [[x, y], [-b, a]] is unimodular, so the span is unchanged
+            queue.append(head + [(a * v - b * u) % M for u, v in zip(p, r)])
+            if g == p[0]:
+                continue
+            r = [(x * u + y * v) % M for u, v in zip(p, r)]
+        pivots[c] = head + r
+        queue.append(head + [M // gcd(r[0], M) * v % M for v in r])
+    return [tuple(pivots[c]) for c in sorted(pivots)]
 
 
 def split_echelon(a_rows, n_vars: int, M: int):

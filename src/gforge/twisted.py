@@ -4,8 +4,8 @@ A Cocycle stores exponents e(h1, h2) with scalar value zeta_modulus^e; tables
 are normalized (identity row and column zero) and indexed by position in the
 sorted subgroup element list. A table is checked in full once, where it
 enters: the Cocycle constructor, make_cocycle (every parsed input) and the
-classes h2_classes returns; its entries are checked as Python ints before
-numpy reads them. Embedding, Galois twists, conjugation, coboundary shifts
+classes h2_classes returns; the rows of a generating set of H decide the
+cocycle identity. Embedding, Galois twists, conjugation, coboundary shifts
 and scaling keep the cocycle laws, so their tables skip the check.
 Cohomology is tested over Z/M with M = modulus * exp(H): a Howell basis of
 the coboundaries B^2(H, Z/M), each row carrying its preimage f, is built on
@@ -37,8 +37,6 @@ from dataclasses import dataclass
 from itertools import product as iproduct
 from math import gcd, lcm, prod
 
-import numpy as np
-
 from .config import CAPS
 from .errors import (
     BudgetExceeded,
@@ -47,7 +45,7 @@ from .errors import (
     InternalError,
     PreconditionError,
 )
-from .groups import SubgroupData, all_ints
+from .groups import SubgroupData, all_ints, generating_set
 from .modlinalg import (howell_echelon, kernel_mod, reduce_least, reduce_mod, snf,
                         solve_in_image, split_echelon)
 
@@ -57,7 +55,7 @@ def _check_modulus(m: int) -> None:
         raise CocycleError("modulus must be an integer")
     if m < 1:
         raise CocycleError("modulus must be positive")
-    if m >= 2 ** 62:  # the int64 cocycle check adds two exponents
+    if m >= 2 ** 62:  # kept so that out-of-range input keeps its error and exit code
         raise CocycleError("modulus must be below 2**62")
 
 
@@ -73,25 +71,17 @@ class Cocycle:
         size = sub.order
         if len(self.exps) != size or any(len(r) != size for r in self.exps):
             raise CocycleError("exponent table shape must match the subgroup")
-        # type and range on the Python ints, before numpy could cast or overflow
         if not all_ints(self.exps):
             raise CocycleError("exponents must be integers")
         if min(map(min, self.exps)) < 0 or max(map(max, self.exps)) >= m:
             raise CocycleError("exponents must lie in [0, modulus)")
-        tab = np.asarray(self.exps, dtype=np.int64)
-        if np.any(tab[0]) or np.any(tab[:, 0]):
+        if any(self.exps[0]) or any(row[0] for row in self.exps):
             raise CocycleError("table must be normalized at the identity")
-        pmul = np.asarray(sub.pmul, dtype=np.int64)
-        # alpha(i,j) + alpha(ij,k) = alpha(j,k) + alpha(i,jk), for blocks of
-        # rows i at a time so the (rows, |H|, |H|) arrays stay small
-        step = max(1, 2 ** 20 // size ** 2)
-        for start in range(0, size, step):
-            rows = np.arange(start, min(start + step, size))
-            lhs = (tab[rows, :, None] + tab[pmul[rows]]) % m
-            rhs = (tab[None] + tab[rows[:, None, None], pmul[None]]) % m
-            bad = np.any(lhs != rhs, axis=(1, 2))
-            if bad.any():
-                raise CocycleError(f"cocycle identity fails at row {rows[bad.argmax()]}")
+        # the rows where the identity holds are closed under products (see
+        # h2_classes), so S decides, and its first failure is the first row
+        i = next((i for i in generating_set(sub.pmul) if not _identity_holds_at(self, i)), None)
+        if i is not None:
+            raise CocycleError(f"cocycle identity fails at row {i}")
 
     @classmethod
     def _derived(cls, sub: SubgroupData, modulus: int, exps) -> "Cocycle":
@@ -111,6 +101,14 @@ class Cocycle:
         if m_new < 1 or m_new % self.modulus:
             raise PreconditionError("can only embed into a positive multiple modulus")
         return _scaled(self, m_new // self.modulus, m_new)
+
+
+def _identity_holds_at(alpha: Cocycle, i: int) -> bool:
+    """Whether alpha(i,j) + alpha(ij,k) = alpha(j,k) + alpha(i,jk) mod m for all j, k."""
+    m, tab, pmul = alpha.modulus, alpha.exps, alpha.sub.pmul
+    ti = tab[i]
+    return not any((a + x - y - ti[p]) % m for a, ij, tj, pj in zip(ti, pmul[i], tab, pmul)
+                   for x, y, p in zip(tab[ij], tj, pj))
 
 
 def _scaled(alpha: Cocycle, k: int, m: int) -> Cocycle:
@@ -429,29 +427,9 @@ def galois_character(g: int, alpha: Cocycle, n: int | None = None) -> int | None
     return None
 
 
-def _generating_set(sub: SubgroupData) -> tuple[int, ...]:
-    """Subgroup positions S generating H, chosen greedily: the least position
-    outside the subgroup generated by those chosen so far."""
-    pmul = sub.pmul
-    gens: list[int] = []
-    reached = {0}
-    for x in range(sub.order):
-        if x in reached:
-            continue
-        gens.append(x)
-        stack = list(reached)
-        while stack:
-            g = stack.pop()
-            for s in gens:
-                if pmul[s][g] not in reached:
-                    reached.add(pmul[s][g])
-                    stack.append(pmul[s][g])
-    return tuple(gens)
-
-
 def _cocycle_system(sub: SubgroupData, m: int):
     """The normalized cocycles over Z/m as the solutions of a linear system
-    in the values alpha(s, x), s in S = _generating_set(sub) and x != e;
+    in the values alpha(s, x), s in S = generating_set(sub.pmul) and x != e;
     variable (i, x) is column i * (|H| - 1) + x - 1.
 
     Every alpha(g, .) is expanded along a BFS tree of the Cayley graph of
@@ -460,7 +438,7 @@ def _cocycle_system(sub: SubgroupData, m: int):
     identity at h != e. Returns (S, tree, rows), tree listing the edges
     (s, g, sg) in BFS order, for _expand."""
     size, pmul = sub.order, sub.pmul
-    gens = _generating_set(sub)
+    gens = generating_set(pmul)
     nvars = len(gens) * (size - 1)
     forms = {0: [[0] * nvars for _ in range(size)]}
     tree, rows = [], []

@@ -14,12 +14,11 @@ import numpy as np
 from gforge.cyclo import (CycScalar, SubfieldDescriptor, _power_rows,
                           cyclotomic_polynomial, phi)
 from gforge.algebra import AlgElement, KFormReport, multiply
-from gforge.errors import InternalError, PreconditionError
+from gforge.errors import GroupError, InternalError, PreconditionError
 from gforge.groups import (CosetMultiset, Group, SubgroupData, cyclic,
                            dihedral, direct_product, semidirect_product)
 from gforge.identities import IdentityReport, linearize
-from gforge.modlinalg import (howell_echelon, kernel_mod, reduce_least, reduce_mod,
-                              snf, xgcd)
+from gforge.modlinalg import kernel_mod, reduce_least, reduce_mod, snf, xgcd
 from gforge.presentation import Presentation
 from gforge.twisted import (Cocycle, _coboundary_witness, _flat, coboundary_rows,
                             conjugate_cocycle, h2_classes, make_cocycle,
@@ -355,19 +354,25 @@ def _raw_classes(sub: SubgroupData, m: int) -> tuple[dict, tuple[int, ...]]:
                 rows.append(row)
     rows += [[int(c == col) for c in range(nvars)]
              for t in range(size) for col in (v(0, t), v(t, 0))]
-    gens = kernel_mod(rows, nvars, m)
+    gens = kernel_mod_numpy(rows, nvars, m)
     if not gens:
         return {trivial_cocycle(sub, m).exps: ()}, ()
     r = len(gens)
-    orders = [m // gcd(next(vv for vv in g if vv), m) for g in gens]
     cob = coboundary_rows(sub, m)
     cob_cols = [reduce_mod([row[t] for row in cob], gens, m) for t in range(size - 1)]
     if any(red is None or any(red[1]) for red in cob_cols):
         raise InternalError("coboundary is not in the cocycle module")
-    mat = [
-        [cob_cols[t][0][i] for t in range(size - 1)] + [orders[i] if k == i else 0 for k in range(r)]
-        for i in range(r)
-    ]
+    # the relation of generator i: (m / gcd(lead, m)) * gens_i is a
+    # combination of the generators after it, not always 0
+    relations = []
+    for i, g in enumerate(gens):
+        order = m // gcd(next(vv for vv in g if vv), m)
+        red = reduce_mod([order * vv for vv in g], gens, m)
+        if red is None or any(red[1]):
+            raise InternalError("cocycle generators are not a Howell echelon")
+        relations.append([(order if t == i else 0) - c for t, c in enumerate(red[0])])
+    mat = [[cob_cols[t][0][i] for t in range(size - 1)] + [rel[i] for rel in relations]
+           for i in range(r)]
     diag, _, uinv = snf(mat)
     if any(d <= 0 for d in diag[:r]):
         raise InternalError("quotient lattice is not full rank")
@@ -426,7 +431,7 @@ def h2_classes_pairwise(sub: SubgroupData, m: int) -> list[Cocycle]:
         elif match == 0:
             k0.append(_flat_table(cand))
     mod_m = [[row[p] for row in coboundary_rows(sub, m)] for p in range(sub.order - 1)]
-    ell = howell_echelon(mod_m + k0, m)
+    ell = howell_echelon_numpy(mod_m + k0, m)
     size = sub.order
     least = [reduce_least(_flat_table(rep), ell, m) for rep in reps]
     return sorted((Cocycle(sub, m, tuple(tuple(f[i * size:(i + 1) * size])
@@ -754,19 +759,116 @@ def gathered_pmul(sub: SubgroupData) -> np.ndarray:
     return pos_of[np.asarray(sub.group._mul, dtype=np.int64)[els[:, None], els]]
 
 
+# The numpy integer kernels the library ran before it went pure Python,
+# kept as differential oracles for gforge.modlinalg.howell_echelon, the
+# Group table check and the Cocycle identity check, and as the echelon of
+# the |H|^3-row oracles above, independent of the code under test.
+
+def howell_echelon_numpy(rows, M: int) -> list[tuple[int, ...]]:
+    """howell_echelon on int64 rows, full-width steps; M < 2**31."""
+    if M == 1:
+        return []
+    queue = [np.asarray(r, dtype=np.int64) % M for r in rows]
+    pivots: dict[int, np.ndarray] = {}
+    while queue:
+        r = queue.pop() % M
+        nz = np.nonzero(r)[0]
+        if nz.size == 0:
+            continue
+        c = int(nz[0])
+        if c in pivots:
+            p = pivots[c]
+            a, b = int(p[c]), int(r[c])
+            g, x, y = xgcd(a, b)
+            newp = (x * p + y * r) % M
+            newr = ((a // g) * r - (b // g) * p) % M
+            queue.append(newr)
+            if g != a % M:
+                pivots[c] = newp
+                queue.append(((M // gcd(g, M)) * newp) % M)
+        else:
+            pivots[c] = r
+            queue.append(((M // gcd(int(r[c]), M)) * r) % M)
+    return [tuple(pivots[c].tolist()) for c in sorted(pivots)]
+
+
+def kernel_mod_numpy(a_rows, n_vars: int, M: int) -> list[tuple[int, ...]]:
+    """kernel_mod on howell_echelon_numpy: the rows (column i of A | e_i)
+    whose A part the echelon clears."""
+    k = len(a_rows)
+    aug = [[r[i] for r in a_rows] + [int(i == t) for t in range(n_vars)]
+           for i in range(n_vars)]
+    return [row[k:] for row in howell_echelon_numpy(aug, M) if not any(row[:k])]
+
+
+def group_tables_numpy(rows) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """(mul, inv) of a square table of ints in range(order), checked as
+    Group checked it with numpy, every element's associativity slab
+    included; raises GroupError with the same messages."""
+    order = len(rows)
+    tab = np.asarray(rows, dtype=np.int64)
+    rng = np.arange(order)
+    if not (np.array_equal(tab[0], rng) and np.array_equal(tab[:, 0], rng)):
+        raise GroupError("identity must be element 0")
+    if not np.array_equal(np.sort(tab, axis=1), np.tile(rng, (order, 1))):
+        raise GroupError("rows are not permutations")
+    if not np.array_equal(np.sort(tab, axis=0), np.tile(rng.reshape(-1, 1), (1, order))):
+        raise GroupError("columns are not permutations")
+    for a in range(order):
+        # (a*b)*c vs a*(b*c), one slab per a
+        if not np.array_equal(tab[tab[a]], tab[a][tab]):
+            raise GroupError(f"associativity fails at element {a}")
+    inv = np.argmax(tab == 0, axis=1)
+    if not np.all(tab[inv, rng] == 0):
+        raise GroupError("one-sided inverses only")
+    return tuple(map(tuple, tab.tolist())), tuple(inv.tolist())
+
+
 def cocycle_first_bad_row(sub: SubgroupData, m: int, exps) -> int | None:
     """First row i at which alpha(i,j) + alpha(ij,k) = alpha(j,k) + alpha(i,jk)
-    fails mod m, checked one row at a time; None when the identity holds."""
+    fails mod m, checked on every row in int64 blocks as Cocycle checked it
+    with numpy (m < 2**62, so a sum of two exponents fits); the product
+    positions are gathered through the group, not read from sub.pmul. None
+    when the identity holds."""
+    size = sub.order
     tab = np.asarray(exps, dtype=np.int64)
-    grp = sub.group
-    pmul = np.asarray([[sub.pos[grp.mul(a, b)] for b in sub.elements]
-                       for a in sub.elements], dtype=np.int64)
-    for i in range(sub.order):
-        lhs = (tab[i][:, None] + tab[pmul[i]]) % m
-        rhs = (tab + tab[i][pmul]) % m
-        if not np.array_equal(lhs, rhs):
-            return i
+    pmul = gathered_pmul(sub)
+    step = max(1, 2 ** 20 // size ** 2)
+    for start in range(0, size, step):
+        rows = np.arange(start, min(start + step, size))
+        lhs = (tab[rows, :, None] + tab[pmul[rows]]) % m
+        rhs = (tab[None] + tab[rows[:, None, None], pmul[None]]) % m
+        bad = np.any(lhs != rhs, axis=(1, 2))
+        if bad.any():
+            return int(rows[bad.argmax()])
     return None
+
+
+def random_loop_table(rng: random.Random, grp: Group, switches: int) -> list[list[int]]:
+    """A Latin square with identity 0: the table of grp with `switches`
+    random intercalates (a 2x2 subsquare x y / y x off row and column 0)
+    switched in turn, while there are any; that leaves rows, columns and the
+    identity intact and mostly breaks associativity."""
+    tab = [list(row) for row in grp._mul]
+    n = grp.order
+    for _ in range(switches):
+        squares = [(a, b, c, d) for a in range(1, n) for b in range(a + 1, n)
+                   for c in range(1, n) for d in range(c + 1, n)
+                   if tab[a][c] == tab[b][d] and tab[a][d] == tab[b][c]]
+        if not squares:
+            break
+        a, b, c, d = rng.choice(squares)
+        tab[a][c], tab[a][d], tab[b][c], tab[b][d] = tab[a][d], tab[a][c], tab[b][d], tab[b][c]
+    return tab
+
+
+def product_table(a, b) -> list[list[int]]:
+    """The direct product of two tables, (x, y) at index x * len(b) + y as in
+    gforge.groups.direct_product; a loop times a group fails associativity
+    first at an element past the group's."""
+    nb = len(b)
+    return [[a[x1][x2] * nb + b[y1][y2] for x2 in range(len(a)) for y2 in range(nb)]
+            for x1 in range(len(a)) for y1 in range(nb)]
 
 
 # The identity oracle's assignment scan, kept as the differential oracle for

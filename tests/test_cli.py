@@ -1,8 +1,11 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import gforge
 from gforge.cli import RunConfig, run
 from gforge.errors import PreconditionError
 
@@ -17,6 +20,21 @@ def run_json(capsys, *argv):
 
 def path(name: str) -> str:
     return os.path.join(DATA_DIR, name)
+
+
+def test_import_loads_no_numpy():
+    # every module of the package, imported in a fresh interpreter
+    code = ("import importlib, pkgutil, sys, gforge\n"
+            "for mod in pkgutil.iter_modules(gforge.__path__):\n"
+            "    if mod.name != '__main__':\n"
+            "        importlib.import_module('gforge.' + mod.name)\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))")
+    src = os.path.dirname(os.path.dirname(gforge.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout == "[]\n"
 
 
 def test_run_config_validation():
@@ -281,7 +299,7 @@ def test_oversized_integers_are_a_precondition(capsys, tmp_path, edit, reason):
 
 def test_cohomology_modulus_above_the_echelon_limit(capsys, tmp_path):
     # a random coboundary at modulus 2**40 + 15: the solve at
-    # M = 2 * (2**40 + 15) is refused rather than overflowing int64
+    # M = 2 * (2**40 + 15) is refused by the echelon's modulus bound
     m = 2 ** 40 + 15
     f = [0, 123456789012, 987654321098, 555555555555]
 

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from gforge.errors import CapExceeded, GroupError, PreconditionError
 from gforge.groups import (CosetMultiset, Group, SubgroupData, cyclic,
                            dihedral, direct_product, from_permutations,
-                           quotient_group, semidirect_product, subgroup_group)
+                           generating_set, quotient_group, semidirect_product,
+                           subgroup_group)
 
 import helpers
 
@@ -61,6 +62,57 @@ def test_table_entries_are_checked_as_python_ints(entry, message):
 def test_subgroup_elements_are_checked_as_python_ints(elems):
     with pytest.raises(GroupError, match="^subgroup elements must be integers$"):
         SubgroupData(cyclic(4), elems)
+
+
+def _group_tables(table):
+    grp = Group(table)
+    return grp._mul, grp._inv
+
+
+def _table_outcome(check, table):
+    try:
+        return check(table)
+    except GroupError as exc:
+        return str(exc)
+
+
+def test_group_check_matches_the_numpy_check(corpus):
+    # Light's test on a generating set accepts exactly the tables the full
+    # numpy check accepts, and rejects the others with the same message
+    rng = random.Random(19)
+    groups = helpers.group_pool(16) + [p.group for p in corpus.values()]
+    tables = [[list(row) for row in grp._mul] for grp in groups]
+    for grp in [g for g in groups if 4 <= g.order <= 12]:
+        # loops; a group of odd order has no intercalate to switch
+        loops = [helpers.random_loop_table(rng, grp, rng.randint(1, 4))
+                 for _ in range(0 if grp.order % 2 else 6)]
+        tables += loops + [helpers.product_table(loop, cyclic(k)._mul)
+                           for loop, k in zip(loops[:2], rng.sample((2, 3, 4), 2))]
+        r = rng.randrange(1, grp.order)
+        shuffled, repeated, swapped = ([list(row) for row in grp._mul] for _ in range(3))
+        shuffled[r][1:] = rng.sample(shuffled[r][1:], grp.order - 1)
+        repeated[r][1] = repeated[r][2]
+        swapped[0], swapped[r] = swapped[r], swapped[0]
+        tables += [shuffled, repeated, swapped]
+    outcomes = []
+    for table in tables:
+        got = _table_outcome(_group_tables, table)
+        assert got == _table_outcome(helpers.group_tables_numpy, table)
+        outcomes.append(got if isinstance(got, str) else "group")
+        if outcomes[-1].startswith("associativity fails"):  # at a member of S
+            assert int(got.split()[-1]) in generating_set(table)
+    assert {o for o in outcomes if not o.startswith("associativity fails")} == {
+        "group", "identity must be element 0", "rows are not permutations",
+        "columns are not permutations"}
+    assert len({o for o in outcomes if o.startswith("associativity fails")}) >= 4
+    assert outcomes.count("group") >= len(groups)
+
+
+@pytest.mark.parametrize("grp", helpers.group_pool(16), ids=lambda g: g.name)
+def test_generating_set_is_small(grp):
+    gens = generating_set(grp._mul)
+    assert grp.closure(gens) == tuple(range(grp.order))
+    assert 2 ** len(gens) <= grp.order
 
 
 def test_from_permutations():

@@ -5,7 +5,9 @@ from itertools import product as iproduct
 
 import pytest
 
+from gforge import twisted
 from gforge.errors import PreconditionError
+from gforge.groups import SubgroupData
 from gforge.modlinalg import (howell_echelon, kernel_mod, reduce_mod, solve_mod,
                               split_echelon)
 
@@ -126,3 +128,16 @@ def test_howell_echelon_modulus_limit():
     assert howell_echelon([[M - 1, 1], [1, M - 1]], M) == [(1, M - 1)]
     with pytest.raises(PreconditionError, match=r"^modulus must be below 2\*\*31$"):
         howell_echelon([[1, 1]], 2 ** 31)
+
+
+@pytest.mark.parametrize("m", (2, 3, 4, 6))
+def test_howell_echelon_matches_the_numpy_echelon(m):
+    # the same steps on Python ints as on int64 arrays: the same tuples, on
+    # the cocycle systems and the coboundary maps h2_classes and the
+    # cohomology queries echelon
+    for grp in helpers.group_pool(16):
+        sub = SubgroupData(grp, range(grp.order))
+        M = m * twisted.sub_exponent(sub)
+        for rows, mod in ((twisted._cocycle_system(sub, m)[2], m),
+                          (twisted.coboundary_rows(sub, M), M)):
+            assert howell_echelon(rows, mod) == helpers.howell_echelon_numpy(rows, mod)

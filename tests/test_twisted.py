@@ -14,7 +14,7 @@ from gforge.algebra import twisted_group_algebra
 from gforge.cyclo import CycScalar
 from gforge.errors import (CapExceeded, CocycleError, InternalError,
                            PreconditionError)
-from gforge.groups import SubgroupData, cyclic, dihedral, direct_product
+from gforge.groups import SubgroupData, cyclic, dihedral, direct_product, generating_set
 from gforge.presentation import compute_KNS
 from gforge.twisted import (BinomialDatum, Cocycle, binomial_datum,
                             binomial_ratio, class_order, conjugate_cocycle,
@@ -313,8 +313,7 @@ def test_cocycle_identity_failure_row(alpha_inner):
     with pytest.raises(CocycleError, match="cocycle identity fails at row 2$"):
         Cocycle(k4, 2, table)
     # on C2 x C64 (elements 0..63 form C64), alpha(x, y) = h(y) when x lies
-    # outside C64: the rows of C64 hold, row 64 fails, past the first block
-    # of 64 rows the check takes at a time at this order
+    # outside C64: the rows of C64 hold, row 64 fails
     grp = direct_product(cyclic(2), cyclic(64))
     rng = random.Random(3)
     h = [0] + [rng.randrange(2) for _ in range(127)]
@@ -405,18 +404,20 @@ def test_h2_classes_are_lex_least_by_search(name, m):
         assert alpha.exps == helpers.h2_lex_least_by_search(alpha)
 
 
+FULL_SYSTEM_GROUPS = {
+    **{name: build for name, (build, _) in H2_REFERENCE_CASES.items()},
+    "C2^4": lambda: direct_product(H2_REFERENCE_CASES["C2^3"][0](), cyclic(2)),
+    "C2xC4": lambda: direct_product(cyclic(2), cyclic(4)), "C6": lambda: cyclic(6),
+}
 FULL_SYSTEM_CASES = [(name, m) for name, (_, ms) in H2_REFERENCE_CASES.items()
-                     for m in ms] + [("C2^4", 2)]
+                     for m in ms] + [("C2^4", 2), ("D4", 8), ("C2xC4", 8), ("C6", 8)]
 
 
 @pytest.mark.parametrize("name,m", FULL_SYSTEM_CASES)
 def test_h2_classes_match_the_full_system(name, m):
     # one class per class of the |H|^3-row system and its K0 merge; only the
     # representative may differ
-    if name == "C2^4":
-        grp = direct_product(H2_REFERENCE_CASES["C2^3"][0](), cyclic(2))
-    else:
-        grp = H2_REFERENCE_CASES[name][0]()
+    grp = FULL_SYSTEM_GROUPS[name]()
     sub = SubgroupData(grp, range(grp.order))
     got = h2_classes(sub, m)
     want = helpers.h2_classes_full_system(sub, m)
@@ -455,7 +456,7 @@ def test_generating_set_rows_decide_the_cocycle_identity():
     outcomes = []
     for grp in helpers.group_pool(12):
         sub = SubgroupData(grp, range(grp.order))
-        gens = twisted._generating_set(sub)
+        gens = generating_set(sub.pmul)
         for m in (2, 3, 4, 6):
             classes = h2_classes(sub, m)
             for _ in range(20):
@@ -465,13 +466,15 @@ def test_generating_set_rows_decide_the_cocycle_identity():
                     r, c = rng.randrange(1, sub.order), rng.randrange(1, sub.order)
                     exps[r][c] = rng.randrange(m)
                 table = tuple(map(tuple, exps))
-                try:
-                    Cocycle(sub, m, table)
-                    full = True
-                except CocycleError:
-                    full = False
-                assert helpers.cocycle_rows_hold(sub, m, table, gens) == full
-                outcomes.append(full)
+                bad = helpers.cocycle_first_bad_row(sub, m, table)
+                if bad is None:
+                    assert Cocycle(sub, m, table).exps == table
+                else:
+                    with pytest.raises(CocycleError, match=f"^cocycle identity fails at row {bad}$"):
+                        Cocycle(sub, m, table)
+                assert helpers.cocycle_rows_hold(sub, m, table, gens) == (bad is None)
+                assert bad is None or bad in gens  # the first failing row is in S
+                outcomes.append(bad is None)
     assert len(outcomes) >= 900 and outcomes.count(False) >= 300
 
 
