@@ -155,7 +155,7 @@ class SubgroupData:
 
     __slots__ = ("group", "elements", "eset", "order", "pos",
                  "coset_id_of", "cosets", "transversal", "normalizer", "is_normal",
-                 "_pmul", "coboundary_echelons")
+                 "_pmul", "_gens", "_exponent", "coboundary_echelons")
 
     def __init__(self, group: Group, elems):
         elements = tuple(elems)
@@ -190,8 +190,9 @@ class SubgroupData:
         )
         self.normalizer = nz
         self.is_normal = len(nz) == group.order
-        self._pmul = None
-        # M -> image echelon of the coboundary map over Z/M (gforge.twisted)
+        self._pmul = self._gens = self._exponent = None
+        # M -> image echelon over Z/M of the coboundary map on the rows of
+        # gens (gforge.twisted)
         self.coboundary_echelons: dict[int, list] = {}
 
     @property
@@ -202,6 +203,20 @@ class SubgroupData:
             pos, mul, els = self.pos, self.group._mul, self.elements
             self._pmul = tuple(tuple(pos[mul[a][b]] for b in els) for a in els)
         return self._pmul
+
+    @property
+    def gens(self) -> tuple[int, ...]:
+        """generating_set(pmul): a generating set of H as positions; built on
+        first use and kept."""
+        if self._gens is None:
+            self._gens = generating_set(self.pmul)
+        return self._gens
+
+    def exponent(self) -> int:
+        """exp(H), the lcm of the element orders; computed on first use and kept."""
+        if self._exponent is None:
+            self._exponent = lcm(*(self.group.order_of(h) for h in self.elements))
+        return self._exponent
 
     def index(self) -> int:
         return self.group.order // self.order

@@ -33,8 +33,8 @@ from .twisted import (
     Cocycle,
     class_order,
     conjugate_cocycle,
+    conjugate_is_cohomologous,
     galois_character,
-    is_cohomologous,
 )
 
 
@@ -351,7 +351,7 @@ def classify(p: Presentation, word_bound: int | None = None) -> ClassificationFl
     strongly = False
     if p.sub.is_normal and p.lam.uniform_multiplicity() is not None:
         strongly = all(
-            is_cohomologous(conjugate_cocycle(p.alpha, g), p.alpha)[0]
+            conjugate_is_cohomologous(p.alpha, g, p.alpha)[0]
             for g in range(p.group.order)
         )
     if strongly and not division:
@@ -431,8 +431,7 @@ def iso_witness(p1: Presentation, p2: Presentation) -> int | None:
             p2.sub, [grp.mul(g, x) for x in p1.entries])
         if moved.counts != p2.lam.counts:
             continue
-        beta = conjugate_cocycle(p1.alpha, g, p2.sub)
-        if is_cohomologous(beta, p2.alpha)[0]:
+        if conjugate_is_cohomologous(p1.alpha, g, p2.alpha)[0]:
             return g
     return None
 

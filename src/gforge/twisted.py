@@ -7,17 +7,22 @@ enters: the Cocycle constructor, make_cocycle (every parsed input) and the
 classes h2_classes returns; the rows of a generating set of H decide the
 cocycle identity. Embedding, Galois twists, conjugation, coboundary shifts
 and scaling keep the cocycle laws, so their tables skip the check.
-Cohomology is tested over Z/M with M = modulus * exp(H): a Howell basis of
-the coboundaries B^2(H, Z/M), each row carrying its preimage f, is built on
-the first query for (H, M) and kept on the SubgroupData. A query reads its
-cocycles as flat Z/M vectors (exponents scaled by M / modulus), builds no
-Cocycle for them, and answers each question by one reduction of such a
-vector z in _coboundary_witness, which verifies delta f = z for every
-witness f it returns. The binomial ratios of F^alpha H depend only on the
-class of alpha, so the data the invariant chain needs comes from such
-reductions: the order n of the class (the ratios generate the n-th roots of
-unity), and for g normalizing H the unit j with alpha^g ~ j * alpha, which
-is the Galois character of g.
+Cohomology is tested over Z/M with M = modulus * exp(H), on the rows of a
+generating set S of H: every cocycle a query reduces is normalized (b - a,
+d * alpha or alpha^g - j * alpha), and a normalized cocycle is fixed by its
+values on S x H (see h2_classes), so z = delta f exactly when the two agree
+there. A Howell basis of the coboundary map on the rows (s, h), each row
+carrying its preimage f, is built on the first query for (H, M) and kept on
+the SubgroupData; it has |S| * |H| + |H| - 1 columns, not |H|^2 + |H| - 1.
+A query reads the rows s in S of its cocycles as flat Z/M vectors
+(exponents scaled by M / modulus; a conjugate's through its position map),
+builds no Cocycle for them, and answers each question by one reduction of
+such a vector z in _coboundary_witness, which verifies delta f = z on those
+rows for every witness f it returns. The binomial ratios of F^alpha H
+depend only on the class of alpha, so the data the invariant chain needs
+comes from such reductions: the order n of the class (the ratios generate
+the n-th roots of unity), and for g normalizing H the unit j with
+alpha^g ~ j * alpha, which is the Galois character of g.
 
 h2_classes works on a generating set S of H. A normalized alpha with
 delta alpha(s, g, h) = 0 for every s in S is a cocycle, and then its values
@@ -45,7 +50,7 @@ from .errors import (
     InternalError,
     PreconditionError,
 )
-from .groups import SubgroupData, all_ints, generating_set
+from .groups import SubgroupData, all_ints
 from .modlinalg import (howell_echelon, kernel_mod, reduce_least, reduce_mod, snf,
                         solve_in_image, split_echelon)
 
@@ -79,7 +84,7 @@ class Cocycle:
             raise CocycleError("table must be normalized at the identity")
         # the rows where the identity holds are closed under products (see
         # h2_classes), so S decides, and its first failure is the first row
-        i = next((i for i in generating_set(sub.pmul) if not _identity_holds_at(self, i)), None)
+        i = next((i for i in sub.gens if not _identity_holds_at(self, i)), None)
         if i is not None:
             raise CocycleError(f"cocycle identity fails at row {i}")
 
@@ -133,7 +138,7 @@ def trivial_cocycle(sub: SubgroupData, modulus: int = 1) -> Cocycle:
 
 
 def sub_exponent(sub: SubgroupData) -> int:
-    return lcm(*(sub.group.order_of(h) for h in sub.elements))
+    return sub.exponent()
 
 
 def word_exponent(alpha: Cocycle, word) -> tuple[int, int]:
@@ -265,6 +270,15 @@ def _word_data(alpha: Cocycle, L: int):
 def conjugate_cocycle(alpha: Cocycle, theta: int,
                       new_sub: SubgroupData | None = None) -> Cocycle:
     """beta(x, y) = alpha(theta^-1 x theta, theta^-1 y theta) on theta H theta^-1."""
+    new_sub, back = _conjugation_positions(alpha, theta, new_sub)
+    exps = tuple(tuple(alpha.exps[p][q] for q in back) for p in back)
+    return Cocycle._derived(new_sub, alpha.modulus, exps)
+
+
+def _conjugation_positions(alpha: Cocycle, theta: int, new_sub: SubgroupData | None):
+    """(target, back) for conjugate_cocycle: back[p] is the position in
+    alpha's subgroup of theta^-1 x theta, x the element at position p of the
+    target, so the conjugate's (p, q) entry is alpha's (back[p], back[q])."""
     grp = alpha.sub.group
     if new_sub is None:
         if theta not in alpha.sub.normalizer:
@@ -274,8 +288,7 @@ def conjugate_cocycle(alpha: Cocycle, theta: int,
     back = [alpha.sub.pos.get(grp.conj(x, theta), -1) for x in new_sub.elements]
     if sorted(back) != list(range(alpha.sub.order)):
         raise PreconditionError("target subgroup is not the conjugate of the source")
-    exps = tuple(tuple(alpha.exps[p][q] for q in back) for p in back)
-    return Cocycle._derived(new_sub, alpha.modulus, exps)
+    return new_sub, back
 
 
 def galois_twist(alpha: Cocycle, j: int) -> Cocycle:
@@ -322,14 +335,14 @@ def shift_by_coboundary(alpha: Cocycle, f) -> Cocycle:
     return Cocycle._derived(sub, m, exps)
 
 
-def coboundary_rows(sub: SubgroupData, M: int) -> list[list[int]]:
-    """The coboundary map over Z/M as rows: row (i, j) in row-major order sends
-    f (f[identity] = 0 dropped, one column per other element) to
-    f(h_i) + f(h_j) - f(h_i h_j)."""
+def coboundary_rows(sub: SubgroupData, M: int, firsts=None) -> list[list[int]]:
+    """The coboundary map over Z/M as rows: row (i, j), for i in firsts
+    (every position by default) and then j in order, sends f (f[identity] = 0
+    dropped, one column per other element) to f(h_i) + f(h_j) - f(h_i h_j)."""
     nvars = sub.order - 1
     rows = []
-    for i, prow in enumerate(sub.pmul):
-        for j, ij in enumerate(prow):
+    for i in range(sub.order) if firsts is None else firsts:
+        for j, ij in enumerate(sub.pmul[i]):
             row = [0] * nvars
             for p, sign in ((i, 1), (j, 1), (ij, -1)):
                 if p:
@@ -345,26 +358,43 @@ def _flat(alpha: Cocycle, M: int) -> list[int]:
     return [k * e for row in alpha.exps for e in row]
 
 
-def _delta(sub: SubgroupData, f):
-    """delta f(h_i, h_j) = f(h_i) + f(h_j) - f(h_i h_j), unreduced, row-major
-    in subgroup positions."""
-    return (fi + fj - f[p] for fi, prow in zip(f, sub.pmul) for fj, p in zip(f, prow))
+def _gen_rows(alpha: Cocycle, M: int, conj=None) -> list[int]:
+    """The rows s in S = sub.gens of alpha read over Z/M (M a multiple of its
+    modulus), flat; with conj = (target, back) from _conjugation_positions,
+    those of the conjugate on the target, read through back without
+    building it."""
+    k, tab = M // alpha.modulus, alpha.exps
+    if conj is None:
+        return [k * e for s in alpha.sub.gens for e in tab[s]]
+    sub, back = conj
+    return [k * tab[back[s]][q] for s in sub.gens for q in back]
+
+
+def _delta(sub: SubgroupData, f, firsts=None):
+    """delta f(h_i, h_j) = f(h_i) + f(h_j) - f(h_i h_j), unreduced, for i in
+    firsts (every position by default) and then j in order."""
+    pmul = sub.pmul
+    return (f[i] + fj - f[p] for i in (range(sub.order) if firsts is None else firsts)
+            for fj, p in zip(f, pmul[i]))
 
 
 def _coboundary_witness(sub: SubgroupData, M: int, z) -> tuple[int, ...] | None:
-    """f with f[identity] = 0 and delta f = z over Z/M (z a flat table), or
-    None. Reduces against the image echelon of the coboundary map, built on
-    the first query for (sub, M) and kept on the subgroup; every witness is
-    checked against z before it is returned."""
+    """f with f[identity] = 0 and delta f = z over Z/M, or None; z is a
+    normalized cocycle over Z/M given by its rows s in S = sub.gens, flat
+    (_gen_rows). A normalized cocycle that vanishes on S x H is 0 (see
+    h2_classes), so z - delta f = 0 on those rows decides delta f = z.
+    Reduces against the image echelon of the coboundary map on the rows
+    (s, h), built on the first query for (sub, M) and kept on the subgroup;
+    every witness is checked against z before it is returned."""
     image = sub.coboundary_echelons.get(M)
     if image is None:
-        image = split_echelon(coboundary_rows(sub, M), sub.order - 1, M)[0]
+        image = split_echelon(coboundary_rows(sub, M, sub.gens), sub.order - 1, M)[0]
         sub.coboundary_echelons[M] = image
     x = solve_in_image(image, z, sub.order - 1, M)
     if x is None:
         return None
     f = (0,) + x
-    if any((d - zz) % M for d, zz in zip(_delta(sub, f), z)):
+    if any((d - zz) % M for d, zz in zip(_delta(sub, f, sub.gens), z)):
         raise InternalError("coboundary witness failed verification")
     return f
 
@@ -372,26 +402,40 @@ def _coboundary_witness(sub: SubgroupData, M: int, z) -> tuple[int, ...] | None:
 def is_cohomologous(a: Cocycle, b: Cocycle) -> tuple[bool, tuple[int, ...] | None, int]:
     """Do a and b differ by a coboundary valued in the extended roots of unity?
 
-    Works over Z/M with M = lcm(moduli) * exp(H).
+    Works over Z/M with M = lcm(moduli) * exp(H), by one reduction of the
+    rows s in S of b - a (see _coboundary_witness).
     Returns (ok, witness f with f[identity] = 0, M).
     """
     if a.sub is not b.sub and (a.sub.elements != b.sub.elements
                                or a.sub.pmul != b.sub.pmul):
         raise PreconditionError("cocycles live on different subgroups")
     M = lcm(a.modulus, b.modulus) * sub_exponent(a.sub)
-    f = _coboundary_witness(a.sub, M, [y - x for x, y in zip(_flat(a, M), _flat(b, M))])
+    f = _coboundary_witness(a.sub, M, [y - x for x, y in zip(_gen_rows(a, M), _gen_rows(b, M))])
+    return f is not None, f, M
+
+
+def conjugate_is_cohomologous(alpha: Cocycle, theta: int, beta: Cocycle
+                              ) -> tuple[bool, tuple[int, ...] | None, int]:
+    """is_cohomologous(conjugate_cocycle(alpha, theta, beta.sub), beta), with
+    the conjugate's rows s in S read through the conjugation positions
+    instead of building its table."""
+    conj = _conjugation_positions(alpha, theta, beta.sub)
+    M = lcm(alpha.modulus, beta.modulus) * sub_exponent(beta.sub)
+    z = [y - x for x, y in zip(_gen_rows(alpha, M, conj), _gen_rows(beta, M))]
+    f = _coboundary_witness(beta.sub, M, z)
     return f is not None, f, M
 
 
 def class_order(alpha: Cocycle) -> int:
     """The order n of the class of alpha over Z/M, M = modulus * exp(H): the
-    least d dividing the modulus with d * alpha ~ 0. The binomial ratios of
+    least d dividing the modulus with d * alpha ~ 0, each d tried by one
+    reduction of the rows s in S of d * alpha. The binomial ratios of
     F^alpha H generate exactly the n-th roots of unity."""
     m = alpha.modulus
     if alpha.is_trivial():
         return 1
     M = m * sub_exponent(alpha.sub)
-    z = _flat(alpha, M)
+    z = _gen_rows(alpha, M)
     return next((d for d in range(1, m) if m % d == 0 and _coboundary_witness(
         alpha.sub, M, [d * e for e in z]) is not None), m)
 
@@ -403,9 +447,10 @@ def galois_character(g: int, alpha: Cocycle, n: int | None = None) -> int | None
     the modulus; g must normalize the subgroup. j exists exactly when
     conjugation by g rescales every binomial ratio by one Galois unit. Since
     n * alpha ~ 0, j * alpha depends only on j mod n, so each j < n is tried
-    by one reduction of alpha^g - j * alpha against the coboundary echelon
-    of (H, M). Conjugation by a subgroup element fixes every class, so j is
-    constant on H-cosets.
+    by one reduction of the rows s in S of alpha^g - j * alpha against the
+    coboundary echelon of (H, M); the rows of alpha^g are read through the
+    conjugation positions, and no conjugate table is built. Conjugation by a
+    subgroup element fixes every class, so j is constant on H-cosets.
     """
     sub = alpha.sub
     if g not in sub.normalizer:
@@ -417,7 +462,8 @@ def galois_character(g: int, alpha: Cocycle, n: int | None = None) -> int | None
     if n == 1:
         return 0
     M = alpha.modulus * sub_exponent(sub)
-    flat_a, flat_b = _flat(alpha, M), _flat(conjugate_cocycle(alpha, g), M)
+    flat_a = _gen_rows(alpha, M)
+    flat_b = _gen_rows(alpha, M, _conjugation_positions(alpha, g, sub))
     for j in range(n):
         z = [y - j * x for x, y in zip(flat_a, flat_b)]
         if _coboundary_witness(sub, M, z) is not None:
@@ -429,7 +475,7 @@ def galois_character(g: int, alpha: Cocycle, n: int | None = None) -> int | None
 
 def _cocycle_system(sub: SubgroupData, m: int):
     """The normalized cocycles over Z/m as the solutions of a linear system
-    in the values alpha(s, x), s in S = generating_set(sub.pmul) and x != e;
+    in the values alpha(s, x), s in S = sub.gens and x != e;
     variable (i, x) is column i * (|H| - 1) + x - 1.
 
     Every alpha(g, .) is expanded along a BFS tree of the Cayley graph of
@@ -437,8 +483,7 @@ def _cocycle_system(sub: SubgroupData, m: int):
     each edge (s, g) outside the tree gives the |H| - 1 rows of that
     identity at h != e. Returns (S, tree, rows), tree listing the edges
     (s, g, sg) in BFS order, for _expand."""
-    size, pmul = sub.order, sub.pmul
-    gens = generating_set(pmul)
+    size, pmul, gens = sub.order, sub.pmul, sub.gens
     nvars = len(gens) * (size - 1)
     forms = {0: [[0] * nvars for _ in range(size)]}
     tree, rows = [], []

@@ -18,9 +18,10 @@ from gforge.errors import GroupError, InternalError, PreconditionError
 from gforge.groups import (CosetMultiset, Group, SubgroupData, cyclic,
                            dihedral, direct_product, semidirect_product)
 from gforge.identities import IdentityReport, linearize
-from gforge.modlinalg import kernel_mod, reduce_least, reduce_mod, snf, xgcd
+from gforge.modlinalg import (kernel_mod, reduce_least, reduce_mod, snf,
+                              solve_in_image, split_echelon, xgcd)
 from gforge.presentation import Presentation
-from gforge.twisted import (Cocycle, _coboundary_witness, _flat, coboundary_rows,
+from gforge.twisted import (Cocycle, _delta, _flat, coboundary_rows,
                             conjugate_cocycle, h2_classes, make_cocycle,
                             shift_by_coboundary, sub_exponent,
                             trivial_cocycle)
@@ -331,6 +332,57 @@ def galois_character_by_solve(g: int, alpha: Cocycle, n: int) -> int | None:
     return j % n
 
 
+def coboundary_witness_full(sub: SubgroupData, M: int, z) -> tuple[int, ...] | None:
+    """twisted._coboundary_witness on the whole table: f with f[identity] = 0
+    and delta f = z over Z/M for z a flat |H|^2 table (row-major), or None,
+    by one reduction against the image echelon of the coboundary map on
+    every row (i, j), rebuilt on each call; each witness is checked on the
+    whole table."""
+    image = split_echelon(coboundary_rows(sub, M), sub.order - 1, M)[0]
+    x = solve_in_image(image, z, sub.order - 1, M)
+    if x is None:
+        return None
+    f = (0,) + x
+    if any((d - zz) % M for d, zz in zip(_delta(sub, f), z)):
+        raise InternalError("coboundary witness failed verification")
+    return f
+
+
+def is_cohomologous_full(a: Cocycle, b: Cocycle):
+    """is_cohomologous by reducing the whole table of b - a
+    (coboundary_witness_full); (ok, witness f with f[identity] = 0, M)."""
+    M = lcm(a.modulus, b.modulus) * sub_exponent(a.sub)
+    f = coboundary_witness_full(a.sub, M, [y - x for x, y in zip(_flat(a, M), _flat(b, M))])
+    return f is not None, f, M
+
+
+def class_order_full(alpha: Cocycle) -> int:
+    """class_order with each d tried on the whole table of d * alpha."""
+    m = alpha.modulus
+    if alpha.is_trivial():
+        return 1
+    M = m * sub_exponent(alpha.sub)
+    z = _flat(alpha, M)
+    return next((d for d in range(1, m) if m % d == 0 and coboundary_witness_full(
+        alpha.sub, M, [d * e for e in z]) is not None), m)
+
+
+def galois_character_full(g: int, alpha: Cocycle, n: int) -> int | None:
+    """galois_character with each j tried on the whole table of
+    alpha^g - j * alpha, alpha^g built as a Cocycle."""
+    if n == 1:
+        return 0
+    M = alpha.modulus * sub_exponent(alpha.sub)
+    flat_a, flat_b = _flat(alpha, M), _flat(conjugate_cocycle(alpha, g), M)
+    for j in range(n):
+        z = [y - j * x for x, y in zip(flat_a, flat_b)]
+        if coboundary_witness_full(alpha.sub, M, z) is not None:
+            if gcd(j, n) != 1:
+                raise InternalError("Galois character is not a unit mod the class order")
+            return j
+    return None
+
+
 def _raw_classes(sub: SubgroupData, m: int) -> tuple[dict, tuple[int, ...]]:
     """Normalized cocycle tables over Z/m from the full |H|^3-row cocycle
     system, one per class modulo mod-m coboundaries, each mapped to its
@@ -399,7 +451,7 @@ def h2_classes_full_system(sub: SubgroupData, m: int) -> list[Cocycle]:
     cocycles = {table: Cocycle(sub, m, table) for table in sorted(raw)}
     M = m * sub_exponent(sub)
     k0 = [raw[t] for t, c in cocycles.items()
-          if _coboundary_witness(sub, M, _flat(c, M)) is not None]
+          if coboundary_witness_full(sub, M, _flat(c, M)) is not None]
     reps: list[Cocycle] = []
     merged: set[tuple[int, ...]] = set()
     for table, cand in cocycles.items():

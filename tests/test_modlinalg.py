@@ -139,5 +139,6 @@ def test_howell_echelon_matches_the_numpy_echelon(m):
         sub = SubgroupData(grp, range(grp.order))
         M = m * twisted.sub_exponent(sub)
         for rows, mod in ((twisted._cocycle_system(sub, m)[2], m),
-                          (twisted.coboundary_rows(sub, M), M)):
+                          (twisted.coboundary_rows(sub, M), M),
+                          (twisted.coboundary_rows(sub, M, sub.gens), M)):
             assert howell_echelon(rows, mod) == helpers.howell_echelon_numpy(rows, mod)

@@ -18,10 +18,10 @@ from gforge.groups import SubgroupData, cyclic, dihedral, direct_product, genera
 from gforge.presentation import compute_KNS
 from gforge.twisted import (BinomialDatum, Cocycle, binomial_datum,
                             binomial_ratio, class_order, conjugate_cocycle,
-                            find_primitive_binomial, galois_character,
-                            galois_twist, h2_classes, is_binomial_identity,
-                            is_cohomologous, lift_unit, make_cocycle,
-                            shift_by_coboundary, sub_exponent,
+                            conjugate_is_cohomologous, find_primitive_binomial,
+                            galois_character, galois_twist, h2_classes,
+                            is_binomial_identity, is_cohomologous, lift_unit,
+                            make_cocycle, shift_by_coboundary, sub_exponent,
                             trivial_cocycle, word_exponent)
 
 import helpers
@@ -144,7 +144,8 @@ def test_bad_arguments_are_preconditions(alpha_pauli, call):
     lambda alpha: is_cohomologous(alpha, alpha),
     class_order,
     lambda alpha: galois_character(0, alpha, 2),
-], ids=["is_cohomologous", "class_order", "galois_character"])
+    lambda alpha: conjugate_is_cohomologous(alpha, 3, alpha),
+], ids=["is_cohomologous", "class_order", "galois_character", "conjugate_is_cohomologous"])
 def test_a_corrupted_witness_is_caught(monkeypatch, query):
     # every query finds a witness here, so each must reach the one check
     solve = twisted.solve_in_image
@@ -652,15 +653,16 @@ def test_one_coboundary_echelon_per_subgroup_and_modulus(monkeypatch):
     built = []
     real = twisted.coboundary_rows
 
-    def spy(sub, M):
-        built.append((sub, M))
-        return real(sub, M)
+    def spy(sub, M, firsts=None):
+        built.append((sub, M, firsts))
+        return real(sub, M, firsts)
 
     monkeypatch.setattr(twisted, "coboundary_rows", spy)
     p = helpers.build_swap_raw()
     M = p.alpha.modulus * sub_exponent(p.sub)
     compute_KNS(p)
-    assert built == [(p.sub, M)]
+    # only the rows (s, h), s in the generating set, are echeloned
+    assert built == [(p.sub, M, p.sub.gens)]
     assert list(p.sub.coboundary_echelons) == [M]
     compute_KNS(p)
     assert len(built) == 1
@@ -669,7 +671,7 @@ def test_one_coboundary_echelon_per_subgroup_and_modulus(monkeypatch):
     assert conj is not p.sub and conj.elements == p.sub.elements
     beta = conjugate_cocycle(p.alpha, 1, conj)
     assert is_cohomologous(beta, beta)[0]
-    assert built[1:] == [(conj, M)] and list(conj.coboundary_echelons) == [M]
+    assert built[1:] == [(conj, M, conj.gens)] and list(conj.coboundary_echelons) == [M]
     assert conj.coboundary_echelons[M] is not p.sub.coboundary_echelons[M]
 
     def holders(obj):
@@ -681,3 +683,62 @@ def test_one_coboundary_echelon_per_subgroup_and_modulus(monkeypatch):
         cache = sub.coboundary_echelons
         assert holders(cache[M]) == [id(cache)]
         assert holders(cache) == [id(sub)]
+
+
+@pytest.mark.parametrize("name, width", [
+    ("C3xC3", 26), ("D4", 23), ("C2xC4", 23), ("C4xC4", 47)])
+def test_coboundary_echelon_spans_the_generating_set_rows(name, width):
+    # |S| * |H| + |H| - 1 columns (the rows (s, h) and the preimage), not
+    # |H|^2 + |H| - 1
+    sub, classes = _derived_classes(name, (), 2)
+    assert width == len(sub.gens) * sub.order + sub.order - 1 < sub.order ** 2 + sub.order - 1
+    alpha = classes[-1]
+    class_order(alpha)
+    for g in sub.normalizer:
+        galois_character(g, alpha)
+    assert is_cohomologous(alpha, trivial_cocycle(sub, 3))[2] in sub.coboundary_echelons
+    assert all(len(row) == width for image in sub.coboundary_echelons.values() for row in image)
+
+
+def _pool_subgroups(rng):
+    """Every pool group of order <= 16 as a subgroup of itself, and one
+    seeded cyclic subgroup of each."""
+    for grp in helpers.group_pool(16):
+        yield SubgroupData(grp, range(grp.order))
+        yield SubgroupData(grp, grp.closure([rng.randrange(1, grp.order)]))
+
+
+def test_cohomology_queries_match_the_full_table_reductions():
+    # the queries reduce the rows s in S only; the full-table reductions
+    # they replaced give the same witnesses, orders and characters
+    rng = random.Random(13)
+    pairs = 0
+    for sub in _pool_subgroups(rng):
+        grp = sub.group
+        for m in (2, 3, 4, 6):
+            classes = h2_classes(sub, m)
+
+            def shifted(alpha):
+                return shift_by_coboundary(
+                    alpha, [0] + [rng.randrange(m) for _ in range(sub.order - 1)])
+
+            for _ in range(3):
+                a = shifted(rng.choice(classes))
+                b = shifted(a if rng.random() < 0.5 else rng.choice(classes))
+                ok, f, M = is_cohomologous(a, b)
+                assert (ok, f, M) == helpers.is_cohomologous_full(a, b)
+                if ok:  # delta f = b - a on the whole table, not only on S x H
+                    assert shift_by_coboundary(a.embedded(M), f).exps == b.embedded(M).exps
+                pairs += 1
+                n = class_order(a)
+                assert n == helpers.class_order_full(a)
+                for g in rng.sample(sub.normalizer, min(4, len(sub.normalizer))):
+                    assert galois_character(g, a, n) == helpers.galois_character_full(g, a, n)
+                # the conjugate's rows read through its position map, as
+                # classify and iso_witness read them
+                g = rng.randrange(grp.order)
+                target = sub if g in sub.normalizer else sub.conjugated(g)
+                beta = conjugate_cocycle(shifted(rng.choice(classes)), g, target)
+                assert (conjugate_is_cohomologous(a, g, beta)
+                        == helpers.is_cohomologous_full(conjugate_cocycle(a, g, target), beta))
+    assert pairs == 3 * 4 * 2 * len(helpers.group_pool(16))
