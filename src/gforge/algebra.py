@@ -19,8 +19,8 @@ from .errors import CapExceeded, InternalError, PreconditionError, PresentationE
 from .groups import SubgroupData, subgroup_group
 from .modlinalg import solve_mod
 from .presentation import Presentation, normalize_with_details, related_reps
-from .twisted import (Cocycle, _flat, coboundary_rows, conjugate_cocycle, sub_exponent,
-                      unit_lifts)
+from .twisted import (Cocycle, _conjugation_positions, _gen_rows, coboundary_rows,
+                      conjugate_is_cohomologous, galois_twist, unit_lifts)
 
 
 class GradedAlgebra:
@@ -380,7 +380,8 @@ def build_k_form(p: Presentation, mode: str = "corrected",
     diagonals for a power basis of Q(mu_n), and one Galois permutation per
     character value.  The twisted diagonal relabels u_h by conjugation and,
     in mode "corrected", carries the coboundary scalar that makes the
-    relabeling multiplicative; mode "conjugate" drops the scalar and mode
+    relabeling multiplicative, its witness from the cohomology queries
+    (_slot_witnesses); mode "conjugate" drops the scalar and mode
     "galois" drops the relabeling.  The report records whether the k-span
     closes at k-dimension dim_F A with full F-span.
     """
@@ -394,7 +395,6 @@ def build_k_form(p: Presentation, mode: str = "corrected",
     n_root = chain.n
     field = chain.field
     chars = dict(chain.s_characters)
-    m_alpha = alpha.modulus
 
     slot_chars = sorted(set(chars.values()))
     g_slots = tuple(min(s for s in chain.S if chars[s] == c) for c in slot_chars)
@@ -427,43 +427,8 @@ def build_k_form(p: Presentation, mode: str = "corrected",
         raise InternalError("factored layout changed the coset multiset")
     algebra = GradedAlgebra(p_s)
 
-    # Per slot: the Galois unit used on scalars and, in corrected mode, a
-    # witness f making the conjugation relabel multiplicative; f solves
-    # delta f = u * alpha - alpha^(conjugation) together with the descent
-    # rows that keep the Galois permutations inside the span.
-    big_m = m_alpha * sub_exponent(sub)
-    slot_units: list[int] = []
-    slot_scalars: list = []
-    descent_enforced = True
-    for c, gc in enumerate(g_slots):
-        jc = chars[gc]
-        j_inv = pow(jc, -1, n_root) if n_root > 1 else 1
-        if mode != "corrected" or gc == 0:
-            slot_units.append(j_inv % n_root if n_root > 1 else 0)
-            slot_scalars.append(None)
-            if mode != "corrected" and m_slots > 1:
-                descent_enforced = False
-            continue
-        involutive = (jc * jc) % n_root == 1 % n_root and grp.mul(gc, gc) == 0
-        found = None
-        for enforce in ((True, False) if involutive else (False,)):
-            for u_n in dict.fromkeys((j_inv, jc)):
-                for u in unit_lifts(u_n, n_root, m_alpha):
-                    f = _descent_witness(grp, sub, alpha, gc, u,
-                                         n_root, big_m, enforce)
-                    if f is not None:
-                        found = (u_n % n_root, f, enforce)
-                        break
-                if found:
-                    break
-            if found:
-                break
-        if not found:
-            raise PresentationError(
-                f"no coboundary witness for the slot of {gc}; corrected generators unavailable")
-        slot_units.append(found[0])
-        slot_scalars.append((found[1], big_m))
-        descent_enforced = descent_enforced and found[2]
+    slot_units, slot_scalars, descent_enforced = _slot_witnesses(
+        grp, alpha, g_slots, chars, n_root, mode)
 
     one = CycScalar.one()
     gens: list[AlgElement] = []
@@ -523,45 +488,77 @@ def build_k_form(p: Presentation, mode: str = "corrected",
         gens.append(AlgElement(algebra, terms))
         labels.append(f"galois_perm[{sigma}]")
 
-    report = _span_report(algebra, field, tuple(gens), mode,
-                          tuple(slot_units), descent_enforced)
+    report = _span_report(algebra, field, tuple(gens), mode, slot_units, descent_enforced)
     return KFormResult(p_s, algebra, field, tuple(gens), tuple(labels), report)
 
 
-def _descent_witness(grp, sub, alpha, gc: int, u: int, n_root: int,
-                     big_m: int, enforce: bool):
-    """Scalars f (mod big_m, indexed by subgroup position, f[e] = 0) with
-    delta f = u * alpha - alpha(gc . gc^-1, gc . gc^-1).
+def _slot_witnesses(grp, alpha: Cocycle, g_slots, chars, n_root: int, mode: str):
+    """(slot_units, per-slot (f, big_m) or None, descent_enforced) for the
+    Galois slots g_c of build_k_form; each unit is j^-1 mod n, j = chars[g_c].
 
-    With enforce=True, two more row families pin the witness down so the
-    Galois permutation conjugates of the twisted diagonals stay inside the
-    generated span: zeta^f must lie in Q(mu_n), and for an involutive slot
+    In mode "corrected" each slot but e gets f over Z/big_m, big_m = m * exp(H),
+    with delta f = u * alpha - alpha^(g_c^-1) for a unit u = j^-1 mod n. An
+    involutive slot (j^2 = 1, g_c^2 = e) first tries every lift u with the
+    descent rows (_descent_witness). Otherwise the least lift u is one
+    cohomology query: alpha^(g_c^-1) ~ j^-1 * alpha by the Galois character,
+    and u * alpha depends only on u mod n, so a witness must exist.
+    """
+    units = tuple(pow(chars[gc], -1, n_root) if n_root > 1 else 0 for gc in g_slots)
+    if mode != "corrected":
+        return units, [None] * len(g_slots), len(g_slots) == 1
+    big_m = alpha.modulus * alpha.sub.exponent()
+    scalars: list = []
+    enforced = True
+    for gc, u_n in zip(g_slots, units):
+        if gc == 0:
+            scalars.append(None)
+            continue
+        lifts = unit_lifts(u_n, n_root, alpha.modulus)
+        f = None
+        if chars[gc] ** 2 % n_root == 1 % n_root and grp.mul(gc, gc) == 0:
+            f = next(filter(None, (_descent_witness(grp, alpha, gc, u, n_root, big_m)
+                                   for u in lifts)), None)
+        if f is None:
+            enforced = False
+            ok, f, _ = conjugate_is_cohomologous(alpha, grp.inv(gc),
+                                                 galois_twist(alpha, lifts[0]))
+            if not ok:
+                raise InternalError("Galois character has no descent witness")
+        scalars.append((f, big_m))
+    return units, scalars, enforced
+
+
+def _descent_witness(grp, alpha: Cocycle, gc: int, u: int, n_root: int, big_m: int):
+    """f (mod big_m, by subgroup position, f[e] = 0) with delta f =
+    u * alpha - alpha(gc . gc^-1, gc . gc^-1) and the descent rows, or None.
+
+    Both sides are normalized, so the rows (s, h) of coboundary_rows decide
+    delta f; the conjugate's rows are read through its position map. The
+    descent rows keep the Galois permutation conjugates of the twisted
+    diagonals inside the span: zeta^f lies in Q(mu_n), and
     u * f(x) + f(gc x gc^-1) = 0.
     """
-    beta = conjugate_cocycle(alpha, grp.inv(gc))
-    elems = sub.elements
-    pos = sub.pos
-    nv = len(elems) - 1
+    sub, pos = alpha.sub, alpha.sub.pos
+    nv = sub.order - 1
+    conj = _conjugation_positions(alpha, grp.inv(gc), None)
     rows = coboundary_rows(sub, big_m)
-    rhs = [(u * a - b) % big_m for a, b in zip(_flat(alpha, big_m), _flat(beta, big_m))]
-    if enforce:
-        for x in elems[1:]:
-            if n_root > 1:
-                row = [0] * nv
-                row[pos[x] - 1] = n_root % big_m
-                rows.append(row)
-                rhs.append(0)
+    rhs = [(u * a - b) % big_m
+           for a, b in zip(_gen_rows(alpha, big_m), _gen_rows(alpha, big_m, conj))]
+    for x in sub.elements[1:]:
+        if n_root > 1:
             row = [0] * nv
-            row[pos[x] - 1] = u % big_m
-            xc = grp.conj(x, grp.inv(gc))
-            if pos[xc]:
-                row[pos[xc] - 1] = (row[pos[xc] - 1] + 1) % big_m
+            row[pos[x] - 1] = n_root % big_m
             rows.append(row)
             rhs.append(0)
+        row = [0] * nv
+        row[pos[x] - 1] = u % big_m
+        xc = grp.conj(x, grp.inv(gc))
+        if pos[xc]:
+            row[pos[xc] - 1] = (row[pos[xc] - 1] + 1) % big_m
+        rows.append(row)
+        rhs.append(0)
     sol = solve_mod(rows, rhs, big_m)
-    if sol is None:
-        return None
-    return (0,) + tuple(int(v) % big_m for v in sol)
+    return None if sol is None else (0,) + sol
 
 
 def _span_report(algebra: GradedAlgebra, field: SubfieldDescriptor,

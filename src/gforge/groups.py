@@ -99,17 +99,6 @@ class Group:
     def conj(self, h: int, g: int) -> int:
         return self._mul[self._mul[self._inv[g]][h]][g]
 
-    def power(self, a: int, k: int) -> int:
-        if k < 0:
-            a, k = self._inv[a], -k
-        out = 0
-        while k:
-            if k & 1:
-                out = self._mul[out][a]
-            a = self._mul[a][a]
-            k >>= 1
-        return out
-
     def order_of(self, a: int) -> int:
         k, x = 1, a
         while x != 0:

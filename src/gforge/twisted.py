@@ -7,22 +7,26 @@ enters: the Cocycle constructor, make_cocycle (every parsed input) and the
 classes h2_classes returns; the rows of a generating set of H decide the
 cocycle identity. Embedding, Galois twists, conjugation, coboundary shifts
 and scaling keep the cocycle laws, so their tables skip the check.
+
 Cohomology is tested over Z/M with M = modulus * exp(H), on the rows of a
 generating set S of H: every cocycle a query reduces is normalized (b - a,
 d * alpha or alpha^g - j * alpha), and a normalized cocycle is fixed by its
 values on S x H (see h2_classes), so z = delta f exactly when the two agree
-there. A Howell basis of the coboundary map on the rows (s, h), each row
-carrying its preimage f, is built on the first query for (H, M) and kept on
-the SubgroupData; it has |S| * |H| + |H| - 1 columns, not |H|^2 + |H| - 1.
-A query reads the rows s in S of its cocycles as flat Z/M vectors
-(exponents scaled by M / modulus; a conjugate's through its position map),
-builds no Cocycle for them, and answers each question by one reduction of
-such a vector z in _coboundary_witness, which verifies delta f = z on those
-rows for every witness f it returns. The binomial ratios of F^alpha H
+there. coboundary_rows is the coboundary map on those rows (s, h); no
+|H|^2-row system is built. A Howell basis of it, each row carrying its
+preimage f, is built on the first query for (H, M) and kept on the
+SubgroupData; it has |S| * |H| + |H| - 1 columns. A query reads the rows s
+in S of its cocycles as flat Z/M vectors (exponents scaled by M / modulus;
+a conjugate's through its position map), builds no Cocycle for them, and
+answers each question by one reduction of such a vector z in
+_coboundary_witness, which verifies delta f = z on those rows for every
+witness f it returns. is_cohomologous is conjugate_is_cohomologous by the
+identity, so there is one query body. The binomial ratios of F^alpha H
 depend only on the class of alpha, so the data the invariant chain needs
 comes from such reductions: the order n of the class (the ratios generate
 the n-th roots of unity), and for g normalizing H the unit j with
-alpha^g ~ j * alpha, which is the Galois character of g.
+alpha^g ~ j * alpha, which is the Galois character of g. The k-form descent
+of gforge.algebra asks the same queries of the same echelons.
 
 h2_classes works on a generating set S of H. A normalized alpha with
 delta alpha(s, g, h) = 0 for every s in S is a cocycle, and then its values
@@ -135,10 +139,6 @@ def trivial_cocycle(sub: SubgroupData, modulus: int = 1) -> Cocycle:
     _check_modulus(modulus)
     zero = tuple(tuple(0 for _ in range(sub.order)) for _ in range(sub.order))
     return Cocycle._derived(sub, modulus, zero)
-
-
-def sub_exponent(sub: SubgroupData) -> int:
-    return sub.exponent()
 
 
 def word_exponent(alpha: Cocycle, word) -> tuple[int, int]:
@@ -335,13 +335,14 @@ def shift_by_coboundary(alpha: Cocycle, f) -> Cocycle:
     return Cocycle._derived(sub, m, exps)
 
 
-def coboundary_rows(sub: SubgroupData, M: int, firsts=None) -> list[list[int]]:
-    """The coboundary map over Z/M as rows: row (i, j), for i in firsts
-    (every position by default) and then j in order, sends f (f[identity] = 0
-    dropped, one column per other element) to f(h_i) + f(h_j) - f(h_i h_j)."""
+def coboundary_rows(sub: SubgroupData, M: int) -> list[list[int]]:
+    """The coboundary map over Z/M on the rows of S = sub.gens: row (s, j),
+    for s in S and then j in order, sends f (f[identity] = 0 dropped, one
+    column per other element) to f(s) + f(h_j) - f(s h_j). On normalized
+    cocycles these rows decide delta f (see h2_classes)."""
     nvars = sub.order - 1
     rows = []
-    for i in range(sub.order) if firsts is None else firsts:
+    for i in sub.gens:
         for j, ij in enumerate(sub.pmul[i]):
             row = [0] * nvars
             for p, sign in ((i, 1), (j, 1), (ij, -1)):
@@ -349,13 +350,6 @@ def coboundary_rows(sub: SubgroupData, M: int, firsts=None) -> list[list[int]]:
                     row[p - 1] = (row[p - 1] + sign) % M
             rows.append(row)
     return rows
-
-
-def _flat(alpha: Cocycle, M: int) -> list[int]:
-    """alpha read over Z/M (M a multiple of its modulus) as one flat vector,
-    row-major in subgroup positions."""
-    k = M // alpha.modulus
-    return [k * e for row in alpha.exps for e in row]
 
 
 def _gen_rows(alpha: Cocycle, M: int, conj=None) -> list[int]:
@@ -388,7 +382,7 @@ def _coboundary_witness(sub: SubgroupData, M: int, z) -> tuple[int, ...] | None:
     every witness is checked against z before it is returned."""
     image = sub.coboundary_echelons.get(M)
     if image is None:
-        image = split_echelon(coboundary_rows(sub, M, sub.gens), sub.order - 1, M)[0]
+        image = split_echelon(coboundary_rows(sub, M), sub.order - 1, M)[0]
         sub.coboundary_echelons[M] = image
     x = solve_in_image(image, z, sub.order - 1, M)
     if x is None:
@@ -403,15 +397,14 @@ def is_cohomologous(a: Cocycle, b: Cocycle) -> tuple[bool, tuple[int, ...] | Non
     """Do a and b differ by a coboundary valued in the extended roots of unity?
 
     Works over Z/M with M = lcm(moduli) * exp(H), by one reduction of the
-    rows s in S of b - a (see _coboundary_witness).
+    rows s in S of b - a (see _coboundary_witness): conjugate_is_cohomologous
+    by the identity, so the echelon is the one kept on b.sub.
     Returns (ok, witness f with f[identity] = 0, M).
     """
     if a.sub is not b.sub and (a.sub.elements != b.sub.elements
                                or a.sub.pmul != b.sub.pmul):
         raise PreconditionError("cocycles live on different subgroups")
-    M = lcm(a.modulus, b.modulus) * sub_exponent(a.sub)
-    f = _coboundary_witness(a.sub, M, [y - x for x, y in zip(_gen_rows(a, M), _gen_rows(b, M))])
-    return f is not None, f, M
+    return conjugate_is_cohomologous(a, 0, b)
 
 
 def conjugate_is_cohomologous(alpha: Cocycle, theta: int, beta: Cocycle
@@ -420,7 +413,7 @@ def conjugate_is_cohomologous(alpha: Cocycle, theta: int, beta: Cocycle
     the conjugate's rows s in S read through the conjugation positions
     instead of building its table."""
     conj = _conjugation_positions(alpha, theta, beta.sub)
-    M = lcm(alpha.modulus, beta.modulus) * sub_exponent(beta.sub)
+    M = lcm(alpha.modulus, beta.modulus) * beta.sub.exponent()
     z = [y - x for x, y in zip(_gen_rows(alpha, M, conj), _gen_rows(beta, M))]
     f = _coboundary_witness(beta.sub, M, z)
     return f is not None, f, M
@@ -434,7 +427,7 @@ def class_order(alpha: Cocycle) -> int:
     m = alpha.modulus
     if alpha.is_trivial():
         return 1
-    M = m * sub_exponent(alpha.sub)
+    M = m * alpha.sub.exponent()
     z = _gen_rows(alpha, M)
     return next((d for d in range(1, m) if m % d == 0 and _coboundary_witness(
         alpha.sub, M, [d * e for e in z]) is not None), m)
@@ -461,7 +454,7 @@ def galois_character(g: int, alpha: Cocycle, n: int | None = None) -> int | None
         raise PreconditionError("n must be a positive divisor of the modulus")
     if n == 1:
         return 0
-    M = alpha.modulus * sub_exponent(sub)
+    M = alpha.modulus * sub.exponent()
     flat_a = _gen_rows(alpha, M)
     flat_b = _gen_rows(alpha, M, _conjugation_positions(alpha, g, sub))
     for j in range(n):
@@ -520,17 +513,16 @@ def _expand(sub: SubgroupData, gens, tree, x, m: int) -> list[int]:
     return [e for i in range(size) for e in rows[i]]
 
 
-def _root_coboundaries(sub: SubgroupData, m: int, gens) -> list[tuple[int, ...]]:
+def _root_coboundaries(sub: SubgroupData, m: int) -> list[tuple[int, ...]]:
     """A Howell basis over Z/m, in flat table coordinates, of L: the
     coboundaries delta f over Z/M, M = m * exp(H), whose values lie in
     (M/m) Z/M, divided by M/m. Then m * delta f = 0, so f mod M/m is a
-    homomorphism, and f(sh) = f(s) + f(h) for s in gens is enough for that."""
-    size = sub.order
-    M = m * sub_exponent(sub)
-    cob = coboundary_rows(sub, M)
-    hom_rows = [[m * c for c in cob[s * size + h]] for s in gens for h in range(size)]
+    homomorphism, and f(sh) = f(s) + f(h) for s in S = sub.gens, the rows
+    of coboundary_rows, is enough for that."""
+    M = m * sub.exponent()
+    hom_rows = [[m * c for c in row] for row in coboundary_rows(sub, M)]
     ell = []
-    for f in kernel_mod(hom_rows, size - 1, M):
+    for f in kernel_mod(hom_rows, sub.order - 1, M):
         delta = [d % M for d in _delta(sub, (0, *f))]
         if any(d % (M // m) for d in delta):
             raise InternalError("coboundary is not in the cocycle module")
@@ -569,7 +561,7 @@ def h2_classes(sub: SubgroupData, m: int) -> list[Cocycle]:
     z2 = kernel_mod(rows, len(gens) * (size - 1), m)
     if not z2:
         return [trivial_cocycle(sub, m)]
-    ell = _root_coboundaries(sub, m, gens)
+    ell = _root_coboundaries(sub, m)
 
     def combined(coeffs):
         return [sum(c * g[col] for c, g in zip(coeffs, z2)) % m for col in range(len(z2[0]))]
@@ -598,7 +590,7 @@ def h2_classes(sub: SubgroupData, m: int) -> list[Cocycle]:
         raise InternalError("quotient lattice is not full rank")
     total = prod(diag[:r])
     if total > 4096:
-        raise CapExceeded(f"{total} raw classes exceeds the enumeration cap")
+        raise CapExceeded(f"{total} classes exceed the enumeration cap")
     free = [t for t in range(r) if diag[t] > 1]
     tables = set()
     for y in iproduct(*(range(diag[t]) for t in free)):

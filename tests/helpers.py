@@ -14,17 +14,17 @@ import numpy as np
 from gforge.cyclo import (CycScalar, SubfieldDescriptor, _power_rows,
                           cyclotomic_polynomial, phi)
 from gforge.algebra import AlgElement, KFormReport, multiply
-from gforge.errors import GroupError, InternalError, PreconditionError
+from gforge.errors import (GroupError, InternalError, PreconditionError,
+                           PresentationError)
 from gforge.groups import (CosetMultiset, Group, SubgroupData, cyclic,
                            dihedral, direct_product, semidirect_product)
 from gforge.identities import IdentityReport, linearize
 from gforge.modlinalg import (kernel_mod, reduce_least, reduce_mod, snf,
-                              solve_in_image, split_echelon, xgcd)
+                              solve_in_image, solve_mod, split_echelon, xgcd)
 from gforge.presentation import Presentation
-from gforge.twisted import (Cocycle, _delta, _flat, coboundary_rows,
-                            conjugate_cocycle, h2_classes, make_cocycle,
-                            shift_by_coboundary, sub_exponent,
-                            trivial_cocycle)
+from gforge.twisted import (Cocycle, _delta, conjugate_cocycle, h2_classes,
+                            make_cocycle, shift_by_coboundary, trivial_cocycle,
+                            unit_lifts)
 
 
 def pairing_cocycle(sub: SubgroupData, p: int) -> Cocycle:
@@ -144,6 +144,55 @@ def pattern_presentation(rng: random.Random, m: int, mults) -> Presentation:
         entries += [coset * h_grp.order + rng.randrange(h_grp.order)] * mult
     rng.shuffle(entries)
     return Presentation(grp, sub, alpha, tuple(entries))
+
+
+def _pair_actions(p: int) -> dict:
+    """name -> (k, action of C_k on C_p x C_p), elements labeled a + p*b:
+    the coordinate swap, the rotation (a, b) -> (-b, a), the inversion, and
+    the scaling (a, b) -> (g a, b) by a unit g of largest order mod p."""
+    def swap(h, x):
+        return x if h == 0 else (x % p) * p + x // p
+
+    def rot(h, x):
+        a, b = x % p, x // p
+        for _ in range(h):
+            a, b = -b % p, a
+        return a + p * b
+
+    def inv(h, x):
+        return x if h == 0 else -(x % p) % p + p * (-(x // p) % p)
+
+    g, k = {3: (2, 2), 4: (3, 2), 5: (2, 4)}.get(p, (1, 1))
+
+    def scale(h, x):
+        return pow(g, h, p) * (x % p) % p + p * (x // p)
+
+    actions = {"swap": (2, swap), "rot": (4, rot), "inv": (2, inv)}
+    if k > 1:
+        actions["scale"] = (k, scale)
+    return actions
+
+
+def semidirect_pair_presentations(rng: random.Random, ps=(2, 3, 4, 5), count: int = 1):
+    """(name, presentation) pairs on G = (C_p x C_p) x| C_k for every action
+    of _pair_actions, with H = C_p x C_p: a seeded multiple of the pairing
+    class, read mod p or 2p and shifted by a seeded coboundary, and a tuple
+    of either one entry per H-coset or 1-3 random entries."""
+    for p in ps:
+        for name, (k, act) in _pair_actions(p).items():
+            grp = semidirect_product(direct_product(cyclic(p), cyclic(p)), cyclic(k), act)
+            sub = SubgroupData(grp, range(0, grp.order, k))
+            size = p * p
+            for t in range(count):
+                c, m = rng.randrange(1, p), p * rng.choice((1, 1, 2))
+                alpha = make_cocycle(sub, m, [[c * (i % p) * (j // p) * (m // p) for j in range(size)]
+                                              for i in range(size)])
+                alpha = shift_by_coboundary(alpha, [0] + [rng.randrange(m) for _ in range(size - 1)])
+                if rng.random() < 0.5:
+                    entries = tuple(h + rng.randrange(size) * k for h in range(k))
+                else:
+                    entries = tuple(rng.randrange(grp.order) for _ in range(rng.randint(1, 3)))
+                yield f"{name}-p{p}-{t}", Presentation(grp, sub, alpha, entries)
 
 
 def random_move(rng: random.Random, p: Presentation) -> dict:
@@ -276,9 +325,27 @@ def solve_mod_by_kernel(a_rows, b, M: int) -> tuple[int, ...] | None:
     return tuple(x_acc)
 
 
-def _flat_table(alpha: Cocycle) -> list[int]:
-    """The exponent table of alpha as one list, row by row."""
-    return [e for row in alpha.exps for e in row]
+def _flat(alpha: Cocycle, M: int | None = None) -> list[int]:
+    """alpha read over Z/M (M a multiple of its modulus, the modulus by
+    default) as one flat vector, row-major in subgroup positions."""
+    k = 1 if M is None else M // alpha.modulus
+    return [k * e for row in alpha.exps for e in row]
+
+
+def coboundary_rows_full(sub: SubgroupData, M: int) -> list[list[int]]:
+    """twisted.coboundary_rows on every row: row (i, j), for every position
+    i and then j in order, sends f (f[identity] = 0 dropped, one column per
+    other element) to f(h_i) + f(h_j) - f(h_i h_j) over Z/M."""
+    nvars = sub.order - 1
+    rows = []
+    for i in range(sub.order):
+        for j, ij in enumerate(sub.pmul[i]):
+            row = [0] * nvars
+            for p, sign in ((i, 1), (j, 1), (ij, -1)):
+                if p:
+                    row[p - 1] = (row[p - 1] + sign) % M
+            rows.append(row)
+    return rows
 
 
 def is_cohomologous_by_solve(a: Cocycle, b: Cocycle):
@@ -287,12 +354,12 @@ def is_cohomologous_by_solve(a: Cocycle, b: Cocycle):
     if a.sub is not b.sub and a.sub.elements != b.sub.elements:
         raise PreconditionError("cocycles live on different subgroups")
     sub = a.sub
-    M = lcm(a.modulus, b.modulus) * sub_exponent(sub)
+    M = lcm(a.modulus, b.modulus) * sub.exponent()
     ae, be = a.embedded(M), b.embedded(M)
     if sub.order == 1:
         return (ae.exps == be.exps), (0,), M
-    rhs = [(eb - ea) % M for ea, eb in zip(_flat_table(ae), _flat_table(be))]
-    sol = solve_mod_by_kernel(coboundary_rows(sub, M), rhs, M)
+    rhs = [(eb - ea) % M for ea, eb in zip(_flat(ae), _flat(be))]
+    sol = solve_mod_by_kernel(coboundary_rows_full(sub, M), rhs, M)
     if sol is None:
         return False, None, M
     f = (0,) + tuple(sol)
@@ -316,11 +383,11 @@ def galois_character_by_solve(g: int, alpha: Cocycle, n: int) -> int | None:
     if n == 1:
         return 0
     sub = alpha.sub
-    M = alpha.modulus * sub_exponent(sub)
+    M = alpha.modulus * sub.exponent()
     ae = alpha.embedded(M)
     be = conjugate_cocycle(alpha, g).embedded(M)
-    rows = [row + [e] for row, e in zip(coboundary_rows(sub, M), _flat_table(ae))]
-    sol = solve_mod_by_kernel(rows, _flat_table(be), M)
+    rows = [row + [e] for row, e in zip(coboundary_rows_full(sub, M), _flat(ae))]
+    sol = solve_mod_by_kernel(rows, _flat(be), M)
     if sol is None:
         return None
     f, j = (0,) + sol[:-1], sol[-1]
@@ -338,7 +405,7 @@ def coboundary_witness_full(sub: SubgroupData, M: int, z) -> tuple[int, ...] | N
     by one reduction against the image echelon of the coboundary map on
     every row (i, j), rebuilt on each call; each witness is checked on the
     whole table."""
-    image = split_echelon(coboundary_rows(sub, M), sub.order - 1, M)[0]
+    image = split_echelon(coboundary_rows_full(sub, M), sub.order - 1, M)[0]
     x = solve_in_image(image, z, sub.order - 1, M)
     if x is None:
         return None
@@ -351,7 +418,7 @@ def coboundary_witness_full(sub: SubgroupData, M: int, z) -> tuple[int, ...] | N
 def is_cohomologous_full(a: Cocycle, b: Cocycle):
     """is_cohomologous by reducing the whole table of b - a
     (coboundary_witness_full); (ok, witness f with f[identity] = 0, M)."""
-    M = lcm(a.modulus, b.modulus) * sub_exponent(a.sub)
+    M = lcm(a.modulus, b.modulus) * a.sub.exponent()
     f = coboundary_witness_full(a.sub, M, [y - x for x, y in zip(_flat(a, M), _flat(b, M))])
     return f is not None, f, M
 
@@ -361,7 +428,7 @@ def class_order_full(alpha: Cocycle) -> int:
     m = alpha.modulus
     if alpha.is_trivial():
         return 1
-    M = m * sub_exponent(alpha.sub)
+    M = m * alpha.sub.exponent()
     z = _flat(alpha, M)
     return next((d for d in range(1, m) if m % d == 0 and coboundary_witness_full(
         alpha.sub, M, [d * e for e in z]) is not None), m)
@@ -372,7 +439,7 @@ def galois_character_full(g: int, alpha: Cocycle, n: int) -> int | None:
     alpha^g - j * alpha, alpha^g built as a Cocycle."""
     if n == 1:
         return 0
-    M = alpha.modulus * sub_exponent(alpha.sub)
+    M = alpha.modulus * alpha.sub.exponent()
     flat_a, flat_b = _flat(alpha, M), _flat(conjugate_cocycle(alpha, g), M)
     for j in range(n):
         z = [y - j * x for x, y in zip(flat_a, flat_b)]
@@ -381,6 +448,79 @@ def galois_character_full(g: int, alpha: Cocycle, n: int) -> int | None:
                 raise InternalError("Galois character is not a unit mod the class order")
             return j
     return None
+
+
+def descent_witness_full(grp, alpha: Cocycle, gc: int, u: int, n_root: int,
+                         big_m: int, enforce: bool):
+    """algebra._descent_witness on the whole table: f with f[e] = 0 and
+    delta f = u * alpha - alpha(gc . gc^-1, gc . gc^-1) over Z/big_m from one
+    fresh solve_mod of the |H|^2 coboundary rows, alpha^(gc^-1) built as a
+    Cocycle; with enforce=True the descent rows are added. None if there is
+    no such f."""
+    beta = conjugate_cocycle(alpha, grp.inv(gc))
+    sub = alpha.sub
+    elems, pos = sub.elements, sub.pos
+    nv = len(elems) - 1
+    rows = coboundary_rows_full(sub, big_m)
+    rhs = [(u * a - b) % big_m for a, b in zip(_flat(alpha, big_m), _flat(beta, big_m))]
+    if enforce:
+        for x in elems[1:]:
+            if n_root > 1:
+                row = [0] * nv
+                row[pos[x] - 1] = n_root % big_m
+                rows.append(row)
+                rhs.append(0)
+            row = [0] * nv
+            row[pos[x] - 1] = u % big_m
+            xc = grp.conj(x, grp.inv(gc))
+            if pos[xc]:
+                row[pos[xc] - 1] = (row[pos[xc] - 1] + 1) % big_m
+            rows.append(row)
+            rhs.append(0)
+    sol = solve_mod(rows, rhs, big_m)
+    if sol is None:
+        return None
+    return (0,) + tuple(int(v) % big_m for v in sol)
+
+
+def slot_witnesses_full(grp, alpha: Cocycle, g_slots, chars, n_root: int, mode: str):
+    """algebra._slot_witnesses by the search it replaced: per slot, the
+    descent rows first on an involutive slot, then u_n in {j^-1, j} and
+    every unit lift u of u_n, one descent_witness_full per try."""
+    m_alpha = alpha.modulus
+    big_m = m_alpha * alpha.sub.exponent()
+    slot_units: list[int] = []
+    slot_scalars: list = []
+    descent_enforced = True
+    for gc in g_slots:
+        jc = chars[gc]
+        j_inv = pow(jc, -1, n_root) if n_root > 1 else 1
+        if mode != "corrected" or gc == 0:
+            slot_units.append(j_inv % n_root if n_root > 1 else 0)
+            slot_scalars.append(None)
+            if mode != "corrected" and len(g_slots) > 1:
+                descent_enforced = False
+            continue
+        involutive = (jc * jc) % n_root == 1 % n_root and grp.mul(gc, gc) == 0
+        found = None
+        for enforce in ((True, False) if involutive else (False,)):
+            for u_n in dict.fromkeys((j_inv, jc)):
+                for u in unit_lifts(u_n, n_root, m_alpha):
+                    f = descent_witness_full(grp, alpha, gc, u, n_root, big_m, enforce)
+                    if f is not None:
+                        found = (u_n % n_root, f, enforce)
+                        break
+                if found:
+                    break
+            if found:
+                break
+        if not found:
+            raise PresentationError(
+                f"no coboundary witness for the slot of {gc}; corrected generators unavailable")
+        slot_units.append(found[0])
+        slot_scalars.append((found[1], big_m))
+        descent_enforced = descent_enforced and found[2]
+    return tuple(slot_units), slot_scalars, descent_enforced
 
 
 def _raw_classes(sub: SubgroupData, m: int) -> tuple[dict, tuple[int, ...]]:
@@ -410,7 +550,7 @@ def _raw_classes(sub: SubgroupData, m: int) -> tuple[dict, tuple[int, ...]]:
     if not gens:
         return {trivial_cocycle(sub, m).exps: ()}, ()
     r = len(gens)
-    cob = coboundary_rows(sub, m)
+    cob = coboundary_rows_full(sub, m)
     cob_cols = [reduce_mod([row[t] for row in cob], gens, m) for t in range(size - 1)]
     if any(red is None or any(red[1]) for red in cob_cols):
         raise InternalError("coboundary is not in the cocycle module")
@@ -449,7 +589,7 @@ def h2_classes_full_system(sub: SubgroupData, m: int) -> list[Cocycle]:
         return [trivial_cocycle(sub, 1)]
     raw, diag = _raw_classes(sub, m)
     cocycles = {table: Cocycle(sub, m, table) for table in sorted(raw)}
-    M = m * sub_exponent(sub)
+    M = m * sub.exponent()
     k0 = [raw[t] for t, c in cocycles.items()
           if coboundary_witness_full(sub, M, _flat(c, M)) is not None]
     reps: list[Cocycle] = []
@@ -481,11 +621,11 @@ def h2_classes_pairwise(sub: SubgroupData, m: int) -> list[Cocycle]:
         if match is None:
             reps.append(cand)
         elif match == 0:
-            k0.append(_flat_table(cand))
-    mod_m = [[row[p] for row in coboundary_rows(sub, m)] for p in range(sub.order - 1)]
+            k0.append(_flat(cand))
+    mod_m = [[row[p] for row in coboundary_rows_full(sub, m)] for p in range(sub.order - 1)]
     ell = howell_echelon_numpy(mod_m + k0, m)
     size = sub.order
-    least = [reduce_least(_flat_table(rep), ell, m) for rep in reps]
+    least = [reduce_least(_flat(rep), ell, m) for rep in reps]
     return sorted((Cocycle(sub, m, tuple(tuple(f[i * size:(i + 1) * size])
                                          for i in range(size))) for f in least),
                   key=lambda c: c.exps)
@@ -499,7 +639,7 @@ def h2_lex_least_by_search(alpha: Cocycle) -> tuple[tuple[int, ...], ...]:
     members are alpha + delta(phi)/(M/m) + delta g."""
     sub, m = alpha.sub, alpha.modulus
     size, pmul = sub.order, np.asarray(sub.pmul, dtype=np.int64)
-    k = sub_exponent(sub)  # M / m
+    k = sub.exponent()  # M / m
     left = np.repeat(np.arange(size), size)
     right, prod_ = np.tile(np.arange(size), size), pmul.reshape(-1)
 

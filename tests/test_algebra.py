@@ -6,12 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gforge import algebra as algebra_mod
+from gforge import modlinalg, twisted
 from gforge.algebra import (MODES, RELATED_DISTINCT, SAME_BLOCK, UNRELATED,
                             GradedAlgebra, bridge, build_k_form, multiply,
                             relate, twisted_group_algebra)
 from gforge.cyclo import CycScalar, as_cyc
-from gforge.errors import (CapExceeded, GForgeError, PreconditionError,
-                           PresentationError)
+from gforge.errors import (CapExceeded, GForgeError, InternalError,
+                           PreconditionError, PresentationError)
 from gforge.groups import cyclic, dihedral, direct_product, SubgroupData
 from gforge.twisted import h2_classes, shift_by_coboundary, trivial_cocycle
 from gforge.presentation import Presentation, normalize
@@ -211,6 +212,91 @@ def test_k_form_uncorrected_modes_overshoot(p_swap):
     assert build_k_form(p_swap).report.descent_enforced
     with pytest.raises(PreconditionError):
         build_k_form(p_swap, mode="other")
+
+
+class _SlotArgs(Exception):
+    pass
+
+
+def _slot_args(p, mode, monkeypatch):
+    """The arguments build_k_form passes to _slot_witnesses, or None when it
+    fails before the slot search."""
+    def capture(*args):
+        raise _SlotArgs(args)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(algebra_mod, "_slot_witnesses", capture)
+        try:
+            build_k_form(p, mode)
+        except _SlotArgs as found:
+            return found.args[0]
+        except GForgeError:
+            return None
+    raise AssertionError("build_k_form skipped the slot search")
+
+
+def _slot_outcome(fn, args):
+    try:
+        return fn(*args)
+    except GForgeError as e:
+        return type(e), str(e)
+
+
+def test_slot_witnesses_match_the_full_table_search(corpus, monkeypatch):
+    # the witnesses from the cohomology queries and the S x H descent rows
+    # against the per-try |H|^2 solves they replaced, on the semidirect
+    # products (C_p x C_p) x| C_k and the corpus
+    cases = list(helpers.semidirect_pair_presentations(random.Random("slots"), count=3))
+    cases += [("swap_normal", corpus["swap"]), ("inner", corpus["inner"])]
+    searched = set()
+    for name, p in cases:
+        try:
+            p = normalize(p)
+        except GForgeError:
+            continue
+        for mode in MODES:
+            args = _slot_args(p, mode, monkeypatch)
+            if args is None:
+                continue
+            got = _slot_outcome(algebra_mod._slot_witnesses, args)
+            assert got == _slot_outcome(helpers.slot_witnesses_full, args), (name, mode)
+            grp, _, g_slots, chars, n, _ = args
+            if mode == "corrected" and not isinstance(got[0], type):
+                for gc in g_slots[1:]:
+                    involutive = chars[gc] ** 2 % n == 1 % n and grp.mul(gc, gc) == 0
+                    searched.add((involutive, got[2]))
+    # an enforced involutive slot, and a non-involutive one from the query
+    assert {(True, True), (False, False)} <= searched
+
+
+def test_k_form_solves_no_full_table_system(monkeypatch):
+    # every coboundary system has the rows (s, h), s in S, plus at most the
+    # 2 (|H| - 1) descent rows, never the |H|^2 rows of the whole table
+    p = normalize(helpers.build_swap_raw())
+    sizes = []
+    real = modlinalg.split_echelon
+
+    def spy(a_rows, n_vars, M):
+        a_rows = list(a_rows)
+        sizes.append(len(a_rows))
+        return real(a_rows, n_vars, M)
+
+    for mod in (modlinalg, twisted):
+        monkeypatch.setattr(mod, "split_echelon", spy)
+    assert build_k_form(p).report.ok
+    bound = len(p.sub.gens) * p.sub.order + 2 * (p.sub.order - 1)
+    assert bound == 34 and sizes and max(sizes) <= bound
+
+
+def test_k_form_descent_falls_back_to_the_cohomology_query(p_swap, monkeypatch):
+    # with no descent witness the involutive slot takes the query's witness
+    monkeypatch.setattr(algebra_mod, "_descent_witness", lambda *args: None)
+    assert not build_k_form(p_swap).report.descent_enforced
+    # and a Galois character the query cannot realize is an internal fault
+    monkeypatch.setattr(algebra_mod, "conjugate_is_cohomologous",
+                        lambda alpha, theta, beta: (False, None, 0))
+    with pytest.raises(InternalError, match="^Galois character has no descent witness$"):
+        build_k_form(p_swap)
 
 
 @settings(deadline=None, max_examples=20)

@@ -192,6 +192,14 @@ def test_h2_command(capsys):
     assert rep["count"] == 2 and len(rep["classes"]) == 2
 
 
+def test_h2_cap_message_and_exit_code(capsys, monkeypatch):
+    from gforge import twisted
+    monkeypatch.setattr(twisted, "prod", lambda diag: 4097)
+    code, rep = run_json(capsys, "h2", "--input", path("h2_z2z2.json"))
+    assert code == 3 and rep == {
+        "error": "budget", "reason": "4097 classes exceed the enumeration cap"}
+
+
 def test_kform_command(capsys):
     code, rep = run_json(capsys, "kform", "--input", path("pauli.json"))
     assert code == 0

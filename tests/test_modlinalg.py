@@ -137,8 +137,8 @@ def test_howell_echelon_matches_the_numpy_echelon(m):
     # cohomology queries echelon
     for grp in helpers.group_pool(16):
         sub = SubgroupData(grp, range(grp.order))
-        M = m * twisted.sub_exponent(sub)
+        M = m * sub.exponent()
         for rows, mod in ((twisted._cocycle_system(sub, m)[2], m),
-                          (twisted.coboundary_rows(sub, M), M),
-                          (twisted.coboundary_rows(sub, M, sub.gens), M)):
+                          (helpers.coboundary_rows_full(sub, M), M),
+                          (twisted.coboundary_rows(sub, M), M)):
             assert howell_echelon(rows, mod) == helpers.howell_echelon_numpy(rows, mod)
