@@ -8,13 +8,21 @@ emits subfield-rational generating sets together with a span verification:
 the k-span of the generators, closed under left multiplication by them, is
 measured in one echelon of integer rows over Q, which also decides whether
 it spans the algebra over the cyclotomic field.
+
+The closure runs on integer vectors, not on AlgElements: one vector in
+Z[x]/(x^L - 1) per basis slot, where big is the lcm of the field modulus
+and the generator coefficient moduli and L = lcm(big, the modulus of the
+cocycle's roots). Each generator acts as a sparse index map, and a vector
+is reduced mod the big-th cyclotomic polynomial only when it enters the
+echelon. When L != big, each coefficient is read as a scalar at L and
+promoted to big, which raises PreconditionError unless it is rational.
 """
 
 from dataclasses import dataclass
 from math import gcd, lcm
 
 from .config import CAPS
-from .cyclo import CycScalar, SubfieldDescriptor, as_cyc, phi
+from .cyclo import CycScalar, SubfieldDescriptor, _power_rows, as_cyc, phi
 from .errors import CapExceeded, InternalError, PreconditionError, PresentationError
 from .groups import SubgroupData, subgroup_group
 from .modlinalg import solve_mod
@@ -220,6 +228,14 @@ def _same_algebra(x: AlgElement, y: AlgElement) -> None:
         raise PreconditionError("elements live in different algebras")
 
 
+def _root_shifts(m: int, L: int) -> list[tuple[int, int]]:
+    """zeta_m^e as (shift, sign), meaning sign * x^shift in Z[x]/(x^L - 1),
+    for e < m; when m does not divide L every root must be +1 or -1."""
+    if L % m:
+        return [(0, -1 if e else 1) for e in range(m)]
+    return [(e * (L // m), 1) for e in range(m)]
+
+
 def multiply(x: AlgElement, y: AlgElement) -> AlgElement:
     """(u_a e_ij)(u_b e_kl) = [j == k] zeta_m^alpha(a,b) u_ab e_il.
 
@@ -258,11 +274,7 @@ def multiply(x: AlgElement, y: AlgElement) -> AlgElement:
         return AlgElement(alg, acc)
 
     L = moduli.pop() if moduli else 1
-    if L % m:
-        # every root in the table is +1 or -1
-        rot = [(0, -1 if e else 1) for e in range(m)]
-    else:
-        rot = [(e * (L // m), 1) for e in range(m)]
+    rot = _root_shifts(m, L)
     dx = lcm(*(ca.den for _, _, _, ca in xs))
     dy = lcm(*(c.den for c in y.terms.values()))
     lifted = {k: [(pb, l, [(t, v * (dy // cb.den)) for t, v in enumerate(cb.nums) if v])
@@ -561,6 +573,60 @@ def _descent_witness(grp, alpha: Cocycle, gc: int, u: int, n_root: int, big_m: i
     return None if sol is None else (0,) + sol
 
 
+def _operator(algebra: GradedAlgebra, g: AlgElement, slot: dict, L: int) -> list:
+    """Left multiplication by g on integer vectors, one Z[x]/(x^L - 1) block
+    per basis slot: entry s lists (target slot * L, exponent shift, integer
+    coefficient) for the source slot s = (b, j, l), one per power of each term
+    u_a e_ij of g, whose product lands in (ab, i, l). L must be a multiple of
+    every coefficient modulus of g and of algebra._root_modulus. The
+    coefficients are cleared of their common denominator, so the operator is
+    g times a positive integer."""
+    sub, table, n = algebra.sub, algebra._table, algebra.size
+    rot = _root_shifts(algebra.alpha.modulus, L)
+    den = lcm(*(c.den for c in g.terms.values()))
+    by_col: dict = {}
+    for (a, i, j), c in g.terms.items():
+        step, f = L // c.modulus, den // c.den
+        poly = [(t * step, v * f) for t, v in enumerate(c.nums) if v]
+        by_col.setdefault(j, []).append((table[sub.pos[a]], i, poly))
+    op: list = [()] * len(slot)
+    for pb, b in enumerate(sub.elements):
+        for j, terms in by_col.items():
+            for l in range(n):
+                out = []
+                for row, i, poly in terms:
+                    ab, e = row[pb]
+                    s, sign = rot[e]
+                    base = slot[(ab, i, l)] * L
+                    out += [(base, (t + s) % L, v * sign) for t, v in poly]
+                op[slot[(b, j, l)]] = out
+    return op
+
+
+def _lift(x: AlgElement, slot: dict, L: int) -> dict[int, int]:
+    """x as an integer vector, flat index slot * L + exponent -> nonzero int,
+    times the common denominator of its coefficients; L must be a multiple
+    of every coefficient modulus of x."""
+    den = lcm(*(c.den for c in x.terms.values()))
+    return {slot[key] * L + t * (L // c.modulus): v * (den // c.den)
+            for key, c in x.terms.items() for t, v in enumerate(c.nums) if v}
+
+
+def _apply(op: list, x: dict, L: int) -> dict:
+    """The image of the vector x of _lift under the operator op of _operator,
+    zeros dropped."""
+    out: dict = {}
+    get = out.get
+    for k, v in x.items():
+        targets = op[k // L]
+        if targets:
+            e = k % L
+            for base, t, c in targets:
+                key = base + (e + t) % L
+                out[key] = get(key, 0) + c * v
+    return {k: v for k, v in out.items() if v}
+
+
 def _span_report(algebra: GradedAlgebra, field: SubfieldDescriptor,
                  gens: tuple, mode: str, slot_units: tuple,
                  descent_enforced: bool) -> KFormReport:
@@ -568,12 +634,18 @@ def _span_report(algebra: GradedAlgebra, field: SubfieldDescriptor,
 
     The k-span V of all words in the generators is closed under left
     multiplication by the generators, so each new basis element x queues
-    only g * x for g in gens. Elements enter one echelon over Q as integer
-    rows (the power-basis numerators at modulus big over one common
-    denominator), reduced fraction-free as in Bareiss (1968). V is a
-    k-subspace, so its Q-dimension is a multiple of [k:Q]. F V = A exactly
-    when the multiples zeta_big^t x (t < phi(big)) of the basis of V reach
-    Q-dimension dim_F A * phi(big) in the same echelon.
+    only g * x for g in gens. Elements are integer vectors, one in
+    Z[x]/(x^L - 1) per basis slot, with big the lcm of the field modulus
+    and the generator coefficient moduli and L = lcm(big,
+    algebra._root_modulus); each generator is compiled once into a sparse
+    index map (_operator). A vector is reduced mod the big-th cyclotomic
+    polynomial (_power_rows) only when it enters one echelon over Q, reduced
+    fraction-free as in Bareiss (1968). When L != big each coefficient is
+    instead read as a scalar at L and promoted to big, which raises
+    PreconditionError unless it is rational. V is a k-subspace, so its
+    Q-dimension is a multiple of [k:Q]. F V = A exactly when the multiples
+    zeta_big^t x (t < phi(big)), shifts by t * L/big, of the basis of V
+    reach Q-dimension dim_F A * phi(big) in the same echelon.
     """
     slot = {key: idx for idx, key in enumerate(sorted(
         (h, i, j) for h in algebra.sub.elements
@@ -583,12 +655,32 @@ def _span_report(algebra: GradedAlgebra, field: SubfieldDescriptor,
         for c in g.terms.values():
             big = lcm(big, c.modulus)
     width = phi(big)
+    L = lcm(big, algebra._root_modulus)
 
-    def row(x: AlgElement) -> dict[int, int]:
-        cs = [(slot[key] * width, c._promoted(big)) for key, c in x.terms.items()]
-        den = lcm(*(c.den for _, c in cs))
-        return {base + t: v * (den // c.den)
-                for base, c in cs for t, v in enumerate(c.nums) if v}
+    if L == big:
+        powers = [[(i, r) for i, r in enumerate(p) if r] for p in _power_rows(big)]
+
+        def row(x: dict[int, int]) -> dict[int, int]:
+            out: dict[int, int] = {}
+            for k, v in x.items():
+                s, e = divmod(k, L)
+                base = s * width
+                for i, r in powers[e]:
+                    out[base + i] = out.get(base + i, 0) + r * v
+            return {i: v for i, v in out.items() if v}
+    else:
+        def row(x: dict[int, int]) -> dict[int, int]:
+            vecs: dict[int, list[int]] = {}
+            for k, v in x.items():
+                s, e = divmod(k, L)
+                if s not in vecs:
+                    vecs[s] = [0] * L
+                vecs[s][e] = v
+            out: dict[int, int] = {}
+            for s, vec in vecs.items():
+                c = CycScalar.from_powers(L, vec)._promoted(big)
+                out.update((s * width + t, v) for t, v in enumerate(c.nums) if v)
+            return out
 
     ech: dict[int, dict[int, int]] = {}
 
@@ -616,22 +708,24 @@ def _span_report(algebra: GradedAlgebra, field: SubfieldDescriptor,
         if not acc.is_zero():
             k_basis.append(acc)
 
-    basis: list[AlgElement] = []
-    queue = [g.scaled(kb) for kb in k_basis for g in gens]
+    ops = [_operator(algebra, g, slot, L) for g in gens]
+    basis: list[dict[int, int]] = []
+    queue = [_lift(g.scaled(kb), slot, L) for kb in k_basis for g in gens]
     while queue:
         x = queue.pop()
-        if x.terms and insert(row(x)):
+        if x and insert(row(x)):
             basis.append(x)
-            queue.extend(multiply(g, x) for g in gens)
+            queue.extend(_apply(op, x, L) for op in ops)
 
     k_deg = field.degree_over_q()
     if len(basis) % k_deg:
         raise InternalError("closure is not a module over the subfield")
     k_dim = len(basis) // k_deg
 
+    step = L // big
     for x in basis:
-        for t in range(1, width):
-            insert(row(x.scaled(CycScalar.from_root(big, t))))
+        for t in range(step, width * step, step):
+            insert(row({k - k % L + (k % L + t) % L: v for k, v in x.items()}))
 
     expected = algebra.dim
     f_full = len(ech) == expected * width

@@ -7,9 +7,10 @@ columns and greedy reduction sound over a non-field. One echelon of (A^T | I)
 answers kernel and solve queries for A alike (split_echelon), and its image
 part can be kept and reduced against for every right-hand side. The same
 greedy reduction tests membership (reduce_mod) or finds the lex-least member
-of a coset of the span (reduce_least). snf is integer Smith normal form with
-the left transform and its inverse tracked, used for quotient
-representatives. Everything runs on Python ints.
+of a coset of the span (reduce_least). An Echelon finds the leading column
+of each row once, so a kept echelon is not rescanned on every reduction.
+snf is integer Smith normal form with the left transform and its inverse
+tracked, used for quotient representatives. Everything runs on Python ints.
 """
 
 from __future__ import annotations
@@ -35,14 +36,31 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_x, old_y
 
 
-def howell_echelon(rows, M: int) -> list[tuple[int, ...]]:
+class Echelon(list):
+    """Echelon rows sorted by leading column, with those columns (leads),
+    found once when it is built; the rows are not to be changed after."""
+
+    __slots__ = ("leads",)
+
+    def __init__(self, rows=()):
+        super().__init__(rows)
+        leads = []
+        for g in self:
+            lead = next(compress(count(), g), None)
+            if lead is None:
+                raise InternalError("zero generator in echelon basis")
+            leads.append(lead)
+        self.leads = leads
+
+
+def howell_echelon(rows, M: int) -> Echelon:
     """Echelon generating set of the Z/M row module spanned by `rows`."""
     if M < 1:
         raise PreconditionError("modulus must be positive")
     if M >= 2 ** 31:  # kept so that out-of-range input keeps its error and exit code
         raise PreconditionError("modulus must be below 2**31")
     if M == 1:
-        return []
+        return Echelon()
     try:
         queue = [[int(x) % M for x in r] for r in rows]
     except TypeError:
@@ -66,7 +84,7 @@ def howell_echelon(rows, M: int) -> list[tuple[int, ...]]:
             r = [(x * u + y * v) % M for u, v in zip(p, r)]
         pivots[c] = head + r
         queue.append(head + [M // gcd(r[0], M) * v % M for v in r])
-    return [tuple(pivots[c]) for c in sorted(pivots)]
+    return Echelon(tuple(pivots[c]) for c in sorted(pivots))
 
 
 def split_echelon(a_rows, n_vars: int, M: int):
@@ -81,7 +99,7 @@ def split_echelon(a_rows, n_vars: int, M: int):
     aug = [[r[i] for r in a_rows] + [int(i == t) for t in range(n_vars)]
            for i in range(n_vars)]
     ech = howell_echelon(aug, M)
-    return ([row for row in ech if any(row[:k])],
+    return (Echelon(row for row in ech if any(row[:k])),
             [row[k:] for row in ech if not any(row[:k])])
 
 
@@ -89,12 +107,11 @@ def _reduce(z, ech, M: int, least: bool):
     """Subtract multiples of the rows of ech from z, left to right, taking
     each pivot entry of z to its least residue modulo the pivot's ideal;
     None when that residue is not 0 unless `least` is set."""
+    if not isinstance(ech, Echelon):
+        ech = Echelon(ech)
     z = [int(x) % M for x in z]
     coeffs = []
-    for g in ech:
-        lead = next((c for c, v in enumerate(g) if v), None)
-        if lead is None:
-            raise InternalError("zero generator in echelon basis")
+    for lead, g in zip(ech.leads, ech):
         v = g[lead]
         gg = gcd(v, M)
         rest = z[lead] % gg

@@ -302,7 +302,7 @@ def normalize_with_details(p: Presentation,
     chain = compute_KNS(p, word_bound)
     grp = p.group
     maxmult = max(m for _, m in p.lam.counts)
-    best = None
+    heads = []
     for cid, mult in p.lam.counts:
         if mult != maxmult:
             continue
@@ -318,6 +318,14 @@ def normalize_with_details(p: Presentation,
             sub2.coset_id_of[grp.mul(u, rep)]
             for u in ufactor for rep, d in core for _ in range(d)
         )
+        heads.append((cid, sub2, flat, ufactor, core))
+    # every candidate of a coset shares the first two key parts, so only the
+    # cosets whose parts are least need their conjugate tables
+    least = min((sub2.elements, flat) for _, sub2, flat, _, _ in heads)
+    best = None
+    for cid, sub2, flat, ufactor, core in heads:
+        if (sub2.elements, flat) != least:
+            continue
         for c in p.sub.cosets[cid]:
             theta = grp.inv(c)
             alpha2 = conjugate_cocycle(p.alpha, theta, sub2)

@@ -55,8 +55,8 @@ from .errors import (
     PreconditionError,
 )
 from .groups import SubgroupData, all_ints
-from .modlinalg import (howell_echelon, kernel_mod, reduce_least, reduce_mod, snf,
-                        solve_in_image, split_echelon)
+from .modlinalg import (Echelon, howell_echelon, kernel_mod, reduce_least, reduce_mod,
+                        snf, solve_in_image, split_echelon)
 
 
 def _check_modulus(m: int) -> None:
@@ -558,7 +558,7 @@ def h2_classes(sub: SubgroupData, m: int) -> list[Cocycle]:
         return [trivial_cocycle(sub, 1)]
     size = sub.order
     gens, tree, rows = _cocycle_system(sub, m)
-    z2 = kernel_mod(rows, len(gens) * (size - 1), m)
+    z2 = Echelon(kernel_mod(rows, len(gens) * (size - 1), m))
     if not z2:
         return [trivial_cocycle(sub, m)]
     ell = _root_coboundaries(sub, m)

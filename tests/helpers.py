@@ -942,6 +942,77 @@ def span_report_pairwise(algebra, field: SubfieldDescriptor, gens: tuple,
                        descent_enforced, k_dim == expected and f_full)
 
 
+def span_report_by_multiply(algebra, field: SubfieldDescriptor, gens: tuple,
+                             mode: str, slot_units: tuple,
+                             descent_enforced: bool) -> KFormReport:
+    """algebra._span_report as it was before the closure ran on integer
+    vectors: each new basis element x queues multiply(g, x) for g in gens,
+    and every element enters the fraction-free integer echelon through its
+    CycScalar coefficients promoted to modulus big (Bareiss 1968)."""
+    slot = {key: idx for idx, key in enumerate(sorted(
+        (h, i, j) for h in algebra.sub.elements
+        for i in range(algebra.size) for j in range(algebra.size)))}
+    big = field.n
+    for g in gens:
+        for c in g.terms.values():
+            big = lcm(big, c.modulus)
+    width = phi(big)
+
+    def row(x: AlgElement) -> dict[int, int]:
+        cs = [(slot[key] * width, c._promoted(big)) for key, c in x.terms.items()]
+        den = lcm(*(c.den for _, c in cs))
+        return {base + t: v * (den // c.den)
+                for base, c in cs for t, v in enumerate(c.nums) if v}
+
+    ech: dict[int, dict[int, int]] = {}
+
+    def insert(vec: dict[int, int]) -> bool:
+        """Reduce vec against ech (vec := a * vec - b * row, over the content
+        of the result); a nonzero remainder becomes a primitive pivot row."""
+        while vec:
+            piv = min(vec)
+            prow = ech.get(piv)
+            if prow is None:
+                g = gcd(*vec.values())
+                ech[piv] = {i: v // g for i, v in vec.items()}
+                return True
+            a, b = prow[piv], vec[piv]
+            vec = {i: a * vec.get(i, 0) - b * prow.get(i, 0) for i in vec.keys() | prow.keys()}
+            g = gcd(*vec.values())
+            vec = {i: v // g for i, v in vec.items() if v}
+        return False
+
+    k_basis = []
+    for a in range(field.n):
+        acc = CycScalar.zero()
+        for u in field.units:
+            acc = acc + CycScalar.from_root(field.n, (a * u) % field.n)
+        if not acc.is_zero():
+            k_basis.append(acc)
+
+    basis: list[AlgElement] = []
+    queue = [g.scaled(kb) for kb in k_basis for g in gens]
+    while queue:
+        x = queue.pop()
+        if x.terms and insert(row(x)):
+            basis.append(x)
+            queue.extend(multiply(g, x) for g in gens)
+
+    k_deg = field.degree_over_q()
+    if len(basis) % k_deg:
+        raise InternalError("closure is not a module over the subfield")
+    k_dim = len(basis) // k_deg
+
+    for x in basis:
+        for t in range(1, width):
+            insert(row(x.scaled(CycScalar.from_root(big, t))))
+
+    expected = algebra.dim
+    f_full = len(ech) == expected * width
+    return KFormReport(mode, k_dim, expected, f_full, tuple(slot_units),
+                       descent_enforced, k_dim == expected and f_full)
+
+
 def gathered_pmul(sub: SubgroupData) -> np.ndarray:
     """pos[h_i * h_j] gathered through the group's numpy table, as each
     Cocycle once built it for itself; the reference for SubgroupData.pmul."""

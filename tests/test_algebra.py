@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -384,6 +385,31 @@ def test_multiply_moduli_follow_partial_sums(algebras):
     assert multiply(x3, y).is_zero()
 
 
+@pytest.mark.parametrize("name", ["pauli", "swap", "d6", "mat3", "inner", "k4_shifted"])
+def test_span_operator_is_left_multiplication(algebras, name):
+    # the compiled operator of x applied to the lifted y is multiply(x, y)
+    # times both denominators, read back at L: roots of the cocycle as shifts,
+    # or as signs when the cocycle modulus does not divide L
+    alg = _shifted_k4_algebra() if name == "k4_shifted" else algebras[name]
+    slot = {key: idx for idx, key in enumerate(sorted(alg._deg))}
+    rng = random.Random(f"operator:{name}")
+    for moduli in ((1,), (3,), (1, 4)):
+        L = lcm(alg._root_modulus, *moduli)
+        for _ in range(4):
+            x, y = _dense(rng, alg, moduli), _dense(rng, alg, moduli)
+            got = algebra_mod._apply(algebra_mod._operator(alg, x, slot, L),
+                                     algebra_mod._lift(y, slot, L), L)
+            vecs: dict = {}
+            for k, v in got.items():
+                s, e = divmod(k, L)
+                vecs.setdefault(s, [0] * L)[e] = v
+            scale = lcm(*(c.den for c in x.terms.values())) * lcm(*(c.den for c in y.terms.values()))
+            want = {slot[key]: c * scale for key, c in multiply(x, y).terms.items()}
+            read = {s: CycScalar.from_powers(L, vec) for s, vec in vecs.items()}
+            assert {s: c for s, c in read.items() if not c.is_zero()}.keys() == want.keys()
+            assert all(read[s] == c for s, c in want.items())
+
+
 # _span_report takes its working modulus from the field and the generator
 # coefficients, not from the cocycle, so some coboundary shifts of the m = 4
 # class on C2 x C2 fail to promote; others close the span.
@@ -407,8 +433,12 @@ def test_k_form_shifted_m4_class(f):
     assert rep.ok and rep.k_dim == 4
 
 
-# differential tests of _span_report against the pairwise closure with the
-# Fraction and cyclotomic echelons it replaced
+# differential tests of _span_report against the closure by multiply it
+# replaced and the pairwise closure with the Fraction and cyclotomic echelons
+# before that
+
+SPAN_ORACLES = (helpers.span_report_by_multiply, helpers.span_report_pairwise)
+
 
 def _span_outcome(report_fn, args):
     try:
@@ -437,6 +467,24 @@ def _span_args(p, mode, monkeypatch):
     return seen[0] if seen else None
 
 
+def _span_outcomes_agree(p, monkeypatch) -> list:
+    """The outcomes of _span_report in every mode, on the generators and on
+    every other generator (spans that do not close at dim_F A or do not span
+    A over F), each checked against both oracles."""
+    outcomes = []
+    for mode in MODES:
+        args = _span_args(p, mode, monkeypatch)
+        if args is None:
+            continue
+        algebra, field, gens, *rest = args
+        for sub_args in (args, (algebra, field, gens[::2], *rest)):
+            got = _span_outcome(algebra_mod._span_report, sub_args)
+            for oracle in SPAN_ORACLES:
+                assert _span_outcome(oracle, sub_args) == got, (mode, oracle.__name__)
+            outcomes.append(got)
+    return outcomes
+
+
 def _span_cases():
     for name, build in sorted(helpers.CORPUS_BUILDERS.items()):
         yield name, lambda build=build: normalize(build())
@@ -456,30 +504,42 @@ SPAN_CASES = dict(_span_cases())
 
 @pytest.mark.parametrize("name", SPAN_CASES)
 def test_span_report_matches_pairwise_closure(name, monkeypatch):
-    p = SPAN_CASES[name]()
-    for mode in MODES:
-        args = _span_args(p, mode, monkeypatch)
-        if args is None:
+    assert _span_outcomes_agree(SPAN_CASES[name](), monkeypatch)
+
+
+def test_span_report_matches_oracles_on_semidirect_pairs(monkeypatch):
+    # (C_p x C_p) x| C_k for p = 2, 3: closures that succeed and closures
+    # that raise the promotion error of the shifted cocycles, alike
+    outcomes = []
+    for name, p in helpers.semidirect_pair_presentations(random.Random("span"), ps=(2, 3)):
+        try:
+            p = normalize(p)
+        except GForgeError:
             continue
-        # every other generator as well: spans that do not close at dim_F A
-        # or do not span A over F
-        algebra, field, gens, *rest = args
-        for sub_args in (args, (algebra, field, gens[::2], *rest)):
-            want = _span_outcome(helpers.span_report_pairwise, sub_args)
-            assert _span_outcome(algebra_mod._span_report, sub_args) == want, mode
+        outcomes += _span_outcomes_agree(p, monkeypatch)
+    assert PreconditionError in outcomes
+    assert any(not isinstance(o, type) and o[2] for o in outcomes)
 
 
 @pytest.mark.parametrize("name", ["pauli", "swap"])
 def test_span_closure_multiplies_only_generator_by_new_element(corpus, name, monkeypatch):
-    calls = []
-    real = algebra_mod.multiply
+    # one generator application per generator and new basis element, on
+    # integer vectors: multiply is never called
+    applied, multiplied = [], []
+    real_apply, real_multiply = algebra_mod._apply, algebra_mod.multiply
 
-    def counted(x, y):
-        calls.append(1)
-        return real(x, y)
+    def counted_apply(op, x, L):
+        applied.append(1)
+        return real_apply(op, x, L)
 
-    monkeypatch.setattr(algebra_mod, "multiply", counted)
+    def counted_multiply(x, y):
+        multiplied.append(1)
+        return real_multiply(x, y)
+
+    monkeypatch.setattr(algebra_mod, "_apply", counted_apply)
+    monkeypatch.setattr(algebra_mod, "multiply", counted_multiply)
     res = build_k_form(corpus[name])
     assert res.report.ok
     k_deg = res.field.degree_over_q()
-    assert len(calls) == len(res.generators) * res.report.k_dim * k_deg
+    assert len(applied) == len(res.generators) * res.report.k_dim * k_deg
+    assert not multiplied
