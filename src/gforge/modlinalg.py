@@ -9,8 +9,8 @@ part can be kept and reduced against for every right-hand side. The same
 greedy reduction tests membership (reduce_mod) or finds the lex-least member
 of a coset of the span (reduce_least). An Echelon finds the leading column
 of each row once, so a kept echelon is not rescanned on every reduction.
-snf is integer Smith normal form with the left transform and its inverse
-tracked, used for quotient representatives. Everything runs on Python ints.
+The vectors that reduce_least fixes are one per coset of the span, so they
+enumerate the quotient (Z/M)^n / span. Everything runs on Python ints.
 """
 
 from __future__ import annotations
@@ -172,111 +172,3 @@ def solve_mod(a_rows, b, M: int) -> tuple[int, ...] | None:
         if sum(c * xi for c, xi in zip(row, x)) % M != bi % M:
             raise InternalError("solver produced a non-solution")
     return x
-
-
-def _ident(n: int) -> list[list[int]]:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def snf(mat) -> tuple[list[int], list[list[int]], list[list[int]]]:
-    """Integer Smith normal form with left transforms.
-
-    Returns (diag, U, Uinv) where U @ mat @ V is diagonal `diag` with the
-    divisibility chain, for some unimodular V, and U @ Uinv = I. Verified
-    internally by tracking V.
-    """
-    A = [[int(x) for x in row] for row in mat]
-    r = len(A)
-    c = len(A[0]) if r else 0
-    orig = [row[:] for row in A]
-    U, Uinv, V = _ident(r), _ident(r), _ident(c)
-
-    def row_add(dst, src, k):
-        # A' = E A with E = I + k * e_(dst,src); Uinv gets E^-1 on the right
-        A[dst] = [x + k * y for x, y in zip(A[dst], A[src])]
-        U[dst] = [x + k * y for x, y in zip(U[dst], U[src])]
-        for t in range(r):
-            Uinv[t][src] -= k * Uinv[t][dst]
-
-    def row_swap(i, j):
-        A[i], A[j] = A[j], A[i]
-        U[i], U[j] = U[j], U[i]
-        for t in range(r):
-            Uinv[t][i], Uinv[t][j] = Uinv[t][j], Uinv[t][i]
-
-    def row_neg(i):
-        A[i] = [-x for x in A[i]]
-        U[i] = [-x for x in U[i]]
-        for t in range(r):
-            Uinv[t][i] = -Uinv[t][i]
-
-    def col_add(dst, src, k):
-        for t in range(r):
-            A[t][dst] += k * A[t][src]
-        for t in range(c):
-            V[t][dst] += k * V[t][src]
-
-    def col_swap(i, j):
-        for t in range(r):
-            A[t][i], A[t][j] = A[t][j], A[t][i]
-        for t in range(c):
-            V[t][i], V[t][j] = V[t][j], V[t][i]
-
-    for t in range(min(r, c)):
-        while True:
-            best = None
-            for i in range(t, r):
-                for j in range(t, c):
-                    if A[i][j] and (best is None or abs(A[i][j]) < abs(A[best[0]][best[1]])):
-                        best = (i, j)
-            if best is None:
-                break
-            if best[0] != t:
-                row_swap(t, best[0])
-            if best[1] != t:
-                col_swap(t, best[1])
-            if A[t][t] < 0:
-                row_neg(t)
-            dirty = False
-            for i in range(t + 1, r):
-                if A[i][t]:
-                    q = A[i][t] // A[t][t]
-                    row_add(i, t, -q)
-                    if A[i][t]:
-                        dirty = True
-            for j in range(t + 1, c):
-                if A[t][j]:
-                    q = A[t][j] // A[t][t]
-                    col_add(j, t, -q)
-                    if A[t][j]:
-                        dirty = True
-            if dirty:
-                continue
-            off = None
-            for i in range(t + 1, r):
-                for j in range(t + 1, c):
-                    if A[i][j] % A[t][t]:
-                        off = i
-                        break
-                if off is not None:
-                    break
-            if off is None:
-                break
-            row_add(t, off, 1)
-
-    diag = [A[t][t] for t in range(min(r, c))]
-    for i in range(r):
-        for j in range(c):
-            if i != j and A[i][j]:
-                raise InternalError("smith reduction left an off-diagonal entry")
-    # U @ orig @ V == A
-    prod = [[sum(U[i][k] * orig[k][j] for k in range(r)) for j in range(c)] for i in range(r)]
-    prod = [[sum(prod[i][k] * V[k][j] for k in range(c)) for j in range(c)] for i in range(r)]
-    for i in range(r):
-        for j in range(c):
-            if prod[i][j] != (A[i][j] if i == j and i < min(r, c) else 0):
-                raise InternalError("smith transform verification failed")
-    ident = [[sum(U[i][k] * Uinv[k][j] for k in range(r)) for j in range(r)] for i in range(r)]
-    if ident != _ident(r):
-        raise InternalError("left transform inverse verification failed")
-    return diag, U, Uinv

@@ -33,8 +33,10 @@ delta alpha(s, g, h) = 0 for every s in S is a cocycle, and then its values
 on S x H fix it by alpha(sg, h) = alpha(g, h) + alpha(s, gh) - alpha(s, g);
 so Z^2(H, Z/m) is the kernel of a system in |S| * (|H| - 1) unknowns. The
 classes over Z/M are the quotient Z^2 / L, with L the coboundaries over Z/M
-whose values are m-th roots of unity, and each class is represented by its
-lex-least such table, found by one reduction against a Howell basis of L.
+whose values are m-th roots of unity; it is read off one Howell echelon over
+Z/m of the relations of the cocycle generators and the coordinates of L, and
+each class is represented by its lex-least such table, found by one
+reduction against a Howell basis of L.
 The word calculus (folding a word to its accumulated exponent, bucketing
 words by multiset and product) only serves to exhibit explicit binomial
 identities.
@@ -56,7 +58,7 @@ from .errors import (
 )
 from .groups import SubgroupData, all_ints
 from .modlinalg import (Echelon, howell_echelon, kernel_mod, reduce_least, reduce_mod,
-                        snf, solve_in_image, split_echelon)
+                        solve_in_image, split_echelon)
 
 
 def _check_modulus(m: int) -> None:
@@ -530,6 +532,11 @@ def _root_coboundaries(sub: SubgroupData, m: int) -> list[tuple[int, ...]]:
     return howell_echelon(ell, m)
 
 
+def _span_order(ech: Echelon, m: int) -> int:
+    """The number of elements of the span of a Howell echelon over Z/m."""
+    return prod(m // gcd(g[lead], m) for lead, g in zip(ech.leads, ech))
+
+
 def h2_classes(sub: SubgroupData, m: int) -> list[Cocycle]:
     """One representative of each class of normalized cocycles over Z/m
     modulo the coboundaries over Z/M, M = m * exp(H): the classes alpha in
@@ -545,10 +552,13 @@ def h2_classes(sub: SubgroupData, m: int) -> list[Cocycle]:
     normalized alpha with delta alpha(s, g, h) = 0 for all s in S is a
     cocycle (beta = delta alpha is a 3-cocycle, so delta beta(s, g, h, k) = 0
     gives beta(sg, h, k) = beta(g, h, k), and S generates H as a monoid), so
-    its |S| * (|H| - 1) values on S x H determine it. The quotient Z^2 / L
-    is read off one Smith normal form of L's coordinates, and each of its
-    elements is expanded to a full table and reduced to its lex-least member
-    against a Howell basis of L.
+    its |S| * (|H| - 1) values on S x H determine it. With r cocycle
+    generators, their relations and L's coordinates span a lattice that
+    holds m * Z^r, so Z^2 / L is (Z/m)^r modulo one Howell echelon over Z/m
+    of those rows. Its elements are the vectors that reduce_least fixes
+    against that echelon: each pivot coordinate below the gcd of its pivot
+    entry and m, every other coordinate below m. Each is expanded to a full
+    table and reduced to its lex-least member against a Howell basis of L.
     """
     if sub.order > CAPS.h2_subgroup:
         raise CapExceeded(
@@ -563,20 +573,26 @@ def h2_classes(sub: SubgroupData, m: int) -> list[Cocycle]:
         return [trivial_cocycle(sub, m)]
     ell = _root_coboundaries(sub, m)
 
+    def on_gens(flat):
+        return [flat[s * size + x] for s in gens for x in range(1, size)]
+
     def combined(coeffs):
-        return [sum(c * g[col] for c, g in zip(coeffs, z2)) % m for col in range(len(z2[0]))]
+        acc = [0] * len(z2[0])
+        for c, g in zip(coeffs, z2):
+            if c % m:
+                acc = [a + c * v for a, v in zip(acc, g)]
+        return [a % m for a in acc]
 
     # each row of L as a combination of the cocycle generators, which must
     # expand back to the row: L lies in Z^2
     l_coords = []
     for row in ell:
-        red = reduce_mod([row[s * size + x] for s in gens for x in range(1, size)], z2, m)
+        red = reduce_mod(on_gens(row), z2, m)
         if red is None or _expand(sub, gens, tree, combined(red[0]), m) != list(row):
             raise InternalError("coboundary is not in the cocycle module")
         l_coords.append(red[0])
     # the relations of the generators: (m / gcd(lead, m)) * z2_i reduces
     # against the generators after it, as z2 is a Howell echelon
-    r = len(z2)
     relations = []
     for i, g in enumerate(z2):
         order = m // gcd(next(v for v in g if v), m)
@@ -584,18 +600,30 @@ def h2_classes(sub: SubgroupData, m: int) -> list[Cocycle]:
         if red is None or any(red[1]):
             raise InternalError("cocycle generators are not a Howell echelon")
         relations.append([(order if t == i else 0) - c for t, c in enumerate(red[0])])
-    cols = relations + l_coords
-    diag, _, uinv = snf([[col[i] for col in cols] for i in range(r)])
-    if any(d <= 0 for d in diag[:r]):
-        raise InternalError("quotient lattice is not full rank")
-    total = prod(diag[:r])
+    # m * e_i is a relation, so Z^2 / L is (Z/m)^r modulo these rows, and
+    # the reduce_least-canonical vectors of their Howell echelon represent it
+    quot = howell_echelon(relations + l_coords, m)
+    for row in relations + l_coords:
+        red = reduce_mod(row, quot, m)
+        if red is None or any(red[1]):
+            raise InternalError("quotient echelon does not span the relations")
+    sizes = [m] * len(z2)
+    for lead, g in zip(quot.leads, quot):
+        sizes[lead] = gcd(g[lead], m)
+    total = prod(sizes)
     if total > 4096:
         raise CapExceeded(f"{total} classes exceed the enumeration cap")
-    free = [t for t in range(r) if diag[t] > 1]
+    if _span_order(z2, m) != total * _span_order(ell, m):
+        raise InternalError("class count is not |Z^2| / |L|")
     tables = set()
-    for y in iproduct(*(range(diag[t]) for t in free)):
-        x = [sum(uinv[i][t] * yt for t, yt in zip(free, y)) for i in range(r)]
+    for x in iproduct(*map(range, sizes)):
+        x = list(x)
+        if reduce_least(x, quot, m) != x:
+            raise InternalError("class coordinates are not reduced")
         flat = reduce_least(_expand(sub, gens, tree, combined(x), m), ell, m)
+        red = reduce_mod(on_gens(flat), z2, m)
+        if red is None or any(red[1]) or reduce_least(red[0], quot, m) != x:
+            raise InternalError("class representative is not in its class")
         tables.add(tuple(tuple(flat[i * size:(i + 1) * size]) for i in range(size)))
     if len(tables) != total:
         raise InternalError("class representatives are not distinct")

@@ -14,15 +14,17 @@ import numpy as np
 from gforge.cyclo import (CycScalar, SubfieldDescriptor, _power_rows,
                           cyclotomic_polynomial, phi)
 from gforge.algebra import AlgElement, KFormReport, multiply
-from gforge.errors import (GroupError, InternalError, PreconditionError,
+from gforge.config import CAPS
+from gforge.errors import (CapExceeded, GroupError, InternalError, PreconditionError,
                            PresentationError)
 from gforge.groups import (CosetMultiset, Group, SubgroupData, cyclic,
                            dihedral, direct_product, semidirect_product)
 from gforge.identities import IdentityReport, linearize
-from gforge.modlinalg import (kernel_mod, reduce_least, reduce_mod, snf,
+from gforge.modlinalg import (Echelon, kernel_mod, reduce_least, reduce_mod,
                               solve_in_image, solve_mod, split_echelon, xgcd)
 from gforge.presentation import Presentation
-from gforge.twisted import (Cocycle, _delta, conjugate_cocycle, h2_classes,
+from gforge.twisted import (Cocycle, _check_modulus, _cocycle_system, _delta, _expand,
+                            _root_coboundaries, conjugate_cocycle, h2_classes,
                             make_cocycle, shift_by_coboundary, trivial_cocycle,
                             unit_lifts)
 
@@ -523,6 +525,114 @@ def slot_witnesses_full(grp, alpha: Cocycle, g_slots, chars, n_root: int, mode: 
     return tuple(slot_units), slot_scalars, descent_enforced
 
 
+def _ident(n: int) -> list[list[int]]:
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+def snf(mat) -> tuple[list[int], list[list[int]], list[list[int]]]:
+    """Integer Smith normal form with left transforms.
+
+    Returns (diag, U, Uinv) where U @ mat @ V is diagonal `diag` with the
+    divisibility chain, for some unimodular V, and U @ Uinv = I. Verified
+    internally by tracking V.
+    """
+    A = [[int(x) for x in row] for row in mat]
+    r = len(A)
+    c = len(A[0]) if r else 0
+    orig = [row[:] for row in A]
+    U, Uinv, V = _ident(r), _ident(r), _ident(c)
+
+    def row_add(dst, src, k):
+        # A' = E A with E = I + k * e_(dst,src); Uinv gets E^-1 on the right
+        A[dst] = [x + k * y for x, y in zip(A[dst], A[src])]
+        U[dst] = [x + k * y for x, y in zip(U[dst], U[src])]
+        for t in range(r):
+            Uinv[t][src] -= k * Uinv[t][dst]
+
+    def row_swap(i, j):
+        A[i], A[j] = A[j], A[i]
+        U[i], U[j] = U[j], U[i]
+        for t in range(r):
+            Uinv[t][i], Uinv[t][j] = Uinv[t][j], Uinv[t][i]
+
+    def row_neg(i):
+        A[i] = [-x for x in A[i]]
+        U[i] = [-x for x in U[i]]
+        for t in range(r):
+            Uinv[t][i] = -Uinv[t][i]
+
+    def col_add(dst, src, k):
+        for t in range(r):
+            A[t][dst] += k * A[t][src]
+        for t in range(c):
+            V[t][dst] += k * V[t][src]
+
+    def col_swap(i, j):
+        for t in range(r):
+            A[t][i], A[t][j] = A[t][j], A[t][i]
+        for t in range(c):
+            V[t][i], V[t][j] = V[t][j], V[t][i]
+
+    for t in range(min(r, c)):
+        while True:
+            best = None
+            for i in range(t, r):
+                for j in range(t, c):
+                    if A[i][j] and (best is None or abs(A[i][j]) < abs(A[best[0]][best[1]])):
+                        best = (i, j)
+            if best is None:
+                break
+            if best[0] != t:
+                row_swap(t, best[0])
+            if best[1] != t:
+                col_swap(t, best[1])
+            if A[t][t] < 0:
+                row_neg(t)
+            dirty = False
+            for i in range(t + 1, r):
+                if A[i][t]:
+                    q = A[i][t] // A[t][t]
+                    row_add(i, t, -q)
+                    if A[i][t]:
+                        dirty = True
+            for j in range(t + 1, c):
+                if A[t][j]:
+                    q = A[t][j] // A[t][t]
+                    col_add(j, t, -q)
+                    if A[t][j]:
+                        dirty = True
+            if dirty:
+                continue
+            off = None
+            for i in range(t + 1, r):
+                for j in range(t + 1, c):
+                    if A[i][j] % A[t][t]:
+                        off = i
+                        break
+                if off is not None:
+                    break
+            if off is None:
+                break
+            row_add(t, off, 1)
+
+    diag = [A[t][t] for t in range(min(r, c))]
+    for i in range(r):
+        for j in range(c):
+            if i != j and A[i][j]:
+                raise InternalError("smith reduction left an off-diagonal entry")
+    # U @ orig @ V == A
+    prod = [[sum(U[i][k] * orig[k][j] for k in range(r)) for j in range(c)] for i in range(r)]
+    prod = [[sum(prod[i][k] * V[k][j] for k in range(c)) for j in range(c)] for i in range(r)]
+    for i in range(r):
+        for j in range(c):
+            if prod[i][j] != (A[i][j] if i == j and i < min(r, c) else 0):
+                raise InternalError("smith transform verification failed")
+    ident = [[sum(U[i][k] * Uinv[k][j] for k in range(r)) for j in range(r)] for i in range(r)]
+    if ident != _ident(r):
+        raise InternalError("left transform inverse verification failed")
+    return diag, U, Uinv
+
+
 def _raw_classes(sub: SubgroupData, m: int) -> tuple[dict, tuple[int, ...]]:
     """Normalized cocycle tables over Z/m from the full |H|^3-row cocycle
     system, one per class modulo mod-m coboundaries, each mapped to its
@@ -629,6 +739,62 @@ def h2_classes_pairwise(sub: SubgroupData, m: int) -> list[Cocycle]:
     return sorted((Cocycle(sub, m, tuple(tuple(f[i * size:(i + 1) * size])
                                          for i in range(size))) for f in least),
                   key=lambda c: c.exps)
+
+
+def h2_classes_by_snf(sub: SubgroupData, m: int) -> list[Cocycle]:
+    """h2_classes with Z^2 / L read off an integer Smith normal form of the
+    relations of the cocycle generators and the coordinates of L, each
+    quotient element enumerated through the inverse left transform."""
+    if sub.order > CAPS.h2_subgroup:
+        raise CapExceeded(
+            f"cohomology enumeration capped at subgroup order {CAPS.h2_subgroup}")
+    _check_modulus(m)
+    if m == 1:
+        return [trivial_cocycle(sub, 1)]
+    size = sub.order
+    gens, tree, rows = _cocycle_system(sub, m)
+    z2 = Echelon(kernel_mod(rows, len(gens) * (size - 1), m))
+    if not z2:
+        return [trivial_cocycle(sub, m)]
+    ell = _root_coboundaries(sub, m)
+
+    def combined(coeffs):
+        return [sum(c * g[col] for c, g in zip(coeffs, z2)) % m for col in range(len(z2[0]))]
+
+    # each row of L as a combination of the cocycle generators, which must
+    # expand back to the row: L lies in Z^2
+    l_coords = []
+    for row in ell:
+        red = reduce_mod([row[s * size + x] for s in gens for x in range(1, size)], z2, m)
+        if red is None or _expand(sub, gens, tree, combined(red[0]), m) != list(row):
+            raise InternalError("coboundary is not in the cocycle module")
+        l_coords.append(red[0])
+    # the relations of the generators: (m / gcd(lead, m)) * z2_i reduces
+    # against the generators after it, as z2 is a Howell echelon
+    r = len(z2)
+    relations = []
+    for i, g in enumerate(z2):
+        order = m // gcd(next(v for v in g if v), m)
+        red = reduce_mod([order * v for v in g], z2, m)
+        if red is None or any(red[1]):
+            raise InternalError("cocycle generators are not a Howell echelon")
+        relations.append([(order if t == i else 0) - c for t, c in enumerate(red[0])])
+    cols = relations + l_coords
+    diag, _, uinv = snf([[col[i] for col in cols] for i in range(r)])
+    if any(d <= 0 for d in diag[:r]):
+        raise InternalError("quotient lattice is not full rank")
+    total = prod(diag[:r])
+    if total > 4096:
+        raise CapExceeded(f"{total} classes exceed the enumeration cap")
+    free = [t for t in range(r) if diag[t] > 1]
+    tables = set()
+    for y in iproduct(*(range(diag[t]) for t in free)):
+        x = [sum(uinv[i][t] * yt for t, yt in zip(free, y)) for i in range(r)]
+        flat = reduce_least(_expand(sub, gens, tree, combined(x), m), ell, m)
+        tables.add(tuple(tuple(flat[i * size:(i + 1) * size]) for i in range(size)))
+    if len(tables) != total:
+        raise InternalError("class representatives are not distinct")
+    return [Cocycle(sub, m, table) for table in sorted(tables)]
 
 
 def h2_lex_least_by_search(alpha: Cocycle) -> tuple[tuple[int, ...], ...]:

@@ -1,7 +1,8 @@
 """Linear algebra over Z/M checked against brute force over (Z/M)^n, n <= 3."""
 
 import random
-from itertools import product as iproduct
+from itertools import combinations, product as iproduct
+from math import gcd, prod
 
 import pytest
 
@@ -142,3 +143,36 @@ def test_howell_echelon_matches_the_numpy_echelon(m):
                           (helpers.coboundary_rows_full(sub, M), M),
                           (twisted.coboundary_rows(sub, M), M)):
             assert howell_echelon(rows, mod) == helpers.howell_echelon_numpy(rows, mod)
+
+
+def _det(a):
+    """Determinant by expansion along the first row."""
+    if not a:
+        return 1
+    return sum((-1) ** j * a[0][j] * _det([row[:j] + row[j + 1:] for row in a[1:]])
+               for j in range(len(a)) if a[0][j])
+
+
+def _matmul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def test_snf_contract():
+    # U A V = diag(d) for a unimodular V exactly when the columns of U A span
+    # the lattice of the d_i e_i: they lie in it, and the k x k minors of A,
+    # whose gcd U keeps, pin its index down to d_1 ... d_k
+    rng = random.Random(5)
+    for _ in range(200):
+        r, c = rng.randint(1, 4), rng.randint(1, 4)
+        a = [[rng.choice((0, rng.randint(-6, 6))) for _ in range(c)] for _ in range(r)]
+        diag, u, uinv = helpers.snf(a)
+        assert _matmul(u, uinv) == [[int(i == j) for j in range(r)] for i in range(r)]
+        assert len(diag) == min(r, c) and all(d >= 0 for d in diag)
+        assert all(d2 % d1 == 0 if d1 else d2 == 0 for d1, d2 in zip(diag, diag[1:]))
+        for i, row in enumerate(_matmul(u, a)):
+            d = diag[i] if i < len(diag) else 0
+            assert all(x % d == 0 if d else x == 0 for x in row)
+        for k in range(1, min(r, c) + 1):
+            minors = (_det([[a[i][j] for j in cols] for i in rows])
+                      for rows in combinations(range(r), k) for cols in combinations(range(c), k))
+            assert prod(diag[:k]) == gcd(*minors)

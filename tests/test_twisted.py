@@ -427,6 +427,23 @@ def test_h2_classes_match_the_full_system(name, m):
         assert sum(is_cohomologous(alpha, beta)[0] for beta in want) == 1
 
 
+def _h2_outcome(enumerate_classes, sub, m):
+    try:
+        return [(c.modulus, c.exps) for c in enumerate_classes(sub, m)]
+    except CapExceeded as exc:
+        return ("cap", str(exc))
+
+
+def test_h2_classes_match_the_snf_enumeration():
+    # the Howell-echelon quotient gives the Smith-form enumeration's tables,
+    # in its order, and caps where it caps
+    for grp in helpers.group_pool(12) + [cyclic(18)]:
+        sub = SubgroupData(grp, range(grp.order))
+        for m in (2, 3, 4, 6, 12):
+            assert (_h2_outcome(h2_classes, sub, m)
+                    == _h2_outcome(helpers.h2_classes_by_snf, sub, m)), (grp.order, m)
+
+
 def test_h2_classes_named_tables():
     k4 = SubgroupData(direct_product(cyclic(2), cyclic(2)), range(4))
     # the lex-least table of the class: the full system's K0 coset gave the
@@ -484,14 +501,30 @@ def _wrong_coordinates(z, ech, M):  # reduce_mod, off by one in every coordinate
     return [(x + 1) % M for x in c], rest
 
 
+# on C2 x C2 a flat table has 16 entries and a coordinate vector 4
+def _one_relation_too_many(rows, M):  # the quotient echelon spans one more vector
+    return modlinalg.howell_echelon(rows + [[0, 0, 1, 0]] if len(rows[0]) < 16 else rows, M)
+
+
+def _one_relation_too_few(rows, M):  # the quotient echelon misses the last row
+    return modlinalg.howell_echelon(rows[:-1] if len(rows[0]) < 16 else rows, M)
+
+
+def _every_table_zero(z, ech, M):  # coordinate vectors reduce as they should
+    return modlinalg.reduce_least(z, ech, M) if len(z) < 16 else [0] * len(z)
+
+
 @pytest.mark.parametrize("target, fake, message", [
     # L from every f, not only the homomorphisms mod M/m
     ("coboundary_rows", lambda sub, M: [[0] * (sub.order - 1)] * (len(sub.gens) * sub.order),
      "^coboundary is not in the cocycle module$"),
     ("reduce_mod", _wrong_coordinates, "^coboundary is not in the cocycle module$"),
-    # every class on one table
-    ("reduce_least", lambda z, ech, M: [0] * len(z), "^class representatives are not distinct$"),
-], ids=["hom", "coordinates", "distinct"])
+    # every class on one table; the coordinates are checked first
+    ("reduce_least", lambda z, ech, M: [0] * len(z), "^class coordinates are not reduced$"),
+    ("howell_echelon", _one_relation_too_many, r"^class count is not \|Z\^2\| / \|L\|$"),
+    ("howell_echelon", _one_relation_too_few, "^quotient echelon does not span the relations$"),
+    ("reduce_least", _every_table_zero, "^class representative is not in its class$"),
+], ids=["hom", "coordinates", "distinct", "count", "span", "representative"])
 def test_h2_cross_checks_catch_a_corruption(monkeypatch, target, fake, message):
     monkeypatch.setattr(twisted, target, fake)
     sub = SubgroupData(direct_product(cyclic(2), cyclic(2)), range(4))
