@@ -9,12 +9,19 @@ the k-span of the generators, closed under left multiplication by them, is
 measured in one echelon of integer rows over Q, which also decides whether
 it spans the algebra over the cyclotomic field.
 
-The closure runs on integer vectors, not on AlgElements: one vector in
-Z[x]/(x^L - 1) per basis slot, where big is the lcm of the field modulus
-and the generator coefficient moduli and L = lcm(big, the modulus of the
-cocycle's roots). Each generator acts as a sparse index map, and a vector
-is reduced mod the big-th cyclotomic polynomial only when it enters the
-echelon. When L != big, each coefficient is read as a scalar at L and
+Products work on integer vectors, one block in Z[x]/(x^L - 1) per basis
+slot, at the flat index slot * L + exponent, where the triple (h, i, j)
+has slot pos[h] * n^2 + i * n + j. Each algebra keeps one product table
+per L (GradedAlgebra.product_table), which gives the target block and the
+root of every pair of subgroup positions. `multiply` adds its term pairs
+into such a vector and makes one scalar per output slot at the end; the
+span closure compiles each generator from the same table into a sparse
+index map.
+
+In the closure, big is the lcm of the field modulus and the generator
+coefficient moduli and L = lcm(big, the modulus of the cocycle's roots). A
+vector is reduced mod the big-th cyclotomic polynomial only when it enters
+the echelon. When L != big, each coefficient is read as a scalar at L and
 promoted to big, which raises PreconditionError unless it is rational.
 """
 
@@ -22,7 +29,8 @@ from dataclasses import dataclass
 from math import gcd, lcm
 
 from .config import CAPS
-from .cyclo import CycScalar, SubfieldDescriptor, _power_rows, as_cyc, phi
+from .cyclo import (CycScalar, SubfieldDescriptor, _demoted, _power_rows, _scalar,
+                    as_cyc, phi)
 from .errors import CapExceeded, InternalError, PreconditionError, PresentationError
 from .groups import SubgroupData, subgroup_group
 from .modlinalg import solve_mod
@@ -40,7 +48,7 @@ class GradedAlgebra:
 
     __slots__ = ("presentation", "group", "sub", "alpha", "entries", "size",
                  "dim", "dims", "blocks", "block_of", "_deg", "_by_degree",
-                 "_table", "_root_modulus", "_walks")
+                 "_triples", "_root_modulus", "_products", "_walks")
 
     def __init__(self, presentation: Presentation):
         self.presentation = presentation
@@ -84,12 +92,17 @@ class GradedAlgebra:
                 block_of[i] = b
         self.block_of = tuple(block_of)
 
-        # _table[pos a][pos b] = (ab, alpha(a, b)); _root_modulus is 1 when
-        # every zeta^alpha(a, b) is +-1, else the cocycle modulus
-        elements, m = sub.elements, self.alpha.modulus
-        self._table = tuple(tuple(zip((elements[p] for p in prow), erow))
-                            for prow, erow in zip(sub.pmul, self.alpha.exps))
+        # _triples[s] is the triple at slot s = pos[h] * n^2 + i * n + j,
+        # the order _deg was filled in, as sub.elements is sorted.
+        # _root_modulus is 1 when every zeta^alpha(a, b) is +-1, else the
+        # cocycle modulus
+        self._triples = tuple(deg)
+        m = self.alpha.modulus
         self._root_modulus = m if any((2 * e) % m for row in self.alpha.exps for e in row) else 1
+        # product_table; the table at the root modulus, where products of
+        # rational elements run, is built with the algebra
+        self._products = {}
+        self.product_table(self._root_modulus)
         self._walks = None  # walk_index, filled on use by the identity oracle
 
         if sum(dims.values()) != dim:
@@ -124,6 +137,24 @@ class GradedAlgebra:
                 by_col.setdefault(j, []).append((c, pos[h], i))
             hit = walks[g] = (by_row, by_col)
         return hit
+
+    def product_table(self, L: int) -> tuple:
+        """The products of basis triples as flat indices into integer vectors,
+        one Z[x]/(x^L - 1) block per slot, built once per L and kept.
+
+        Entry [pos a][pos b] is (pos[ab] * n^2 * L, shift, sign) with
+        zeta_m^alpha(a, b) = sign * x^shift (_root_shifts), so x^t u_a e_ij
+        times x^t' u_b e_jl lands at flat index
+        base + (i * n + l) * L + (t + t' + shift) % L, with the sign. L must be
+        a multiple of _root_modulus."""
+        table = self._products.get(L)
+        if table is None:
+            rot = _root_shifts(self.alpha.modulus, L)
+            stride = self.size * self.size * L
+            table = self._products[L] = tuple(
+                tuple((p * stride, *rot[e]) for p, e in zip(prow, erow))
+                for prow, erow in zip(self.sub.pmul, self.alpha.exps))
+        return table
 
     def basis_element(self, h: int, i: int, j: int, coeff=1) -> "AlgElement":
         self.degree(h, i, j)
@@ -241,16 +272,19 @@ def multiply(x: AlgElement, y: AlgElement) -> AlgElement:
 
     y's terms are grouped by row, so only pairs with j == k are visited.
     When the coefficients and the nonrational roots zeta_m^alpha(a,b) all
-    live at one modulus L (or all are rational), each pair adds an integer
-    vector in Z[x]/(x^L - 1), the root a rotation by alpha(a,b) * L/m, and
-    each output key is reduced to a scalar once: at modulus L, or at 1 when
+    live at one modulus L (or all are rational, L = 1), each operand is
+    cleared of its denominators and expanded into monomials (exponent at L,
+    integer). Each pair of monomials adds sign * v1 * v2 at one flat index
+    slot * L + exponent, read off the algebra's product table at L, and each
+    output slot is reduced to a scalar once: at modulus L, or at 1 when
     rational, which is the modulus that adding the terms one by one gives.
-    With mixed moduli that modulus depends on the partial sums, so each pair
-    is added as a scalar product instead.
+    Output keys come in the order their slots are first reached. With mixed
+    moduli that modulus depends on the partial sums, so each pair is added
+    as a scalar product instead.
     """
     _same_algebra(x, y)
     alg = x.algebra
-    pos, table, m = alg.sub.pos, alg._table, alg.alpha.modulus
+    pos = alg.sub.pos
     by_row: dict = {}
     moduli = {alg._root_modulus}
     for (b, k, l), cb in y.terms.items():
@@ -258,47 +292,82 @@ def multiply(x: AlgElement, y: AlgElement) -> AlgElement:
         moduli.add(cb.modulus)
     xs = [(pos[a], i, j, ca) for (a, i, j), ca in x.terms.items() if j in by_row]
     if not xs:
-        return AlgElement(alg, {})
+        return _element(alg, {})
     moduli.update(ca.modulus for _, _, _, ca in xs)
     moduli.discard(1)
     if len(moduli) > 1:
+        pmul, exps, elements = alg.sub.pmul, alg.alpha.exps, alg.sub.elements
+        m = alg.alpha.modulus
         roots = [CycScalar.from_root(m, e) for e in range(m)]
         acc: dict = {}
         for pa, i, j, ca in xs:
-            row = table[pa]
+            prow, erow = pmul[pa], exps[pa]
             for pb, l, cb in by_row[j]:
-                ab, e = row[pb]
-                key = (ab, i, l)
-                c = ca * cb * roots[e]
+                key = (elements[prow[pb]], i, l)
+                c = ca * cb * roots[erow[pb]]
                 acc[key] = acc[key] + c if key in acc else c
         return AlgElement(alg, acc)
 
     L = moduli.pop() if moduli else 1
-    rot = _root_shifts(m, L)
+    table, n = alg.product_table(L), alg.size
     dx = lcm(*(ca.den for _, _, _, ca in xs))
     dy = lcm(*(c.den for c in y.terms.values()))
-    lifted = {k: [(pb, l, [(t, v * (dy // cb.den)) for t, v in enumerate(cb.nums) if v])
-                  for pb, l, cb in terms]
+    den, triples = dx * dy, alg._triples
+    acc = {}
+    get = acc.get
+    if L == 1:
+        # every coefficient is one integer and every flat index a slot
+        ys = {k: [(pb, l, cb.nums[0] * (dy // cb.den)) for pb, l, cb in terms]
               for k, terms in by_row.items()}
-    vecs: dict = {}
+        for pa, i, j, ca in xs:
+            row, at_i, v1 = table[pa], i * n, ca.nums[0] * (dx // ca.den)
+            for pb, l, v2 in ys[j]:
+                base, _, sign = row[pb]
+                k = base + at_i + l
+                acc[k] = get(k, 0) + sign * v1 * v2
+        return _element(alg, {triples[k]: _scalar(1, (v,), den) for k, v in acc.items() if v})
+
+    ys = {k: [(pb, l * L, t, v) for pb, l, cb in terms for t, v in _monomials(cb, L, dy)]
+          for k, terms in by_row.items()}
     for pa, i, j, ca in xs:
-        row = table[pa]
-        f = dx // ca.den
-        va = [(t, v * f) for t, v in enumerate(ca.nums) if v]
-        for pb, l, vb in lifted[j]:
-            ab, e = row[pb]
-            s, sign = rot[e]
-            key = (ab, i, l)
-            vec = vecs.get(key)
-            if vec is None:
-                vec = vecs[key] = [0] * L
-            for t1, v1 in va:
-                v1 *= sign
-                for t2, v2 in vb:
-                    vec[(t1 + t2 + s) % L] += v1 * v2
-    den = dx * dy
-    return AlgElement(alg, {key: CycScalar.from_powers(L, vec, den)
-                            for key, vec in vecs.items()})
+        row, at_i, ysj = table[pa], i * n * L, ys[j]
+        for t1, v1 in _monomials(ca, L, dx):
+            for pb, at_l, t2, v2 in ysj:
+                base, s, sign = row[pb]
+                k = base + at_i + at_l + (t1 + t2 + s) % L
+                acc[k] = get(k, 0) + sign * v1 * v2
+    # a slot's vector is made on the first pair that reaches it, zero or not,
+    # so the keys keep the order of first visits
+    powers = _power_rows(L)
+    width = len(powers[0])
+    vecs: dict = {}
+    for k, v in acc.items():
+        s, e = divmod(k, L)
+        vec = vecs.get(s)
+        if vec is None:
+            vec = vecs[s] = [0] * width
+        if e < width:
+            vec[e] += v
+        elif v:
+            for t, r in enumerate(powers[e]):
+                vec[t] += r * v
+    return _element(alg, {triples[s]: _demoted(L, vec, den)
+                          for s, vec in vecs.items() if any(vec)})
+
+
+def _monomials(c: CycScalar, L: int, den: int) -> list[tuple[int, int]]:
+    """c * den as (exponent at L, integer) pairs, nonzero integers only; L
+    is a multiple of c's modulus and den of its denominator."""
+    step, f = L // c.modulus, den // c.den
+    return [(t * step, v * f) for t, v in enumerate(c.nums) if v]
+
+
+def _element(alg: GradedAlgebra, terms: dict) -> AlgElement:
+    """An AlgElement on terms whose coefficients are all nonzero."""
+    x = object.__new__(AlgElement)
+    x.algebra = alg
+    x.terms = terms
+    return x
 
 
 SAME_BLOCK = "sameBlock"
@@ -573,43 +642,42 @@ def _descent_witness(grp, alpha: Cocycle, gc: int, u: int, n_root: int, big_m: i
     return None if sol is None else (0,) + sol
 
 
-def _operator(algebra: GradedAlgebra, g: AlgElement, slot: dict, L: int) -> list:
+def _operator(algebra: GradedAlgebra, g: AlgElement, L: int) -> list:
     """Left multiplication by g on integer vectors, one Z[x]/(x^L - 1) block
     per basis slot: entry s lists (target slot * L, exponent shift, integer
     coefficient) for the source slot s = (b, j, l), one per power of each term
-    u_a e_ij of g, whose product lands in (ab, i, l). L must be a multiple of
-    every coefficient modulus of g and of algebra._root_modulus. The
-    coefficients are cleared of their common denominator, so the operator is
-    g times a positive integer."""
-    sub, table, n = algebra.sub, algebra._table, algebra.size
-    rot = _root_shifts(algebra.alpha.modulus, L)
+    u_a e_ij of g, whose product lands in (ab, i, l), read off the algebra's
+    product table at L. L must be a multiple of every coefficient modulus of
+    g and of algebra._root_modulus. The coefficients are cleared of their
+    common denominator, so the operator is g times a positive integer."""
+    pos, n = algebra.sub.pos, algebra.size
+    table = algebra.product_table(L)
     den = lcm(*(c.den for c in g.terms.values()))
     by_col: dict = {}
     for (a, i, j), c in g.terms.items():
-        step, f = L // c.modulus, den // c.den
-        poly = [(t * step, v * f) for t, v in enumerate(c.nums) if v]
-        by_col.setdefault(j, []).append((table[sub.pos[a]], i, poly))
-    op: list = [()] * len(slot)
-    for pb, b in enumerate(sub.elements):
+        by_col.setdefault(j, []).append((table[pos[a]], i * n * L, _monomials(c, L, den)))
+    op: list = [()] * algebra.dim
+    for pb in range(algebra.sub.order):
         for j, terms in by_col.items():
             for l in range(n):
                 out = []
-                for row, i, poly in terms:
-                    ab, e = row[pb]
-                    s, sign = rot[e]
-                    base = slot[(ab, i, l)] * L
+                for row, at_i, poly in terms:
+                    base, s, sign = row[pb]
+                    base += at_i + l * L
                     out += [(base, (t + s) % L, v * sign) for t, v in poly]
-                op[slot[(b, j, l)]] = out
+                op[(pb * n + j) * n + l] = out
     return op
 
 
-def _lift(x: AlgElement, slot: dict, L: int) -> dict[int, int]:
+def _lift(x: AlgElement, L: int) -> dict[int, int]:
     """x as an integer vector, flat index slot * L + exponent -> nonzero int,
     times the common denominator of its coefficients; L must be a multiple
     of every coefficient modulus of x."""
+    alg = x.algebra
+    pos, n = alg.sub.pos, alg.size
     den = lcm(*(c.den for c in x.terms.values()))
-    return {slot[key] * L + t * (L // c.modulus): v * (den // c.den)
-            for key, c in x.terms.items() for t, v in enumerate(c.nums) if v}
+    return {((pos[h] * n + i) * n + j) * L + t: v
+            for (h, i, j), c in x.terms.items() for t, v in _monomials(c, L, den)}
 
 
 def _apply(op: list, x: dict, L: int) -> dict:
@@ -647,9 +715,6 @@ def _span_report(algebra: GradedAlgebra, field: SubfieldDescriptor,
     zeta_big^t x (t < phi(big)), shifts by t * L/big, of the basis of V
     reach Q-dimension dim_F A * phi(big) in the same echelon.
     """
-    slot = {key: idx for idx, key in enumerate(sorted(
-        (h, i, j) for h in algebra.sub.elements
-        for i in range(algebra.size) for j in range(algebra.size)))}
     big = field.n
     for g in gens:
         for c in g.terms.values():
@@ -708,9 +773,9 @@ def _span_report(algebra: GradedAlgebra, field: SubfieldDescriptor,
         if not acc.is_zero():
             k_basis.append(acc)
 
-    ops = [_operator(algebra, g, slot, L) for g in gens]
+    ops = [_operator(algebra, g, L) for g in gens]
     basis: list[dict[int, int]] = []
-    queue = [_lift(g.scaled(kb), slot, L) for kb in k_basis for g in gens]
+    queue = [_lift(g.scaled(kb), L) for kb in k_basis for g in gens]
     while queue:
         x = queue.pop()
         if x and insert(row(x)):

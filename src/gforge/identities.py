@@ -297,7 +297,7 @@ def _first_nonzero(p: GradedPolynomial, algebra: GradedAlgebra, used,
     enumerated in order, so the first slab with a nonzero sum holds the
     answer.
     """
-    table = algebra._table
+    pmul, exps = algebra.sub.pmul, algebra.alpha.exps
     pos = algebra.sub.pos
     m = algebra.alpha.modulus
     L = lcm(algebra._root_modulus, *(c.modulus for c, _ in p.monomials))
@@ -330,30 +330,27 @@ def _first_nonzero(p: GradedPolynomial, algebra: GradedAlgebra, used,
             right[t] = {i: ((0, pos[h], j),)}
             left[t] = {j: ((0, pos[h], i),)}
         h, i, j = cand[0][lead[0]]
-        start = [(0, h, i, j, 0)]
+        start = [(0, pos[h], i, j, 0)]
         acc: dict = {}
         for vec, after, before in monos:
             walks = start
             for t, st in after:
                 by_row = right[t]
                 nxt = []
-                for idx, h, i, j, e in walks:
-                    tab = table[pos[h]]
+                for idx, ph, i, j, e in walks:
+                    prow, erow = pmul[ph], exps[ph]
                     for c, pb, j2 in by_row.get(j, ()):
-                        hb, de = tab[pb]
-                        nxt.append((idx + c * st, hb, i, j2, e + de))
+                        nxt.append((idx + c * st, prow[pb], i, j2, e + erow[pb]))
                 walks = nxt
             for t, st in before:
                 by_col = left[t]
                 nxt = []
-                for idx, h, i, j, e in walks:
-                    ph = pos[h]
+                for idx, ph, i, j, e in walks:
                     for c, pa, i2 in by_col.get(i, ()):
-                        ah, de = table[pa][ph]
-                        nxt.append((idx + c * st, ah, i2, j, e + de))
+                        nxt.append((idx + c * st, pmul[pa][ph], i2, j, e + exps[pa][ph]))
                 walks = nxt
-            for idx, h, i, j, e in walks:
-                key = (idx, h, i, j)
+            for idx, ph, i, j, e in walks:
+                key = (idx, ph, i, j)
                 sums = acc.get(key)
                 if sums is None:
                     sums = acc[key] = [0] * L

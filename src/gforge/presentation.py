@@ -31,6 +31,7 @@ from .errors import InternalError, PreconditionError, PresentationError
 from .groups import CosetMultiset, Group, SubgroupData, all_ints
 from .twisted import (
     Cocycle,
+    _conjugation_positions,
     class_order,
     conjugate_cocycle,
     conjugate_is_cohomologous,
@@ -320,7 +321,8 @@ def normalize_with_details(p: Presentation,
         )
         heads.append((cid, sub2, flat, ufactor, core))
     # every candidate of a coset shares the first two key parts, so only the
-    # cosets whose parts are least need their conjugate tables
+    # cosets whose parts are least compare their conjugate tables, row by
+    # row through the position maps, and only the winner's table is built
     least = min((sub2.elements, flat) for _, sub2, flat, _, _ in heads)
     best = None
     for cid, sub2, flat, ufactor, core in heads:
@@ -328,12 +330,11 @@ def normalize_with_details(p: Presentation,
             continue
         for c in p.sub.cosets[cid]:
             theta = grp.inv(c)
-            alpha2 = conjugate_cocycle(p.alpha, theta, sub2)
-            key = (sub2.elements, flat, alpha2.exps)
-            if best is None or key < best[0]:
-                best = (key, theta, sub2, alpha2, flat, ufactor, core)
-    _, theta, sub2, alpha2, flat, ufactor, core = best
-    norm = Presentation(grp, sub2, alpha2, flat)
+            _, back = _conjugation_positions(p.alpha, theta, sub2)
+            if best is None or _conjugate_precedes(p.alpha.exps, back, best[1]):
+                best = (theta, back, sub2, flat, ufactor, core)
+    theta, _, sub2, flat, ufactor, core = best
+    norm = Presentation(grp, sub2, conjugate_cocycle(p.alpha, theta, sub2), flat)
     moved = CosetMultiset.from_elements(sub2, [grp.mul(theta, x) for x in p.entries])
     if norm.lam.counts != moved.counts:
         raise InternalError("normalization changed the coset multiset")
@@ -345,6 +346,18 @@ def normalize_with_details(p: Presentation,
         core_factor=tuple(rep for rep, d in core for _ in range(d)),
         chain=chain2,
     )
+
+
+def _conjugate_precedes(exps, back, other) -> bool:
+    """Whether the conjugate table with position map back (see
+    twisted._conjugation_positions) is lexicographically less than the one
+    with position map other, read row by row up to the first difference."""
+    for p, q in zip(back, other):
+        row, row2 = exps[p], exps[q]
+        a, b = [row[k] for k in back], [row2[k] for k in other]
+        if a != b:
+            return a < b
+    return False
 
 
 def normalize(p: Presentation, word_bound: int | None = None) -> Presentation:

@@ -13,7 +13,8 @@ import numpy as np
 
 from gforge.cyclo import (CycScalar, SubfieldDescriptor, _power_rows,
                           cyclotomic_polynomial, phi)
-from gforge.algebra import AlgElement, KFormReport, multiply
+from gforge.algebra import (AlgElement, KFormReport, _root_shifts, _same_algebra,
+                            multiply)
 from gforge.config import CAPS
 from gforge.errors import (CapExceeded, GroupError, InternalError, PreconditionError,
                            PresentationError)
@@ -22,7 +23,8 @@ from gforge.groups import (CosetMultiset, Group, SubgroupData, cyclic,
 from gforge.identities import IdentityReport, linearize
 from gforge.modlinalg import (Echelon, kernel_mod, reduce_least, reduce_mod,
                               solve_in_image, solve_mod, split_echelon, xgcd)
-from gforge.presentation import Presentation
+from gforge.presentation import (NormalForm, Presentation, _conjugate_chain, _factored_form,
+                                 compute_KNS)
 from gforge.twisted import (Cocycle, _check_modulus, _cocycle_system, _delta, _expand,
                             _root_coboundaries, conjugate_cocycle, h2_classes,
                             make_cocycle, shift_by_coboundary, trivial_cocycle,
@@ -212,6 +214,58 @@ def random_move(rng: random.Random, p: Presentation) -> dict:
 # Reference implementations kept as differential oracles for the coset
 # factoring of gforge.groups and the direct cohomology computations in
 # gforge.twisted and gforge.presentation.
+
+def normalize_with_details_by_tables(p: Presentation,
+                                     word_bound: int | None = None) -> NormalForm:
+    """presentation.normalize_with_details as it was before the tied
+    candidates were compared through their position maps: every candidate
+    of a least head builds its full conjugate table, and the tables are
+    compared as tuples."""
+    chain = compute_KNS(p, word_bound)
+    grp = p.group
+    maxmult = max(m for _, m in p.lam.counts)
+    heads = []
+    for cid, mult in p.lam.counts:
+        if mult != maxmult:
+            continue
+        theta0 = grp.inv(cid)
+        ti0 = grp.inv(theta0)
+        sub2 = p.sub.conjugated(theta0)
+        k2 = frozenset(grp.conj(k, ti0) for k in chain.K)
+        s2 = frozenset(grp.conj(s, ti0) for s in chain.S)
+        lam2 = CosetMultiset.from_elements(
+            sub2, [grp.mul(theta0, x) for x in p.entries])
+        ufactor, core = _factored_form(grp, sub2, lam2, k2, s2)
+        flat = tuple(
+            sub2.coset_id_of[grp.mul(u, rep)]
+            for u in ufactor for rep, d in core for _ in range(d)
+        )
+        heads.append((cid, sub2, flat, ufactor, core))
+    least = min((sub2.elements, flat) for _, sub2, flat, _, _ in heads)
+    best = None
+    for cid, sub2, flat, ufactor, core in heads:
+        if (sub2.elements, flat) != least:
+            continue
+        for c in p.sub.cosets[cid]:
+            theta = grp.inv(c)
+            alpha2 = conjugate_cocycle(p.alpha, theta, sub2)
+            key = (sub2.elements, flat, alpha2.exps)
+            if best is None or key < best[0]:
+                best = (key, theta, sub2, alpha2, flat, ufactor, core)
+    _, theta, sub2, alpha2, flat, ufactor, core = best
+    norm = Presentation(grp, sub2, alpha2, flat)
+    moved = CosetMultiset.from_elements(sub2, [grp.mul(theta, x) for x in p.entries])
+    if norm.lam.counts != moved.counts:
+        raise InternalError("normalization changed the coset multiset")
+    chain2 = _conjugate_chain(grp, chain, theta)
+    if compute_KNS(norm, word_bound) != chain2:
+        raise InternalError("invariant chain is not conjugation covariant")
+    return NormalForm(
+        presentation=norm, theta=theta, transversal_factor=ufactor,
+        core_factor=tuple(rep for rep, d in core for _ in range(d)),
+        chain=chain2,
+    )
+
 
 def factors_along_by_subgroup(grp: Group, sub: SubgroupData, lam: CosetMultiset,
                               u_elems) -> bool:
@@ -839,9 +893,9 @@ def cocycle_rows_hold(sub: SubgroupData, m: int, exps, rows) -> bool:
                               (tab + tab[i][pmul]) % m) for i in rows)
 
 
-# Reference cyclotomic scalars on Fraction coefficients and the pairwise
-# product, kept as differential oracles for the integer-backed CycScalar
-# and the exponent-table multiply in gforge.
+# Reference cyclotomic scalars on Fraction coefficients, the pairwise
+# product and the per-key vector product, kept as differential oracles for
+# the integer-backed CycScalar and the flat integer multiply in gforge.
 
 def _ref_reduce_poly(m: int, coeffs: list[Fraction]) -> list[Fraction]:
     deg = phi(m)
@@ -1009,6 +1063,67 @@ def multiply_pairwise(x, y) -> dict:
             c = RefScalar.of(ca) * RefScalar.of(cb) * RefScalar.from_root(m, alpha.value(a, b))
             acc[key] = acc[key] + c if key in acc else c
     return {k: v for k, v in acc.items() if any(v.coeffs)}
+
+
+def multiply_by_rows(x, y) -> AlgElement:
+    """algebra.multiply as it was before the flat integer kernel: y's terms
+    grouped by row, and with one working modulus L a vector in
+    Z[x]/(x^L - 1) per output key, made into a CycScalar by from_powers;
+    with mixed moduli, one scalar product per pair."""
+    _same_algebra(x, y)
+    alg = x.algebra
+    pos, m = alg.sub.pos, alg.alpha.modulus
+    elements = alg.sub.elements
+    table = tuple(tuple(zip((elements[p] for p in prow), erow))
+                  for prow, erow in zip(alg.sub.pmul, alg.alpha.exps))
+    by_row: dict = {}
+    moduli = {alg._root_modulus}
+    for (b, k, l), cb in y.terms.items():
+        by_row.setdefault(k, []).append((pos[b], l, cb))
+        moduli.add(cb.modulus)
+    xs = [(pos[a], i, j, ca) for (a, i, j), ca in x.terms.items() if j in by_row]
+    if not xs:
+        return AlgElement(alg, {})
+    moduli.update(ca.modulus for _, _, _, ca in xs)
+    moduli.discard(1)
+    if len(moduli) > 1:
+        roots = [CycScalar.from_root(m, e) for e in range(m)]
+        acc: dict = {}
+        for pa, i, j, ca in xs:
+            row = table[pa]
+            for pb, l, cb in by_row[j]:
+                ab, e = row[pb]
+                key = (ab, i, l)
+                c = ca * cb * roots[e]
+                acc[key] = acc[key] + c if key in acc else c
+        return AlgElement(alg, acc)
+
+    L = moduli.pop() if moduli else 1
+    rot = _root_shifts(m, L)
+    dx = lcm(*(ca.den for _, _, _, ca in xs))
+    dy = lcm(*(c.den for c in y.terms.values()))
+    lifted = {k: [(pb, l, [(t, v * (dy // cb.den)) for t, v in enumerate(cb.nums) if v])
+                  for pb, l, cb in terms]
+              for k, terms in by_row.items()}
+    vecs: dict = {}
+    for pa, i, j, ca in xs:
+        row = table[pa]
+        f = dx // ca.den
+        va = [(t, v * f) for t, v in enumerate(ca.nums) if v]
+        for pb, l, vb in lifted[j]:
+            ab, e = row[pb]
+            s, sign = rot[e]
+            key = (ab, i, l)
+            vec = vecs.get(key)
+            if vec is None:
+                vec = vecs[key] = [0] * L
+            for t1, v1 in va:
+                v1 *= sign
+                for t2, v2 in vb:
+                    vec[(t1 + t2 + s) % L] += v1 * v2
+    den = dx * dy
+    return AlgElement(alg, {key: CycScalar.from_powers(L, vec, den)
+                            for key, vec in vecs.items()})
 
 
 def span_report_pairwise(algebra, field: SubfieldDescriptor, gens: tuple,

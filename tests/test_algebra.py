@@ -328,12 +328,12 @@ def _shifted_k4_algebra():
     return GradedAlgebra(Presentation(grp, sub, alpha, (0,)))
 
 
-def _dense(rng, alg, moduli):
+def _dense(rng, alg, moduli, share=0.6):
     """Random coefficients on a random share of the basis: rationals, roots
     of unity and sums of two roots at the given moduli, times rationals."""
     terms = {}
     for t in alg._deg:
-        if rng.random() < 0.6:
+        if rng.random() < share:
             n = rng.choice(moduli)
             c = CycScalar.from_root(n, rng.randrange(n))
             if rng.random() < 0.3:
@@ -385,6 +385,113 @@ def test_multiply_moduli_follow_partial_sums(algebras):
     assert multiply(x3, y).is_zero()
 
 
+def assert_same_product(got, want):
+    """Equal keys in equal order, and equal (modulus, nums, den) per key."""
+    assert list(got.terms) == list(want.terms)
+    for key, c in want.terms.items():
+        d = got.terms[key]
+        assert (d.modulus, d.nums, d.den) == (c.modulus, c.nums, c.den), key
+
+
+def _operand(data, rng, alg, moduli):
+    kind = data.draw(st.sampled_from(("dense", "zero", "one", "single")))
+    if kind == "zero":
+        return alg.zero()
+    if kind == "one":
+        return alg.one()
+    x = _dense(rng, alg, moduli)
+    if kind == "single":
+        x = alg.element(list(x.terms.items())[:1])
+    return x
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.data())
+def test_multiply_matches_the_row_kernel(algebras, data):
+    # the flat integer kernel against the per-key vector kernel it replaced,
+    # on dense, zero, unit and single-term operands, at one modulus or mixed
+    names = sorted(algebras) + ["k4_shifted"]
+    name = data.draw(st.sampled_from(names))
+    alg = _shifted_k4_algebra() if name == "k4_shifted" else algebras[name]
+    m = alg.alpha.modulus
+    n = data.draw(st.sampled_from([k for k in (3, 4, 5, 8, 12) if m % k]))
+    rng = random.Random(data.draw(st.integers(0, 10 ** 6)))
+    mx = data.draw(st.sampled_from(((1,), (1, m), (m,), (n,), (1, n), (1, m, n))))
+    my = data.draw(st.sampled_from(((1,), (1, m), (n,), (m, n))))
+    x, y = _operand(data, rng, alg, mx), _operand(data, rng, alg, my)
+    assert_same_product(multiply(x, y), helpers.multiply_by_rows(x, y))
+    assert_same_product(multiply(y, x), helpers.multiply_by_rows(y, x))
+
+
+def test_multiply_keeps_a_slot_whose_first_exponent_cancels(algebras):
+    """(0, 0, 0) is reached first with zeta_3 and last with 1 - zeta_3, so
+    its first exponent cancels; the key still comes first, before (0, 1, 0),
+    as adding the terms one by one gives."""
+    a = algebras["mat3"]
+    z3 = CycScalar.from_root(3, 1)
+    x = a.element({(0, 0, 0): z3, (0, 1, 1): 1, (0, 0, 1): 1 - z3})
+    y = a.element({(0, 0, 0): 1, (0, 1, 0): 1})
+    prod = multiply(x, y)
+    assert list(prod.terms) == [(0, 0, 0), (0, 1, 0)]
+    assert prod.terms[(0, 0, 0)].is_one()
+    assert_same_product(prod, helpers.multiply_by_rows(x, y))
+    assert_matches_pairwise(x, y)
+
+
+def test_product_tables_stay_with_their_algebra():
+    """Two algebras on one subgroup, with classes that differ or differ by a
+    coboundary: products interleaved at L = 1 and at L = m each match the
+    pairwise product, so no product table is shared between them."""
+    grp = direct_product(cyclic(2), cyclic(2))
+    sub = SubgroupData(grp, range(4))
+    classes = h2_classes(sub, 4)
+    alphas = [trivial_cocycle(sub).embedded(4), classes[1],
+              shift_by_coboundary(classes[1], [0, 1, 0, 2]),
+              shift_by_coboundary(classes[1], [0, 2, 0, 0])]
+    algs = [GradedAlgebra(Presentation(grp, sub, alpha, (0, 0))) for alpha in alphas]
+    assert len({a.alpha.exps for a in algs}) == len(algs)
+    rng = random.Random("stale tables")
+    for _ in range(3):
+        for moduli in ((1,), (4,)):
+            for alg in algs + algs[::-1]:
+                x, y = _dense(rng, alg, moduli), _dense(rng, alg, moduli)
+                assert_matches_pairwise(x, y)
+    for L in (1, 4):
+        tables = [a._products.get(L) for a in algs if L % a._root_modulus == 0]
+        assert len(tables) > 1 and len({id(t) for t in tables}) == len(tables)
+
+
+def _sweep_inputs(grp):
+    """Every subgroup of grp generated by at most 2 elements, m in {2, 4},
+    every class of h2_classes and the tuples (0,) and (0, g)."""
+    subs = sorted({grp.closure((a, b)) for a in range(grp.order) for b in range(a, grp.order)})
+    for elems in subs:
+        sub = SubgroupData(grp, elems)
+        for m in (2, 4):
+            for alpha in h2_classes(sub, m):
+                for g in range(grp.order):
+                    yield Presentation(grp, sub, alpha, (0, g) if g else (0,))
+
+
+@pytest.mark.parametrize("index", range(len(helpers.group_pool(8))))
+def test_small_case_product_sweep(index):
+    # one seeded dense pair against the pairwise product, one seeded triple
+    # for associativity and one homogeneous pair for the degree of a product
+    grp = helpers.group_pool(8)[index]
+    for k, p in enumerate(_sweep_inputs(grp)):
+        alg = GradedAlgebra(p)
+        rng = random.Random(f"sweep:{index}:{k}")
+        m = alg.alpha.modulus
+        x, y, z = (_dense(rng, alg, (m,), 0.4) for _ in range(3))
+        assert_matches_pairwise(x, y)
+        assert multiply(multiply(x, y), z) == multiply(x, multiply(y, z))
+        da, db = (rng.choice(sorted(alg.dims)) for _ in range(2))
+        a, b = (alg.element({t: CycScalar.from_root(m, rng.randrange(m))
+                             for t in alg.basis_of_degree(d)}) for d in (da, db))
+        ab = multiply(a, b)
+        assert ab.is_zero() or ab.homogeneous_degree() == grp.mul(da, db)
+
+
 @pytest.mark.parametrize("name", ["pauli", "swap", "d6", "mat3", "inner", "k4_shifted"])
 def test_span_operator_is_left_multiplication(algebras, name):
     # the compiled operator of x applied to the lifted y is multiply(x, y)
@@ -392,13 +499,14 @@ def test_span_operator_is_left_multiplication(algebras, name):
     # or as signs when the cocycle modulus does not divide L
     alg = _shifted_k4_algebra() if name == "k4_shifted" else algebras[name]
     slot = {key: idx for idx, key in enumerate(sorted(alg._deg))}
+    assert list(slot) == list(alg._triples)
     rng = random.Random(f"operator:{name}")
     for moduli in ((1,), (3,), (1, 4)):
         L = lcm(alg._root_modulus, *moduli)
         for _ in range(4):
             x, y = _dense(rng, alg, moduli), _dense(rng, alg, moduli)
-            got = algebra_mod._apply(algebra_mod._operator(alg, x, slot, L),
-                                     algebra_mod._lift(y, slot, L), L)
+            got = algebra_mod._apply(algebra_mod._operator(alg, x, L),
+                                     algebra_mod._lift(y, L), L)
             vecs: dict = {}
             for k, v in got.items():
                 s, e = divmod(k, L)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gforge import presentation as presentation_mod
 from gforge.errors import PreconditionError, PresentationError
 from gforge.groups import (CosetMultiset, SubgroupData, cyclic, dihedral,
                            direct_product, semidirect_product)
@@ -353,3 +354,46 @@ def test_chain_matches_word_scan_on_shifted_classes(name, m):
         chain = compute_KNS(p, 4)
         assert chain.image_stable and chain.word_bound == 4
         assert _chain_fields(chain) == helpers.scan_chain(p, 4)
+
+
+def test_normal_form_matches_the_full_table_comparison(monkeypatch):
+    """normalize_with_details compares the tied candidates' conjugate tables
+    through their position maps and builds one table, the winner's; the
+    normal forms are those of the comparison of full tables, on seeded move
+    orbits with nontrivial cocycles."""
+    built, compared = [], []
+    real_table = presentation_mod.conjugate_cocycle
+    real_positions = presentation_mod._conjugation_positions
+
+    def counting_table(*args):
+        built.append(args)
+        return real_table(*args)
+
+    def counting_positions(*args):
+        compared.append(args)
+        return real_positions(*args)
+
+    rng = random.Random("normal-form-ties")
+    starts = []
+    for name, (grp, elems) in sorted(_chain_ambients().items()):
+        sub = SubgroupData(grp, elems)
+        for m in (2, 3, 4):
+            for alpha in h2_classes(sub, m)[1:3]:
+                f = [0] + [rng.randrange(m) for _ in range(sub.order - 1)]
+                entries = [rng.randrange(grp.order) for _ in range(rng.randint(1, 3))]
+                starts.append(Presentation(grp, sub, shift_by_coboundary(alpha, f), entries))
+    tied = 0
+    for q in starts:
+        for _ in range(3):
+            q = apply_move(q, helpers.random_move(rng, q))
+            want = helpers.normalize_with_details_by_tables(q)
+            with monkeypatch.context() as mp:
+                mp.setattr(presentation_mod, "conjugate_cocycle", counting_table)
+                mp.setattr(presentation_mod, "_conjugation_positions", counting_positions)
+                got = normalize_with_details(q)
+            assert got == want
+            assert len(built) == 1
+            tied += len(compared) > 1 and not q.alpha.is_trivial()
+            built.clear()
+            compared.clear()
+    assert tied >= 20
