@@ -19,11 +19,19 @@ M = modulus * exp(H): n is the order of the class of alpha, N collects the
 normalizer elements g with alpha^g ~ j * alpha for a unit j mod n, and that
 j is the Galois character of g. None of it depends on a word bound; the
 chain only records the one it was given.
+
+A Presentation is immutable, so compute_KNS keeps its chain on the object
+(the way lam is kept) and later calls on the same object read it back; an
+equal but separately built Presentation computes its own. The normal form is
+always a new object, so the covariance cross-check of normalize computes the
+chain of the normal form from scratch. When the normal form's translation
+normalizes H, the normal form sits on the same SubgroupData as its source and
+shares its caches (products, generators, exponent, coboundary echelons).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .config import CAPS
 from .cyclo import SubfieldDescriptor
@@ -63,9 +71,11 @@ class Presentation:
         bad = [x for x in self.entries if not 0 <= x < self.group.order]
         if bad:
             raise PresentationError(f"tuple entries out of range: {bad}")
-        # derived attribute, not a field: the coset multiset of the entries
+        # derived attributes, not fields: the coset multiset of the entries,
+        # and the invariant chain once compute_KNS has computed it
         object.__setattr__(
             self, "lam", CosetMultiset.from_elements(self.sub, self.entries))
+        object.__setattr__(self, "_chain", None)
 
     def __eq__(self, other):
         if not isinstance(other, Presentation):
@@ -178,7 +188,17 @@ def related_reps(grp: Group, sub: SubgroupData, a: int, b: int) -> bool:
 
 
 def compute_KNS(p: Presentation, word_bound: int | None = None) -> InvariantChain:
+    """The invariant chain H <= S <= K <= N_G(H) of p, with n, the Galois
+    characters of S and the minimal field.
+
+    The first call on p computes the chain, with every cross-check, and
+    keeps it on p; later calls return it, with word_bound set to the bound
+    asked for (the chain does not depend on it).
+    """
     L = CAPS.word_bound if word_bound is None else int(word_bound)
+    kept = p._chain
+    if kept is not None:
+        return kept if kept.word_bound == L else replace(kept, word_bound=L)
     grp, sub, lam = p.group, p.sub, p.lam
     ngh = sub.normalizer
 
@@ -226,11 +246,13 @@ def compute_KNS(p: Presentation, word_bound: int | None = None) -> InvariantChai
     field = SubfieldDescriptor.from_generators(n, sbar)
     if set(field.units) != set(sbar):
         raise InternalError("character image is not closed under multiplication")
-    return InvariantChain(
+    chain = InvariantChain(
         K=tuple(sorted(k_set)), N=n_part, S=s_part,
         n=n, image_stable=True, word_bound=L,
         s_characters=tuple(chars), sbar_image=sbar, field=field,
     )
+    object.__setattr__(p, "_chain", chain)
+    return chain
 
 
 def minimal_field(p: Presentation, word_bound: int | None = None) -> SubfieldDescriptor:
@@ -299,6 +321,12 @@ def normalize_with_details(p: Presentation,
     maximal multiplicity); the winner minimizes (subgroup elements, flat
     tuple, cocycle table) lexicographically, which makes the result
     constant on move orbits.
+
+    The chain of p is the one kept on p (compute_KNS). A candidate
+    translation that normalizes H keeps p.sub, so the normal form shares its
+    subgroup's caches; otherwise it gets the conjugated subgroup. The normal
+    form is a new Presentation, and its chain is computed from scratch and
+    checked against the conjugated chain of p.
     """
     chain = compute_KNS(p, word_bound)
     grp = p.group
@@ -309,7 +337,7 @@ def normalize_with_details(p: Presentation,
             continue
         theta0 = grp.inv(cid)
         ti0 = grp.inv(theta0)
-        sub2 = p.sub.conjugated(theta0)
+        sub2 = p.sub if theta0 in p.sub.normalizer else p.sub.conjugated(theta0)
         k2 = frozenset(grp.conj(k, ti0) for k in chain.K)
         s2 = frozenset(grp.conj(s, ti0) for s in chain.S)
         lam2 = CosetMultiset.from_elements(
@@ -365,6 +393,13 @@ def normalize(p: Presentation, word_bound: int | None = None) -> Presentation:
 
 
 def classify(p: Presentation, word_bound: int | None = None) -> ClassificationFlags:
+    """Division form (S = G), strong and essential verbal primeness.
+
+    Strong verbal primeness needs H normal, a uniform multiset and
+    alpha^g ~ alpha for every g in G. Conjugation by an element of H fixes
+    every class, so alpha^(hr) ~ alpha^r and one g per coset of H (the
+    transversal) decides it.
+    """
     if not validate_presentation(p).connected:
         raise PreconditionError("classification requires a connected grading")
     chain = compute_KNS(p, word_bound)
@@ -373,7 +408,7 @@ def classify(p: Presentation, word_bound: int | None = None) -> ClassificationFl
     if p.sub.is_normal and p.lam.uniform_multiplicity() is not None:
         strongly = all(
             conjugate_is_cohomologous(p.alpha, g, p.alpha)[0]
-            for g in range(p.group.order)
+            for g in p.sub.transversal
         )
     if strongly and not division:
         raise InternalError("strong verbal primeness must force the division form")

@@ -26,7 +26,8 @@ from gforge.modlinalg import (Echelon, kernel_mod, reduce_least, reduce_mod,
 from gforge.presentation import (NormalForm, Presentation, _conjugate_chain, _factored_form,
                                  compute_KNS)
 from gforge.twisted import (Cocycle, _check_modulus, _cocycle_system, _delta, _expand,
-                            _root_coboundaries, conjugate_cocycle, h2_classes,
+                            _root_coboundaries, conjugate_cocycle,
+                            conjugate_is_cohomologous, h2_classes,
                             make_cocycle, shift_by_coboundary, trivial_cocycle,
                             unit_lifts)
 
@@ -211,6 +212,19 @@ def random_move(rng: random.Random, p: Presentation) -> dict:
     return {"type": "translate", "g": rng.randrange(p.group.order)}
 
 
+def sweep_inputs(grp: Group):
+    """The small-case sweep over grp: every subgroup generated by at most 2
+    elements, m in {2, 4}, every class of h2_classes and the tuples (0,) and
+    (0, g)."""
+    subs = sorted({grp.closure((a, b)) for a in range(grp.order) for b in range(a, grp.order)})
+    for elems in subs:
+        sub = SubgroupData(grp, elems)
+        for m in (2, 4):
+            for alpha in h2_classes(sub, m):
+                for g in range(grp.order):
+                    yield Presentation(grp, sub, alpha, (0, g) if g else (0,))
+
+
 # Reference implementations kept as differential oracles for the coset
 # factoring of gforge.groups and the direct cohomology computations in
 # gforge.twisted and gforge.presentation.
@@ -265,6 +279,16 @@ def normalize_with_details_by_tables(p: Presentation,
         core_factor=tuple(rep for rep, d in core for _ in range(d)),
         chain=chain2,
     )
+
+
+def strongly_vp_by_elements(p: Presentation) -> bool:
+    """classify's strong verbal primeness as it was decided before it took
+    one g per coset of H: H normal, a uniform multiset, and alpha^g ~ alpha
+    tested for every g in G."""
+    if not p.sub.is_normal or p.lam.uniform_multiplicity() is None:
+        return False
+    return all(conjugate_is_cohomologous(p.alpha, g, p.alpha)[0]
+               for g in range(p.group.order))
 
 
 def factors_along_by_subgroup(grp: Group, sub: SubgroupData, lam: CosetMultiset,

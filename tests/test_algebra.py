@@ -461,24 +461,12 @@ def test_product_tables_stay_with_their_algebra():
         assert len(tables) > 1 and len({id(t) for t in tables}) == len(tables)
 
 
-def _sweep_inputs(grp):
-    """Every subgroup of grp generated by at most 2 elements, m in {2, 4},
-    every class of h2_classes and the tuples (0,) and (0, g)."""
-    subs = sorted({grp.closure((a, b)) for a in range(grp.order) for b in range(a, grp.order)})
-    for elems in subs:
-        sub = SubgroupData(grp, elems)
-        for m in (2, 4):
-            for alpha in h2_classes(sub, m):
-                for g in range(grp.order):
-                    yield Presentation(grp, sub, alpha, (0, g) if g else (0,))
-
-
 @pytest.mark.parametrize("index", range(len(helpers.group_pool(8))))
 def test_small_case_product_sweep(index):
     # one seeded dense pair against the pairwise product, one seeded triple
     # for associativity and one homogeneous pair for the degree of a product
     grp = helpers.group_pool(8)[index]
-    for k, p in enumerate(_sweep_inputs(grp)):
+    for k, p in enumerate(helpers.sweep_inputs(grp)):
         alg = GradedAlgebra(p)
         rng = random.Random(f"sweep:{index}:{k}")
         m = alg.alpha.modulus

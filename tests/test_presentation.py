@@ -1,16 +1,20 @@
+import gc
+import inspect
 import json
 import os
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gforge import presentation as presentation_mod
+from gforge import twisted
 from gforge.errors import PreconditionError, PresentationError
 from gforge.groups import (CosetMultiset, SubgroupData, cyclic, dihedral,
                            direct_product, semidirect_product)
-from gforge.presentation import (Presentation, apply_move, classify,
+from gforge.presentation import (Presentation, _conjugate_chain, apply_move, classify,
                                  compute_KNS, find_theta, full_derivative,
                                  iso_test, iso_witness, minimal_field,
                                  normalize, normalize_with_details,
@@ -63,9 +67,16 @@ def test_derivative_direction_is_checked_as_python_ints(p_swap_raw, direction):
         pointwise_derivative(p_swap_raw, direction)
 
 
-def test_invariant_chain_builds_no_subgroup_data(corpus, p_swap_raw, monkeypatch):
+def _fresh(p):
+    """An equal Presentation that has not computed its invariant chain yet."""
+    return Presentation(p.group, p.sub, p.alpha, p.entries)
+
+
+def test_invariant_chain_builds_no_subgroup_data(corpus, p_swap_raw, p_related,
+                                                 monkeypatch):
     """compute_KNS factors the multiset with CosetMultiset.blocks_along, so
-    the only SubgroupData that normalize builds are its conjugated candidates."""
+    it builds no SubgroupData, and normalize builds one only for a candidate
+    translation outside N_G(H): none when H is normal."""
     built, conjugated = [], []
     init, conj = SubgroupData.__init__, SubgroupData.conjugated
 
@@ -77,13 +88,21 @@ def test_invariant_chain_builds_no_subgroup_data(corpus, p_swap_raw, monkeypatch
         conjugated.append(theta)
         return conj(self, theta)
 
+    cases = [_fresh(p) for p in (*corpus.values(), p_swap_raw, p_related)]
+    assert not p_related.sub.is_normal
+    assert all(p.sub.is_normal for p in cases[:-1])
     monkeypatch.setattr(SubgroupData, "__init__", counting_init)
     monkeypatch.setattr(SubgroupData, "conjugated", counting_conj)
-    for p in (*corpus.values(), p_swap_raw):
+    for p in cases:
         compute_KNS(p)
         assert built == [] and conjugated == []
-        normalize_with_details(p)
-        assert conjugated and len(built) == len(conjugated)
+        nf = normalize_with_details(p)
+        assert len(built) == len(conjugated)
+        assert all(theta not in p.sub.normalizer for theta in conjugated)
+        if p.sub.is_normal:
+            assert built == [] and nf.presentation.sub is p.sub
+        else:
+            assert conjugated
         built.clear()
         conjugated.clear()
 
@@ -97,7 +116,7 @@ def test_maximality_scan_takes_one_element_per_coset_of_k(corpus, p_swap_raw, p_
     cases = [*corpus.values(), p_swap_raw, p_related]
     cases += [helpers.random_presentation(rng, pool) for _ in range(30)]
     scanned = 0
-    for p in cases:
+    for p in map(_fresh, cases):
         grp = p.group
         closed = []
         real = type(grp).closure
@@ -397,3 +416,146 @@ def test_normal_form_matches_the_full_table_comparison(monkeypatch):
             built.clear()
             compared.clear()
     assert tied >= 20
+
+
+def _spy_class_order(monkeypatch):
+    """Record the cocycle of every full chain computation: compute_KNS calls
+    class_order once per chain it computes."""
+    seen = []
+    real = presentation_mod.class_order
+
+    def spy(alpha):
+        seen.append(alpha)
+        return real(alpha)
+
+    monkeypatch.setattr(presentation_mod, "class_order", spy)
+    return seen
+
+
+def test_chain_is_kept_on_its_presentation(p_swap_raw, p_related, monkeypatch):
+    """normalize, compute_KNS and classify on one object compute its chain
+    once; the covariance cross-check computes the chain of the new normal
+    form from scratch; an equal but separately built object computes its
+    own."""
+    seen = _spy_class_order(monkeypatch)
+    for source in (p_swap_raw, p_related):
+        p = _fresh(source)
+        nf = normalize_with_details(p)
+        norm = nf.presentation
+        assert norm is not p
+        assert seen == [p.alpha, norm.alpha]
+        chain = compute_KNS(p)
+        flags = classify(p)
+        assert compute_KNS(norm) == nf.chain == _conjugate_chain(p.group, chain, nf.theta)
+        # a second normalize builds a new normal form and computes its chain
+        again = normalize(p)
+        assert again == norm and again is not norm and classify(p) == flags
+        assert seen == [p.alpha, norm.alpha, again.alpha]
+        q = _fresh(p)
+        assert q == p and compute_KNS(q) == chain
+        assert len(seen) == 4 and seen[-1] is p.alpha
+        seen.clear()
+
+
+def test_kept_chain_records_the_word_bound_asked_for(p_swap_raw, monkeypatch):
+    seen = _spy_class_order(monkeypatch)
+    p = _fresh(p_swap_raw)
+    c3, c5 = compute_KNS(p, 3), compute_KNS(p, 5)
+    assert (c3.word_bound, c5.word_bound) == (3, 5)
+    assert replace(c5, word_bound=3) == c3 and compute_KNS(p, 3) is c3
+    assert len(seen) == 1
+
+
+def test_kept_chain_is_referenced_by_its_presentation_alone(p_swap_raw):
+    def holders(obj):
+        return [id(r) for r in gc.get_referrers(obj) if not inspect.isframe(r)]
+
+    # no gforge module, cache or global holds a chain: only the attribute
+    # dict of its presentation, and that dict only the presentation
+    p = _fresh(p_swap_raw)
+    chain = compute_KNS(p)
+    attrs = vars(p)
+    assert holders(chain) == [id(attrs)]
+    assert holders(attrs) == [id(p)]
+
+
+def test_orbit_op_computes_two_chains_and_one_echelon(monkeypatch):
+    """One orbit-shaped sequence on a normal subgroup: the chains of q and of
+    its normal form are the only full computations, and every coboundary
+    echelon is built once for its (subgroup, M)."""
+    grp = direct_product(cyclic(4), cyclic(4))
+    sub = SubgroupData(grp, (0, 2, 8, 10))
+    assert sub.is_normal and sub.index() == 4
+    rng = random.Random("orbit-op")
+    alpha = shift_by_coboundary(h2_classes(sub, 2)[1], [0, 1, 1, 0])
+    base = Presentation(grp, sub, alpha, (0, 1, 4))
+    for _ in range(6):
+        base = apply_move(base, helpers.random_move(rng, base))
+    seen = _spy_class_order(monkeypatch)
+    echelons = []
+    real_rows = twisted.coboundary_rows
+
+    def spy_rows(s, M):
+        echelons.append((s, M))
+        return real_rows(s, M)
+
+    monkeypatch.setattr(twisted, "coboundary_rows", spy_rows)
+    q = base
+    for _ in range(12):
+        q = apply_move(q, helpers.random_move(rng, q))
+    nf = normalize(q, 3)
+    compute_KNS(q, 3)
+    classify(q, 3)
+    assert iso_test(base, q)
+    assert seen == [q.alpha, nf.alpha]
+    assert nf.sub is q.sub is sub
+    assert echelons == [(sub, alpha.modulus * sub.exponent())]
+
+
+def test_classify_matches_the_element_wise_test():
+    """classify tests alpha^g ~ alpha for one g per coset of H; on ambients
+    whose outer conjugations move classes of H it agrees with the test over
+    every g in G."""
+    rng = random.Random("classify-cosets")
+    verdicts = []
+    for name, (grp, elems) in sorted(_chain_ambients().items()):
+        sub = SubgroupData(grp, elems)
+        for m in (2, 3, 4):
+            for alpha in h2_classes(sub, m):
+                f = [0] + [rng.randrange(m) for _ in range(sub.order - 1)]
+                p = Presentation(grp, sub, shift_by_coboundary(alpha, f), sub.transversal)
+                want = helpers.strongly_vp_by_elements(p)
+                assert classify(p).strongly_vp == want
+                verdicts.append(want)
+    # uniform multisets on normal subgroups: a False comes from a g that
+    # moves the class
+    assert True in verdicts and False in verdicts
+
+
+@pytest.mark.parametrize("index", range(len(helpers.group_pool(8))))
+def test_small_case_presentation_sweep(index):
+    """The presentation slice of the small-case sweep: normalize is
+    idempotent, constant on seeded moves and isomorphic to its source, the
+    chain of the normal form is the conjugated chain, and classify agrees
+    with the element-wise test of strong verbal primeness, which implies the
+    division form."""
+    grp = helpers.group_pool(8)[index]
+    rng = random.Random(f"presentation-sweep:{index}")
+    connected = 0
+    for p in helpers.sweep_inputs(grp):
+        nf = normalize_with_details(p)
+        norm = nf.presentation
+        assert normalize(norm) == norm
+        assert iso_test(p, norm)
+        assert compute_KNS(_fresh(norm)) == _conjugate_chain(grp, compute_KNS(p), nf.theta)
+        q = p
+        for _ in range(3):
+            q = apply_move(q, helpers.random_move(rng, q))
+            assert normalize(q) == norm
+        if not validate_presentation(p).connected:
+            continue
+        connected += 1
+        flags = classify(p)
+        assert flags.strongly_vp == helpers.strongly_vp_by_elements(p)
+        assert flags.division_form or not flags.strongly_vp
+    assert connected
