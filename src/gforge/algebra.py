@@ -701,8 +701,10 @@ def _span_report(algebra: GradedAlgebra, field: SubfieldDescriptor,
     """Close the k-span of the generators under multiplication and measure it.
 
     The k-span V of all words in the generators is closed under left
-    multiplication by the generators, so each new basis element x queues
-    only g * x for g in gens. Elements are integer vectors, one in
+    multiplication by the generators, so the closure walks its basis in
+    insertion order, after the seeds g * kb for kb in a basis of k, and
+    makes g * x for g in gens only when it reaches x: breadth first, as the
+    MeatAxe spins a submodule (Parker 1984). Elements are integer vectors, one in
     Z[x]/(x^L - 1) per basis slot, with big the lcm of the field modulus
     and the generator coefficient moduli and L = lcm(big,
     algebra._root_modulus); each generator is compiled once into a sparse
@@ -713,7 +715,11 @@ def _span_report(algebra: GradedAlgebra, field: SubfieldDescriptor,
     PreconditionError unless it is rational. V is a k-subspace, so its
     Q-dimension is a multiple of [k:Q]. F V = A exactly when the multiples
     zeta_big^t x (t < phi(big)), shifts by t * L/big, of the basis of V
-    reach Q-dimension dim_F A * phi(big) in the same echelon.
+    reach Q-dimension dim_F A * phi(big) in the same echelon. When L == big
+    every row lies in that Q^(dim_F A * phi(big)), so once the echelon
+    reaches this rank the closure stops, and the multiples are not needed:
+    V = A already. Rank does not depend on the order of insertion, so the
+    report does not either.
     """
     big = field.n
     for g in gens:
@@ -775,22 +781,31 @@ def _span_report(algebra: GradedAlgebra, field: SubfieldDescriptor,
 
     ops = [_operator(algebra, g, L) for g in gens]
     basis: list[dict[int, int]] = []
-    queue = [_lift(g.scaled(kb), L) for kb in k_basis for g in gens]
-    while queue:
-        x = queue.pop()
+
+    def candidates():
+        yield from (_lift(g.scaled(kb), L) for kb in k_basis for g in gens)
+        for x in basis:  # basis grows while it is walked: breadth first
+            for op in ops:
+                yield _apply(op, x, L)
+
+    # at L == big every row lies in Q^(dim * width), so a full echelon ends it
+    full = algebra.dim * width if L == big else None
+    for x in candidates():
         if x and insert(row(x)):
             basis.append(x)
-            queue.extend(_apply(op, x, L) for op in ops)
+            if len(ech) == full:
+                break
 
     k_deg = field.degree_over_q()
     if len(basis) % k_deg:
         raise InternalError("closure is not a module over the subfield")
     k_dim = len(basis) // k_deg
 
-    step = L // big
-    for x in basis:
-        for t in range(step, width * step, step):
-            insert(row({k - k % L + (k % L + t) % L: v for k, v in x.items()}))
+    if len(ech) != full:
+        step = L // big
+        for x in basis:
+            for t in range(step, width * step, step):
+                insert(row({k - k % L + (k % L + t) % L: v for k, v in x.items()}))
 
     expected = algebra.dim
     f_full = len(ech) == expected * width

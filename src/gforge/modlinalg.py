@@ -83,7 +83,9 @@ def howell_echelon(rows, M: int) -> Echelon:
                 continue
             r = [(x * u + y * v) % M for u, v in zip(p, r)]
         pivots[c] = head + r
-        queue.append(head + [M // gcd(r[0], M) * v % M for v in r])
+        g = gcd(r[0], M)
+        if g > 1:  # for a unit lead the saturation row M * r is zero
+            queue.append(head + [M // g * v % M for v in r])
     return Echelon(tuple(pivots[c]) for c in sorted(pivots))
 
 

@@ -13,8 +13,8 @@ import numpy as np
 
 from gforge.cyclo import (CycScalar, SubfieldDescriptor, _power_rows,
                           cyclotomic_polynomial, phi)
-from gforge.algebra import (AlgElement, KFormReport, _root_shifts, _same_algebra,
-                            multiply)
+from gforge.algebra import (AlgElement, KFormReport, _apply, _lift, _operator,
+                            _root_shifts, _same_algebra, multiply)
 from gforge.config import CAPS
 from gforge.errors import (CapExceeded, GroupError, InternalError, PreconditionError,
                            PresentationError)
@@ -212,14 +212,14 @@ def random_move(rng: random.Random, p: Presentation) -> dict:
     return {"type": "translate", "g": rng.randrange(p.group.order)}
 
 
-def sweep_inputs(grp: Group):
+def sweep_inputs(grp: Group, moduli=(2, 4)):
     """The small-case sweep over grp: every subgroup generated by at most 2
-    elements, m in {2, 4}, every class of h2_classes and the tuples (0,) and
+    elements, m in moduli, every class of h2_classes and the tuples (0,) and
     (0, g)."""
     subs = sorted({grp.closure((a, b)) for a in range(grp.order) for b in range(a, grp.order)})
     for elems in subs:
         sub = SubgroupData(grp, elems)
-        for m in (2, 4):
+        for m in moduli:
             for alpha in h2_classes(sub, m):
                 for g in range(grp.order):
                     yield Presentation(grp, sub, alpha, (0, g) if g else (0,))
@@ -1150,6 +1150,36 @@ def multiply_by_rows(x, y) -> AlgElement:
                             for key, vec in vecs.items()})
 
 
+def _k_basis(field: SubfieldDescriptor) -> list[CycScalar]:
+    """The nonzero Galois traces sum_u zeta_n^(a u) over a < n, a spanning
+    set of the subfield k, as _span_report seeds its closure with them."""
+    k_basis = []
+    for a in range(field.n):
+        acc = CycScalar.zero()
+        for u in field.units:
+            acc = acc + CycScalar.from_root(field.n, (a * u) % field.n)
+        if not acc.is_zero():
+            k_basis.append(acc)
+    return k_basis
+
+
+def _bareiss_insert(ech: dict, vec: dict[int, int]) -> bool:
+    """Reduce vec against ech (vec := a * vec - b * row, over the content
+    of the result); a nonzero remainder becomes a primitive pivot row."""
+    while vec:
+        piv = min(vec)
+        prow = ech.get(piv)
+        if prow is None:
+            g = gcd(*vec.values())
+            ech[piv] = {i: v // g for i, v in vec.items()}
+            return True
+        a, b = prow[piv], vec[piv]
+        vec = {i: a * vec.get(i, 0) - b * prow.get(i, 0) for i in vec.keys() | prow.keys()}
+        g = gcd(*vec.values())
+        vec = {i: v // g for i, v in vec.items() if v}
+    return False
+
+
 def span_report_pairwise(algebra, field: SubfieldDescriptor, gens: tuple,
                          mode: str, slot_units: tuple,
                          descent_enforced: bool) -> KFormReport:
@@ -1189,17 +1219,9 @@ def span_report_pairwise(algebra, field: SubfieldDescriptor, gens: tuple,
                     vec.pop(idx, None)
         return vec
 
-    k_basis = []
-    for a in range(field.n):
-        acc = CycScalar.zero()
-        for u in field.units:
-            acc = acc + CycScalar.from_root(field.n, (a * u) % field.n)
-        if not acc.is_zero():
-            k_basis.append(acc)
-
     ech: dict[int, dict[int, Fraction]] = {}
     basis_elems: list[AlgElement] = []
-    queue = [g.scaled(kb) for kb in k_basis for g in gens]
+    queue = [g.scaled(kb) for kb in _k_basis(field) for g in gens]
     while queue:
         x = queue.pop()
         if x.is_zero():
@@ -1270,36 +1292,11 @@ def span_report_by_multiply(algebra, field: SubfieldDescriptor, gens: tuple,
                 for base, c in cs for t, v in enumerate(c.nums) if v}
 
     ech: dict[int, dict[int, int]] = {}
-
-    def insert(vec: dict[int, int]) -> bool:
-        """Reduce vec against ech (vec := a * vec - b * row, over the content
-        of the result); a nonzero remainder becomes a primitive pivot row."""
-        while vec:
-            piv = min(vec)
-            prow = ech.get(piv)
-            if prow is None:
-                g = gcd(*vec.values())
-                ech[piv] = {i: v // g for i, v in vec.items()}
-                return True
-            a, b = prow[piv], vec[piv]
-            vec = {i: a * vec.get(i, 0) - b * prow.get(i, 0) for i in vec.keys() | prow.keys()}
-            g = gcd(*vec.values())
-            vec = {i: v // g for i, v in vec.items() if v}
-        return False
-
-    k_basis = []
-    for a in range(field.n):
-        acc = CycScalar.zero()
-        for u in field.units:
-            acc = acc + CycScalar.from_root(field.n, (a * u) % field.n)
-        if not acc.is_zero():
-            k_basis.append(acc)
-
     basis: list[AlgElement] = []
-    queue = [g.scaled(kb) for kb in k_basis for g in gens]
+    queue = [g.scaled(kb) for kb in _k_basis(field) for g in gens]
     while queue:
         x = queue.pop()
-        if x.terms and insert(row(x)):
+        if x.terms and _bareiss_insert(ech, row(x)):
             basis.append(x)
             queue.extend(multiply(g, x) for g in gens)
 
@@ -1310,7 +1307,72 @@ def span_report_by_multiply(algebra, field: SubfieldDescriptor, gens: tuple,
 
     for x in basis:
         for t in range(1, width):
-            insert(row(x.scaled(CycScalar.from_root(big, t))))
+            _bareiss_insert(ech, row(x.scaled(CycScalar.from_root(big, t))))
+
+    expected = algebra.dim
+    f_full = len(ech) == expected * width
+    return KFormReport(mode, k_dim, expected, f_full, tuple(slot_units),
+                       descent_enforced, k_dim == expected and f_full)
+
+
+def span_report_full_closure(algebra, field: SubfieldDescriptor, gens: tuple,
+                             mode: str, slot_units: tuple,
+                             descent_enforced: bool) -> KFormReport:
+    """algebra._span_report as it was before the closure went breadth first:
+    each new basis element x queues g * x for every g in gens at once, the
+    queue is worked last in first out, and the closure never stops early;
+    the integer vectors, operators and echelon are those of _span_report."""
+    big = field.n
+    for g in gens:
+        for c in g.terms.values():
+            big = lcm(big, c.modulus)
+    width = phi(big)
+    L = lcm(big, algebra._root_modulus)
+
+    if L == big:
+        powers = [[(i, r) for i, r in enumerate(p) if r] for p in _power_rows(big)]
+
+        def row(x: dict[int, int]) -> dict[int, int]:
+            out: dict[int, int] = {}
+            for k, v in x.items():
+                s, e = divmod(k, L)
+                base = s * width
+                for i, r in powers[e]:
+                    out[base + i] = out.get(base + i, 0) + r * v
+            return {i: v for i, v in out.items() if v}
+    else:
+        def row(x: dict[int, int]) -> dict[int, int]:
+            vecs: dict[int, list[int]] = {}
+            for k, v in x.items():
+                s, e = divmod(k, L)
+                if s not in vecs:
+                    vecs[s] = [0] * L
+                vecs[s][e] = v
+            out: dict[int, int] = {}
+            for s, vec in vecs.items():
+                c = CycScalar.from_powers(L, vec)._promoted(big)
+                out.update((s * width + t, v) for t, v in enumerate(c.nums) if v)
+            return out
+
+    ech: dict[int, dict[int, int]] = {}
+    ops = [_operator(algebra, g, L) for g in gens]
+    basis: list[dict[int, int]] = []
+    queue = [_lift(g.scaled(kb), L) for kb in _k_basis(field) for g in gens]
+    while queue:
+        x = queue.pop()
+        if x and _bareiss_insert(ech, row(x)):
+            basis.append(x)
+            queue.extend(_apply(op, x, L) for op in ops)
+
+    k_deg = field.degree_over_q()
+    if len(basis) % k_deg:
+        raise InternalError("closure is not a module over the subfield")
+    k_dim = len(basis) // k_deg
+
+    step = L // big
+    for x in basis:
+        for t in range(step, width * step, step):
+            _bareiss_insert(ech, row({k - k % L + (k % L + t) % L: v for k, v in x.items()}))
 
     expected = algebra.dim
     f_full = len(ech) == expected * width
