@@ -13,11 +13,12 @@ import numpy as np
 
 from gforge.cyclo import (CycScalar, SubfieldDescriptor, _power_rows,
                           cyclotomic_polynomial, phi)
+from gforge import algebra as algebra_mod
 from gforge.algebra import (AlgElement, KFormReport, _apply, _lift, _operator,
                             _root_shifts, _same_algebra, multiply)
 from gforge.config import CAPS
-from gforge.errors import (CapExceeded, GroupError, InternalError, PreconditionError,
-                           PresentationError)
+from gforge.errors import (CapExceeded, GForgeError, GroupError, InternalError,
+                           PreconditionError, PresentationError)
 from gforge.groups import (CosetMultiset, Group, SubgroupData, cyclic,
                            dihedral, direct_product, semidirect_product)
 from gforge.identities import IdentityReport, linearize
@@ -1378,6 +1379,57 @@ def span_report_full_closure(algebra, field: SubfieldDescriptor, gens: tuple,
     f_full = len(ech) == expected * width
     return KFormReport(mode, k_dim, expected, f_full, tuple(slot_units),
                        descent_enforced, k_dim == expected and f_full)
+
+
+class _SpanArgs(Exception):
+    """Carries the arguments of build_k_form's span check out of it."""
+
+
+def span_args(p: Presentation, mode: str):
+    """The arguments build_k_form(p, mode) passes to algebra._span_report,
+    or the error type when it fails before the span check."""
+    real = algebra_mod._span_report
+
+    def capture(*args):
+        raise _SpanArgs(args)
+
+    algebra_mod._span_report = capture
+    try:
+        algebra_mod.build_k_form(p, mode)
+    except _SpanArgs as e:
+        return e.args[0]
+    except GForgeError as e:
+        return type(e)
+    finally:
+        algebra_mod._span_report = real
+    raise AssertionError("build_k_form returned without its span check")
+
+
+def span_outcome(report_fn, args):
+    """(k_dim, f_span_full, ok) of report_fn(*args), or the error type."""
+    try:
+        rep = report_fn(*args)
+    except GForgeError as e:
+        return type(e)
+    return rep.k_dim, rep.f_span_full, rep.ok
+
+
+def span_outcomes(p: Presentation, oracles) -> list:
+    """(mode, which, outcome of _span_report, outcomes of the oracles) in
+    every mode in which build_k_form reaches its span check, on its
+    generators and on every other generator (spans that do not close at
+    dim_F A or do not span A over F)."""
+    out = []
+    for mode in algebra_mod.MODES:
+        args = span_args(p, mode)
+        if isinstance(args, type):
+            continue
+        algebra, field, gens, *rest = args
+        halved = (algebra, field, gens[::2], *rest)
+        for which, sub_args in (("all generators", args), ("every other generator", halved)):
+            out.append((mode, which, span_outcome(algebra_mod._span_report, sub_args),
+                        tuple(span_outcome(o, sub_args) for o in oracles)))
+    return out
 
 
 def gathered_pmul(sub: SubgroupData) -> np.ndarray:

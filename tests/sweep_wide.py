@@ -8,14 +8,13 @@ the generators of build_k_form and on every other generator. Outcomes are
 
 Run from the repository root:
 
-    PYTHONPATH=src python tests/sweep_wide.py [--max-order 16] [--moduli 2,3,4,6]
+    PYTHONPATH=src python tests/sweep_wide.py
 
 It prints the outcome counts per mode and exits 1 on any disagreement.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
 import time
 from collections import Counter
@@ -24,56 +23,21 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 import helpers  # noqa: E402
-from gforge import algebra as algebra_mod  # noqa: E402
+from gforge.algebra import MODES  # noqa: E402
 from gforge.errors import GForgeError  # noqa: E402
 from gforge.presentation import normalize, validate_presentation  # noqa: E402
 
-
-class _Captured(Exception):
-    pass
-
-
-def outcome(report_fn, args):
-    try:
-        rep = report_fn(*args)
-    except GForgeError as e:
-        return type(e).__name__
-    return rep.k_dim, rep.f_span_full, rep.ok
+MAX_ORDER = 16
+MODULI = (2, 3, 4, 6)
 
 
-def span_args(p, mode):
-    """The arguments build_k_form passes to _span_report, or the error type
-    when it fails before the span check."""
-    seen = []
-    real = algebra_mod._span_report
-
-    def capture(*args):
-        seen.append(args)
-        raise _Captured
-
-    algebra_mod._span_report = capture
-    try:
-        algebra_mod.build_k_form(p, mode)
-    except _Captured:
-        return seen[0]
-    except GForgeError as e:
-        return type(e).__name__
-    finally:
-        algebra_mod._span_report = real
-
-
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--max-order", type=int, default=16)
-    ap.add_argument("--moduli", default="2,3,4,6")
-    opts = ap.parse_args(argv)
-    moduli = tuple(int(m) for m in opts.moduli.split(","))
+def main() -> int:
     start = time.perf_counter()
-    counts = {mode: Counter() for mode in algebra_mod.MODES}
+    counts = {mode: Counter() for mode in MODES}
     inputs, mismatches, unnormalized = 0, [], Counter()
-    for grp in helpers.group_pool(opts.max_order):
+    for grp in helpers.group_pool(MAX_ORDER):
         seen = set()
-        for p in helpers.sweep_inputs(grp, moduli):
+        for p in helpers.sweep_inputs(grp, MODULI):
             if not validate_presentation(p).connected:
                 continue
             try:
@@ -86,25 +50,18 @@ def main(argv=None) -> int:
                 continue
             seen.add(key)
             inputs += 1
-            for mode in algebra_mod.MODES:
-                args = span_args(q, mode)
-                if isinstance(args, str):
-                    counts[mode]["before span: " + args] += 1
-                    continue
-                algebra, field, gens, *rest = args
-                halved = (algebra, field, gens[::2], *rest)
-                for which, sub_args in (("all generators", args), ("every other generator", halved)):
-                    got = outcome(algebra_mod._span_report, sub_args)
-                    want = outcome(helpers.span_report_full_closure, sub_args)
-                    label = got if isinstance(got, str) else "ok" if got[2] else "not ok"
-                    counts[mode][f"{which}: {label}"] += 1
-                    if got != want:
-                        mismatches.append((grp.order, q.sub.elements, q.alpha.modulus,
-                                           q.entries, mode, which, got, want))
-    print(f"{inputs} distinct normal forms (max order {opts.max_order}, m in {moduli}), "
+            for mode, which, got, (want,) in helpers.span_outcomes(
+                    q, (helpers.span_report_full_closure,)):
+                label = got.__name__ if isinstance(got, type) else "ok" if got[2] else "not ok"
+                counts[mode][f"{which}: {label}"] += 1
+                if got != want:
+                    mismatches.append((grp.order, q.sub.elements, q.alpha.modulus,
+                                       q.entries, mode, which, got, want))
+    print(f"{inputs} distinct normal forms (max order {MAX_ORDER}, m in {MODULI}), "
           f"{time.perf_counter() - start:.1f} s; normalize failed: {dict(unnormalized)}")
     for mode, c in counts.items():
-        print(f"mode {mode}:")
+        reached = c.total() // 2
+        print(f"mode {mode}: span check reached on {reached} of {inputs}")
         for name, n in sorted(c.items()):
             print(f"  {n:6d}  {name}")
     print(f"{len(mismatches)} disagreements with the full closure")

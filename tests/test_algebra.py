@@ -571,48 +571,14 @@ SPAN_ORACLES = (helpers.span_report_full_closure, helpers.span_report_by_multipl
                 helpers.span_report_pairwise)
 
 
-def _span_outcome(report_fn, args):
-    try:
-        rep = report_fn(*args)
-    except GForgeError as e:
-        return type(e)
-    return rep.k_dim, rep.f_span_full, rep.ok
-
-
-def _span_args(p, mode, monkeypatch):
-    """The arguments build_k_form passes to _span_report, or None when it
-    fails before the span check."""
-    seen = []
-    real = algebra_mod._span_report
-
-    def capture(*args):
-        seen.append(args)
-        return real(*args)
-
-    with monkeypatch.context() as mp:
-        mp.setattr(algebra_mod, "_span_report", capture)
-        try:
-            build_k_form(p, mode)
-        except GForgeError:
-            pass
-    return seen[0] if seen else None
-
-
-def _span_outcomes_agree(p, monkeypatch) -> list:
+def _span_outcomes_agree(p) -> list:
     """The outcomes of _span_report in every mode, on the generators and on
-    every other generator (spans that do not close at dim_F A or do not span
-    A over F), each checked against both oracles."""
+    every other generator, each checked against every oracle."""
     outcomes = []
-    for mode in MODES:
-        args = _span_args(p, mode, monkeypatch)
-        if args is None:
-            continue
-        algebra, field, gens, *rest = args
-        for sub_args in (args, (algebra, field, gens[::2], *rest)):
-            got = _span_outcome(algebra_mod._span_report, sub_args)
-            for oracle in SPAN_ORACLES:
-                assert _span_outcome(oracle, sub_args) == got, (mode, oracle.__name__)
-            outcomes.append(got)
+    for mode, which, got, wants in helpers.span_outcomes(p, SPAN_ORACLES):
+        for oracle, want in zip(SPAN_ORACLES, wants):
+            assert want == got, (mode, which, oracle.__name__)
+        outcomes.append(got)
     return outcomes
 
 
@@ -634,11 +600,11 @@ SPAN_CASES = dict(_span_cases())
 
 
 @pytest.mark.parametrize("name", SPAN_CASES)
-def test_span_report_matches_pairwise_closure(name, monkeypatch):
-    assert _span_outcomes_agree(SPAN_CASES[name](), monkeypatch)
+def test_span_report_matches_pairwise_closure(name):
+    assert _span_outcomes_agree(SPAN_CASES[name]())
 
 
-def test_span_report_matches_oracles_on_semidirect_pairs(monkeypatch):
+def test_span_report_matches_oracles_on_semidirect_pairs():
     # (C_p x C_p) x| C_k for p = 2, 3: closures that succeed and closures
     # that raise the promotion error of the shifted cocycles, alike
     outcomes = []
@@ -647,20 +613,26 @@ def test_span_report_matches_oracles_on_semidirect_pairs(monkeypatch):
             p = normalize(p)
         except GForgeError:
             continue
-        outcomes += _span_outcomes_agree(p, monkeypatch)
+        outcomes += _span_outcomes_agree(p)
     assert PreconditionError in outcomes
     assert any(not isinstance(o, type) and o[2] for o in outcomes)
 
 
-@pytest.mark.parametrize("name", ["pauli", "swap", "d6"])
+# the generator applications of build_k_form on corpus cases: pauli fills
+# Q^(dim * phi(big)) with its seeds, d6 part way through the closure, and
+# swap (k = Q inside Q(zeta_9)) never fills, so it makes all
+# |gens| * k_dim * [k:Q]
+SPAN_APPLICATIONS = {"pauli": 0, "swap": 540, "d6": 341}
+
+
+@pytest.mark.parametrize("name", SPAN_APPLICATIONS)
 def test_span_closure_multiplies_only_generator_by_new_element(corpus, name, monkeypatch):
     # at most one generator application per generator and new basis element,
     # on integer vectors, and multiply is never called. At L == big a closure
     # that fills Q^(dim * phi(big)) stops at the seed or application whose
     # image fills the echelon, so with the image of the last application
-    # replaced by 0 the span falls short (pauli fills with its seeds, d6
-    # half-way); one that does not fill applies every generator to every
-    # basis element (swap: k = Q inside Q(zeta_9)).
+    # replaced by 0 the span falls short; one that does not fill applies
+    # every generator to every basis element.
     real_apply, real_multiply = algebra_mod._apply, algebra_mod.multiply
 
     def run(limit=None):
@@ -692,6 +664,7 @@ def test_span_closure_multiplies_only_generator_by_new_element(corpus, name, mon
     bound = len(res.generators) * res.report.k_dim * k_deg
     filled = res.report.k_dim * k_deg == res.algebra.dim * phi(big)
     assert filled == (name != "swap")
+    assert applied == SPAN_APPLICATIONS[name] <= bound
     if not filled:
         assert applied == bound
         return
