@@ -28,18 +28,40 @@ def generating_set(table) -> tuple[int, ...]:
     gens: list[int] = []
     reached = {0}
     for x in range(len(table)):
-        if x in reached:
-            continue
-        gens.append(x)
-        stack = list(reached)
-        while stack:
-            g = stack.pop()
-            for s in gens:
-                sg = table[s][g]
-                if sg not in reached:
-                    reached.add(sg)
-                    stack.append(sg)
+        if x not in reached:
+            gens.append(x)
+            _reach(table, gens, reached)
     return tuple(gens)
+
+
+def covering_generating_set(table) -> tuple[int, ...]:
+    """Elements S generating the group of the table, picked by coverage:
+    each is the element whose closure with the earlier picks reaches the
+    most elements, the least one on a tie. On every group of order <= 16
+    tried this is a generating set of least size."""
+    gens: list[int] = []
+    reached = {0}
+    while len(reached) < len(table):
+        # max keeps the first of equal picks, so the least element
+        x, reached = max(((x, _reach(table, gens + [x], set(reached)))
+                          for x in range(len(table)) if x not in reached),
+                         key=lambda pick: len(pick[1]))
+        gens.append(x)
+    return tuple(gens)
+
+
+def _reach(table, gens, reached: set[int]) -> set[int]:
+    """Grow reached (holding 0) by left multiplication by gens until closed;
+    returns it."""
+    stack = list(reached)
+    while stack:
+        g = stack.pop()
+        for s in gens:
+            sg = table[s][g]
+            if sg not in reached:
+                reached.add(sg)
+                stack.append(sg)
+    return reached
 
 
 def _associative_at(rows, a: int) -> bool:

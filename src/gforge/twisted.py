@@ -28,15 +28,20 @@ the n-th roots of unity), and for g normalizing H the unit j with
 alpha^g ~ j * alpha, which is the Galois character of g. The k-form descent
 of gforge.algebra asks the same queries of the same echelons.
 
-h2_classes works on a generating set S of H. A normalized alpha with
-delta alpha(s, g, h) = 0 for every s in S is a cocycle, and then its values
-on S x H fix it by alpha(sg, h) = alpha(g, h) + alpha(s, gh) - alpha(s, g);
-so Z^2(H, Z/m) is the kernel of a system in |S| * (|H| - 1) unknowns. The
-classes over Z/M are the quotient Z^2 / L, with L the coboundaries over Z/M
-whose values are m-th roots of unity; it is read off one Howell echelon over
-Z/m of the relations of the cocycle generators and the coordinates of L, and
-each class is represented by its lex-least such table, found by one
-reduction against a Howell basis of L.
+h2_classes works on a generating set S of H, picked by coverage
+(groups.covering_generating_set) so that it is as small as it can be; it
+is not sub.gens, which the validation and the queries above use. A
+normalized alpha with delta alpha(s, g, h) = 0 for every s in S is a
+cocycle, and then its values on S x H fix it by alpha(sg, h) = alpha(g, h)
++ alpha(s, gh) - alpha(s, g); so Z^2(H, Z/m) is the kernel of a system in
+|S| * (|H| - 1) unknowns, kept without zero or repeated rows. The classes
+over Z/M are the quotient Z^2 / L, with L the coboundaries over Z/M whose
+values are m-th roots of unity: L is B^2(H, Z/m) plus one carry row
+delta chi~ / exp(H) for each generator chi of Hom(H, Z/exp(H)), chi~ its
+lift to [0, exp(H)), and Hom is a kernel in |S| unknowns. Z^2 / L is read
+off one Howell echelon over Z/m of the relations of the cocycle generators
+and the coordinates of L, and each class is represented by its lex-least
+such table, found by one reduction against a Howell basis of L.
 The word calculus (folding a word to its accumulated exponent, bucketing
 words by multiset and product) only serves to exhibit explicit binomial
 identities.
@@ -56,7 +61,7 @@ from .errors import (
     InternalError,
     PreconditionError,
 )
-from .groups import SubgroupData, all_ints
+from .groups import SubgroupData, all_ints, covering_generating_set
 from .modlinalg import (Echelon, howell_echelon, kernel_mod, reduce_least, reduce_mod,
                         solve_in_image, split_echelon)
 
@@ -470,37 +475,43 @@ def galois_character(g: int, alpha: Cocycle, n: int | None = None) -> int | None
 
 def _cocycle_system(sub: SubgroupData, m: int):
     """The normalized cocycles over Z/m as the solutions of a linear system
-    in the values alpha(s, x), s in S = sub.gens and x != e;
-    variable (i, x) is column i * (|H| - 1) + x - 1.
+    in the values alpha(s, x), s in S and x != e, with S the generating set
+    covering_generating_set(sub.pmul) (not sub.gens: fewer unknowns and
+    rows); variable (i, x) is column i * (|H| - 1) + x - 1.
 
     Every alpha(g, .) is expanded along a BFS tree of the Cayley graph of
     (H, S) by alpha(sg, h) = alpha(g, h) + alpha(s, gh) - alpha(s, g), and
     each edge (s, g) outside the tree gives the |H| - 1 rows of that
-    identity at h != e. Returns (S, tree, rows), tree listing the edges
-    (s, g, sg) in BFS order, for _expand."""
-    size, pmul, gens = sub.order, sub.pmul, sub.gens
+    identity at h != e; zero rows are dropped, and of equal rows the first
+    is kept. Returns (S, tree, rows), tree listing the edges (s, g, sg) in
+    BFS order, for _expand and _root_coboundaries."""
+    size, pmul = sub.order, sub.pmul
+    gens = covering_generating_set(pmul)
     nvars = len(gens) * (size - 1)
     forms = {0: [[0] * nvars for _ in range(size)]}
-    tree, rows = [], []
+    tree, rows = [], {}
     order = [0]
     for g in order:  # grows as the BFS reaches new elements
+        fg, pg = forms[g], pmul[g]
         for i, s in enumerate(gens):
+            sg, base = pmul[s][g], i * (size - 1) - 1
+            known = forms.get(sg)
             step = []
-            for h in range(size):  # alpha(g, h) + alpha(s, gh) - alpha(s, g)
-                form = forms[g][h][:]
-                for x, sign in ((pmul[g][h], 1), (g, -1)):
+            # alpha(g, h) + alpha(s, gh) - alpha(s, g), less alpha(sg, h) if known
+            for h in range(size) if known is None else range(1, size):
+                form = fg[h][:] if known is None else [
+                    (a - b) % m for a, b in zip(fg[h], known[h])]
+                for x, sign in ((pg[h], 1), (g, -1)):
                     if x:
-                        form[i * (size - 1) + x - 1] += sign
+                        form[base + x] = (form[base + x] + sign) % m
                 step.append(form)
-            sg = pmul[s][g]
-            if sg not in forms:
-                forms[sg] = [[c % m for c in form] for form in step]
+            if known is None:
+                forms[sg] = step
                 tree.append((s, g, sg))
                 order.append(sg)
             else:
-                rows += [[(a - b) % m for a, b in zip(step[h], forms[sg][h])]
-                         for h in range(1, size)]
-    return gens, tree, rows
+                rows.update(dict.fromkeys(map(tuple, step)))
+    return gens, tree, [list(row) for row in rows if any(row)]
 
 
 def _expand(sub: SubgroupData, gens, tree, x, m: int) -> list[int]:
@@ -515,20 +526,44 @@ def _expand(sub: SubgroupData, gens, tree, x, m: int) -> list[int]:
     return [e for i in range(size) for e in rows[i]]
 
 
-def _root_coboundaries(sub: SubgroupData, m: int) -> list[tuple[int, ...]]:
+def _root_coboundaries(sub: SubgroupData, m: int, gens, tree) -> Echelon:
     """A Howell basis over Z/m, in flat table coordinates, of L: the
     coboundaries delta f over Z/M, M = m * exp(H), whose values lie in
-    (M/m) Z/M, divided by M/m. Then m * delta f = 0, so f mod M/m is a
-    homomorphism, and f(sh) = f(s) + f(h) for s in S = sub.gens, the rows
-    of coboundary_rows, is enough for that."""
-    M = m * sub.exponent()
-    hom_rows = [[m * c for c in row] for row in coboundary_rows(sub, M)]
+    (M/m) Z/M, divided by M/m. With k = M/m, such an f is chi~ + k * g for
+    a homomorphism chi: H -> Z/k, chi~ its lift to values in [0, k), and
+    any g: H -> Z/m; a sum of lifts is the lift of the sum plus k times a
+    function. So L is spanned by B^2(H, Z/m), the rows delta e_h for
+    h != e, and one row delta chi~ / k for each generator chi of
+    Hom(H, Z/k). chi(g) is read along the BFS tree (gens, tree) of
+    _cocycle_system as a form in the values chi(s), s in S, and Hom(H, Z/k)
+    is the kernel of the relations chi(s) + chi(g) = chi(sg) on the other
+    edges."""
+    size, pmul, k = sub.order, sub.pmul, sub.exponent()
+    at = [[] for _ in range(size)]  # h -> the flat indices of (a, b) with ab = h
+    for t, p in enumerate(x for row in pmul for x in row):
+        at[p].append(t)
     ell = []
-    for f in kernel_mod(hom_rows, sub.order - 1, M):
-        delta = [d % M for d in _delta(sub, (0, *f))]
-        if any(d % (M // m) for d in delta):
+    for h in range(1, size):  # delta e_h(a, b) = [a = h] + [b = h] - [ab = h]
+        row = [0] * (size * size)
+        for a in range(size):
+            row[h * size + a] += 1
+            row[a * size + h] += 1
+        for t in at[h]:
+            row[t] -= 1
+        ell.append([v % m for v in row])
+    col = {s: i for i, s in enumerate(gens)}
+    forms = {0: (0,) * len(gens)}
+    for s, g, sg in tree:
+        forms[sg] = tuple(v + (i == col[s]) for i, v in enumerate(forms[g]))
+    relations = dict.fromkeys(tuple((v + (i == col[s]) - w) % k for i, (v, w) in
+                                    enumerate(zip(forms[g], forms[pmul[s][g]])))
+                              for s in gens for g in range(size))
+    for chi in kernel_mod([r for r in relations if any(r)], len(gens), k):
+        lift = [sum(c * v for c, v in zip(chi, forms[g])) % k for g in range(size)]
+        delta = list(_delta(sub, lift))
+        if any(d % k for d in delta):
             raise InternalError("coboundary is not in the cocycle module")
-        ell.append([d // (M // m) for d in delta])
+        ell.append([d // k % m for d in delta])
     return howell_echelon(ell, m)
 
 
@@ -546,9 +581,11 @@ def h2_classes(sub: SubgroupData, m: int) -> list[Cocycle]:
     members with values in the m-th roots of unity; result sorted, so the
     trivial class comes first. Those members are alpha + L, with L the
     coboundaries delta f over Z/M whose values lie in (M/m) Z/M, divided by
-    M/m; L holds every coboundary over Z/m, and the output is Z^2 / L.
+    M/m; L is B^2(H, Z/m) plus the Hom carries of _root_coboundaries, and
+    the output is Z^2 / L.
 
-    Z^2 comes from the generating-set system of _cocycle_system: a
+    Z^2 comes from the generating-set system of _cocycle_system, on the
+    least generating set S that covering_generating_set picks: a
     normalized alpha with delta alpha(s, g, h) = 0 for all s in S is a
     cocycle (beta = delta alpha is a 3-cocycle, so delta beta(s, g, h, k) = 0
     gives beta(sg, h, k) = beta(g, h, k), and S generates H as a monoid), so
@@ -571,7 +608,7 @@ def h2_classes(sub: SubgroupData, m: int) -> list[Cocycle]:
     z2 = Echelon(kernel_mod(rows, len(gens) * (size - 1), m))
     if not z2:
         return [trivial_cocycle(sub, m)]
-    ell = _root_coboundaries(sub, m)
+    ell = _root_coboundaries(sub, m, gens, tree)
 
     def on_gens(flat):
         return [flat[s * size + x] for s in gens for x in range(1, size)]

@@ -6,7 +6,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product as iproduct
+from itertools import combinations, product as iproduct
 from math import gcd, lcm, prod
 
 import numpy as np
@@ -22,12 +22,12 @@ from gforge.errors import (CapExceeded, GForgeError, GroupError, InternalError,
 from gforge.groups import (CosetMultiset, Group, SubgroupData, cyclic,
                            dihedral, direct_product, semidirect_product)
 from gforge.identities import IdentityReport, linearize
-from gforge.modlinalg import (Echelon, kernel_mod, reduce_least, reduce_mod,
+from gforge.modlinalg import (Echelon, howell_echelon, kernel_mod, reduce_least, reduce_mod,
                               solve_in_image, solve_mod, split_echelon, xgcd)
 from gforge.presentation import (NormalForm, Presentation, _conjugate_chain, _factored_form,
                                  compute_KNS)
 from gforge.twisted import (Cocycle, _check_modulus, _cocycle_system, _delta, _expand,
-                            _root_coboundaries, conjugate_cocycle,
+                            conjugate_cocycle, coboundary_rows,
                             conjugate_is_cohomologous, h2_classes,
                             make_cocycle, shift_by_coboundary, trivial_cocycle,
                             unit_lifts)
@@ -102,6 +102,35 @@ def group_pool(max_order: int = 16) -> list[Group]:
              direct_product(direct_product(c2, c2), c2),
              direct_product(c2, dihedral(3))]
     return [g for g in pool if g.order <= max_order]
+
+
+def all_subgroups(grp: Group) -> list[tuple[int, ...]]:
+    """Every subgroup of grp, as sorted elements, least order first: the
+    cyclic subgroups, closed under joining one more element."""
+    subs = {grp.closure((a,)) for a in range(grp.order)}
+    frontier = set(subs)
+    while frontier:
+        frontier = {grp.closure(s + (g,)) for s in frontier for g in range(grp.order)} - subs
+        subs |= frontier
+    return sorted(subs, key=lambda s: (len(s), s))
+
+
+def least_generating_size(table) -> int:
+    """The least size of a generating set of the group of a product table,
+    by search over subsets in order of size."""
+    n = len(table)
+    for r in range(n):
+        for gens in combinations(range(n), r):
+            reached, stack = {0}, [0]
+            while stack:
+                g = stack.pop()
+                for s in gens:
+                    if table[s][g] not in reached:
+                        reached.add(table[s][g])
+                        stack.append(table[s][g])
+            if len(reached) == n:
+                return r
+    raise InternalError("no generating set")
 
 
 def random_subgroup(rng: random.Random, grp: Group) -> SubgroupData:
@@ -820,6 +849,22 @@ def h2_classes_pairwise(sub: SubgroupData, m: int) -> list[Cocycle]:
                   key=lambda c: c.exps)
 
 
+def root_coboundaries_by_kernel(sub: SubgroupData, m: int) -> Echelon:
+    """twisted._root_coboundaries as a kernel over Z/M, M = m * exp(H): the
+    f with m * delta f = 0 over Z/M (so f mod M/m is a homomorphism, and
+    f(sh) = f(s) + f(h) for s in sub.gens, the rows of coboundary_rows, is
+    enough for that), each giving the row delta f / (M/m) over Z/m."""
+    M = m * sub.exponent()
+    hom_rows = [[m * c for c in row] for row in coboundary_rows(sub, M)]
+    ell = []
+    for f in kernel_mod(hom_rows, sub.order - 1, M):
+        delta = [d % M for d in _delta(sub, (0, *f))]
+        if any(d % (M // m) for d in delta):
+            raise InternalError("coboundary is not in the cocycle module")
+        ell.append([d // (M // m) for d in delta])
+    return howell_echelon(ell, m)
+
+
 def h2_classes_by_snf(sub: SubgroupData, m: int) -> list[Cocycle]:
     """h2_classes with Z^2 / L read off an integer Smith normal form of the
     relations of the cocycle generators and the coordinates of L, each
@@ -835,7 +880,7 @@ def h2_classes_by_snf(sub: SubgroupData, m: int) -> list[Cocycle]:
     z2 = Echelon(kernel_mod(rows, len(gens) * (size - 1), m))
     if not z2:
         return [trivial_cocycle(sub, m)]
-    ell = _root_coboundaries(sub, m)
+    ell = root_coboundaries_by_kernel(sub, m)
 
     def combined(coeffs):
         return [sum(c * g[col] for c, g in zip(coeffs, z2)) % m for col in range(len(z2[0]))]
@@ -874,6 +919,15 @@ def h2_classes_by_snf(sub: SubgroupData, m: int) -> list[Cocycle]:
     if len(tables) != total:
         raise InternalError("class representatives are not distinct")
     return [Cocycle(sub, m, table) for table in sorted(tables)]
+
+
+def h2_outcome(enumerate_classes, sub: SubgroupData, m: int):
+    """The (modulus, table) of every class an enumeration returns, or the
+    message of its CapExceeded."""
+    try:
+        return [(c.modulus, c.exps) for c in enumerate_classes(sub, m)]
+    except CapExceeded as exc:
+        return ("cap", str(exc))
 
 
 def h2_lex_least_by_search(alpha: Cocycle) -> tuple[tuple[int, ...], ...]:

@@ -1,16 +1,24 @@
-"""The wide small-case sweep of the k-form span closure, outside the test
-suite: on every pool group of order at most MAX_ORDER, the inputs of
-helpers.sweep_inputs at m in MODULI are normalized (each normal form once),
-and in every k-form mode algebra._span_report is compared with
-helpers.span_report_full_closure, the depth-first closure it replaced, on
-the generators of build_k_form and on every other generator. Outcomes are
-(k_dim, f_span_full, ok) or the error type, and must agree.
+"""The wide small-case sweeps, outside the test suite, on every pool group
+of order at most MAX_ORDER.
+
+The k-form pass normalizes the inputs of helpers.sweep_inputs at m in
+MODULI (each normal form once) and in every k-form mode compares
+algebra._span_report with helpers.span_report_full_closure, the
+depth-first closure it replaced, on the generators of build_k_form and on
+every other generator. Outcomes are (k_dim, f_span_full, ok) or the error
+type, and must agree.
+
+The h2 pass runs twisted.h2_classes on every subgroup of each pool group,
+in that group, at m in H2_MODULI, and compares the classes (or the cap
+message) with helpers.h2_classes_by_snf, whose L is the kernel over Z/M of
+the coboundary rows and whose quotient is a Smith normal form.
 
 Run from the repository root:
 
     PYTHONPATH=src python tests/sweep_wide.py
 
-It prints the outcome counts per mode and exits 1 on any disagreement.
+It prints the outcome counts per mode, the number of h2 cases and of
+disagreements, and exits 1 on any disagreement.
 """
 
 from __future__ import annotations
@@ -25,13 +33,38 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 import helpers  # noqa: E402
 from gforge.algebra import MODES  # noqa: E402
 from gforge.errors import GForgeError  # noqa: E402
+from gforge.groups import SubgroupData  # noqa: E402
 from gforge.presentation import normalize, validate_presentation  # noqa: E402
+from gforge.twisted import h2_classes  # noqa: E402
 
 MAX_ORDER = 16
 MODULI = (2, 3, 4, 6)
+H2_MODULI = (2, 3, 4, 5, 6, 8, 12)
 
 
-def main() -> int:
+def h2_pass() -> int:
+    """Prints the h2 case count and disagreements; returns the latter's number."""
+    start = time.perf_counter()
+    cases, mismatches = 0, []
+    for grp in helpers.group_pool(MAX_ORDER):
+        for elems in helpers.all_subgroups(grp):
+            sub = SubgroupData(grp, elems)
+            for m in H2_MODULI:
+                cases += 1
+                if (helpers.h2_outcome(h2_classes, sub, m)
+                        != helpers.h2_outcome(helpers.h2_classes_by_snf, sub, m)):
+                    mismatches.append((grp.name, elems, m))
+    print(f"h2_classes: {cases} cases (every subgroup of the pool, m in {H2_MODULI}), "
+          f"{time.perf_counter() - start:.1f} s; {len(mismatches)} disagreements "
+          "with h2_classes_by_snf")
+    for m in mismatches[:20]:
+        print("  ", m)
+    return len(mismatches)
+
+
+def kform_pass() -> int:
+    """Prints the k-form outcome counts and disagreements; returns the
+    latter's number."""
     start = time.perf_counter()
     counts = {mode: Counter() for mode in MODES}
     inputs, mismatches, unnormalized = 0, [], Counter()
@@ -67,7 +100,11 @@ def main() -> int:
     print(f"{len(mismatches)} disagreements with the full closure")
     for m in mismatches[:20]:
         print("  ", m)
-    return 1 if mismatches else 0
+    return len(mismatches)
+
+
+def main() -> int:
+    return 1 if h2_pass() + kform_pass() else 0
 
 
 if __name__ == "__main__":

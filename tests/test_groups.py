@@ -5,8 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gforge.errors import CapExceeded, GroupError, PreconditionError
-from gforge.groups import (CosetMultiset, Group, SubgroupData, cyclic,
-                           dihedral, direct_product, from_permutations,
+from gforge.groups import (CosetMultiset, Group, SubgroupData, covering_generating_set,
+                           cyclic, dihedral, direct_product, from_permutations,
                            generating_set, quotient_group, semidirect_product,
                            subgroup_group)
 
@@ -113,6 +113,20 @@ def test_generating_set_is_small(grp):
     gens = generating_set(grp._mul)
     assert grp.closure(gens) == tuple(range(grp.order))
     assert 2 ** len(gens) <= grp.order
+
+
+def test_covering_generating_set_is_least():
+    # on every subgroup of every pool group, the coverage pick generates it
+    # with as few elements as any set does, never more than generating_set
+    subs = 0
+    for grp in helpers.group_pool(16):
+        for elems in helpers.all_subgroups(grp):
+            pmul = SubgroupData(grp, elems).pmul
+            gens = covering_generating_set(pmul)
+            assert grp.closure([elems[s] for s in gens]) == elems
+            assert len(gens) == helpers.least_generating_size(pmul) <= len(generating_set(pmul))
+            subs += 1
+    assert subs == 189
 
 
 def test_from_permutations():

@@ -427,21 +427,31 @@ def test_h2_classes_match_the_full_system(name, m):
         assert sum(is_cohomologous(alpha, beta)[0] for beta in want) == 1
 
 
-def _h2_outcome(enumerate_classes, sub, m):
-    try:
-        return [(c.modulus, c.exps) for c in enumerate_classes(sub, m)]
-    except CapExceeded as exc:
-        return ("cap", str(exc))
-
-
 def test_h2_classes_match_the_snf_enumeration():
     # the Howell-echelon quotient gives the Smith-form enumeration's tables,
     # in its order, and caps where it caps
     for grp in helpers.group_pool(12) + [cyclic(18)]:
         sub = SubgroupData(grp, range(grp.order))
         for m in (2, 3, 4, 6, 12):
-            assert (_h2_outcome(h2_classes, sub, m)
-                    == _h2_outcome(helpers.h2_classes_by_snf, sub, m)), (grp.order, m)
+            assert (helpers.h2_outcome(h2_classes, sub, m)
+                    == helpers.h2_outcome(helpers.h2_classes_by_snf, sub, m)), (grp.order, m)
+
+
+def test_root_coboundaries_span_the_kernel_module():
+    # L from B^2 and the Hom carries is the module that the kernel over Z/M
+    # of the coboundary rows gives: each echelon's rows reduce to 0 against
+    # the other, and the two spans have one size
+    for grp in helpers.group_pool(16):
+        sub = SubgroupData(grp, range(grp.order))
+        for m in (2, 3, 4, 6, 12):
+            gens, tree, _ = twisted._cocycle_system(sub, m)
+            ell = twisted._root_coboundaries(sub, m, gens, tree)
+            ref = helpers.root_coboundaries_by_kernel(sub, m)
+            for rows, ech in ((ell, ref), (ref, ell)):
+                for row in rows:
+                    red = modlinalg.reduce_mod(row, ech, m)
+                    assert red is not None and not any(red[1]), (grp.name, m)
+            assert twisted._span_order(ell, m) == twisted._span_order(ref, m), (grp.name, m)
 
 
 def test_h2_classes_named_tables():
@@ -458,13 +468,18 @@ def test_h2_classes_named_tables():
 
 @pytest.mark.parametrize("grp", helpers.group_pool(16), ids=lambda g: str(g.order))
 def test_cocycle_system_shape(grp):
+    # the system's S is a least generating set, no larger than sub.gens, and
+    # it keeps no zero or repeated row, so it is never longer than the
+    # system on sub.gens with one row per non-tree edge and h != e
     sub = SubgroupData(grp, range(grp.order))
     gens, tree, rows = twisted._cocycle_system(sub, 4)
     size = sub.order
     assert grp.closure([sub.elements[s] for s in gens]) == sub.elements
+    assert len(gens) == helpers.least_generating_size(sub.pmul) <= len(generating_set(sub.pmul))
     assert len(tree) == size - 1
-    assert len(rows) == (len(gens) * size - size + 1) * (size - 1)
     assert all(len(row) == len(gens) * (size - 1) for row in rows)
+    assert all(any(row) for row in rows) and len(set(map(tuple, rows))) == len(rows)
+    assert len(rows) <= (len(sub.gens) * size - size + 1) * (size - 1)
 
 
 def test_generating_set_rows_decide_the_cocycle_identity():
@@ -514,20 +529,28 @@ def _every_table_zero(z, ech, M):  # coordinate vectors reduce as they should
     return modlinalg.reduce_least(z, ech, M) if len(z) < 16 else [0] * len(z)
 
 
-@pytest.mark.parametrize("target, fake, message", [
-    # L from every f, not only the homomorphisms mod M/m
-    ("coboundary_rows", lambda sub, M: [[0] * (sub.order - 1)] * (len(sub.gens) * sub.order),
-     "^coboundary is not in the cocycle module$"),
-    ("reduce_mod", _wrong_coordinates, "^coboundary is not in the cocycle module$"),
+def _every_vector(rows, n_vars, M):  # kernel_mod, ignoring the rows
+    return [tuple(int(i == j) for j in range(n_vars)) for i in range(n_vars)]
+
+
+@pytest.mark.parametrize("grp, target, fake, message", [
+    # L from every chi on S, not only the homomorphisms H -> Z/exp(H): on
+    # S3 the Hom solve then carries chi(s) = 1, which no homomorphism to
+    # Z/6 takes (on C2 x C2 every chi mod 2 is one)
+    (dihedral(3), "kernel_mod", _every_vector, "^coboundary is not in the cocycle module$"),
+    (None, "reduce_mod", _wrong_coordinates, "^coboundary is not in the cocycle module$"),
     # every class on one table; the coordinates are checked first
-    ("reduce_least", lambda z, ech, M: [0] * len(z), "^class coordinates are not reduced$"),
-    ("howell_echelon", _one_relation_too_many, r"^class count is not \|Z\^2\| / \|L\|$"),
-    ("howell_echelon", _one_relation_too_few, "^quotient echelon does not span the relations$"),
-    ("reduce_least", _every_table_zero, "^class representative is not in its class$"),
+    (None, "reduce_least", lambda z, ech, M: [0] * len(z), "^class coordinates are not reduced$"),
+    (None, "howell_echelon", _one_relation_too_many, r"^class count is not \|Z\^2\| / \|L\|$"),
+    (None, "howell_echelon", _one_relation_too_few,
+     "^quotient echelon does not span the relations$"),
+    (None, "reduce_least", _every_table_zero, "^class representative is not in its class$"),
 ], ids=["hom", "coordinates", "distinct", "count", "span", "representative"])
-def test_h2_cross_checks_catch_a_corruption(monkeypatch, target, fake, message):
+def test_h2_cross_checks_catch_a_corruption(monkeypatch, grp, target, fake, message):
+    # on C2 x C2 unless a group is named
+    grp = grp or direct_product(cyclic(2), cyclic(2))
     monkeypatch.setattr(twisted, target, fake)
-    sub = SubgroupData(direct_product(cyclic(2), cyclic(2)), range(4))
+    sub = SubgroupData(grp, range(grp.order))
     with pytest.raises(InternalError, match=message):
         h2_classes(sub, 2)
 
