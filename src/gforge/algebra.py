@@ -18,11 +18,11 @@ into such a vector and makes one scalar per output slot at the end; the
 span closure compiles each generator from the same table into a sparse
 index map.
 
-In the closure, big is the lcm of the field modulus and the generator
-coefficient moduli and L = lcm(big, the modulus of the cocycle's roots). A
-vector is reduced mod the big-th cyclotomic polynomial only when it enters
-the echelon. When L != big, each coefficient is read as a scalar at L and
-promoted to big, which raises PreconditionError unless it is rational.
+The closure works at one modulus, big, the lcm of the field modulus and
+the generator coefficient moduli, and reduces a vector mod the big-th
+cyclotomic polynomial only when it enters the echelon. When the cocycle's
+roots leave Q(zeta_big), build_k_form builds on a mu_n-valued representative
+of its class and carries the generators back.
 """
 
 from dataclasses import dataclass
@@ -35,8 +35,9 @@ from .errors import CapExceeded, InternalError, PreconditionError, PresentationE
 from .groups import SubgroupData, subgroup_group
 from .modlinalg import solve_mod
 from .presentation import Presentation, normalize_with_details, related_reps
-from .twisted import (Cocycle, _conjugation_positions, _gen_rows, coboundary_rows,
-                      conjugate_is_cohomologous, galois_twist, unit_lifts)
+from .twisted import (Cocycle, _coboundary_witness, _conjugation_positions, _gen_rows,
+                      coboundary_rows, conjugate_is_cohomologous, galois_twist,
+                      shift_by_coboundary, unit_lifts)
 
 
 class GradedAlgebra:
@@ -506,10 +507,18 @@ def build_k_form(p: Presentation, mode: str = "corrected",
     p_s = Presentation(grp, sub, alpha, tuple(entries))
     if p_s.lam.counts != p.lam.counts:
         raise InternalError("factored layout changed the coset multiset")
-    algebra = GradedAlgebra(p_s)
-
+    algebra = work = GradedAlgebra(p_s)
     slot_units, slot_scalars, descent_enforced = _slot_witnesses(
         grp, alpha, g_slots, chars, n_root, mode)
+    # big of _span_report; where alpha's roots leave Q(zeta_big), build on a
+    # mu_n-valued beta and carry the generators back by u_h -> zeta_M^f(h) u_h
+    big = lcm(n_root, *(CycScalar.from_root(bm, x).modulus
+                        for f, bm in filter(None, slot_scalars) for x in f))
+    if big % algebra._root_modulus:
+        beta, shift, big_m = _mu_n_representative(alpha, n_root)
+        work = GradedAlgebra(Presentation(grp, sub, beta, p_s.entries))
+        slot_units, slot_scalars, descent_enforced = _slot_witnesses(
+            grp, beta, g_slots, chars, n_root, mode)
 
     one = CycScalar.one()
     gens: list[AlgElement] = []
@@ -519,14 +528,14 @@ def build_k_form(p: Presentation, mode: str = "corrected",
         for i2 in range(r):
             terms = {(0, pos(i1, c, d), pos(i2, c, d)): one
                      for c in range(m_slots) for d in range(t_len)}
-            gens.append(AlgElement(algebra, terms))
+            gens.append(AlgElement(work, terms))
             labels.append(f"unit_r[{i1},{i2}]")
 
     for d1 in range(t_len):
         for d2 in range(t_len):
             terms = {(0, pos(i, c, d1), pos(i, c, d2)): one
                      for i in range(r) for c in range(m_slots)}
-            gens.append(AlgElement(algebra, terms))
+            gens.append(AlgElement(work, terms))
             labels.append(f"unit_t[{d1},{d2}]")
 
     for h in sub.elements:
@@ -542,7 +551,7 @@ def build_k_form(p: Presentation, mode: str = "corrected",
                 for d in range(t_len):
                     key = (hc, pos(i, c, d), pos(i, c, d))
                     terms[key] = coeff
-        gens.append(AlgElement(algebra, terms))
+        gens.append(AlgElement(work, terms))
         labels.append(f"twisted_diag[{h}]")
 
     for a in range(phi(n_root)):
@@ -555,7 +564,7 @@ def build_k_form(p: Presentation, mode: str = "corrected",
             for i in range(r):
                 for d in range(t_len):
                     terms[(0, pos(i, c, d), pos(i, c, d))] = zc
-        gens.append(AlgElement(algebra, terms))
+        gens.append(AlgElement(work, terms))
         labels.append(f"scalar_diag[{a}]")
 
     slot_of_char = {ch: c for c, ch in enumerate(slot_chars)}
@@ -566,11 +575,31 @@ def build_k_form(p: Presentation, mode: str = "corrected",
             for i in range(r):
                 for d in range(t_len):
                     terms[(0, pos(i, c2, d), pos(i, c, d))] = one
-        gens.append(AlgElement(algebra, terms))
+        gens.append(AlgElement(work, terms))
         labels.append(f"galois_perm[{sigma}]")
 
-    report = _span_report(algebra, field, tuple(gens), mode, slot_units, descent_enforced)
+    report = _span_report(work, field, tuple(gens), mode, slot_units, descent_enforced)
+    if work is not algebra:
+        roots = [CycScalar.from_root(big_m, x) for x in shift]
+        gens = [AlgElement(algebra, {t: c * roots[sub.pos[t[0]]] for t, c in g.terms.items()})
+                for g in gens]
     return KFormResult(p_s, algebra, field, tuple(gens), tuple(labels), report)
+
+
+def _mu_n_representative(alpha: Cocycle, n: int) -> tuple[Cocycle, tuple, int]:
+    """(beta, f, M) with beta at modulus n and (M/m) * alpha + delta f =
+    (M/n) * beta over Z/M, M = m * exp(H), for alpha of class order n; so
+    u_h -> zeta_M^f(h) u_h maps the algebra of beta onto that of alpha.
+    f is one coboundary query over Z/(M/n) on the rows of -(M/m) * alpha."""
+    sub, big_m = alpha.sub, alpha.modulus * alpha.sub.exponent()
+    q = big_m // n
+    f = _coboundary_witness(sub, q, [-e % q for e in _gen_rows(alpha, big_m)])
+    if f is None:
+        raise InternalError("class of order n has no mu_n-valued representative")
+    exps = shift_by_coboundary(alpha.embedded(big_m), f).exps
+    if any(e % q for row in exps for e in row):
+        raise InternalError("coboundary shift is not mu_n-valued")
+    return Cocycle._derived(sub, n, tuple(tuple(e // q for e in row) for row in exps)), f, big_m
 
 
 def _slot_witnesses(grp, alpha: Cocycle, g_slots, chars, n_root: int, mode: str):
@@ -705,53 +734,34 @@ def _span_report(algebra: GradedAlgebra, field: SubfieldDescriptor,
     insertion order, after the seeds g * kb for kb in a basis of k, and
     makes g * x for g in gens only when it reaches x: breadth first, as the
     MeatAxe spins a submodule (Parker 1984). Elements are integer vectors, one in
-    Z[x]/(x^L - 1) per basis slot, with big the lcm of the field modulus
-    and the generator coefficient moduli and L = lcm(big,
-    algebra._root_modulus); each generator is compiled once into a sparse
+    Z[x]/(x^big - 1) per basis slot, with big the lcm of the field modulus
+    and the generator coefficient moduli; the modulus of the cocycle's roots
+    must divide big (build_k_form descends to a mu_n-valued representative
+    where it would not). Each generator is compiled once into a sparse
     index map (_operator). A vector is reduced mod the big-th cyclotomic
     polynomial (_power_rows) only when it enters one echelon over Q, reduced
-    fraction-free as in Bareiss (1968). When L != big each coefficient is
-    instead read as a scalar at L and promoted to big, which raises
-    PreconditionError unless it is rational. V is a k-subspace, so its
+    fraction-free as in Bareiss (1968). V is a k-subspace, so its
     Q-dimension is a multiple of [k:Q]. F V = A exactly when the multiples
-    zeta_big^t x (t < phi(big)), shifts by t * L/big, of the basis of V
-    reach Q-dimension dim_F A * phi(big) in the same echelon. When L == big
-    every row lies in that Q^(dim_F A * phi(big)), so once the echelon
-    reaches this rank the closure stops, and the multiples are not needed:
-    V = A already. Rank does not depend on the order of insertion, so the
-    report does not either.
+    zeta_big^t x (t < phi(big)), shifts by t, of the basis of V reach
+    Q-dimension dim_F A * phi(big) in the same echelon. Every row lies in
+    that Q^(dim_F A * phi(big)), so once the echelon reaches this rank the
+    closure stops, and the multiples are not needed: V = A already. Rank
+    does not depend on the order of insertion, so the report does not either.
     """
-    big = field.n
-    for g in gens:
-        for c in g.terms.values():
-            big = lcm(big, c.modulus)
+    big = lcm(field.n, *(c.modulus for g in gens for c in g.terms.values()))
+    if big % algebra._root_modulus:
+        raise InternalError("the cocycle's roots do not lie in Q(zeta_big)")
     width = phi(big)
-    L = lcm(big, algebra._root_modulus)
+    powers = [[(i, r) for i, r in enumerate(p) if r] for p in _power_rows(big)]
 
-    if L == big:
-        powers = [[(i, r) for i, r in enumerate(p) if r] for p in _power_rows(big)]
-
-        def row(x: dict[int, int]) -> dict[int, int]:
-            out: dict[int, int] = {}
-            for k, v in x.items():
-                s, e = divmod(k, L)
-                base = s * width
-                for i, r in powers[e]:
-                    out[base + i] = out.get(base + i, 0) + r * v
-            return {i: v for i, v in out.items() if v}
-    else:
-        def row(x: dict[int, int]) -> dict[int, int]:
-            vecs: dict[int, list[int]] = {}
-            for k, v in x.items():
-                s, e = divmod(k, L)
-                if s not in vecs:
-                    vecs[s] = [0] * L
-                vecs[s][e] = v
-            out: dict[int, int] = {}
-            for s, vec in vecs.items():
-                c = CycScalar.from_powers(L, vec)._promoted(big)
-                out.update((s * width + t, v) for t, v in enumerate(c.nums) if v)
-            return out
+    def row(x: dict[int, int]) -> dict[int, int]:
+        out: dict[int, int] = {}
+        for k, v in x.items():
+            s, e = divmod(k, big)
+            base = s * width
+            for i, r in powers[e]:
+                out[base + i] = out.get(base + i, 0) + r * v
+        return {i: v for i, v in out.items() if v}
 
     ech: dict[int, dict[int, int]] = {}
 
@@ -771,25 +781,20 @@ def _span_report(algebra: GradedAlgebra, field: SubfieldDescriptor,
             vec = {i: v // g for i, v in vec.items() if v}
         return False
 
-    k_basis = []
-    for a in range(field.n):
-        acc = CycScalar.zero()
-        for u in field.units:
-            acc = acc + CycScalar.from_root(field.n, (a * u) % field.n)
-        if not acc.is_zero():
-            k_basis.append(acc)
+    traces = (sum((CycScalar.from_root(field.n, a * u) for u in field.units), CycScalar.zero())
+              for a in range(field.n))
+    k_basis = [t for t in traces if not t.is_zero()]
 
-    ops = [_operator(algebra, g, L) for g in gens]
+    ops = [_operator(algebra, g, big) for g in gens]
     basis: list[dict[int, int]] = []
 
     def candidates():
-        yield from (_lift(g.scaled(kb), L) for kb in k_basis for g in gens)
+        yield from (_lift(g.scaled(kb), big) for kb in k_basis for g in gens)
         for x in basis:  # basis grows while it is walked: breadth first
             for op in ops:
-                yield _apply(op, x, L)
+                yield _apply(op, x, big)
 
-    # at L == big every row lies in Q^(dim * width), so a full echelon ends it
-    full = algebra.dim * width if L == big else None
+    full = algebra.dim * width
     for x in candidates():
         if x and insert(row(x)):
             basis.append(x)
@@ -802,12 +807,10 @@ def _span_report(algebra: GradedAlgebra, field: SubfieldDescriptor,
     k_dim = len(basis) // k_deg
 
     if len(ech) != full:
-        step = L // big
         for x in basis:
-            for t in range(step, width * step, step):
-                insert(row({k - k % L + (k % L + t) % L: v for k, v in x.items()}))
+            for t in range(1, width):
+                insert(row({k - k % big + (k % big + t) % big: v for k, v in x.items()}))
 
-    expected = algebra.dim
-    f_full = len(ech) == expected * width
-    return KFormReport(mode, k_dim, expected, f_full, tuple(slot_units),
-                       descent_enforced, k_dim == expected and f_full)
+    f_full = len(ech) == full
+    return KFormReport(mode, k_dim, algebra.dim, f_full, tuple(slot_units),
+                       descent_enforced, k_dim == algebra.dim and f_full)

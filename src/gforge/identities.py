@@ -21,7 +21,7 @@ from itertools import permutations
 from itertools import product as iproduct
 from math import factorial, lcm, prod
 
-from .algebra import AlgElement, GradedAlgebra, bridge, multiply
+from .algebra import AlgElement, GradedAlgebra, _root_shifts, bridge, multiply
 from .config import CAPS
 from .cyclo import CycScalar, _reduce_poly, as_cyc
 from .errors import (
@@ -302,11 +302,7 @@ def _first_nonzero(p: GradedPolynomial, algebra: GradedAlgebra, used,
     m = algebra.alpha.modulus
     L = lcm(algebra._root_modulus, *(c.modulus for c, _ in p.monomials))
     den = lcm(*(c.den for c, _ in p.monomials))
-    if L % m:
-        # every zeta_m^alpha(a, b) is +1 or -1, and so is each product of them
-        rot = [(0, -1 if e else 1) for e in range(m)]
-    else:
-        rot = [(e * (L // m), 1) for e in range(m)]
+    rot = _root_shifts(m, L)
     sizes = [len(c) for c in cand]
     strides = [prod(sizes[t + 1:]) for t in range(len(sizes))]
     fixed = 1

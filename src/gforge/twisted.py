@@ -26,7 +26,8 @@ depend only on the class of alpha, so the data the invariant chain needs
 comes from such reductions: the order n of the class (the ratios generate
 the n-th roots of unity), and for g normalizing H the unit j with
 alpha^g ~ j * alpha, which is the Galois character of g. The k-form descent
-of gforge.algebra asks the same queries of the same echelons.
+of gforge.algebra asks the same queries of the same echelons, and one over
+Z/(M/n) for a mu_n-valued representative: f with delta f = -(M/m) * alpha.
 
 h2_classes works on a generating set S of H, picked by coverage
 (groups.covering_generating_set) so that it is as small as it can be; it

@@ -1376,58 +1376,42 @@ def span_report_full_closure(algebra, field: SubfieldDescriptor, gens: tuple,
     """algebra._span_report as it was before the closure went breadth first:
     each new basis element x queues g * x for every g in gens at once, the
     queue is worked last in first out, and the closure never stops early;
-    the integer vectors, operators and echelon are those of _span_report."""
+    the integer vectors at big, operators and echelon are those of
+    _span_report."""
     big = field.n
     for g in gens:
         for c in g.terms.values():
             big = lcm(big, c.modulus)
     width = phi(big)
-    L = lcm(big, algebra._root_modulus)
+    powers = [[(i, r) for i, r in enumerate(p) if r] for p in _power_rows(big)]
 
-    if L == big:
-        powers = [[(i, r) for i, r in enumerate(p) if r] for p in _power_rows(big)]
-
-        def row(x: dict[int, int]) -> dict[int, int]:
-            out: dict[int, int] = {}
-            for k, v in x.items():
-                s, e = divmod(k, L)
-                base = s * width
-                for i, r in powers[e]:
-                    out[base + i] = out.get(base + i, 0) + r * v
-            return {i: v for i, v in out.items() if v}
-    else:
-        def row(x: dict[int, int]) -> dict[int, int]:
-            vecs: dict[int, list[int]] = {}
-            for k, v in x.items():
-                s, e = divmod(k, L)
-                if s not in vecs:
-                    vecs[s] = [0] * L
-                vecs[s][e] = v
-            out: dict[int, int] = {}
-            for s, vec in vecs.items():
-                c = CycScalar.from_powers(L, vec)._promoted(big)
-                out.update((s * width + t, v) for t, v in enumerate(c.nums) if v)
-            return out
+    def row(x: dict[int, int]) -> dict[int, int]:
+        out: dict[int, int] = {}
+        for k, v in x.items():
+            s, e = divmod(k, big)
+            base = s * width
+            for i, r in powers[e]:
+                out[base + i] = out.get(base + i, 0) + r * v
+        return {i: v for i, v in out.items() if v}
 
     ech: dict[int, dict[int, int]] = {}
-    ops = [_operator(algebra, g, L) for g in gens]
+    ops = [_operator(algebra, g, big) for g in gens]
     basis: list[dict[int, int]] = []
-    queue = [_lift(g.scaled(kb), L) for kb in _k_basis(field) for g in gens]
+    queue = [_lift(g.scaled(kb), big) for kb in _k_basis(field) for g in gens]
     while queue:
         x = queue.pop()
         if x and _bareiss_insert(ech, row(x)):
             basis.append(x)
-            queue.extend(_apply(op, x, L) for op in ops)
+            queue.extend(_apply(op, x, big) for op in ops)
 
     k_deg = field.degree_over_q()
     if len(basis) % k_deg:
         raise InternalError("closure is not a module over the subfield")
     k_dim = len(basis) // k_deg
 
-    step = L // big
     for x in basis:
-        for t in range(step, width * step, step):
-            _bareiss_insert(ech, row({k - k % L + (k % L + t) % L: v for k, v in x.items()}))
+        for t in range(1, width):
+            _bareiss_insert(ech, row({k - k % big + (k % big + t) % big: v for k, v in x.items()}))
 
     expected = algebra.dim
     f_full = len(ech) == expected * width

@@ -13,16 +13,24 @@ in that group, at m in H2_MODULI, and compares the classes (or the cap
 message) with helpers.h2_classes_by_snf, whose L is the kernel over Z/M of
 the coboundary rows and whose quotient is a Smith normal form.
 
+The semidirect pass runs build_k_form in every mode on the seeded
+(C_p x C_p) x| C_k presentations of helpers.semidirect_pair_presentations
+(SEMIDIRECT_SEEDS, SEMIDIRECT_COUNT per action), the family on which the
+modes differ, and counts the outcomes per mode. Every input must return a
+report: a cocycle whose roots leave Q(zeta_big) is closed on a
+mu_n-valued representative, so a PreconditionError counts as a fault.
+
 Run from the repository root:
 
     PYTHONPATH=src python tests/sweep_wide.py
 
 It prints the outcome counts per mode, the number of h2 cases and of
-disagreements, and exits 1 on any disagreement.
+disagreements, and exits 1 on any disagreement or k-form PreconditionError.
 """
 
 from __future__ import annotations
 
+import random
 import sys
 import time
 from collections import Counter
@@ -31,7 +39,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 import helpers  # noqa: E402
-from gforge.algebra import MODES  # noqa: E402
+from gforge.algebra import MODES, build_k_form  # noqa: E402
 from gforge.errors import GForgeError  # noqa: E402
 from gforge.groups import SubgroupData  # noqa: E402
 from gforge.presentation import normalize, validate_presentation  # noqa: E402
@@ -40,6 +48,8 @@ from gforge.twisted import h2_classes  # noqa: E402
 MAX_ORDER = 16
 MODULI = (2, 3, 4, 6)
 H2_MODULI = (2, 3, 4, 5, 6, 8, 12)
+SEMIDIRECT_SEEDS = (7, 11, 12, 13)
+SEMIDIRECT_COUNT = 4
 
 
 def h2_pass() -> int:
@@ -103,8 +113,39 @@ def kform_pass() -> int:
     return len(mismatches)
 
 
+def semidirect_pass() -> int:
+    """Prints the k-form outcome counts per mode on the semidirect family and
+    the inputs on which the modes differ; returns the number of
+    PreconditionErrors."""
+    start = time.perf_counter()
+    counts = {mode: Counter() for mode in MODES}
+    inputs, differ, unnormalized = 0, 0, Counter()
+    for seed in SEMIDIRECT_SEEDS:
+        for _, p in helpers.semidirect_pair_presentations(random.Random(seed),
+                                                          count=SEMIDIRECT_COUNT):
+            try:
+                q = normalize(p)
+            except GForgeError as e:
+                unnormalized[type(e).__name__] += 1
+                continue
+            inputs += 1
+            outcomes = set()
+            for mode in MODES:
+                got = helpers.span_outcome(lambda: build_k_form(q, mode).report, ())
+                counts[mode][got.__name__ if isinstance(got, type)
+                             else "ok" if got[2] else "not ok"] += 1
+                outcomes.add(got)
+            differ += len(outcomes) > 1
+    print(f"semidirect pairs: {inputs} normal forms (seeds {SEMIDIRECT_SEEDS}, "
+          f"{SEMIDIRECT_COUNT} per action), {time.perf_counter() - start:.1f} s; "
+          f"normalize failed: {dict(unnormalized)}; the modes differ on {differ}")
+    for mode, c in counts.items():
+        print(f"mode {mode}: " + ", ".join(f"{n} {name}" for name, n in sorted(c.items())))
+    return sum(c["PreconditionError"] for c in counts.values())
+
+
 def main() -> int:
-    return 1 if h2_pass() + kform_pass() else 0
+    return 1 if h2_pass() + kform_pass() + semidirect_pass() else 0
 
 
 if __name__ == "__main__":

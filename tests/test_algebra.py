@@ -11,7 +11,7 @@ from gforge import modlinalg, twisted
 from gforge.algebra import (MODES, RELATED_DISTINCT, SAME_BLOCK, UNRELATED,
                             GradedAlgebra, bridge, build_k_form, multiply,
                             relate, twisted_group_algebra)
-from gforge.cyclo import CycScalar, as_cyc, phi
+from gforge.cyclo import CycScalar, SubfieldDescriptor, as_cyc, phi
 from gforge.errors import (CapExceeded, GForgeError, InternalError,
                            PreconditionError, PresentationError)
 from gforge.groups import cyclic, dihedral, direct_product, SubgroupData
@@ -482,36 +482,23 @@ def test_small_case_product_sweep(index):
 
 # The k-form slice of the small-case sweep. The D4 inputs with the m = 4
 # class (pool index 9, inputs 56-63) take alpha outside mu_n in normal form,
-# so _span_report works at L != big and fails to promote; each is a named
-# strict expectation until the closure runs on a mu_n-valued representative.
-KFORM_SWEEP_FAULTS = tuple((9, k) for k in range(56, 64))
-KFORM_SWEEP_OK = (6, 10, 16, 18, 30, 26, 40, 28, 42, 96, 28, 80, 112)
+# so build_k_form closes them on a mu_n-valued representative.
+KFORM_SWEEP_OK = (6, 10, 16, 18, 30, 26, 40, 28, 42, 104, 28, 80, 112)
 
 
-def _kform_sweep_cases():
-    for index in range(len(helpers.group_pool(8))):
-        yield pytest.param(index, None, id=str(index))
-    for index, k in KFORM_SWEEP_FAULTS:
-        yield pytest.param(index, k, id=f"{index}-{k}", marks=pytest.mark.xfail(
-            strict=True, raises=PreconditionError,
-            reason="_span_report promotes to a modulus the cocycle does not divide"))
-
-
-@pytest.mark.parametrize("index, only", _kform_sweep_cases())
-def test_small_case_kform_sweep(index, only):
+@pytest.mark.parametrize("index", range(len(helpers.group_pool(8))))
+def test_small_case_kform_sweep(index):
     # build_k_form in mode "corrected" closes at k-dimension dim_F A with
-    # full F-span on every connected input but the named faults: 532 of 540
+    # full F-span on every connected input: 540 of 540
     grp = helpers.group_pool(8)[index]
     passed = 0
-    for k, p in enumerate(helpers.sweep_inputs(grp)):
-        if k != only if only is not None else (index, k) in KFORM_SWEEP_FAULTS:
-            continue
+    for p in helpers.sweep_inputs(grp):
         if not validate_presentation(p).connected:
             continue
         res = build_k_form(normalize(p), "corrected")
         assert res.report.ok and res.report.k_dim == res.algebra.dim
         passed += 1
-    assert passed == (1 if only is not None else KFORM_SWEEP_OK[index])
+    assert passed == KFORM_SWEEP_OK[index]
 
 
 @pytest.mark.parametrize("name", ["pauli", "swap", "d6", "mat3", "inner", "k4_shifted"])
@@ -540,9 +527,9 @@ def test_span_operator_is_left_multiplication(algebras, name):
             assert all(read[s] == c for s, c in want.items())
 
 
-# _span_report takes its working modulus from the field and the generator
-# coefficients, not from the cocycle, so some coboundary shifts of the m = 4
-# class on C2 x C2 fail to promote; others close the span.
+# Some coboundary shifts of the m = 4 class on C2 x C2 take alpha outside
+# mu_2 in normal form; build_k_form closes them on a mu_2-valued
+# representative, the others directly.
 def _k4_m4_normal_form(f):
     grp = direct_product(cyclic(2), cyclic(2))
     sub = SubgroupData(grp, range(4))
@@ -550,17 +537,67 @@ def _k4_m4_normal_form(f):
     return normalize(Presentation(grp, sub, alpha, (0,)))
 
 
-@pytest.mark.xfail(strict=True, raises=PreconditionError,
-                   reason="_span_report promotes to a modulus the cocycle does not divide")
-@pytest.mark.parametrize("f", [[0, 1, 0, 2], [0, 3, 1, 3], [0, 0, 1, 0]])
-def test_k_form_shifted_m4_class_promotion_fault(f):
-    build_k_form(_k4_m4_normal_form(f))
+K4_M4_DESCENDED = ([0, 1, 0, 2], [0, 3, 1, 3], [0, 0, 1, 0])
 
 
-@pytest.mark.parametrize("f", [[0, 2, 2, 0], [0, 3, 1, 0], [0, 1, 3, 2]])
+@pytest.mark.parametrize("f", [[0, 2, 2, 0], [0, 3, 1, 0], [0, 1, 3, 2], *K4_M4_DESCENDED])
 def test_k_form_shifted_m4_class(f):
     rep = build_k_form(_k4_m4_normal_form(f)).report
     assert rep.ok and rep.k_dim == 4
+
+
+def _pattern_normal_form(seed, m):
+    rng = random.Random(f"span:{seed}:{m}")
+    mults = [rng.randint(1, 2) for _ in range(rng.randint(1, 2))]
+    return normalize(helpers.pattern_presentation(rng, m, mults))
+
+
+# inputs whose cocycle roots leave Q(zeta_big) of the closure, so that
+# build_k_form builds on a mu_n-valued representative
+DESCENDED_CASES = {
+    **{f"k4-m4-{f}": lambda f=f: _k4_m4_normal_form(f) for f in K4_M4_DESCENDED},
+    "d4-m4-56": lambda: normalize(list(helpers.sweep_inputs(helpers.group_pool(8)[9]))[56]),
+    **{f"pattern-6-{seed}": lambda seed=seed: _pattern_normal_form(seed, 6) for seed in range(3)},
+    "pattern-3-1": lambda: _pattern_normal_form(1, 3),
+}
+
+
+@pytest.mark.parametrize("name", DESCENDED_CASES)
+def test_k_form_generators_are_a_form_of_the_input_algebra(name, monkeypatch):
+    # the generators are carried back to the algebra of p from the algebra
+    # of the representative they were built on, and close there to the
+    # same report; the representative is a coboundary shift of alpha at
+    # modulus n
+    p = DESCENDED_CASES[name]()
+    real, reps = algebra_mod._mu_n_representative, []
+
+    def spy(alpha, n):
+        reps.append((n, real(alpha, n)))
+        return reps[-1][1]
+
+    monkeypatch.setattr(algebra_mod, "_mu_n_representative", spy)
+    for mode in MODES:
+        res = build_k_form(p, mode)
+        rep = res.report
+        assert res.presentation.alpha is p.alpha and res.algebra.alpha is p.alpha
+        assert all(g.algebra is res.algebra for g in res.generators)
+        assert algebra_mod._span_report(res.algebra, res.field, res.generators, mode,
+                                        rep.slot_units, rep.descent_enforced) == rep
+    assert len(reps) == len(MODES)
+    n, (beta, f, big_m) = reps[0]
+    assert beta.modulus == n < p.alpha.modulus == big_m // p.sub.exponent()
+    assert (shift_by_coboundary(p.alpha.embedded(big_m), f).exps
+            == beta.embedded(big_m).exps)
+
+
+def test_span_report_refuses_roots_outside_the_working_field():
+    # alpha takes the values 0..3 at m = 4 while the field and the
+    # generators live at modulus 2: the closure cannot work at big = 2
+    alg = GradedAlgebra(_k4_m4_normal_form(K4_M4_DESCENDED[0]))
+    field = SubfieldDescriptor.from_generators(2, [1])
+    assert alg._root_modulus == 4
+    with pytest.raises(InternalError, match=r"^the cocycle's roots do not lie in Q\(zeta_big\)$"):
+        algebra_mod._span_report(alg, field, (alg.one(),), "corrected", (1,), True)
 
 
 # differential tests of _span_report against the depth-first closure it
@@ -585,15 +622,11 @@ def _span_outcomes_agree(p) -> list:
 def _span_cases():
     for name, build in sorted(helpers.CORPUS_BUILDERS.items()):
         yield name, lambda build=build: normalize(build())
-    for f in ([0, 1, 0, 2], [0, 3, 1, 3], [0, 0, 1, 0], [0, 2, 2, 0]):
+    for f in (*K4_M4_DESCENDED, [0, 2, 2, 0]):
         yield f"k4-m4-{f}", lambda f=f: _k4_m4_normal_form(f)
     for seed in range(3):
         for m in sorted(helpers.PATTERN_SUBGROUPS):
-            def shifted(seed=seed, m=m):
-                rng = random.Random(f"span:{seed}:{m}")
-                mults = [rng.randint(1, 2) for _ in range(rng.randint(1, 2))]
-                return normalize(helpers.pattern_presentation(rng, m, mults))
-            yield f"pattern-{m}-{seed}", shifted
+            yield f"pattern-{m}-{seed}", lambda seed=seed, m=m: _pattern_normal_form(seed, m)
 
 
 SPAN_CASES = dict(_span_cases())
@@ -606,7 +639,8 @@ def test_span_report_matches_pairwise_closure(name):
 
 def test_span_report_matches_oracles_on_semidirect_pairs():
     # (C_p x C_p) x| C_k for p = 2, 3: closures that succeed and closures
-    # that raise the promotion error of the shifted cocycles, alike
+    # that fall short, on inputs that descend to a mu_n-valued
+    # representative and on inputs that do not
     outcomes = []
     for name, p in helpers.semidirect_pair_presentations(random.Random("span"), ps=(2, 3)):
         try:
@@ -614,25 +648,27 @@ def test_span_report_matches_oracles_on_semidirect_pairs():
         except GForgeError:
             continue
         outcomes += _span_outcomes_agree(p)
-    assert PreconditionError in outcomes
+    assert PreconditionError not in outcomes
     assert any(not isinstance(o, type) and o[2] for o in outcomes)
 
 
-# the generator applications of build_k_form on corpus cases: pauli fills
-# Q^(dim * phi(big)) with its seeds, d6 part way through the closure, and
-# swap (k = Q inside Q(zeta_9)) never fills, so it makes all
-# |gens| * k_dim * [k:Q]
-SPAN_APPLICATIONS = {"pauli": 0, "swap": 540, "d6": 341}
+# the generator applications of build_k_form on corpus cases and on one
+# input that descends to a mu_n-valued representative: pauli fills
+# Q^(dim * phi(big)) with its seeds, d6 and pattern-6-2 part way through
+# the closure, and swap (k = Q inside Q(zeta_9)) never fills, so it makes
+# all |gens| * k_dim * [k:Q]
+SPAN_APPLICATIONS = {"pauli": 0, "swap": 540, "d6": 341, "pattern-6-2": 25}
 
 
 @pytest.mark.parametrize("name", SPAN_APPLICATIONS)
 def test_span_closure_multiplies_only_generator_by_new_element(corpus, name, monkeypatch):
     # at most one generator application per generator and new basis element,
-    # on integer vectors, and multiply is never called. At L == big a closure
-    # that fills Q^(dim * phi(big)) stops at the seed or application whose
-    # image fills the echelon, so with the image of the last application
-    # replaced by 0 the span falls short; one that does not fill applies
-    # every generator to every basis element.
+    # on integer vectors, and multiply is never called. A closure that fills
+    # Q^(dim * phi(big)) stops at the seed or application whose image fills
+    # the echelon, so with the image of the last application replaced by 0
+    # the span falls short; one that does not fill applies every generator
+    # to every basis element.
+    p = corpus[name] if name in corpus else DESCENDED_CASES[name]()
     real_apply, real_multiply = algebra_mod._apply, algebra_mod.multiply
 
     def run(limit=None):
@@ -650,7 +686,7 @@ def test_span_closure_multiplies_only_generator_by_new_element(corpus, name, mon
             mp.setattr(algebra_mod, "_apply", counted_apply)
             mp.setattr(algebra_mod, "multiply", counted_multiply)
             try:
-                res = build_k_form(corpus[name])
+                res = build_k_form(p)
             except InternalError:
                 res = None
         assert not multiplied
@@ -658,11 +694,14 @@ def test_span_closure_multiplies_only_generator_by_new_element(corpus, name, mon
 
     res, applied = run()
     assert res.report.ok
-    big = lcm(res.field.n, *(c.modulus for g in res.generators for c in g.terms.values()))
-    assert lcm(big, res.algebra._root_modulus) == big
-    k_deg = res.field.degree_over_q()
-    bound = len(res.generators) * res.report.k_dim * k_deg
-    filled = res.report.k_dim * k_deg == res.algebra.dim * phi(big)
+    # the closure ran on these, the generators before they were carried back
+    work, field, gens = helpers.span_args(p, "corrected")[:3]
+    assert (work.alpha is p.alpha) == (name in corpus)
+    big = lcm(field.n, *(c.modulus for g in gens for c in g.terms.values()))
+    assert big % work._root_modulus == 0
+    k_deg = field.degree_over_q()
+    bound = len(gens) * res.report.k_dim * k_deg
+    filled = res.report.k_dim * k_deg == work.dim * phi(big)
     assert filled == (name != "swap")
     assert applied == SPAN_APPLICATIONS[name] <= bound
     if not filled:

@@ -460,7 +460,7 @@ def test_h2_classes_named_tables():
     # rows (0, 3, 2, 5)
     assert h2_classes(k4, 6)[1].exps == ((0, 0, 0, 0), (0, 0, 0, 0),
                                          (0, 3, 0, 3), (0, 3, 0, 3))
-    # unchanged: the input of the k-form xfails
+    # unchanged: the class of the descended k-form inputs on C2 x C2
     assert h2_classes(k4, 4)[1].exps == ((0, 0, 0, 0), (0, 0, 0, 0),
                                          (0, 2, 0, 2), (0, 2, 0, 2))
     assert h2_classes(k4, 6)[1].exps != helpers.h2_classes_full_system(k4, 6)[1].exps
