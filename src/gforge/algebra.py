@@ -49,7 +49,7 @@ class GradedAlgebra:
 
     __slots__ = ("presentation", "group", "sub", "alpha", "entries", "size",
                  "dim", "dims", "blocks", "block_of", "_deg", "_by_degree",
-                 "_triples", "_root_modulus", "_products", "_walks")
+                 "_triples", "_root_modulus", "_products", "_walks", "_leads")
 
     def __init__(self, presentation: Presentation):
         self.presentation = presentation
@@ -105,6 +105,7 @@ class GradedAlgebra:
         self._products = {}
         self.product_table(self._root_modulus)
         self._walks = None  # walk_index, filled on use by the identity oracle
+        self._leads = None  # lead_prefixes, likewise
 
         if sum(dims.values()) != dim:
             raise InternalError("degree dimensions do not sum to the total dimension")
@@ -138,6 +139,51 @@ class GradedAlgebra:
                 by_col.setdefault(j, []).append((c, pos[h], i))
             hit = walks[g] = (by_row, by_col)
         return hit
+
+    def lead_prefixes(self, degrees: tuple):
+        """Index tuples into basis_of_degree(g) for g in degrees, in
+        itertools.product order, that are lex-least in their orbit under S,
+        the permutations of positions within each block, which act by
+        (h, i, j) -> (h, pi i, pi j) and keep degrees.
+
+        Each basis_of_degree list is sorted by (h, i, j) and pi fixes h, so a
+        tuple is lex-least exactly when, along its rows and columns
+        i1, j1, i2, j2, ..., each position met for the first time is the
+        least unmet one of its block; with one position per block that is
+        every tuple. The tuples are the paths of a graph, built on first use
+        and kept per degrees, whose node at depth t is the count of met
+        positions per block after t entries."""
+        leads = self._leads
+        if leads is None:
+            leads = self._leads = {}
+        root = leads.get(degrees)
+        if root is None:
+            rank = [0] * self.size
+            for members in self.blocks:
+                for r, x in enumerate(members):
+                    rank[x] = r
+            block_of, last = self.block_of, len(degrees) - 1
+            nodes: dict = {}
+
+            def node(t: int, met: tuple) -> tuple:
+                hit = nodes.get((t, met))
+                if hit is None:
+                    out = []
+                    for c, (_, i, j) in enumerate(self.basis_of_degree(degrees[t])):
+                        nxt = list(met)
+                        for x in (i, j):
+                            b = block_of[x]
+                            if rank[x] > nxt[b]:
+                                break
+                            if rank[x] == nxt[b]:
+                                nxt[b] += 1
+                        else:
+                            out.append((c, node(t + 1, tuple(nxt)) if t < last else None))
+                    hit = nodes[(t, met)] = tuple(out)
+                return hit
+
+            root = leads[degrees] = node(0, (0,) * len(self.blocks))
+        return _paths(root, ())
 
     def product_table(self, L: int) -> tuple:
         """The products of basis triples as flat indices into integer vectors,
@@ -177,6 +223,15 @@ class GradedAlgebra:
 
     def __repr__(self) -> str:
         return f"GradedAlgebra(|H|={self.sub.order}, n={self.size}, dim={self.dim})"
+
+
+def _paths(node: tuple, prefix: tuple):
+    """The root-to-leaf index tuples of a lead_prefixes graph, in order."""
+    for c, child in node:
+        if child is None:
+            yield prefix + (c,)
+        else:
+            yield from _paths(child, prefix + (c,))
 
 
 class AlgElement:

@@ -6,7 +6,13 @@ scalar-accumulation path.  The identity oracle decides a polynomial over
 every degree-respecting basis assignment, within a budget, without visiting
 them one by one: a monomial is nonzero on basis triples only along a walk
 whose rows continue the previous columns, so it enumerates those walks and
-sums them per assignment.  Linearization polarizes repeated variables into
+sums them per assignment.  The walks start only from lead prefixes that are
+lex-least under the permutations of equal tuple entries: those permutations
+act as graded automorphisms, and graded identities are invariant under graded
+automorphisms (Bahturin-Drensky, Graded polynomial identities of matrices,
+2002; Aljadeff-Haile, Simple G-graded algebras and their polynomial
+identities, 2014).  The first nonzero assignment has a lex-least prefix, so
+`checked` is exact.  Linearization polarizes repeated variables into
 fresh ones, within the same budget.  Good-permutation and path machinery
 compare H-coset prefixes of monomials; the witness constructions walk the
 diagonal e-blocks of an algebra (Euler circuit per block, lemma-compliant
@@ -296,6 +302,18 @@ def _first_nonzero(p: GradedPolynomial, algebra: GradedAlgebra, used,
     `multiply`).  Slabs of assignments with the leading variables fixed are
     enumerated in order, so the first slab with a nonzero sum holds the
     answer.
+
+    Only slabs whose lead prefix is lex-least under the position symmetry S
+    of the tuple are enumerated (GradedAlgebra.lead_prefixes).  Each pi in S
+    gives the graded automorphism (h, i, j) -> (h, pi i, pi j), and graded
+    identities are invariant under graded automorphisms (Bahturin-Drensky,
+    Graded polynomial identities of matrices, 2002; Aljadeff-Haile, Simple
+    G-graded algebras and their polynomial identities, 2014), so p is
+    nonzero at a exactly when it is nonzero at pi.a.  If the first nonzero
+    assignment a had a prefix that is not lex-least, some pi.a would come
+    before it in product order.  So the first nonzero assignment has a
+    lex-least prefix, and the index returned, hence `checked`, is exact,
+    with no second ordered scan for a non-identity.
     """
     pmul, exps = algebra.sub.pmul, algebra.alpha.exps
     pos = algebra.sub.pos
@@ -308,7 +326,8 @@ def _first_nonzero(p: GradedPolynomial, algebra: GradedAlgebra, used,
     fixed = 1
     while fixed < len(sizes) and strides[fixed - 1] > SLAB_LIMIT:
         fixed += 1
-    index = [algebra.walk_index(p.vdeg[v]) for v in used]
+    degrees = [p.vdeg[v] for v in used]
+    index = [algebra.walk_index(g) for g in degrees]
     right = [by_row for by_row, _ in index]
     left = [by_col for _, by_col in index]
     var_of = {v: t for t, v in enumerate(used)}
@@ -320,7 +339,11 @@ def _first_nonzero(p: GradedPolynomial, algebra: GradedAlgebra, used,
         k = seq.index(0)
         monos.append((vec, [(t, strides[t]) for t in seq[k + 1:]],
                       [(t, strides[t]) for t in reversed(seq[:k])]))
-    for lead in iproduct(*(range(s) for s in sizes[:fixed])):
+    if len(algebra.blocks) == algebra.size:  # no symmetry: every prefix
+        leads = iproduct(*(range(s) for s in sizes[:fixed]))
+    else:
+        leads = algebra.lead_prefixes(tuple(degrees[:fixed]))
+    for lead in leads:
         for t, c in enumerate(lead):
             h, i, j = cand[t][c]
             right[t] = {i: ((0, pos[h], j),)}

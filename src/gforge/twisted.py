@@ -231,48 +231,50 @@ def find_primitive_binomial(alpha: Cocycle, n: int,
 
     Scans words of length <= L (default CAPS.word_bound) bucketed by
     (multiset, product); deterministic: shortest word first, then lex order.
+    The words are built and scanned one length at a time, so the scan stops
+    at the first length that holds an answer.
     """
     if n == 1:
         e = alpha.sub.elements[0]
         return binomial_datum(alpha, (e, e), (1, 0))
     if L is None:
         L = CAPS.word_bound
-    m = alpha.modulus
-    exps, buckets = _word_data(alpha, L)
-    for key in sorted(buckets, key=lambda k: (len(k[0]), k)):
-        words = sorted(buckets[key])
-        for w0 in words:
-            for w in words:
-                r = (exps[w0] - exps[w]) % m
-                if r and m // gcd(m, r) == n:
-                    return BinomialDatum(w0, _match_perm(w0, w), r)
-    return None
-
-
-def _word_data(alpha: Cocycle, L: int):
-    """All words of length 1..L: exponent map and (multiset, product) buckets."""
     size = alpha.sub.order
     total = sum(size ** ell for ell in range(1, L + 1))
     if total > CAPS.budget:
         raise BudgetExceeded(
             f"word scan needs {total} words, over budget {CAPS.budget}")
+    m = alpha.modulus
+    layer = None
+    for _ in range(L):
+        layer, buckets = _word_data(alpha, layer)
+        for key in sorted(buckets):
+            words = sorted(buckets[key])
+            for w0 in words:
+                for w in words:
+                    r = (layer[w0][0] - layer[w][0]) % m
+                    if r and m // gcd(m, r) == n:
+                        return BinomialDatum(w0, _match_perm(w0, w), r)
+    return None
+
+
+def _word_data(alpha: Cocycle, layer: dict | None):
+    """The words one letter longer than those of layer (the one-letter words
+    when layer is None) as word -> (exponent, product), and their
+    (multiset, product) buckets."""
     grp = alpha.sub.group
     m = alpha.modulus
-    exps = {}
-    buckets: dict[tuple, list[tuple[int, ...]]] = {}
-    layer = {(h,): (0, h) for h in alpha.sub.elements}
-    for ell in range(1, L + 1):
-        for w, (e, p) in layer.items():
-            exps[w] = e
-            buckets.setdefault((tuple(sorted(w)), p), []).append(w)
-        if ell == L:
-            break
+    if layer is None:
+        nxt = {(h,): (0, h) for h in alpha.sub.elements}
+    else:
         nxt = {}
         for w, (e, p) in layer.items():
             for h in alpha.sub.elements:
                 nxt[w + (h,)] = ((e + alpha.value(p, h)) % m, grp.mul(p, h))
-        layer = nxt
-    return exps, buckets
+    buckets: dict[tuple, list[tuple[int, ...]]] = {}
+    for w, (_, p) in nxt.items():
+        buckets.setdefault((tuple(sorted(w)), p), []).append(w)
+    return nxt, buckets
 
 
 def conjugate_cocycle(alpha: Cocycle, theta: int,

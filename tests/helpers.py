@@ -6,27 +6,30 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product as iproduct
+from itertools import combinations, permutations, product as iproduct
 from math import gcd, lcm, prod
 
 import numpy as np
 
-from gforge.cyclo import (CycScalar, SubfieldDescriptor, _power_rows,
+from gforge.cyclo import (CycScalar, SubfieldDescriptor, _power_rows, _reduce_poly,
                           cyclotomic_polynomial, phi)
 from gforge import algebra as algebra_mod
+from gforge import identities as identities_mod
+from gforge import twisted as twisted_mod
 from gforge.algebra import (AlgElement, KFormReport, _apply, _lift, _operator,
                             _root_shifts, _same_algebra, multiply)
 from gforge.config import CAPS
-from gforge.errors import (CapExceeded, GForgeError, GroupError, InternalError,
+from gforge.errors import (BudgetExceeded, CapExceeded, GForgeError, GroupError, InternalError,
                            PreconditionError, PresentationError)
 from gforge.groups import (CosetMultiset, Group, SubgroupData, cyclic,
                            dihedral, direct_product, semidirect_product)
-from gforge.identities import IdentityReport, linearize
+from gforge.identities import GradedPolynomial, IdentityReport, linearize
 from gforge.modlinalg import (Echelon, howell_echelon, kernel_mod, reduce_least, reduce_mod,
                               solve_in_image, solve_mod, split_echelon, xgcd)
 from gforge.presentation import (NormalForm, Presentation, _conjugate_chain, _factored_form,
                                  compute_KNS)
-from gforge.twisted import (Cocycle, _check_modulus, _cocycle_system, _delta, _expand,
+from gforge.twisted import (BinomialDatum, Cocycle, _check_modulus, _cocycle_system,
+                            _delta, _expand, _match_perm, binomial_datum,
                             conjugate_cocycle, coboundary_rows,
                             conjugate_is_cohomologous, h2_classes,
                             make_cocycle, shift_by_coboundary, trivial_cocycle,
@@ -1591,6 +1594,34 @@ def product_table(a, b) -> list[list[int]]:
             for x1 in range(len(a)) for y1 in range(nb)]
 
 
+def standard_polynomial(r: int) -> GradedPolynomial:
+    """s_r in degree-e variables x1..xr."""
+    ids = [f"x{t + 1}" for t in range(r)]
+    return GradedPolynomial(
+        tuple((v, 0) for v in ids),
+        tuple((_sign(s), tuple(ids[t] for t in s)) for s in permutations(range(r))))
+
+
+def _sign(perm) -> int:
+    inv = sum(1 for i in range(len(perm)) for j in range(i) if perm[j] > perm[i])
+    return -1 if inv % 2 else 1
+
+
+def hall_polynomial() -> GradedPolynomial:
+    """[[x, y]^2, z] in degree-e variables, an identity of 2x2 matrices."""
+    c = (("x", "y", 1), ("y", "x", -1))
+    sq = [(s1 * s2, (a1, b1, a2, b2)) for a1, b1, s1 in c for a2, b2, s2 in c]
+    return GradedPolynomial(
+        (("x", 0), ("y", 0), ("z", 0)),
+        tuple([(s, w + ("z",)) for s, w in sq] + [(-s, ("z",) + w) for s, w in sq]))
+
+
+def in_degrees(p: GradedPolynomial, degrees) -> GradedPolynomial:
+    """p with its variables, in order, given the degrees."""
+    return GradedPolynomial(tuple((v, g) for (v, _), g in zip(p.variables, degrees)),
+                            p.monomials)
+
+
 # The identity oracle's assignment scan, kept as the differential oracle for
 # the walk enumeration in gforge.identities.identity_report.
 
@@ -1641,3 +1672,147 @@ def identity_report_scan(p, algebra, budget: int) -> IdentityReport:
             return IdentityReport(False, space, checked, linearized,
                                   witness, value)
     return IdentityReport(True, space, checked, linearized, None, None)
+
+
+# The walk scan over every lead prefix, kept as the differential oracle for
+# the scan over lex-least lead prefixes in gforge.identities._first_nonzero.
+
+def identity_report_all_leads(p, algebra, budget: int | None = None) -> IdentityReport:
+    """gforge.identities.identity_report with first_nonzero_all_leads as its
+    scan."""
+    kept = identities_mod._first_nonzero
+    identities_mod._first_nonzero = first_nonzero_all_leads
+    try:
+        return identities_mod.identity_report(p, algebra, budget)
+    finally:
+        identities_mod._first_nonzero = kept
+
+
+def report_fields(rep: IdentityReport) -> tuple:
+    """Every field of an identity report, the counterexample and the value
+    terms in their order, as one comparable tuple."""
+    cex = None if rep.counterexample is None else list(rep.counterexample.items())
+    value = None if rep.value is None else [
+        (k, c.modulus, c.nums, c.den) for k, c in rep.value.terms.items()]
+    return (rep.identity, rep.search_space, rep.checked, rep.linearized, cex, value)
+
+
+def first_nonzero_all_leads(p, algebra, used, cand) -> int | None:
+    """gforge.identities._first_nonzero with every lead prefix scanned: the
+    walk sums of each slab of assignments with the leading variables fixed,
+    slab after slab in itertools.product order."""
+    pmul, exps = algebra.sub.pmul, algebra.alpha.exps
+    pos = algebra.sub.pos
+    m = algebra.alpha.modulus
+    L = lcm(algebra._root_modulus, *(c.modulus for c, _ in p.monomials))
+    den = lcm(*(c.den for c, _ in p.monomials))
+    rot = _root_shifts(m, L)
+    sizes = [len(c) for c in cand]
+    strides = [prod(sizes[t + 1:]) for t in range(len(sizes))]
+    fixed = 1
+    while fixed < len(sizes) and strides[fixed - 1] > identities_mod.SLAB_LIMIT:
+        fixed += 1
+    index = [algebra.walk_index(p.vdeg[v]) for v in used]
+    right = [by_row for by_row, _ in index]
+    left = [by_col for _, by_col in index]
+    var_of = {v: t for t, v in enumerate(used)}
+    monos = []
+    for c, seq in p.monomials:
+        step, scale = L // c.modulus, den // c.den
+        vec = [(t * step, x * scale) for t, x in enumerate(c.nums) if x]
+        seq = [var_of[v] for v in seq]
+        k = seq.index(0)
+        monos.append((vec, [(t, strides[t]) for t in seq[k + 1:]],
+                      [(t, strides[t]) for t in reversed(seq[:k])]))
+    for lead in iproduct(*(range(s) for s in sizes[:fixed])):
+        for t, c in enumerate(lead):
+            h, i, j = cand[t][c]
+            right[t] = {i: ((0, pos[h], j),)}
+            left[t] = {j: ((0, pos[h], i),)}
+        h, i, j = cand[0][lead[0]]
+        start = [(0, pos[h], i, j, 0)]
+        acc: dict = {}
+        for vec, after, before in monos:
+            walks = start
+            for t, st in after:
+                by_row = right[t]
+                nxt = []
+                for idx, ph, i, j, e in walks:
+                    prow, erow = pmul[ph], exps[ph]
+                    for c, pb, j2 in by_row.get(j, ()):
+                        nxt.append((idx + c * st, prow[pb], i, j2, e + erow[pb]))
+                walks = nxt
+            for t, st in before:
+                by_col = left[t]
+                nxt = []
+                for idx, ph, i, j, e in walks:
+                    for c, pa, i2 in by_col.get(i, ()):
+                        nxt.append((idx + c * st, pmul[pa][ph], i2, j, e + exps[pa][ph]))
+                walks = nxt
+            for idx, ph, i, j, e in walks:
+                key = (idx, ph, i, j)
+                sums = acc.get(key)
+                if sums is None:
+                    sums = acc[key] = [0] * L
+                r, sign = rot[e % m]
+                for t, x in vec:
+                    sums[(t + r) % L] += sign * x
+        best = None
+        for (idx, _, _, _), sums in acc.items():
+            if ((best is None or idx < best) and any(sums)
+                    and any(_reduce_poly(L, sums))):
+                best = idx
+        if best is not None:
+            return best + sum(c * st for c, st in zip(lead, strides))
+    return None
+
+
+# The binomial word scan over every length at once, kept as the differential
+# oracle for gforge.twisted.find_primitive_binomial, which scans one length
+# at a time.
+
+def find_primitive_binomial_all_lengths(alpha: Cocycle, n: int,
+                                        L: int | None = None) -> BinomialDatum | None:
+    """Build every word of length 1..L, bucket them by (multiset, product),
+    then scan the buckets shortest first, each in lex order."""
+    if n == 1:
+        e = alpha.sub.elements[0]
+        return binomial_datum(alpha, (e, e), (1, 0))
+    if L is None:
+        L = twisted_mod.CAPS.word_bound
+    m = alpha.modulus
+    exps, buckets = _word_data_all_lengths(alpha, L)
+    for key in sorted(buckets, key=lambda k: (len(k[0]), k)):
+        words = sorted(buckets[key])
+        for w0 in words:
+            for w in words:
+                r = (exps[w0] - exps[w]) % m
+                if r and m // gcd(m, r) == n:
+                    return BinomialDatum(w0, _match_perm(w0, w), r)
+    return None
+
+
+def _word_data_all_lengths(alpha: Cocycle, L: int):
+    """All words of length 1..L: exponent map and (multiset, product) buckets."""
+    size = alpha.sub.order
+    total = sum(size ** ell for ell in range(1, L + 1))
+    budget = twisted_mod.CAPS.budget
+    if total > budget:
+        raise BudgetExceeded(f"word scan needs {total} words, over budget {budget}")
+    grp = alpha.sub.group
+    m = alpha.modulus
+    exps = {}
+    buckets: dict[tuple, list[tuple[int, ...]]] = {}
+    layer = {(h,): (0, h) for h in alpha.sub.elements}
+    for ell in range(1, L + 1):
+        for w, (e, p) in layer.items():
+            exps[w] = e
+            buckets.setdefault((tuple(sorted(w)), p), []).append(w)
+        if ell == L:
+            break
+        nxt = {}
+        for w, (e, p) in layer.items():
+            for h in alpha.sub.elements:
+                nxt[w + (h,)] = ((e + alpha.value(p, h)) % m, grp.mul(p, h))
+        layer = nxt
+    return exps, buckets

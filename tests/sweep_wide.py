@@ -20,12 +20,21 @@ modes differ, and counts the outcomes per mode. Every input must return a
 report: a cocycle whose roots leave Q(zeta_big) is closed on a
 mu_n-valued representative, so a PreconditionError counts as a fault.
 
+The identity pass runs identity_report on the normal forms of the k-form
+pass whose tuples repeat an entry, where the oracle scans only the lead
+prefixes that are lex-least under the position symmetry, and compares every
+report field with helpers.identity_report_all_leads, the scan over every
+lead prefix. The polynomials are s_2, s_3, s_4 and the Hall polynomial with
+every variable in one degree g, and s_3 and s_4 with the first variable in
+degree g and the others in degree e, for each degree g of the algebra.
+
 Run from the repository root:
 
     PYTHONPATH=src python tests/sweep_wide.py
 
-It prints the outcome counts per mode, the number of h2 cases and of
-disagreements, and exits 1 on any disagreement or k-form PreconditionError.
+It prints the outcome counts per mode, the number of h2 cases, identity
+inputs and lead prefixes, and of disagreements, and exits 1 on any
+disagreement or k-form PreconditionError.
 """
 
 from __future__ import annotations
@@ -34,14 +43,16 @@ import random
 import sys
 import time
 from collections import Counter
+from math import prod
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 import helpers  # noqa: E402
-from gforge.algebra import MODES, build_k_form  # noqa: E402
+from gforge.algebra import MODES, GradedAlgebra, build_k_form  # noqa: E402
 from gforge.errors import GForgeError  # noqa: E402
 from gforge.groups import SubgroupData  # noqa: E402
+from gforge.identities import GradedPolynomial, identity_report  # noqa: E402
 from gforge.presentation import normalize, validate_presentation  # noqa: E402
 from gforge.twisted import h2_classes  # noqa: E402
 
@@ -72,12 +83,9 @@ def h2_pass() -> int:
     return len(mismatches)
 
 
-def kform_pass() -> int:
-    """Prints the k-form outcome counts and disagreements; returns the
-    latter's number."""
-    start = time.perf_counter()
-    counts = {mode: Counter() for mode in MODES}
-    inputs, mismatches, unnormalized = 0, [], Counter()
+def normal_forms(unnormalized: Counter):
+    """Each distinct normal form of helpers.sweep_inputs at m in MODULI, on
+    every pool group; failures to normalize are counted by error type."""
     for grp in helpers.group_pool(MAX_ORDER):
         seen = set()
         for p in helpers.sweep_inputs(grp, MODULI):
@@ -89,17 +97,26 @@ def kform_pass() -> int:
                 unnormalized[type(e).__name__] += 1
                 continue
             key = (q.sub.elements, q.alpha.modulus, q.alpha.exps, q.entries)
-            if key in seen:
-                continue
-            seen.add(key)
-            inputs += 1
-            for mode, which, got, (want,) in helpers.span_outcomes(
-                    q, (helpers.span_report_full_closure,)):
-                label = got.__name__ if isinstance(got, type) else "ok" if got[2] else "not ok"
-                counts[mode][f"{which}: {label}"] += 1
-                if got != want:
-                    mismatches.append((grp.order, q.sub.elements, q.alpha.modulus,
-                                       q.entries, mode, which, got, want))
+            if key not in seen:
+                seen.add(key)
+                yield grp, q
+
+
+def kform_pass() -> int:
+    """Prints the k-form outcome counts and disagreements; returns the
+    latter's number."""
+    start = time.perf_counter()
+    counts = {mode: Counter() for mode in MODES}
+    inputs, mismatches, unnormalized = 0, [], Counter()
+    for grp, q in normal_forms(unnormalized):
+        inputs += 1
+        for mode, which, got, (want,) in helpers.span_outcomes(
+                q, (helpers.span_report_full_closure,)):
+            label = got.__name__ if isinstance(got, type) else "ok" if got[2] else "not ok"
+            counts[mode][f"{which}: {label}"] += 1
+            if got != want:
+                mismatches.append((grp.order, q.sub.elements, q.alpha.modulus,
+                                   q.entries, mode, which, got, want))
     print(f"{inputs} distinct normal forms (max order {MAX_ORDER}, m in {MODULI}), "
           f"{time.perf_counter() - start:.1f} s; normalize failed: {dict(unnormalized)}")
     for mode, c in counts.items():
@@ -108,6 +125,55 @@ def kform_pass() -> int:
         for name, n in sorted(c.items()):
             print(f"  {n:6d}  {name}")
     print(f"{len(mismatches)} disagreements with the full closure")
+    for m in mismatches[:20]:
+        print("  ", m)
+    return len(mismatches)
+
+
+def identity_pass() -> int:
+    """Prints the identity inputs, lead prefix counts and disagreements;
+    returns the latter's number."""
+    start = time.perf_counter()
+    polys = [helpers.standard_polynomial(r) for r in (2, 3, 4)] + [helpers.hall_polynomial()]
+    scanned = []
+    scan = GradedAlgebra.lead_prefixes
+
+    def counted(algebra, degrees):
+        scanned.append([0, prod(algebra.dims[g] for g in degrees)])
+        for lead in scan(algebra, degrees):
+            scanned[-1][0] += 1
+            yield lead
+
+    algebras, inputs, least, full, verdicts, mismatches = 0, 0, 0, 0, Counter(), []
+    GradedAlgebra.lead_prefixes = counted
+    try:
+        for grp, q in normal_forms(Counter()):
+            if len(set(q.entries)) == len(q.entries):
+                continue
+            algebra = GradedAlgebra(q)
+            algebras += 1
+            for g in sorted(algebra.dims):
+                cases = [helpers.in_degrees(p, [g] * len(p.variables)) for p in polys]
+                cases += [helpers.in_degrees(p, [g] + [0] * (len(p.variables) - 1))
+                          for p in polys[1:3]]
+                for p in cases:
+                    inputs += 1
+                    del scanned[:]
+                    got = identity_report(p, algebra)
+                    verdicts[got.identity] += 1
+                    if got.identity:  # every lex-least prefix was scanned
+                        least += sum(k for k, _ in scanned)
+                        full += sum(n for _, n in scanned)
+                    if (helpers.report_fields(got) != helpers.report_fields(
+                            helpers.identity_report_all_leads(p, algebra))):
+                        mismatches.append((grp.order, q.sub.elements, q.alpha.modulus,
+                                           q.entries, p.variables))
+    finally:
+        GradedAlgebra.lead_prefixes = scan
+    print(f"identity_report: {inputs} inputs on {algebras} normal forms with a repeated "
+          f"entry, {time.perf_counter() - start:.1f} s; {verdicts[True]} identities, "
+          f"{verdicts[False]} not; on the identities {least} lex-least lead prefixes "
+          f"scanned of {full}; {len(mismatches)} disagreements with the all-leads scan")
     for m in mismatches[:20]:
         print("  ", m)
     return len(mismatches)
@@ -145,7 +211,7 @@ def semidirect_pass() -> int:
 
 
 def main() -> int:
-    return 1 if h2_pass() + kform_pass() + semidirect_pass() else 0
+    return 1 if h2_pass() + kform_pass() + identity_pass() + semidirect_pass() else 0
 
 
 if __name__ == "__main__":

@@ -6,7 +6,7 @@ import os
 import gforge
 
 # one per verification site: every InternalError raise in src/gforge
-INTERNAL_ERROR_FLOOR = 43
+INTERNAL_ERROR_FLOOR = 46
 
 
 def _internal_error_raises(path: str) -> int:

@@ -1,7 +1,8 @@
 import random
 import time
+from collections import Counter
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product as iproduct
 from math import gcd, prod
 
 import pytest
@@ -304,16 +305,7 @@ def test_identity_perm_always_good(data):
 # replaced (helpers.identity_report_scan), field by field.
 
 def _assert_same_report(got, want):
-    assert (got.identity, got.search_space, got.checked, got.linearized) == (
-        want.identity, want.search_space, want.checked, want.linearized)
-    assert got.counterexample == want.counterexample
-    if want.counterexample is not None:
-        assert list(got.counterexample) == list(want.counterexample)
-    if want.value is None:
-        assert got.value is None
-        return
-    assert [(k, c.modulus, c.nums, c.den) for k, c in got.value.terms.items()] == [
-        (k, c.modulus, c.nums, c.den) for k, c in want.value.terms.items()]
+    assert helpers.report_fields(got) == helpers.report_fields(want)
 
 
 def _check_against_scan(p, algebra, budget=10 ** 7):
@@ -358,7 +350,8 @@ def _random_polynomial(rng, algebra, max_space=3000):
 def _pattern_algebra(rng, mults=None):
     m = rng.choice((2, 3, 4, 6))
     if mults is None:
-        mults = rng.choice(((1,), (2,), (1, 1), (2, 1), (2, 2), (1, 1, 1)))
+        mults = rng.choice(((1,), (2,), (3,), (1, 1), (2, 1), (3, 1), (2, 2),
+                            (1, 1, 1)))
     return GradedAlgebra(helpers.pattern_presentation(rng, m, mults))
 
 
@@ -399,33 +392,15 @@ def test_identity_report_past_first_slab(algebras):
     assert rep.checked > len(d6.basis_of_degree(0)) * len(d6.basis_of_degree(4))
 
 
-def _standard(r):
-    ids = [f"x{t + 1}" for t in range(r)]
-    return GradedPolynomial(
-        tuple((v, 0) for v in ids),
-        tuple((_sign(s), tuple(ids[t] for t in s))
-              for s in permutations(range(r))))
-
-
-def _sign(perm):
-    inv = sum(1 for i in range(len(perm)) for j in range(i) if perm[j] > perm[i])
-    return -1 if inv % 2 else 1
-
-
 def test_identity_report_matches_scan_on_identities():
     rng = random.Random(5)
     # s_4 is an identity of the 2x2 diagonal blocks, s_3 is not
     for _ in range(3):
         algebra = _pattern_algebra(rng, (2, 2))
-        assert _check_against_scan(_standard(4), algebra).identity is True
-        assert _check_against_scan(_standard(3), algebra).identity is False
-    # the Hall polynomial [[x, y]^2, z], linearized, on 2x2 blocks
-    c = (("x", "y", 1), ("y", "x", -1))
-    sq = [(s1 * s2, (a1, b1, a2, b2)) for a1, b1, s1 in c for a2, b2, s2 in c]
-    hall = GradedPolynomial(
-        (("x", 0), ("y", 0), ("z", 0)),
-        tuple([(s, w + ("z",)) for s, w in sq] + [(-s, ("z",) + w) for s, w in sq]))
-    rep = _check_against_scan(hall, _pattern_algebra(rng, (2, 1)))
+        assert _check_against_scan(helpers.standard_polynomial(4), algebra).identity is True
+        assert _check_against_scan(helpers.standard_polynomial(3), algebra).identity is False
+    # the Hall polynomial, linearized, on 2x2 blocks
+    rep = _check_against_scan(helpers.hall_polynomial(), _pattern_algebra(rng, (2, 1)))
     assert rep.identity is True and rep.linearized is True
 
 
@@ -445,9 +420,139 @@ def test_identity_report_matches_scan_on_m_products(p_pauli, p_swap, p_inner):
                 assert rep.identity is False
 
 
+# The scan over lex-least lead prefixes against the scan over every lead
+# prefix (helpers.first_nonzero_all_leads), field by field.
+
+LEAD_MULTS = ((2,), (3,), (2, 2), (3, 1), (2, 2, 1))
+
+
+@pytest.mark.parametrize("slab_limit", (identities.SLAB_LIMIT, 1, 2, 8))
+def test_identity_report_matches_all_leads(slab_limit, monkeypatch):
+    monkeypatch.setattr(identities, "SLAB_LIMIT", slab_limit)
+    # small slabs cost a walk set-up per slab; keep their spaces small
+    max_space = 10 ** 5 if slab_limit > 8 else 4096
+    rng = random.Random(slab_limit)
+    verdicts = Counter()
+    for mults in LEAD_MULTS:
+        for m in (2, 3, 4, 6):
+            algebra = GradedAlgebra(helpers.pattern_presentation(rng, m, mults))
+            polys = [helpers.standard_polynomial(r) for r in range(2, 6)]
+            polys.append(helpers.hall_polynomial())
+            polys += [_random_polynomial(rng, algebra) for _ in range(3)]
+            for p in polys:
+                q = p if p.multilinear else linearize(p)
+                if prod(len(algebra.basis_of_degree(d)) for _, d in q.variables) > max_space:
+                    continue
+                got = identity_report(p, algebra)
+                _assert_same_report(got, helpers.identity_report_all_leads(p, algebra))
+                verdicts[got.identity] += 1
+    assert verdicts[True] and verdicts[False]
+
+
+def _orbit_least_prefixes(algebra, degrees):
+    """Brute force: the index tuples that no position permutation within the
+    blocks makes lex-smaller, the permutations enumerated one by one."""
+    cands = [algebra.basis_of_degree(g) for g in degrees]
+    where = [{x: c for c, x in enumerate(cand)} for cand in cands]
+    perms = []
+    for images in iproduct(*(permutations(b) for b in algebra.blocks)):
+        pi = list(range(algebra.size))
+        for block, image in zip(algebra.blocks, images):
+            for x, y in zip(block, image):
+                pi[x] = y
+        perms.append(pi)
+    out = []
+    for lead in iproduct(*(range(len(c)) for c in cands)):
+        triples = [cands[t][c] for t, c in enumerate(lead)]
+        if all(tuple(where[t][(h, pi[i], pi[j])] for t, (h, i, j) in enumerate(triples))
+               >= lead for pi in perms):
+            out.append(lead)
+    return out
+
+
+def test_lead_prefixes_are_the_orbit_least_ones():
+    rng = random.Random(11)
+    tried = 0
+    for mults in ((2,), (3,), (2, 1), (3, 1), (2, 2), (2, 2, 1), (1, 1, 1)):
+        for m in (2, 3, 4, 6):
+            algebra = GradedAlgebra(helpers.pattern_presentation(rng, m, mults))
+            present = sorted(algebra.dims)
+            for r in (1, 2, 3):
+                degrees = tuple(0 if rng.random() < 0.5 else rng.choice(present)
+                                for _ in range(r))
+                if prod(algebra.dims[g] for g in degrees) > 2000:
+                    continue
+                want = _orbit_least_prefixes(algebra, degrees)
+                assert list(algebra.lead_prefixes(degrees)) == want
+                # a second call reads the kept graph
+                assert list(algebra.lead_prefixes(degrees)) == want
+                tried += 1
+    assert tried == 84
+
+
+def test_lead_prefixes_without_symmetry_are_every_prefix():
+    rng = random.Random(3)
+    for mults in ((1,), (1, 1), (1, 1, 1)):
+        algebra = GradedAlgebra(helpers.pattern_presentation(rng, 4, mults))
+        assert len(algebra.blocks) == algebra.size
+        for degrees in iproduct(sorted(algebra.dims), repeat=2):
+            assert list(algebra.lead_prefixes(degrees)) == list(
+                iproduct(*(range(algebra.dims[g]) for g in degrees)))
+
+
+def test_lead_prefix_orderings():
+    # the lex-least argument compares prefixes through these two orders
+    rng = random.Random(2)
+    for mults in LEAD_MULTS + ((1, 1, 1),):
+        for m in (2, 3, 4, 6):
+            algebra = GradedAlgebra(helpers.pattern_presentation(rng, m, mults))
+            pos = algebra.sub.pos
+            for g in algebra.dims:
+                basis = algebra.basis_of_degree(g)
+                keys = [(pos[h], i, j) for h, i, j in basis]
+                assert keys == sorted(keys)
+            assert all(list(b) == sorted(b) for b in algebra.blocks)
+            assert sorted(x for b in algebra.blocks for x in b) == list(range(algebra.size))
+
+
+def _count_scanned_prefixes(monkeypatch):
+    counted = []
+    scan = GradedAlgebra.lead_prefixes
+
+    def lead_prefixes(algebra, degrees):
+        for lead in scan(algebra, degrees):
+            counted.append(lead)
+            yield lead
+
+    monkeypatch.setattr(GradedAlgebra, "lead_prefixes", lead_prefixes)
+    return counted
+
+
+def test_lead_prefix_counts_of_s4_and_hall(monkeypatch):
+    rng = random.Random(5)
+    two_two = _pattern_algebra(rng, (2, 2))
+    two_one = _pattern_algebra(rng, (2, 1))
+    counted = _count_scanned_prefixes(monkeypatch)
+    # s4 on 8 degree-e triples: (i, j) within a block, i least of it
+    rep = identity_report(helpers.standard_polynomial(4), two_two)
+    assert rep.identity is True and rep.checked == 8 ** 4
+    assert len(counted) == 4
+    # the Hall polynomial on 5 degree-e triples: (a, a), (a, b), (c, c)
+    counted.clear()
+    rep = identity_report(helpers.hall_polynomial(), two_one)
+    assert rep.identity is True and rep.checked == 5 ** 5
+    assert len(counted) == 3
+    # slabs of 8 fix three variables: 160 of the 512 prefixes
+    monkeypatch.setattr(identities, "SLAB_LIMIT", 8)
+    counted.clear()
+    assert identity_report(helpers.standard_polynomial(4), two_two).identity is True
+    assert len(counted) == 160
+    assert counted == _orbit_least_prefixes(two_two, (0, 0, 0))
+
+
 def test_identity_report_budget_edge(algebras):
     a = algebras["mat3"]
-    p = _standard(3)
+    p = helpers.standard_polynomial(3)
     rep = _check_against_scan(p, a, budget=125)
     assert rep.search_space == 125 and rep.checked == 8
     with pytest.raises(BudgetExceeded, match="needs 125 evaluations, over budget 124"):

@@ -1,6 +1,7 @@
 import gc
 import inspect
 import random
+from collections import Counter
 from contextlib import contextmanager
 from functools import lru_cache
 from math import gcd
@@ -11,8 +12,9 @@ from hypothesis import strategies as st
 
 from gforge import modlinalg, twisted
 from gforge.algebra import twisted_group_algebra
+from gforge.config import Caps
 from gforge.cyclo import CycScalar
-from gforge.errors import (CapExceeded, CocycleError, InternalError,
+from gforge.errors import (BudgetExceeded, CapExceeded, CocycleError, InternalError,
                            PreconditionError)
 from gforge.groups import SubgroupData, cyclic, dihedral, direct_product, generating_set
 from gforge.presentation import compute_KNS
@@ -215,6 +217,38 @@ def test_find_primitive_binomial(alpha_pauli, alpha_inner):
     assert triv is not None and triv.ratio == 0
     # no order-4 ratio exists over a modulus-2 cocycle
     assert find_primitive_binomial(alpha_pauli, 4) is None
+
+
+def test_find_primitive_binomial_matches_the_all_lengths_scan():
+    # one length at a time returns what the scan over every length at once
+    # returns: the shortest word first, then lex order
+    found = Counter()
+    for grp in helpers.group_pool(16):
+        for elems in helpers.all_subgroups(grp):
+            sub = SubgroupData(grp, elems)
+            for m in (2, 3, 4, 6):
+                for alpha in h2_classes(sub, m):
+                    orders = [class_order(alpha)]
+                    if sub.order <= 4:
+                        orders.append(2 * m)  # no ratio has this order
+                    for n in orders:
+                        for L in (2, 3, 4):
+                            got = find_primitive_binomial(alpha, n, L)
+                            assert got == helpers.find_primitive_binomial_all_lengths(
+                                alpha, n, L)
+                            found[None if got is None else len(got.word)] += 1
+    assert found[None] and found[2] and sum(found.values()) > 3000
+
+
+def test_word_scan_budget_counts_every_length(alpha_pauli, monkeypatch):
+    # |H| = 4 and L = 3: 4 + 16 + 64 words, though the answer has length 2
+    assert alpha_pauli.sub.order == 4
+    monkeypatch.setattr(twisted, "CAPS", Caps(budget=83))
+    for scan in (find_primitive_binomial, helpers.find_primitive_binomial_all_lengths):
+        with pytest.raises(BudgetExceeded, match="^word scan needs 84 words, over budget 83$"):
+            scan(alpha_pauli, 2, 3)
+    monkeypatch.setattr(twisted, "CAPS", Caps(budget=84))
+    assert len(find_primitive_binomial(alpha_pauli, 2, 3).word) == 2
 
 
 def test_image_mu_n(alpha_pauli, alpha_inner):
