@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from .errors import PreconditionError
 
@@ -40,12 +40,6 @@ def phi(m: int) -> int:
     if rem > 1:
         out *= rem - 1
     return out
-
-
-def _trim(p: list) -> list:
-    while len(p) > 1 and p[-1] == 0:
-        p.pop()
-    return p
 
 
 def _exact_div_monic_int(num: list[int], den: tuple[int, ...]) -> list[int]:
@@ -107,7 +101,7 @@ def _reduce_poly(m: int, coeffs) -> list[int]:
 
 
 def _convolve(a, b) -> list:
-    """Product of two coefficient lists as polynomials (ints or Fractions)."""
+    """Product of two integer coefficient lists as polynomials."""
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
@@ -117,10 +111,15 @@ def _convolve(a, b) -> list:
     return out
 
 
-def _integral(coeffs) -> tuple[list[int], int]:
-    """Rationals as integer numerators over their least common denominator
-    (so with no factor common to all of them)."""
+def _integral(m: int, coeffs) -> tuple[list[int], int]:
+    """The power-basis coefficients of a scalar at modulus m as integer
+    numerators over their least common denominator (so with no factor common
+    to all of them), once m >= 1 and there are phi(m) of them."""
+    if m < 1:
+        raise PreconditionError("modulus must be positive")
     coeffs = [Fraction(c) for c in coeffs]
+    if len(coeffs) != phi(m):
+        raise PreconditionError(f"need {phi(m)} coefficients at modulus {m}")
     den = lcm(*(c.denominator for c in coeffs))
     return [c.numerator * (den // c.denominator) for c in coeffs], den
 
@@ -157,7 +156,7 @@ class CycScalar:
     __hash__ = None  # equal values may carry different moduli
 
     def __init__(self, modulus: int, coeffs):
-        nums, den = _integral(coeffs)
+        nums, den = _integral(modulus, coeffs)
         _set(self, "modulus", modulus)
         _set(self, "nums", tuple(nums))
         _set(self, "den", den)
@@ -178,11 +177,7 @@ class CycScalar:
 
     @staticmethod
     def _make(m: int, coeffs) -> "CycScalar":
-        nums, den = _integral(coeffs)
-        deg = phi(m)
-        if len(nums) != deg:
-            raise PreconditionError(f"need {deg} coefficients at modulus {m}")
-        return _demoted(m, nums, den)
+        return _demoted(m, *_integral(m, coeffs))
 
     @staticmethod
     def from_powers(m: int, vec, den: int = 1) -> "CycScalar":
@@ -197,9 +192,7 @@ class CycScalar:
 
     @staticmethod
     def from_root(m: int, k: int) -> "CycScalar":
-        """zeta_m ** k."""
-        if m < 1:
-            raise PreconditionError("modulus must be positive")
+        """zeta_m ** k; _power_rows rejects m < 1."""
         return _demoted(m, _power_rows(m)[k % m])
 
     @staticmethod
@@ -215,11 +208,14 @@ class CycScalar:
             return self
         if m % self.modulus:
             raise PreconditionError("can only promote to a multiple modulus")
-        step = m // self.modulus
+        return _scalar(m, self._substituted(m, m // self.modulus), self.den)
+
+    def _substituted(self, m: int, k: int) -> list[int]:
+        """The numerators of self at x -> x^k, reduced to the power basis at m."""
         acc = [0] * m
         for i, c in enumerate(self.nums):
-            acc[(i * step) % m] += c
-        return _scalar(m, _reduce_poly(m, acc), self.den)
+            acc[(i * k) % m] += c
+        return _reduce_poly(m, acc)
 
     def _pair(self, other) -> tuple["CycScalar", "CycScalar"]:
         other = as_cyc(other)
@@ -259,18 +255,21 @@ class CycScalar:
     __rmul__ = __mul__
 
     def inverse(self) -> "CycScalar":
+        """1 / self by the norm: with rest the product of the conjugates
+        galois(j) over the units j != 1 mod m, self * rest = N(self) is
+        rational and 1 / self = rest / N(self)."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
         m = self.modulus
         if m == 1:
             q = self.den / Fraction(self.nums[0])
             return _scalar(1, (q.numerator,), q.denominator)
-        mod = [Fraction(c) for c in cyclotomic_polynomial(m)]
-        g, u = _poly_xgcd(list(self.coeffs), mod)
-        if len(g) != 1:
-            raise ArithmeticError("gcd with the cyclotomic polynomial is not constant")
-        nums, den = _integral(c / g[0] for c in u)
-        inv = CycScalar.from_powers(m, nums, den)
+        rest = prod((self.galois(j) for j in range(2, m) if gcd(j, m) == 1),
+                    start=CycScalar.one())
+        norm = self * rest
+        if not norm.is_rational():
+            raise ArithmeticError("norm is not rational")
+        inv = rest * (1 / norm)
         if not (self * inv).is_one():
             raise ArithmeticError("inverse verification failed")
         return inv
@@ -319,10 +318,7 @@ class CycScalar:
             return self
         if gcd(j, m) != 1:
             raise PreconditionError(f"galois exponent {j} is not a unit mod {m}")
-        acc = [0] * m
-        for i, c in enumerate(self.nums):
-            acc[(i * j) % m] += c
-        return CycScalar.from_powers(m, acc, self.den)
+        return _demoted(m, self._substituted(m, j), self.den)
 
     def conjugate(self) -> "CycScalar":
         return self.galois(self.modulus - 1) if self.modulus > 1 else self
@@ -337,40 +333,6 @@ class CycScalar:
                 base = "1" if i == 0 else (f"z{self.modulus}" if i == 1 else f"z{self.modulus}^{i}")
                 terms.append(f"{c}*{base}" if i else f"{c}")
         return "Cyc(" + (" + ".join(terms) or "0") + ")"
-
-
-def _poly_xgcd(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    """Returns (g, u) with u*a = g modulo b and g = gcd(a, b), over Q[x]."""
-    r0, r1 = _trim([Fraction(c) for c in a]), _trim([Fraction(c) for c in b])
-    u0, u1 = [Fraction(1)], [Fraction(0)]
-    while r1 != [Fraction(0)] and any(r1):
-        q = _poly_divmod(r0, r1)[0]
-        r0, r1 = r1, _trim(_poly_sub(r0, _convolve(q, r1)))
-        u0, u1 = u1, _trim(_poly_sub(u0, _convolve(q, u1)))
-    return r0, u0
-
-
-def _poly_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    n = max(len(a), len(b))
-    return [
-        (a[i] if i < len(a) else Fraction(0)) - (b[i] if i < len(b) else Fraction(0))
-        for i in range(n)
-    ]
-
-
-def _poly_divmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    a, b = _trim(list(a)), _trim(list(b))
-    if len(a) < len(b):
-        return [Fraction(0)], a
-    quo = [Fraction(0)] * (len(a) - len(b) + 1)
-    lead = b[-1]
-    for k in range(len(quo) - 1, -1, -1):
-        c = a[k + len(b) - 1] / lead
-        quo[k] = c
-        if c:
-            for i, y in enumerate(b):
-                a[k + i] -= c * y
-    return quo, _trim(a)
 
 
 def as_cyc(x) -> CycScalar:
@@ -396,22 +358,17 @@ class SubfieldDescriptor:
     def from_generators(n: int, gens) -> "SubfieldDescriptor":
         if n < 1:
             raise PreconditionError("n must be positive")
-        seen = {1 % n}
+        units = []
         for g in gens:
             g %= n
             if gcd(g, n) != 1:
                 raise PreconditionError(f"{g} is not a unit mod {n}")
-            seen.add(g)
-        frontier = list(seen)
+            units.append(g)
+        # the words in the generators are the group they generate
+        seen, frontier = {1 % n}, {1 % n}
         while frontier:
-            nxt = []
-            for a in frontier:
-                for b in list(seen):
-                    c = (a * b) % n
-                    if c not in seen:
-                        seen.add(c)
-                        nxt.append(c)
-            frontier = nxt
+            frontier = {a * g % n for a in frontier for g in units} - seen
+            seen |= frontier
         return SubfieldDescriptor(n, tuple(sorted(seen)))
 
     def contains(self, x) -> bool:

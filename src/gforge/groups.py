@@ -132,18 +132,14 @@ class Group:
         return lcm(*(self.order_of(a) for a in range(self.order)))
 
     def closure(self, elems) -> tuple[int, ...]:
-        seen = {0} | set(elems)
-        frontier = list(seen)
-        while frontier:
-            nxt = []
-            for a in frontier:
-                for b in list(seen):
-                    for c in (self._mul[a][b], self._mul[b][a]):
-                        if c not in seen:
-                            seen.add(c)
-                            nxt.append(c)
-            frontier = nxt
-        return tuple(sorted(seen))
+        """The subgroup generated by elems: the words in them, sorted."""
+        gens = set(elems)
+        if not all_ints([gens]):
+            raise GroupError("closure elements must be integers")
+        bad = sorted(gens.difference(range(self.order)))
+        if bad:
+            raise GroupError(f"closure elements out of range: {bad}")
+        return tuple(sorted(_reach(self._mul, list(gens), {0})))
 
     def is_subgroup(self, elems) -> bool:
         eset = set(elems)

@@ -27,7 +27,8 @@ from gforge.identities import GradedPolynomial, IdentityReport, linearize
 from gforge.modlinalg import (Echelon, howell_echelon, kernel_mod, reduce_least, reduce_mod,
                               solve_in_image, solve_mod, split_echelon, xgcd)
 from gforge.presentation import (NormalForm, Presentation, _conjugate_chain, _factored_form,
-                                 compute_KNS)
+                                 apply_move, classify, compute_KNS, iso_test, normalize,
+                                 normalize_with_details, validate_presentation)
 from gforge.twisted import (BinomialDatum, Cocycle, _check_modulus, _cocycle_system,
                             _delta, _expand, _match_perm, binomial_datum,
                             conjugate_cocycle, coboundary_rows,
@@ -51,6 +52,30 @@ def build_pauli() -> Presentation:
 
 def swap_action(hh, x):
     return x if hh == 0 else (x % 3) * 3 + x // 3
+
+
+def _swap_factors(hh, x):
+    """C2 acting on C2^3 (index (a*2 + b)*2 + c) by swapping a and b."""
+    return x if hh == 0 else ((x // 2) % 2 * 2 + x // 4) * 2 + x % 2
+
+
+def chain_ambients():
+    """(G, H) pairs, H of the type named by the key and G adding conjugations
+    of H that are not inner."""
+    c2, c3, c4 = cyclic(2), cyclic(3), cyclic(4)
+    c24 = direct_product(c2, c4)
+    c222 = direct_product(direct_product(c2, c2), c2)
+    return {
+        "C2xC2": (dihedral(4), (0, 2, 4, 6)),
+        "C2xC4": (semidirect_product(c24, c2, lambda h, x: c24.inv(x) if h else x),
+                  tuple(range(0, 16, 2))),
+        "C3xC3": (semidirect_product(direct_product(c3, c3), c2, swap_action),
+                  tuple(range(0, 18, 2))),
+        "D4": (dihedral(8), tuple(range(0, 16, 2))),
+        "D3": (dihedral(6), tuple(range(0, 12, 2))),
+        "C2xD3": (direct_product(c2, dihedral(3)), tuple(range(12))),
+        "C2^3": (semidirect_product(c222, c2, _swap_factors), tuple(range(0, 16, 2))),
+    }
 
 
 def build_swap_raw() -> Presentation:
@@ -116,6 +141,44 @@ def all_subgroups(grp: Group) -> list[tuple[int, ...]]:
         frontier = {grp.closure(s + (g,)) for s in frontier for g in range(grp.order)} - subs
         subs |= frontier
     return sorted(subs, key=lambda s: (len(s), s))
+
+
+# The pairwise closures that Group.closure and
+# SubfieldDescriptor.from_generators replaced by the walk over words in the
+# generators, kept as differential oracles.
+
+def closure_pairwise(grp: Group, elems) -> tuple[int, ...]:
+    """The subgroup generated by elems, grown breadth first by multiplying
+    each new element by every element reached, on both sides."""
+    seen = {0} | set(elems)
+    frontier = list(seen)
+    while frontier:
+        nxt = []
+        for a in frontier:
+            for b in list(seen):
+                for c in (grp.mul(a, b), grp.mul(b, a)):
+                    if c not in seen:
+                        seen.add(c)
+                        nxt.append(c)
+        frontier = nxt
+    return tuple(sorted(seen))
+
+
+def unit_closure_pairwise(n: int, gens) -> tuple[int, ...]:
+    """The subgroup of (Z/n)* generated by the units gens, grown breadth
+    first by multiplying each new unit by every unit reached."""
+    seen = {1 % n} | {g % n for g in gens}
+    frontier = list(seen)
+    while frontier:
+        nxt = []
+        for a in frontier:
+            for b in list(seen):
+                c = (a * b) % n
+                if c not in seen:
+                    seen.add(c)
+                    nxt.append(c)
+        frontier = nxt
+    return tuple(sorted(seen))
 
 
 def least_generating_size(table) -> int:
@@ -245,11 +308,13 @@ def random_move(rng: random.Random, p: Presentation) -> dict:
     return {"type": "translate", "g": rng.randrange(p.group.order)}
 
 
-def sweep_inputs(grp: Group, moduli=(2, 4)):
-    """The small-case sweep over grp: every subgroup generated by at most 2
-    elements, m in moduli, every class of h2_classes and the tuples (0,) and
-    (0, g)."""
-    subs = sorted({grp.closure((a, b)) for a in range(grp.order) for b in range(a, grp.order)})
+def sweep_inputs(grp: Group, moduli=(2, 4), subs=None):
+    """The small-case sweep over grp: every subgroup in subs (by default every
+    one generated by at most 2 elements), m in moduli, every class of
+    h2_classes and the tuples (0,) and (0, g)."""
+    if subs is None:
+        subs = sorted({grp.closure((a, b)) for a in range(grp.order)
+                       for b in range(a, grp.order)})
     for elems in subs:
         sub = SubgroupData(grp, elems)
         for m in moduli:
@@ -322,6 +387,44 @@ def strongly_vp_by_elements(p: Presentation) -> bool:
         return False
     return all(conjugate_is_cohomologous(p.alpha, g, p.alpha)[0]
                for g in range(p.group.order))
+
+
+def presentation_checks(p: Presentation, rng: random.Random) -> tuple[list[str], bool | None]:
+    """The checks of the presentation sweep on p: normalize is idempotent,
+    constant on three seeded moves and isomorphic to its source, the chain of
+    the normal form is the conjugated chain, and on a connected grading
+    classify agrees with the element-wise test of strong verbal primeness,
+    which implies the division form.
+
+    Returns the names of the failed checks and the verdict of classify's
+    conjugation test (alpha^g ~ alpha), or None where classify does not
+    reach it: a disconnected grading, H not normal or a multiset that is not
+    uniform."""
+    failed = []
+    nf = normalize_with_details(p)
+    norm = nf.presentation
+    if normalize(norm) != norm:
+        failed.append("normalize is idempotent")
+    if not iso_test(p, norm):
+        failed.append("iso_test to the normal form")
+    fresh = Presentation(norm.group, norm.sub, norm.alpha, norm.entries)
+    if compute_KNS(fresh) != _conjugate_chain(p.group, compute_KNS(p), nf.theta):
+        failed.append("chain of the normal form")
+    q = p
+    for _ in range(3):
+        q = apply_move(q, random_move(rng, q))
+        if normalize(q) != norm:
+            failed.append("normalize after a move")
+    if not validate_presentation(p).connected:
+        return failed, None
+    flags = classify(p)
+    if flags.strongly_vp != strongly_vp_by_elements(p):
+        failed.append("classify against the element-wise test")
+    if flags.strongly_vp and not flags.division_form:
+        failed.append("strongly verbally prime without the division form")
+    if not p.sub.is_normal or p.lam.uniform_multiplicity() is None:
+        return failed, None
+    return failed, flags.strongly_vp
 
 
 def factors_along_by_subgroup(grp: Group, sub: SubgroupData, lam: CosetMultiset,

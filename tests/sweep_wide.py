@@ -8,6 +8,14 @@ depth-first closure it replaced, on the generators of build_k_form and on
 every other generator. Outcomes are (k_dim, f_span_full, ok) or the error
 type, and must agree.
 
+The presentation pass runs the checks of the tier-1 presentation sweep
+(helpers.presentation_checks) on helpers.sweep_inputs at m in MODULI, on
+every pool group and on the class-moving ambients of helpers.chain_ambients
+with their subgroup H. It counts the inputs that reach classify's
+conjugation test with each verdict; the pool alone never gives a False, the
+ambients whose outer conjugations move classes do, and the pass fails when
+none does.
+
 The h2 pass runs twisted.h2_classes on every subgroup of each pool group,
 in that group, at m in H2_MODULI, and compares the classes (or the cap
 message) with helpers.h2_classes_by_snf, whose L is the kernel over Z/M of
@@ -32,9 +40,10 @@ Run from the repository root:
 
     PYTHONPATH=src python tests/sweep_wide.py
 
-It prints the outcome counts per mode, the number of h2 cases, identity
-inputs and lead prefixes, and of disagreements, and exits 1 on any
-disagreement or k-form PreconditionError.
+It prints the outcome counts per mode, the number of presentation inputs and
+conjugation verdicts, h2 cases, identity inputs and lead prefixes, and of
+disagreements, and exits 1 on any disagreement, on a k-form
+PreconditionError, or when no input reaches a False conjugation test.
 """
 
 from __future__ import annotations
@@ -61,6 +70,36 @@ MODULI = (2, 3, 4, 6)
 H2_MODULI = (2, 3, 4, 5, 6, 8, 12)
 SEMIDIRECT_SEEDS = (7, 11, 12, 13)
 SEMIDIRECT_COUNT = 4
+
+
+def presentation_pass() -> int:
+    """Prints the presentation input count, the conjugation test verdicts
+    and the disagreements; returns the latter's number, plus 1 when no input
+    reaches a False conjugation test."""
+    start = time.perf_counter()
+    cases = [(grp.name, grp, None) for grp in helpers.group_pool(MAX_ORDER)]
+    cases += [(f"{grp.name} > {name}", grp, [elems])
+              for name, (grp, elems) in sorted(helpers.chain_ambients().items())]
+    inputs, reached, false, mismatches = 0, 0, Counter(), []
+    for label, grp, subs in cases:
+        rng = random.Random(f"presentation-sweep-wide:{label}")
+        for p in helpers.sweep_inputs(grp, MODULI, subs):
+            inputs += 1
+            try:
+                failed, verdict = helpers.presentation_checks(p, rng)
+            except GForgeError as e:  # such as a cross-check's InternalError
+                failed, verdict = [f"{type(e).__name__}: {e}"], None
+            reached += verdict is not None
+            false[label] += verdict is False
+            if failed:
+                mismatches.append((label, p.sub.elements, p.alpha.modulus, p.entries, failed))
+    false = +false  # drops the labels with no False
+    print(f"presentations: {inputs} inputs (pool and class-moving ambients, m in {MODULI}), "
+          f"{time.perf_counter() - start:.1f} s; conjugation test reached on {reached}, "
+          f"False on {false.total()} ({dict(false)}); {len(mismatches)} disagreements")
+    for m in mismatches[:20]:
+        print("  ", m)
+    return len(mismatches) + (not false)
 
 
 def h2_pass() -> int:
@@ -211,7 +250,9 @@ def semidirect_pass() -> int:
 
 
 def main() -> int:
-    return 1 if h2_pass() + kform_pass() + identity_pass() + semidirect_pass() else 0
+    failures = (presentation_pass() + h2_pass() + kform_pass() + identity_pass()
+                + semidirect_pass())
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":

@@ -1,8 +1,9 @@
+import random
 from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gforge.cyclo import (CycScalar, SubfieldDescriptor, as_cyc,
@@ -110,6 +111,19 @@ def test_subfield_descriptor():
     assert q.is_rational() and q.contains(as_cyc(7))
     with pytest.raises(PreconditionError):
         SubfieldDescriptor.from_generators(6, [2])
+    # the walk costs the size of the unit group it reaches, not n
+    assert SubfieldDescriptor.from_generators(10 ** 12 + 1, [-1]).units == (1, 10 ** 12)
+
+
+def test_subfield_closure_matches_pairwise_closure():
+    # from_generators walks the words in the generators; the pairwise
+    # closure multiplies every unit reached by every other
+    for n in range(1, 61):
+        units = [u for u in range(n) if gcd(u, n) == 1]
+        for i, a in enumerate(units):
+            for b in units[i:]:
+                got = SubfieldDescriptor.from_generators(n, [a, b]).units
+                assert got == helpers.unit_closure_pairwise(n, [a, b])
 
 
 def test_subfield_closure_is_a_group():
@@ -171,8 +185,17 @@ def test_arithmetic_matches_reference(a, b):
     assert all(type(c) is Fraction for c in (a * b).coeffs)
 
 
+def _dense(m: int) -> CycScalar:
+    """A seeded scalar at modulus m with every coefficient drawn."""
+    rng = random.Random(m)
+    return CycScalar._make(m, [Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+                               for _ in range(phi(m))])
+
+
 @settings(deadline=None, max_examples=100)
 @given(scalars(), st.integers(1, 40), st.sampled_from((1, 2, 3, 5)))
+@example(_dense(105), 23, 1)
+@example(_dense(120), 7, 2)
 def test_inverse_galois_promotion_match_reference(a, j, step):
     ra = helpers.RefScalar.of(a)
     m = a.modulus
@@ -193,3 +216,16 @@ def test_representation_is_canonical():
     assert CycScalar(6, [Fraction(1, 2), 0]).coeffs == (Fraction(1, 2), Fraction(0))
     with pytest.raises(AttributeError):
         x.modulus = 8
+
+
+@pytest.mark.parametrize("make", [CycScalar, CycScalar._make])
+def test_constructors_check_modulus_and_length(make):
+    # a short list would be truncated by the arithmetic: [1] at 4 plus z4
+    # would read 1
+    with pytest.raises(PreconditionError, match="^need 2 coefficients at modulus 4$"):
+        make(4, [1])
+    with pytest.raises(PreconditionError, match="^need 2 coefficients at modulus 4$"):
+        make(4, [1, 0, 0])
+    with pytest.raises(PreconditionError, match="^modulus must be positive$"):
+        make(0, [1])
+    assert make(4, [1, 0]) + CycScalar.from_root(4, 1) == make(4, [1, 1])

@@ -115,6 +115,28 @@ def test_generating_set_is_small(grp):
     assert 2 ** len(gens) <= grp.order
 
 
+@pytest.mark.parametrize("grp", helpers.group_pool(16), ids=lambda g: g.name)
+def test_closure_matches_pairwise_closure(grp):
+    # closure walks the words in the elements; the pairwise closure
+    # multiplies every element reached by every other, on both sides
+    for a in range(grp.order):
+        for b in range(a, grp.order):
+            assert grp.closure((a, b)) == helpers.closure_pairwise(grp, (a, b))
+    assert grp.closure(()) == (0,)
+
+
+@pytest.mark.parametrize("elems, message", [
+    ((-1,), "out of range: [-1]"),  # it would index the table from its end
+    ((7,), "out of range: [7]"),
+    ((1, 4), "out of range: [4]"),
+    ((1.0,), "must be integers"),
+])
+def test_closure_rejects_elements_outside_the_group(elems, message):
+    with pytest.raises(GroupError) as err:
+        cyclic(4).closure(elems)
+    assert str(err.value) == f"closure elements {message}"
+
+
 def test_covering_generating_set_is_least():
     # on every subgroup of every pool group, the coverage pick generates it
     # with as few elements as any set does, never more than generating_set

@@ -12,8 +12,7 @@ from hypothesis import strategies as st
 from gforge import presentation as presentation_mod
 from gforge import twisted
 from gforge.errors import PreconditionError, PresentationError
-from gforge.groups import (CosetMultiset, SubgroupData, cyclic, dihedral,
-                           direct_product, semidirect_product)
+from gforge.groups import CosetMultiset, SubgroupData, cyclic, direct_product
 from gforge.presentation import (Presentation, _conjugate_chain, apply_move, classify,
                                  compute_KNS, find_theta, full_derivative,
                                  iso_test, iso_witness, minimal_field,
@@ -326,30 +325,6 @@ def _corpus_presentations():
     return found
 
 
-def _swap_factors(hh, x):
-    """C2 acting on C2^3 (index (a*2 + b)*2 + c) by swapping a and b."""
-    return x if hh == 0 else ((x // 2) % 2 * 2 + x // 4) * 2 + x % 2
-
-
-def _chain_ambients():
-    """(G, H) pairs, H of the type named by the key and G adding conjugations
-    of H that are not inner."""
-    c2, c3, c4 = cyclic(2), cyclic(3), cyclic(4)
-    c24 = direct_product(c2, c4)
-    c222 = direct_product(direct_product(c2, c2), c2)
-    return {
-        "C2xC2": (dihedral(4), (0, 2, 4, 6)),
-        "C2xC4": (semidirect_product(c24, c2, lambda h, x: c24.inv(x) if h else x),
-                  tuple(range(0, 16, 2))),
-        "C3xC3": (semidirect_product(direct_product(c3, c3), c2, helpers.swap_action),
-                  tuple(range(0, 18, 2))),
-        "D4": (dihedral(8), tuple(range(0, 16, 2))),
-        "D3": (dihedral(6), tuple(range(0, 12, 2))),
-        "C2xD3": (direct_product(c2, dihedral(3)), tuple(range(12))),
-        "C2^3": (semidirect_product(c222, c2, _swap_factors), tuple(range(0, 16, 2))),
-    }
-
-
 def _chain_fields(chain):
     return {"n": chain.n, "N": chain.N, "S": chain.S,
             "s_characters": chain.s_characters, "field": chain.field}
@@ -361,10 +336,10 @@ def test_chain_matches_word_scan_on_corpus(name):
     assert _chain_fields(compute_KNS(p)) == helpers.scan_chain(p, 4)
 
 
-@pytest.mark.parametrize("name", sorted(_chain_ambients()))
+@pytest.mark.parametrize("name", sorted(helpers.chain_ambients()))
 @pytest.mark.parametrize("m", (2, 3, 4, 6))
 def test_chain_matches_word_scan_on_shifted_classes(name, m):
-    grp, elems = _chain_ambients()[name]
+    grp, elems = helpers.chain_ambients()[name]
     sub = SubgroupData(grp, elems)
     rng = random.Random(f"{name}/{m}")
     for alpha in h2_classes(sub, m):
@@ -394,7 +369,7 @@ def test_normal_form_matches_the_full_table_comparison(monkeypatch):
 
     rng = random.Random("normal-form-ties")
     starts = []
-    for name, (grp, elems) in sorted(_chain_ambients().items()):
+    for name, (grp, elems) in sorted(helpers.chain_ambients().items()):
         sub = SubgroupData(grp, elems)
         for m in (2, 3, 4):
             for alpha in h2_classes(sub, m)[1:3]:
@@ -518,7 +493,7 @@ def test_classify_matches_the_element_wise_test():
     every g in G."""
     rng = random.Random("classify-cosets")
     verdicts = []
-    for name, (grp, elems) in sorted(_chain_ambients().items()):
+    for name, (grp, elems) in sorted(helpers.chain_ambients().items()):
         sub = SubgroupData(grp, elems)
         for m in (2, 3, 4):
             for alpha in h2_classes(sub, m):
@@ -543,19 +518,7 @@ def test_small_case_presentation_sweep(index):
     rng = random.Random(f"presentation-sweep:{index}")
     connected = 0
     for p in helpers.sweep_inputs(grp):
-        nf = normalize_with_details(p)
-        norm = nf.presentation
-        assert normalize(norm) == norm
-        assert iso_test(p, norm)
-        assert compute_KNS(_fresh(norm)) == _conjugate_chain(grp, compute_KNS(p), nf.theta)
-        q = p
-        for _ in range(3):
-            q = apply_move(q, helpers.random_move(rng, q))
-            assert normalize(q) == norm
-        if not validate_presentation(p).connected:
-            continue
-        connected += 1
-        flags = classify(p)
-        assert flags.strongly_vp == helpers.strongly_vp_by_elements(p)
-        assert flags.division_form or not flags.strongly_vp
+        failed, _ = helpers.presentation_checks(p, rng)
+        assert not failed, (p.sub.elements, p.alpha.exps, p.entries, failed)
+        connected += validate_presentation(p).connected
     assert connected
