@@ -155,11 +155,10 @@ class CycScalar:
     __slots__ = ("modulus", "nums", "den")
     __hash__ = None  # equal values may carry different moduli
 
-    def __init__(self, modulus: int, coeffs):
-        nums, den = _integral(modulus, coeffs)
-        _set(self, "modulus", modulus)
-        _set(self, "nums", tuple(nums))
-        _set(self, "den", den)
+    def __new__(cls, modulus: int, coeffs):
+        """The scalar with these power-basis coefficients at modulus, at
+        modulus 1 when its value is rational."""
+        return _demoted(modulus, *_integral(modulus, coeffs))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"CycScalar is immutable; cannot set {name!r}")
@@ -174,10 +173,6 @@ class CycScalar:
         if den == 1:
             return tuple(map(Fraction, self.nums))
         return tuple(Fraction(c, den) for c in self.nums)
-
-    @staticmethod
-    def _make(m: int, coeffs) -> "CycScalar":
-        return _demoted(m, *_integral(m, coeffs))
 
     @staticmethod
     def from_powers(m: int, vec, den: int = 1) -> "CycScalar":

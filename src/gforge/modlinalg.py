@@ -8,9 +8,11 @@ answers kernel and solve queries for A alike (split_echelon), and its image
 part can be kept and reduced against for every right-hand side. The same
 greedy reduction tests membership (reduce_mod) or finds the lex-least member
 of a coset of the span (reduce_least). An Echelon finds the leading column
-of each row once, so a kept echelon is not rescanned on every reduction.
-The vectors that reduce_least fixes are one per coset of the span, so they
-enumerate the quotient (Z/M)^n / span. Everything runs on Python ints.
+of each row once, and at each modulus it is reduced at, the ideal, index and
+unit inverse of each pivot once, so a kept echelon is neither rescanned nor
+re-solved on every reduction. The vectors that reduce_least fixes are one
+per coset of the span, so they enumerate the quotient (Z/M)^n / span.
+Everything runs on Python ints.
 """
 
 from __future__ import annotations
@@ -38,9 +40,11 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
 
 class Echelon(list):
     """Echelon rows sorted by leading column, with those columns (leads),
-    found once when it is built; the rows are not to be changed after."""
+    found once when it is built, and the pivot data of each modulus it is
+    reduced at (pivots), found on the first reduction at that modulus; the
+    rows are not to be changed after, so neither can go stale."""
 
-    __slots__ = ("leads",)
+    __slots__ = ("leads", "_pivots")
 
     def __init__(self, rows=()):
         super().__init__(rows)
@@ -51,6 +55,23 @@ class Echelon(list):
                 raise InternalError("zero generator in echelon basis")
             leads.append(lead)
         self.leads = leads
+        self._pivots = {}
+
+    def pivots(self, M: int) -> list[tuple[int, int, int, int, tuple[int, ...]]]:
+        """Per row at modulus M: (lead, g, M // g, the inverse of v / g mod
+        M // g, the row from its lead on), v the leading entry and
+        g = gcd(v, M); the row's multiples reach exactly the multiples of g
+        at the lead."""
+        data = self._pivots.get(M)
+        if data is None:
+            data = []
+            for lead, row in zip(self.leads, self):
+                v = row[lead]
+                g = gcd(v, M)
+                mi = M // g
+                data.append((lead, g, mi, pow(v // g, -1, mi), tuple(row[lead:])))
+            self._pivots[M] = data
+        return data
 
 
 def howell_echelon(rows, M: int) -> Echelon:
@@ -113,16 +134,14 @@ def _reduce(z, ech, M: int, least: bool):
         ech = Echelon(ech)
     z = [int(x) % M for x in z]
     coeffs = []
-    for lead, g in zip(ech.leads, ech):
-        v = g[lead]
-        gg = gcd(v, M)
-        rest = z[lead] % gg
+    for lead, gg, mi, inv, tail in ech.pivots(M):
+        zl = z[lead]
+        rest = zl % gg
         if rest and not least:
             return None
-        mi = M // gg  # > 1, as 0 < v < M
-        ai = ((z[lead] - rest) // gg) * pow(v // gg, -1, mi) % mi
+        ai = (zl - rest) // gg * inv % mi
         if ai:
-            z[lead:] = [(zz - ai * gi) % M for zz, gi in zip(z[lead:], g[lead:])]
+            z[lead:] = [(zz - ai * gi) % M for zz, gi in zip(z[lead:], tail)]
         coeffs.append(ai)
     return coeffs, z
 

@@ -472,13 +472,25 @@ def find_theta(p1: Presentation, p2: Presentation) -> int | None:
 
 
 def iso_witness(p1: Presentation, p2: Presentation) -> int | None:
-    """An element g with H2 = g H1 g^-1, lam2 = g lam1, alpha2 ~ alpha1^g."""
+    """The least g with H2 = g H1 g^-1, lam2 = g lam1 and alpha2 ~ alpha1^g,
+    or None.
+
+    The subgroup and multiset tests are made for every g. The class of
+    alpha1^g depends only on the left coset g H1: with alpha^g(x, y) =
+    alpha(g^-1 x g, g^-1 y g) as in conjugate_cocycle, alpha^(gh) =
+    (alpha^h)^g, and for h in H1 alpha^h ~ alpha, since conjugation by an
+    element of the subgroup fixes every class (classify uses the same
+    argument). So the cohomology test is made once per coset, keyed by its
+    least element; a coset that passes returns at once, and one that fails
+    is not tested again.
+    """
     if not same_group(p1.group, p2.group):
         raise PreconditionError("presentations live in different ambient groups")
     grp = p1.group
     if p1.sub.order != p2.sub.order or len(p1.entries) != len(p2.entries):
         return None
     h2 = p2.sub.eset
+    failed = set()
     for g in range(grp.order):
         gi = grp.inv(g)
         if {grp.conj(h, gi) for h in p1.sub.elements} != h2:
@@ -487,8 +499,12 @@ def iso_witness(p1: Presentation, p2: Presentation) -> int | None:
             p2.sub, [grp.mul(g, x) for x in p1.entries])
         if moved.counts != p2.lam.counts:
             continue
+        coset = min(grp.mul(g, h) for h in p1.sub.elements)
+        if coset in failed:
+            continue
         if conjugate_is_cohomologous(p1.alpha, g, p2.alpha)[0]:
             return g
+        failed.add(coset)
     return None
 
 

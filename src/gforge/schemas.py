@@ -118,7 +118,7 @@ def parse_scalar(obj) -> CycScalar:
         if den == 0:
             raise ParseError("scalar.coeffs: zero denominator")
         vals.append(Fraction(num, den))
-    return CycScalar._make(m, vals)
+    return CycScalar(m, vals)
 
 
 def scalar_to_json(x: CycScalar) -> dict:

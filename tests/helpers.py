@@ -28,7 +28,7 @@ from gforge.modlinalg import (Echelon, howell_echelon, kernel_mod, reduce_least,
                               solve_in_image, solve_mod, split_echelon, xgcd)
 from gforge.presentation import (NormalForm, Presentation, _conjugate_chain, _factored_form,
                                  apply_move, classify, compute_KNS, iso_test, normalize,
-                                 normalize_with_details, validate_presentation)
+                                 normalize_with_details, same_group, validate_presentation)
 from gforge.twisted import (BinomialDatum, Cocycle, _check_modulus, _cocycle_system,
                             _delta, _expand, _match_perm, binomial_datum,
                             conjugate_cocycle, coboundary_rows,
@@ -389,6 +389,38 @@ def strongly_vp_by_elements(p: Presentation) -> bool:
                for g in range(p.group.order))
 
 
+def iso_witness_every_element(p1: Presentation, p2: Presentation) -> int | None:
+    """presentation.iso_witness as it was before it made one class test per
+    left coset of H1: the subgroup, multiset and class tests for every g."""
+    if not same_group(p1.group, p2.group):
+        raise PreconditionError("presentations live in different ambient groups")
+    grp = p1.group
+    if p1.sub.order != p2.sub.order or len(p1.entries) != len(p2.entries):
+        return None
+    h2 = p2.sub.eset
+    for g in range(grp.order):
+        gi = grp.inv(g)
+        if {grp.conj(h, gi) for h in p1.sub.elements} != h2:
+            continue
+        moved = CosetMultiset.from_elements(
+            p2.sub, [grp.mul(g, x) for x in p1.entries])
+        if moved.counts != p2.lam.counts:
+            continue
+        if conjugate_is_cohomologous(p1.alpha, g, p2.alpha)[0]:
+            return g
+    return None
+
+
+def iso_pairs(p: Presentation, rng: random.Random):
+    """Pairs (p, q) for the iso_witness comparison: q a seeded translate of
+    p, and q = p with alpha replaced by each other class of h2_classes on the
+    same subgroup at the same modulus."""
+    yield p, apply_move(p, {"type": "translate", "g": rng.randrange(p.group.order)})
+    for beta in h2_classes(p.sub, p.alpha.modulus):
+        if beta.exps != p.alpha.exps:
+            yield p, Presentation(p.group, p.sub, beta, p.entries)
+
+
 def presentation_checks(p: Presentation, rng: random.Random) -> tuple[list[str], bool | None]:
     """The checks of the presentation sweep on p: normalize is idempotent,
     constant on three seeded moves and isomorphic to its source, the chain of
@@ -539,6 +571,27 @@ def solve_mod_by_kernel(a_rows, b, M: int) -> tuple[int, ...] | None:
         if sum(c * x for c, x in zip(row, x_acc)) % M != bi % M:
             raise InternalError("solver produced a non-solution")
     return tuple(x_acc)
+
+
+def reduce_per_call(z, ech, M: int, least: bool):
+    """modlinalg._reduce as it was before the pivot data was kept on the
+    Echelon: the gcd, index and inverse of each pivot found on every call."""
+    if not isinstance(ech, Echelon):
+        ech = Echelon(ech)
+    z = [int(x) % M for x in z]
+    coeffs = []
+    for lead, g in zip(ech.leads, ech):
+        v = g[lead]
+        gg = gcd(v, M)
+        rest = z[lead] % gg
+        if rest and not least:
+            return None
+        mi = M // gg
+        ai = ((z[lead] - rest) // gg) * pow(v // gg, -1, mi) % mi
+        if ai:
+            z[lead:] = [(zz - ai * gi) % M for zz, gi in zip(z[lead:], g[lead:])]
+        coeffs.append(ai)
+    return coeffs, z
 
 
 def _flat(alpha: Cocycle, M: int | None = None) -> list[int]:

@@ -16,6 +16,12 @@ conjugation test with each verdict; the pool alone never gives a False, the
 ambients whose outer conjugations move classes do, and the pass fails when
 none does.
 
+The iso pass compares presentation.iso_witness, which makes one class test
+per left coset of H1, with helpers.iso_witness_every_element, which makes
+one per element, on the inputs of the presentation pass: each against a
+seeded translate of itself and against every other class on its subgroup
+(helpers.iso_pairs). The witnesses, or None, must agree.
+
 The h2 pass runs twisted.h2_classes on every subgroup of each pool group,
 in that group, at m in H2_MODULI, and compares the classes (or the cap
 message) with helpers.h2_classes_by_snf, whose L is the kernel over Z/M of
@@ -41,7 +47,7 @@ Run from the repository root:
     PYTHONPATH=src python tests/sweep_wide.py
 
 It prints the outcome counts per mode, the number of presentation inputs and
-conjugation verdicts, h2 cases, identity inputs and lead prefixes, and of
+conjugation verdicts, iso pairs, h2 cases, identity inputs and lead prefixes, and of
 disagreements, and exits 1 on any disagreement, on a k-form
 PreconditionError, or when no input reaches a False conjugation test.
 """
@@ -62,7 +68,7 @@ from gforge.algebra import MODES, GradedAlgebra, build_k_form  # noqa: E402
 from gforge.errors import GForgeError  # noqa: E402
 from gforge.groups import SubgroupData  # noqa: E402
 from gforge.identities import GradedPolynomial, identity_report  # noqa: E402
-from gforge.presentation import normalize, validate_presentation  # noqa: E402
+from gforge.presentation import iso_witness, normalize, validate_presentation  # noqa: E402
 from gforge.twisted import h2_classes  # noqa: E402
 
 MAX_ORDER = 16
@@ -72,18 +78,26 @@ SEMIDIRECT_SEEDS = (7, 11, 12, 13)
 SEMIDIRECT_COUNT = 4
 
 
+def presentation_inputs(seed: str):
+    """(label, rng, inputs) per case of the presentation pass: helpers.sweep_inputs
+    at m in MODULI on every pool group, and on the class-moving ambients of
+    helpers.chain_ambients with their subgroup H; rng is seeded by seed and
+    the label."""
+    cases = [(grp.name, grp, None) for grp in helpers.group_pool(MAX_ORDER)]
+    cases += [(f"{grp.name} > {name}", grp, [elems])
+              for name, (grp, elems) in sorted(helpers.chain_ambients().items())]
+    for label, grp, subs in cases:
+        yield label, random.Random(f"{seed}:{label}"), helpers.sweep_inputs(grp, MODULI, subs)
+
+
 def presentation_pass() -> int:
     """Prints the presentation input count, the conjugation test verdicts
     and the disagreements; returns the latter's number, plus 1 when no input
     reaches a False conjugation test."""
     start = time.perf_counter()
-    cases = [(grp.name, grp, None) for grp in helpers.group_pool(MAX_ORDER)]
-    cases += [(f"{grp.name} > {name}", grp, [elems])
-              for name, (grp, elems) in sorted(helpers.chain_ambients().items())]
     inputs, reached, false, mismatches = 0, 0, Counter(), []
-    for label, grp, subs in cases:
-        rng = random.Random(f"presentation-sweep-wide:{label}")
-        for p in helpers.sweep_inputs(grp, MODULI, subs):
+    for label, rng, ps in presentation_inputs("presentation-sweep-wide"):
+        for p in ps:
             inputs += 1
             try:
                 failed, verdict = helpers.presentation_checks(p, rng)
@@ -100,6 +114,29 @@ def presentation_pass() -> int:
     for m in mismatches[:20]:
         print("  ", m)
     return len(mismatches) + (not false)
+
+
+def iso_pass() -> int:
+    """Prints the iso_witness pair count, the isomorphic pairs and the
+    disagreements; returns the latter's number."""
+    start = time.perf_counter()
+    pairs, isomorphic, mismatches = 0, 0, []
+    for label, rng, ps in presentation_inputs("iso-sweep-wide"):
+        for p in ps:
+            for p1, p2 in helpers.iso_pairs(p, rng):
+                pairs += 1
+                want = helpers.iso_witness_every_element(p1, p2)
+                isomorphic += want is not None
+                if iso_witness(p1, p2) != want:
+                    mismatches.append((label, p1.sub.elements, p1.alpha.modulus,
+                                       p1.entries, p2.sub.elements, p2.entries))
+    print(f"iso_witness: {pairs} pairs (each presentation input against a translate "
+          f"and against every other class on its subgroup), "
+          f"{time.perf_counter() - start:.1f} s; {isomorphic} isomorphic; "
+          f"{len(mismatches)} disagreements with iso_witness_every_element")
+    for m in mismatches[:20]:
+        print("  ", m)
+    return len(mismatches)
 
 
 def h2_pass() -> int:
@@ -250,8 +287,8 @@ def semidirect_pass() -> int:
 
 
 def main() -> int:
-    failures = (presentation_pass() + h2_pass() + kform_pass() + identity_pass()
-                + semidirect_pass())
+    failures = (presentation_pass() + iso_pass() + h2_pass() + kform_pass()
+                + identity_pass() + semidirect_pass())
     return 1 if failures else 0
 
 

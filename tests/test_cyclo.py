@@ -152,7 +152,7 @@ MODULI = (1, 2, 3, 4, 5, 6, 8, 9, 12)
 
 @st.composite
 def scalars(draw, moduli=MODULI):
-    """A scalar made by _make, by a root times a rational, or by promoting
+    """A scalar made by the constructor, by a root times a rational, or by promoting
     either (which can leave a rational value at a modulus above 1)."""
     m = draw(st.sampled_from(moduli))
     kind = draw(st.sampled_from(("make", "root", "promoted")))
@@ -160,7 +160,7 @@ def scalars(draw, moduli=MODULI):
         x = CycScalar.from_root(m, draw(st.integers(0, 2 * m))) * draw(rationals)
     else:
         sparse = st.one_of(st.just(Fraction(0)), rationals)
-        x = CycScalar._make(m, draw(st.lists(sparse, min_size=phi(m), max_size=phi(m))))
+        x = CycScalar(m, draw(st.lists(sparse, min_size=phi(m), max_size=phi(m))))
     if kind == "promoted":
         x = x._promoted(x.modulus * draw(st.sampled_from((1, 2, 3))))
     return x
@@ -188,8 +188,8 @@ def test_arithmetic_matches_reference(a, b):
 def _dense(m: int) -> CycScalar:
     """A seeded scalar at modulus m with every coefficient drawn."""
     rng = random.Random(m)
-    return CycScalar._make(m, [Fraction(rng.randint(-9, 9), rng.randint(1, 6))
-                               for _ in range(phi(m))])
+    return CycScalar(m, [Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+                         for _ in range(phi(m))])
 
 
 @settings(deadline=None, max_examples=100)
@@ -207,25 +207,35 @@ def test_inverse_galois_promotion_match_reference(a, j, step):
 
 
 def test_representation_is_canonical():
-    x = CycScalar._make(4, [Fraction(2, 6), Fraction(-4, 3)])
+    x = CycScalar(4, [Fraction(2, 6), Fraction(-4, 3)])
     assert (x.modulus, x.nums, x.den) == (4, (1, -4), 3)
     assert x.coeffs == (Fraction(1, 3), Fraction(-4, 3))
-    y = CycScalar._make(3, [Fraction(4, 2), Fraction(6, 3)])
+    y = CycScalar(3, [Fraction(4, 2), Fraction(6, 3)])
     assert (y.nums, y.den) == ((2, 2), 1)
     assert CycScalar.zero().nums == (0,) and CycScalar.zero().den == 1
-    assert CycScalar(6, [Fraction(1, 2), 0]).coeffs == (Fraction(1, 2), Fraction(0))
+    assert CycScalar(6, [Fraction(1, 2), 1]).coeffs == (Fraction(1, 2), Fraction(1))
     with pytest.raises(AttributeError):
         x.modulus = 8
 
 
-@pytest.mark.parametrize("make", [CycScalar, CycScalar._make])
-def test_constructors_check_modulus_and_length(make):
+def test_constructor_demotes_a_rational_value():
+    # is_one, is_rational and as_rational read the modulus
+    one = CycScalar(4, [1, 0])
+    assert (one.modulus, one.nums, one.den) == (1, (1,), 1)
+    assert one.is_one() and one == 1
+    assert CycScalar(4, [3, 0]).as_rational() == 3
+    assert CycScalar(6, [Fraction(1, 2), 0]).coeffs == (Fraction(1, 2),)
+    assert CycScalar(12, [0, 0, 0, 0]).is_zero()
+    assert CycScalar(4, [0, 1]).modulus == 4
+
+
+def test_constructors_check_modulus_and_length():
     # a short list would be truncated by the arithmetic: [1] at 4 plus z4
     # would read 1
     with pytest.raises(PreconditionError, match="^need 2 coefficients at modulus 4$"):
-        make(4, [1])
+        CycScalar(4, [1])
     with pytest.raises(PreconditionError, match="^need 2 coefficients at modulus 4$"):
-        make(4, [1, 0, 0])
+        CycScalar(4, [1, 0, 0])
     with pytest.raises(PreconditionError, match="^modulus must be positive$"):
-        make(0, [1])
-    assert make(4, [1, 0]) + CycScalar.from_root(4, 1) == make(4, [1, 1])
+        CycScalar(0, [1])
+    assert CycScalar(4, [1, 0]) + CycScalar.from_root(4, 1) == CycScalar(4, [1, 1])

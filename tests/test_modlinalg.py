@@ -9,8 +9,8 @@ import pytest
 from gforge import twisted
 from gforge.errors import PreconditionError
 from gforge.groups import SubgroupData
-from gforge.modlinalg import (howell_echelon, kernel_mod, reduce_mod, solve_mod,
-                              split_echelon)
+from gforge.modlinalg import (howell_echelon, kernel_mod, reduce_least, reduce_mod,
+                              solve_mod, split_echelon)
 
 import helpers
 
@@ -107,6 +107,58 @@ def test_reduce_mod_decides_membership(M):
                 c, rem = red
                 combo = [sum(ci * g[t] for ci, g in zip(c, ech)) for t in range(n)]
                 assert tuple((zt - ct) % M for zt, ct in zip(z, combo)) == tuple(rem)
+
+
+def _echelon_and_vectors(rng, M):
+    """A seeded Howell echelon over Z/M whose rows lead with units and non-units
+    alike, and vectors to reduce: members of its span with and without a
+    random vector added."""
+    divisors = [d for d in range(1, M + 1) if M % d == 0]
+    n = rng.randint(1, 6)
+    rows = [[rng.randrange(M) * rng.choice(divisors) % M for _ in range(n)]
+            for _ in range(rng.randint(1, 4))]
+    ech = howell_echelon(rows, M)
+    vectors = []
+    for _ in range(8):
+        z = [sum(rng.randrange(M) * r[t] for r in rows) % M for t in range(n)]
+        if rng.random() < 0.5:
+            z = [(x + rng.randrange(M)) % M for x in z]
+        vectors.append(z)
+    return ech, vectors
+
+
+@pytest.mark.parametrize("M", (2, 4, 6, 8, 12, 36, 48))
+def test_reductions_match_the_per_call_reduction(M):
+    """reduce_mod and reduce_least read the pivot data kept on the Echelon
+    and give what finding each pivot's gcd, index and inverse on every call
+    gives, None included."""
+    rng = random.Random(300 + M)
+    outcomes = set()
+    for _ in range(40):
+        ech, vectors = _echelon_and_vectors(rng, M)
+        for z in vectors:
+            want = helpers.reduce_per_call(z, ech, M, least=False)
+            assert reduce_mod(z, ech, M) == want, (ech, z)
+            assert reduce_least(z, ech, M) == helpers.reduce_per_call(z, ech, M, least=True)[1]
+            outcomes.add(want is None)
+    # over a field every lead is a unit, and no reduction stops
+    assert outcomes == ({False} if M == 2 else {True, False})
+
+
+def test_kept_echelon_reduces_at_two_moduli():
+    """One echelon reduced at 12 and 36 in turn: the pivot data of each
+    modulus is its own, found once, and the rows are unchanged."""
+    rng = random.Random(12)
+    ech, vectors = _echelon_and_vectors(rng, 12)
+    while len(ech) < 2:
+        ech, vectors = _echelon_and_vectors(rng, 12)
+    rows, leads = list(ech), list(ech.leads)
+    for M in (12, 36, 12, 36):
+        for z in vectors:
+            assert reduce_mod(z, ech, M) == helpers.reduce_per_call(z, ech, M, least=False)
+            assert reduce_least(z, ech, M) == helpers.reduce_per_call(z, ech, M, least=True)[1]
+        assert ech.pivots(M) is ech.pivots(M)
+    assert list(ech) == rows and ech.leads == leads
 
 
 def test_degenerate_shapes():

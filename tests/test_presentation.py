@@ -299,6 +299,65 @@ def test_iso_witness_and_test(p_swap_raw, p_swap, p_pauli):
     assert iso_witness(p_swap_raw, shorter) is None
 
 
+def _iso_inputs():
+    """(label, group, subgroups, moduli) of the iso_witness comparison: every
+    pool group at m = 2, the non-normal D8 subgroup of order 4 and the
+    class-moving ambients of chain_ambients with their subgroup H."""
+    cases = [(grp.name, grp, None, (2,)) for grp in helpers.group_pool(16)]
+    d8 = next(grp for grp in helpers.group_pool(16) if grp.name == "D8")
+    cases.append(("D8/4", d8, [(0, 4, 8, 12)], (2, 4)))
+    cases += [(f"{grp.name} > {name}", grp, [elems], (2, 3, 4))
+              for name, (grp, elems) in sorted(helpers.chain_ambients().items())]
+    return cases
+
+
+@pytest.mark.parametrize("label, grp, subs, moduli",
+                         [pytest.param(*case, id=case[0]) for case in _iso_inputs()])
+def test_iso_witness_matches_the_every_element_test(label, grp, subs, moduli):
+    """iso_witness makes one class test per left coset of H1; it returns the
+    same least witness, or None, as the class test for every g, on each
+    sweep input against a seeded translate of itself and against every
+    other class on its subgroup."""
+    assert label != "D8/4" or not SubgroupData(grp, subs[0]).is_normal
+    rng = random.Random(f"iso-witness:{label}")
+    for p in helpers.sweep_inputs(grp, moduli, subs):
+        for p1, p2 in helpers.iso_pairs(p, rng):
+            assert iso_witness(p1, p2) == helpers.iso_witness_every_element(p1, p2), (p1, p2)
+
+
+def test_iso_witness_tests_each_left_coset_once(monkeypatch):
+    """On non-isomorphic class pairs with H1 = C3 x C3, iso_witness makes
+    one class test per left coset of H1 among the elements that pass the
+    multiset test, where the element-wise test made one per element."""
+    calls = []
+    real = presentation_mod.conjugate_is_cohomologous
+
+    def spy(alpha, g, beta):
+        calls.append(g)
+        return real(alpha, g, beta)
+
+    c3 = cyclic(3)
+    c33 = direct_product(c3, c3)
+    swap_grp, swap_elems = helpers.chain_ambients()["C3xC3"]
+    for grp, elems, entries in ((c33, tuple(range(9)), (0,)),
+                                (swap_grp, swap_elems, (0, 1))):
+        sub = SubgroupData(grp, elems)
+        alpha, beta = h2_classes(sub, 3)[:2]
+        p1 = Presentation(grp, sub, alpha, entries)
+        p2 = Presentation(grp, sub, beta, entries)
+        assert helpers.iso_witness_every_element(p1, p2) is None
+        passing = [g for g in range(grp.order)
+                   if CosetMultiset.from_elements(sub, [grp.mul(g, x) for x in entries])
+                   == p2.lam]
+        cosets = {min(grp.mul(g, h) for h in elems) for g in passing}
+        with monkeypatch.context() as mp:
+            mp.setattr(presentation_mod, "conjugate_is_cohomologous", spy)
+            assert iso_witness(p1, p2) is None
+        assert len(calls) == len(cosets) < len(passing)
+        assert {min(grp.mul(g, h) for h in elems) for g in calls} == cosets
+        calls.clear()
+
+
 @settings(deadline=None, max_examples=25)
 @given(st.data())
 def test_moves_preserve_normal_form(data):
