@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from math import gcd, lcm
 
 from .config import CAPS
-from .cyclo import (CycScalar, SubfieldDescriptor, _demoted, _power_rows, _scalar,
+from .cyclo import (CycScalar, SubfieldDescriptor, _demoted, _power_rows, _rational,
                     as_cyc, phi)
 from .errors import CapExceeded, InternalError, PreconditionError, PresentationError
 from .groups import SubgroupData, subgroup_group
@@ -332,8 +332,9 @@ def multiply(x: AlgElement, y: AlgElement) -> AlgElement:
     cleared of its denominators and expanded into monomials (exponent at L,
     integer). Each pair of monomials adds sign * v1 * v2 at one flat index
     slot * L + exponent, read off the algebra's product table at L, and each
-    output slot is reduced to a scalar once: at modulus L, or at 1 when
-    rational, which is the modulus that adding the terms one by one gives.
+    output slot is reduced to a scalar once, by cyclo._rational at L = 1 and
+    by cyclo._demoted at L > 1: at modulus L, or at 1 when rational, which is
+    the modulus that adding the terms one by one gives.
     Output keys come in the order their slots are first reached. With mixed
     moduli that modulus depends on the partial sums, so each pair is added
     as a scalar product instead.
@@ -381,7 +382,7 @@ def multiply(x: AlgElement, y: AlgElement) -> AlgElement:
                 base, _, sign = row[pb]
                 k = base + at_i + l
                 acc[k] = get(k, 0) + sign * v1 * v2
-        return _element(alg, {triples[k]: _scalar(1, (v,), den) for k, v in acc.items() if v})
+        return _element(alg, {triples[k]: _rational(v, den) for k, v in acc.items() if v})
 
     ys = {k: [(pb, l * L, t, v) for pb, l, cb in terms for t, v in _monomials(cb, L, dy)]
           for k, terms in by_row.items()}

@@ -9,6 +9,10 @@ terms. Values that turn out rational are demoted to modulus 1, and
 mixed-modulus arithmetic promotes both sides to the lcm, so equality is field
 equality. CycScalar is deliberately unhashable: equal values can carry
 different moduli.
+
+Every scalar is made by _scalar, or by _rational for a value at modulus 1;
+they are the only places the slots are written, through the slots' member
+descriptors, and they keep the form canonical.
 """
 
 from __future__ import annotations
@@ -125,26 +129,40 @@ def _integral(m: int, coeffs) -> tuple[list[int], int]:
 
 
 _new_object = object.__new__
-_set = object.__setattr__
 
 
 def _scalar(m: int, nums, den: int = 1) -> "CycScalar":
-    """The scalar nums / den at modulus m, with the common factor removed."""
+    """The scalar nums / den at modulus m, for den > 0, with the common
+    factor removed. With _rational, the only place the slots are written."""
     g = gcd(den, *nums)
     if g != 1:
         nums = [c // g for c in nums]
         den //= g
     x = _new_object(CycScalar)
-    _set(x, "modulus", m)
-    _set(x, "nums", tuple(nums))
-    _set(x, "den", den)
+    _set_modulus(x, m)
+    _set_nums(x, tuple(nums))
+    _set_den(x, den)
+    return x
+
+
+def _rational(v: int, den: int = 1) -> "CycScalar":
+    """The rational scalar v / den at modulus 1, for den > 0, in lowest
+    terms. With _scalar, the only place the slots are written."""
+    g = gcd(v, den)
+    if g != 1:
+        v //= g
+        den //= g
+    x = _new_object(CycScalar)
+    _set_modulus(x, 1)
+    _set_nums(x, (v,))
+    _set_den(x, den)
     return x
 
 
 def _demoted(m: int, nums, den: int = 1) -> "CycScalar":
-    """_scalar, at modulus 1 when the value is rational."""
-    if m > 1 and not any(nums[1:]):
-        return _scalar(1, nums[:1], den)
+    """_scalar, or _rational when the value is rational."""
+    if not any(nums[1:]):
+        return _rational(nums[0], den)
     return _scalar(m, nums, den)
 
 
@@ -183,7 +201,7 @@ class CycScalar:
     @staticmethod
     def from_rational(q) -> "CycScalar":
         q = Fraction(q)
-        return _scalar(1, (q.numerator,), q.denominator)
+        return _rational(q.numerator, q.denominator)
 
     @staticmethod
     def from_root(m: int, k: int) -> "CycScalar":
@@ -192,11 +210,11 @@ class CycScalar:
 
     @staticmethod
     def zero() -> "CycScalar":
-        return _scalar(1, (0,))
+        return _rational(0)
 
     @staticmethod
     def one() -> "CycScalar":
-        return _scalar(1, (1,))
+        return _rational(1)
 
     def _promoted(self, m: int) -> "CycScalar":
         if m == self.modulus:
@@ -244,7 +262,7 @@ class CycScalar:
         a, b = self._pair(other)
         m = a.modulus
         if m == 1:
-            return _scalar(1, (a.nums[0] * b.nums[0],), a.den * b.den)
+            return _rational(a.nums[0] * b.nums[0], a.den * b.den)
         return CycScalar.from_powers(m, _convolve(a.nums, b.nums), a.den * b.den)
 
     __rmul__ = __mul__
@@ -257,8 +275,8 @@ class CycScalar:
             raise ZeroDivisionError("inverse of zero")
         m = self.modulus
         if m == 1:
-            q = self.den / Fraction(self.nums[0])
-            return _scalar(1, (q.numerator,), q.denominator)
+            v = self.nums[0]
+            return _rational(-self.den if v < 0 else self.den, abs(v))
         rest = prod((self.galois(j) for j in range(2, m) if gcd(j, m) == 1),
                     start=CycScalar.one())
         norm = self * rest
@@ -328,6 +346,12 @@ class CycScalar:
                 base = "1" if i == 0 else (f"z{self.modulus}" if i == 1 else f"z{self.modulus}^{i}")
                 terms.append(f"{c}*{base}" if i else f"{c}")
         return "Cyc(" + (" + ".join(terms) or "0") + ")"
+
+
+# the slot setters bypass CycScalar.__setattr__, which refuses every write
+_set_modulus = CycScalar.modulus.__set__
+_set_nums = CycScalar.nums.__set__
+_set_den = CycScalar.den.__set__
 
 
 def as_cyc(x) -> CycScalar:

@@ -1286,6 +1286,26 @@ class RefScalar:
         return "Cyc(" + (" + ".join(terms) or "0") + ")"
 
 
+def dense_element(rng, alg, moduli, share=0.6) -> AlgElement:
+    """Random coefficients on a random share of the basis: rationals, roots
+    of unity and sums of two roots at the given moduli, times rationals."""
+    terms = {}
+    for t in alg._deg:
+        if rng.random() < share:
+            n = rng.choice(moduli)
+            c = CycScalar.from_root(n, rng.randrange(n))
+            if rng.random() < 0.3:
+                c = c + CycScalar.from_root(n, rng.randrange(n))
+            terms[t] = c * Fraction(rng.choice((1, -1, 2, -3)), rng.choice((1, 2, 3)))
+    return alg.element(terms)
+
+
+def scalar_slots(x: AlgElement) -> list:
+    """(key, (modulus, nums, den)) per term of x, in key order: what two
+    products must share to be the same output."""
+    return [(k, (c.modulus, c.nums, c.den)) for k, c in x.terms.items()]
+
+
 def multiply_pairwise(x, y) -> dict:
     """The product of two algebra elements, one full scalar product per
     pair of terms, on reference scalars: key -> RefScalar, zeros dropped."""

@@ -34,6 +34,16 @@ modes differ, and counts the outcomes per mode. Every input must return a
 report: a cocycle whose roots leave Q(zeta_big) is closed on a
 mu_n-valued representative, so a PreconditionError counts as a fault.
 
+The product pass multiplies seeded dense elements (helpers.dense_element)
+of the algebra of each normal form of the k-form pass, both ways round,
+with coefficients at modulus 1, at the cocycle modulus m, and at 1, m and
+an n that does not divide m, and compares algebra.multiply with
+helpers.multiply_by_rows, the per-key vector kernel it replaced: keys, key
+order and (modulus, nums, den) per key must agree. It counts the products
+per kernel: one working modulus L = 1, L = m or L = n, or mixed moduli
+(operands at modulus 1 take L = m when the cocycle's roots are not +-1, and
+roots at m = 2 are rational).
+
 The identity pass runs identity_report on the normal forms of the k-form
 pass whose tuples repeat an entry, where the oracle scans only the lead
 prefixes that are lex-least under the position symmetry, and compares every
@@ -47,8 +57,8 @@ Run from the repository root:
     PYTHONPATH=src python tests/sweep_wide.py
 
 It prints the outcome counts per mode, the number of presentation inputs and
-conjugation verdicts, iso pairs, h2 cases, identity inputs and lead prefixes, and of
-disagreements, and exits 1 on any disagreement, on a k-form
+conjugation verdicts, iso pairs, h2 cases, products per kernel, identity inputs
+and lead prefixes, and of disagreements, and exits 1 on any disagreement, on a k-form
 PreconditionError, or when no input reaches a False conjugation test.
 """
 
@@ -64,7 +74,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 import helpers  # noqa: E402
-from gforge.algebra import MODES, GradedAlgebra, build_k_form  # noqa: E402
+from gforge.algebra import MODES, GradedAlgebra, build_k_form, multiply  # noqa: E402
 from gforge.errors import GForgeError  # noqa: E402
 from gforge.groups import SubgroupData  # noqa: E402
 from gforge.identities import GradedPolynomial, identity_report  # noqa: E402
@@ -76,6 +86,7 @@ MODULI = (2, 3, 4, 6)
 H2_MODULI = (2, 3, 4, 5, 6, 8, 12)
 SEMIDIRECT_SEEDS = (7, 11, 12, 13)
 SEMIDIRECT_COUNT = 4
+PRODUCT_SHARE = 0.6
 
 
 def presentation_inputs(seed: str):
@@ -206,6 +217,36 @@ def kform_pass() -> int:
     return len(mismatches)
 
 
+def product_pass() -> int:
+    """Prints the product counts per kernel and the disagreements; returns
+    the latter's number."""
+    start = time.perf_counter()
+    kernels, mismatches, forms = Counter(), [], 0
+    for grp, q in normal_forms(Counter()):
+        forms += 1
+        alg = GradedAlgebra(q)
+        m = alg.alpha.modulus
+        n = next(k for k in (3, 4, 5, 8) if m % k)
+        rng = random.Random(f"product-sweep-wide:{grp.name}:{q.sub.elements}:{m}:"
+                            f"{q.alpha.exps}:{q.entries}")
+        for moduli in ((1,), (m,), (1, m, n)):
+            x, y = (helpers.dense_element(rng, alg, moduli, PRODUCT_SHARE) for _ in range(2))
+            for a, b in ((x, y), (y, x)):
+                used = ({alg._root_modulus} | {c.modulus for c in a.terms.values()}
+                        | {c.modulus for c in b.terms.values()}) - {1}
+                kernels["mixed moduli" if len(used) > 1 else "L = 1" if not used
+                        else "L = m" if m in used else "L = n"] += 1
+                if (helpers.scalar_slots(multiply(a, b))
+                        != helpers.scalar_slots(helpers.multiply_by_rows(a, b))):
+                    mismatches.append((grp.order, q.sub.elements, m, q.entries, moduli))
+    print(f"products: {kernels.total()} on {forms} normal forms ({dict(sorted(kernels.items()))}), "
+          f"{time.perf_counter() - start:.1f} s; {len(mismatches)} disagreements "
+          "with multiply_by_rows")
+    for m in mismatches[:20]:
+        print("  ", m)
+    return len(mismatches)
+
+
 def identity_pass() -> int:
     """Prints the identity inputs, lead prefix counts and disagreements;
     returns the latter's number."""
@@ -288,7 +329,7 @@ def semidirect_pass() -> int:
 
 def main() -> int:
     failures = (presentation_pass() + iso_pass() + h2_pass() + kform_pass()
-                + identity_pass() + semidirect_pass())
+                + product_pass() + identity_pass() + semidirect_pass())
     return 1 if failures else 0
 
 

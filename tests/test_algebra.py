@@ -19,6 +19,7 @@ from gforge.twisted import h2_classes, shift_by_coboundary, trivial_cocycle
 from gforge.presentation import Presentation, normalize, validate_presentation
 
 import helpers
+from helpers import dense_element as _dense
 
 
 def test_dimensions(algebras):
@@ -328,20 +329,6 @@ def _shifted_k4_algebra():
     return GradedAlgebra(Presentation(grp, sub, alpha, (0,)))
 
 
-def _dense(rng, alg, moduli, share=0.6):
-    """Random coefficients on a random share of the basis: rationals, roots
-    of unity and sums of two roots at the given moduli, times rationals."""
-    terms = {}
-    for t in alg._deg:
-        if rng.random() < share:
-            n = rng.choice(moduli)
-            c = CycScalar.from_root(n, rng.randrange(n))
-            if rng.random() < 0.3:
-                c = c + CycScalar.from_root(n, rng.randrange(n))
-            terms[t] = c * Fraction(rng.choice((1, -1, 2, -3)), rng.choice((1, 2, 3)))
-    return alg.element(terms)
-
-
 def assert_matches_pairwise(x, y):
     got = multiply(x, y).terms
     want = helpers.multiply_pairwise(x, y)
@@ -436,6 +423,25 @@ def test_multiply_keeps_a_slot_whose_first_exponent_cancels(algebras):
     assert prod.terms[(0, 0, 0)].is_one()
     assert_same_product(prod, helpers.multiply_by_rows(x, y))
     assert_matches_pairwise(x, y)
+
+
+def test_multiply_reduces_output_slots_to_lowest_terms(algebras):
+    """At L = 4, slot (0, 0, 0) sums to -2 / 4 over the common denominator
+    and is demoted to (1, (-1,), 2); at L = 1 it sums to -4 / 12 and reduces
+    to (1, (-1,), 3)."""
+    a = algebras["mat3"]
+    z4 = CycScalar.from_root(4, 1)
+    x = a.element({(0, 0, 0): z4, (0, 1, 0): Fraction(1, 2)})
+    y = a.element({(0, 0, 0): z4 * Fraction(1, 2)})
+    prod = multiply(x, y)
+    assert helpers.scalar_slots(prod) == [((0, 0, 0), (1, (-1,), 2)),
+                                          ((0, 1, 0), (4, (0, 1), 4))]
+    assert_same_product(prod, helpers.multiply_by_rows(x, y))
+    x = a.element({(0, 0, 0): Fraction(1, 2), (0, 0, 1): Fraction(1, 3)})
+    y = a.element({(0, 0, 0): -1, (0, 1, 0): Fraction(1, 2)})
+    prod = multiply(x, y)
+    assert helpers.scalar_slots(prod) == [((0, 0, 0), (1, (-1,), 3))]
+    assert_same_product(prod, helpers.multiply_by_rows(x, y))
 
 
 def test_product_tables_stay_with_their_algebra():

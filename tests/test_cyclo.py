@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 from math import gcd
@@ -6,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gforge.cyclo import (CycScalar, SubfieldDescriptor, as_cyc,
+from gforge.cyclo import (CycScalar, SubfieldDescriptor, _rational, as_cyc,
                           cyclotomic_polynomial, divisors, phi)
 from gforge.errors import PreconditionError
 
@@ -216,6 +218,59 @@ def test_representation_is_canonical():
     assert CycScalar(6, [Fraction(1, 2), 1]).coeffs == (Fraction(1, 2), Fraction(1))
     with pytest.raises(AttributeError):
         x.modulus = 8
+
+
+def assert_canonical(x):
+    """The form __eq__ compares: a tuple of phi(modulus) numerators over a
+    positive denominator, with no common factor."""
+    assert type(x) is CycScalar and type(x.nums) is tuple
+    assert len(x.nums) == phi(x.modulus)
+    assert x.den > 0 and gcd(x.den, *x.nums) == 1
+
+
+@settings(deadline=None, max_examples=150)
+@given(scalars(), scalars(), st.integers(1, 40), st.sampled_from((1, 2, 3)), rationals,
+       st.lists(st.integers(-12, 12), max_size=30), st.integers(1, 12))
+@example(CycScalar.from_rational(Fraction(-2, 3)), CycScalar.from_rational(-6), 1, 1,
+         Fraction(-4, 6), [2, 0, 4], 6)
+def test_results_are_canonical(a, b, j, step, q, vec, den):
+    m = a.modulus
+    results = [a + b, a - b, a * b, -a, a._promoted(m * step), CycScalar.from_root(m, j),
+               CycScalar.from_powers(m, vec, den), CycScalar.from_rational(q)]
+    if not b.is_zero():
+        results += [a / b, b.inverse()]
+    if gcd(j, m) == 1:
+        results.append(a.galois(j))
+    for x in results:
+        assert_canonical(x)
+
+
+def _every_constructor() -> list[CycScalar]:
+    z = CycScalar.from_root(12, 5)
+    return [CycScalar(6, [Fraction(1, 2), 3]), CycScalar(4, [Fraction(-2, 4), 0]),
+            CycScalar.from_powers(8, [1, 0, 2, 0, 0, 1], 4), CycScalar.from_rational(Fraction(-3, 9)),
+            z, CycScalar.zero(), CycScalar.one(), _rational(-6, 4), _rational(5),
+            z + 1, z * z, z.inverse(), z._promoted(24), (z + 1).galois(5)]
+
+
+@pytest.mark.parametrize("index", range(len(_every_constructor())))
+def test_pickle_round_trip_and_immutability(index):
+    x = _every_constructor()[index]
+    assert_canonical(x)
+    slots = (x.modulus, x.nums, x.den)
+    for y in (x, pickle.loads(pickle.dumps(x)), copy.deepcopy(x), copy.copy(x)):
+        assert type(y) is CycScalar and y == x
+        for name, value in (("modulus", 2), ("nums", (1,)), ("den", 3)):
+            with pytest.raises(AttributeError):
+                setattr(y, name, value)
+        assert (y.modulus, y.nums, y.den) == slots
+
+
+def test_rational_constructor_reduces_and_keeps_the_sign_on_the_numerator():
+    assert [(x.modulus, x.nums, x.den) for x in (_rational(-6, 4), _rational(0, 5), _rational(7))] \
+        == [(1, (-3,), 2), (1, (0,), 1), (1, (7,), 1)]
+    inv = _rational(-2, 3).inverse()
+    assert (inv.modulus, inv.nums, inv.den) == (1, (-3,), 2)
 
 
 def test_constructor_demotes_a_rational_value():
