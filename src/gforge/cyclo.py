@@ -12,7 +12,8 @@ different moduli.
 
 Every scalar is made by _scalar, or by _rational for a value at modulus 1;
 they are the only places the slots are written, through the slots' member
-descriptors, and they keep the form canonical.
+descriptors, and they keep the form canonical. Setting or deleting a slot
+from outside raises AttributeError.
 """
 
 from __future__ import annotations
@@ -180,6 +181,9 @@ class CycScalar:
 
     def __setattr__(self, name, value):
         raise AttributeError(f"CycScalar is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"CycScalar is immutable; cannot delete {name!r}")
 
     def __reduce__(self):
         return _scalar, (self.modulus, self.nums, self.den)

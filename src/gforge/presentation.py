@@ -12,6 +12,9 @@ Galois data and minimal field, tuple derivatives, and isomorphism testing.
 K is computed three independent ways (multiset stabilizer, coset-frequency
 preservation, literal factoring of the multiset) and the results are cross
 checked at runtime; a mismatch raises InternalError rather than guessing.
+K, N and S are unions of right H-cosets in N_G(H), so the chain is computed
+on one representative per coset and every check runs on the representatives;
+find_theta reads the same coset-level stabilizer.
 The factoring check and the K blocks of the normal form go through
 CosetMultiset.blocks_along, which reads the group table and builds no subgroup.
 The root-of-unity data comes from cohomology solves over Z/M with
@@ -40,10 +43,10 @@ from .groups import CosetMultiset, Group, SubgroupData, all_ints
 from .twisted import (
     Cocycle,
     _conjugation_positions,
+    _galois_characters,
     class_order,
     conjugate_cocycle,
     conjugate_is_cohomologous,
-    galois_character,
 )
 
 
@@ -187,9 +190,35 @@ def related_reps(grp: Group, sub: SubgroupData, a: int, b: int) -> bool:
     return any(grp.mul(grp.mul(ai, h), b) in sub.eset for h in sub.elements)
 
 
+def _coset_stabilizer(p: Presentation) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(reps, stab): reps holds one element per right H-coset of N_G(H),
+    the least, so sub.transversal meets N_G(H) in reps; stab holds the r in
+    reps with r lam = lam. For g in N_G(H) the translation Hb -> Hgb of lam
+    depends only on the coset Hg, since H(hg)b = Hgb, so the stabilizer of
+    lam in N_G(H) is the union of the cosets H r, r in stab."""
+    sub, lam = p.sub, p.lam
+    ngh = set(sub.normalizer)
+    reps = tuple(r for r in sub.transversal if r in ngh)
+    return reps, tuple(r for r in reps if lam.translated(r) == lam)
+
+
+def _union(sub: SubgroupData, reps) -> tuple[int, ...]:
+    """The elements of the H-cosets keyed by reps, sorted."""
+    return tuple(sorted(x for r in reps for x in sub.cosets[r]))
+
+
 def compute_KNS(p: Presentation, word_bound: int | None = None) -> InvariantChain:
     """The invariant chain H <= S <= K <= N_G(H) of p, with n, the Galois
     characters of S and the minimal field.
+
+    K, N and S are unions of right H-cosets of N_G(H), and the Galois
+    character is constant on each, so the chain is computed on one
+    representative per coset, its least element (_coset_stabilizer), and
+    expanded to sorted elements at the end. Every check holds on the
+    representatives exactly when it holds on the elements: for r1 in
+    N_G(H), (H r1)(H r2) = H r1 r2, so a union of cosets is closed, and the
+    characters are multiplicative, when the coset ids of the products of
+    representatives say so.
 
     The first call on p computes the chain, with every cross-check, and
     keeps it on p; later calls return it, with word_bound set to the bound
@@ -200,56 +229,54 @@ def compute_KNS(p: Presentation, word_bound: int | None = None) -> InvariantChai
     if kept is not None:
         return kept if kept.word_bound == L else replace(kept, word_bound=L)
     grp, sub, lam = p.group, p.sub, p.lam
-    ngh = sub.normalizer
+    cid, mul = sub.coset_id_of, grp._mul
 
-    k_stab = tuple(g for g in ngh if lam.translated(g) == lam)
+    reps, k_reps = _coset_stabilizer(p)
     k_freq = tuple(
-        g for g in ngh
-        if all(lam.multiplicity(grp.mul(g, b)) == lam.multiplicity(b)
+        r for r in reps
+        if all(lam.multiplicity(mul[r][b]) == lam.multiplicity(b)
                for b in sub.transversal)
     )
-    if not grp.is_subgroup(k_stab):
+    k_ids = set(k_reps)
+    if 0 not in k_ids or any(cid[mul[a][b]] not in k_ids for a in k_reps for b in k_reps):
         raise InternalError("the stabilizer K is not closed under multiplication")
-    k_set = set(k_stab)
-    factored = lam.blocks_along(k_set) is not None
-    # <K, g> is the same subgroup for every g in one coset gK, so the scan
-    # takes one g per coset of K in N_G(H) outside K
-    scanned = set(k_set)
+    k_elems = _union(sub, k_reps)
+    factored = lam.blocks_along(k_elems) is not None
+    # <K, r> is the same subgroup for every r in one coset rK, the union of
+    # the H-cosets H r k, so the scan takes one r per coset of K in N_G(H)
+    # outside K
+    scanned = set(k_ids)
     maximal = True
-    for g in ngh:
-        if g in scanned:
+    for r in reps:
+        if r in scanned:
             continue
-        scanned.update(grp.mul(g, k) for k in k_stab)
-        if lam.blocks_along(grp.closure(k_stab + (g,))) is not None:
+        scanned.update(cid[mul[r][k]] for k in k_reps)
+        if lam.blocks_along(grp.closure(k_elems + (r,))) is not None:
             maximal = False
             break
-    if not (k_set == set(k_freq) and factored and maximal):
+    if not (k_reps == k_freq and factored and maximal):
         raise InternalError("stabilizer, frequency, and factoring disagree on K")
 
     n = class_order(p.alpha)
-    coset_char: dict[int, int | None] = {}
-    for g in ngh:
-        cid = sub.coset_id_of[g]
-        if cid not in coset_char:
-            coset_char[cid] = galois_character(g, p.alpha, n)
-    n_part = tuple(g for g in ngh if coset_char[sub.coset_id_of[g]] is not None)
-    s_part = tuple(sorted(k_set & set(n_part)))
-    if not sub.eset <= set(s_part):
+    char_of = dict(zip(reps, _galois_characters(p.alpha, n, reps)))
+    s_reps = [r for r in k_reps if char_of[r] is not None]
+    if 0 not in s_reps:
         raise InternalError("the subgroup must be contained in S")
-    chars = [(s, coset_char[sub.coset_id_of[s]]) for s in s_part]
-    char_of = dict(chars)
-    for s1 in s_part:
-        for s2 in s_part:
-            if (char_of[s1] * char_of[s2] - char_of[grp.mul(s1, s2)]) % n:
+    for a in s_reps:
+        for b in s_reps:
+            ab = char_of[cid[mul[a][b]]]
+            if ab is None or (char_of[a] * char_of[b] - ab) % n:
                 raise InternalError("Galois characters are not multiplicative")
-    sbar = tuple(sorted({j for _, j in chars}))
+    sbar = tuple(sorted({char_of[r] for r in s_reps}))
     field = SubfieldDescriptor.from_generators(n, sbar)
     if set(field.units) != set(sbar):
         raise InternalError("character image is not closed under multiplication")
+    s_part = _union(sub, s_reps)
     chain = InvariantChain(
-        K=tuple(sorted(k_set)), N=n_part, S=s_part,
-        n=n, image_stable=True, word_bound=L,
-        s_characters=tuple(chars), sbar_image=sbar, field=field,
+        K=k_elems, N=_union(sub, (r for r in reps if char_of[r] is not None)),
+        S=s_part, n=n, image_stable=True, word_bound=L,
+        s_characters=tuple((s, char_of[cid[s]]) for s in s_part),
+        sbar_image=sbar, field=field,
     )
     object.__setattr__(p, "_chain", chain)
     return chain
@@ -467,8 +494,10 @@ def find_theta(p1: Presentation, p2: Presentation) -> int | None:
         raise InternalError("equal derivatives must give a normalizing translation")
     if not p1.lam.translated(theta0).matches(p2.lam):
         raise InternalError("translation witness does not carry the multiset")
-    stab = [g for g in p1.sub.normalizer if p1.lam.translated(g) == p1.lam]
-    return min(grp.mul(theta0, s) for s in stab)
+    # theta0 normalizes H, so theta0 H r = H theta0 r, whose least element
+    # is its coset id
+    _, stab = _coset_stabilizer(p1)
+    return min(p1.sub.coset_id_of[grp.mul(theta0, r)] for r in stab)
 
 
 def iso_witness(p1: Presentation, p2: Presentation) -> int | None:

@@ -462,18 +462,27 @@ def galois_character(g: int, alpha: Cocycle, n: int | None = None) -> int | None
         n = class_order(alpha)
     if n < 1 or alpha.modulus % n:
         raise PreconditionError("n must be a positive divisor of the modulus")
+    return _galois_characters(alpha, n, (g,))[0]
+
+
+def _galois_characters(alpha: Cocycle, n: int, gs) -> list[int | None]:
+    """galois_character(g, alpha, n) for each g in gs, unchecked: every g
+    normalizes the subgroup and n is the class order of alpha. The rows of
+    alpha are built once for all of gs."""
     if n == 1:
-        return 0
+        return [0] * len(gs)
+    sub = alpha.sub
     M = alpha.modulus * sub.exponent()
     flat_a = _gen_rows(alpha, M)
-    flat_b = _gen_rows(alpha, M, _conjugation_positions(alpha, g, sub))
-    for j in range(n):
-        z = [y - j * x for x, y in zip(flat_a, flat_b)]
-        if _coboundary_witness(sub, M, z) is not None:
-            if gcd(j, n) != 1:
-                raise InternalError("Galois character is not a unit mod the class order")
-            return j
-    return None
+    chars: list[int | None] = []
+    for g in gs:
+        flat_b = _gen_rows(alpha, M, _conjugation_positions(alpha, g, sub))
+        j = next((j for j in range(n) if _coboundary_witness(
+            sub, M, [y - j * x for x, y in zip(flat_a, flat_b)]) is not None), None)
+        if j is not None and gcd(j, n) != 1:
+            raise InternalError("Galois character is not a unit mod the class order")
+        chars.append(j)
+    return chars
 
 
 def _cocycle_system(sub: SubgroupData, m: int):

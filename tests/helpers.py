@@ -4,7 +4,7 @@ implementations that the library is tested against."""
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from itertools import combinations, permutations, product as iproduct
 from math import gcd, lcm, prod
@@ -26,12 +26,13 @@ from gforge.groups import (CosetMultiset, Group, SubgroupData, cyclic,
 from gforge.identities import GradedPolynomial, IdentityReport, linearize
 from gforge.modlinalg import (Echelon, howell_echelon, kernel_mod, reduce_least, reduce_mod,
                               solve_in_image, solve_mod, split_echelon, xgcd)
-from gforge.presentation import (NormalForm, Presentation, _conjugate_chain, _factored_form,
-                                 apply_move, classify, compute_KNS, iso_test, normalize,
+from gforge.presentation import (InvariantChain, NormalForm, Presentation, _conjugate_chain,
+                                 _factored_form, apply_move, classify, compute_KNS,
+                                 full_derivative, iso_test, normalize,
                                  normalize_with_details, same_group, validate_presentation)
 from gforge.twisted import (BinomialDatum, Cocycle, _check_modulus, _cocycle_system,
-                            _delta, _expand, _match_perm, binomial_datum,
-                            conjugate_cocycle, coboundary_rows,
+                            _delta, _expand, _match_perm, binomial_datum, class_order,
+                            conjugate_cocycle, coboundary_rows, galois_character,
                             conjugate_is_cohomologous, h2_classes,
                             make_cocycle, shift_by_coboundary, trivial_cocycle,
                             unit_lifts)
@@ -421,25 +422,107 @@ def iso_pairs(p: Presentation, rng: random.Random):
             yield p, Presentation(p.group, p.sub, beta, p.entries)
 
 
-def presentation_checks(p: Presentation, rng: random.Random) -> tuple[list[str], bool | None]:
-    """The checks of the presentation sweep on p: normalize is idempotent,
-    constant on three seeded moves and isomorphic to its source, the chain of
-    the normal form is the conjugated chain, and on a connected grading
-    classify agrees with the element-wise test of strong verbal primeness,
-    which implies the division form.
+def compute_kns_by_elements(p: Presentation) -> InvariantChain:
+    """The invariant chain of p computed element by element: the stabilizer
+    and frequency tests for every element of N_G(H), closure and
+    multiplicativity over all pairs of elements, and one galois_character
+    call per H-coset, at the default word bound; neither reads nor keeps
+    the chain on p. The reference for compute_KNS, which works on one
+    representative per H-coset."""
+    grp, sub, lam = p.group, p.sub, p.lam
+    ngh = sub.normalizer
 
-    Returns the names of the failed checks and the verdict of classify's
+    k_stab = tuple(g for g in ngh if lam.translated(g) == lam)
+    k_freq = tuple(
+        g for g in ngh
+        if all(lam.multiplicity(grp.mul(g, b)) == lam.multiplicity(b)
+               for b in sub.transversal)
+    )
+    if not grp.is_subgroup(k_stab):
+        raise InternalError("the stabilizer K is not closed under multiplication")
+    k_set = set(k_stab)
+    factored = lam.blocks_along(k_set) is not None
+    scanned = set(k_set)
+    maximal = True
+    for g in ngh:
+        if g in scanned:
+            continue
+        scanned.update(grp.mul(g, k) for k in k_stab)
+        if lam.blocks_along(grp.closure(k_stab + (g,))) is not None:
+            maximal = False
+            break
+    if not (k_set == set(k_freq) and factored and maximal):
+        raise InternalError("stabilizer, frequency, and factoring disagree on K")
+
+    n = class_order(p.alpha)
+    coset_char: dict[int, int | None] = {}
+    for g in ngh:
+        cid = sub.coset_id_of[g]
+        if cid not in coset_char:
+            coset_char[cid] = galois_character(g, p.alpha, n)
+    n_part = tuple(g for g in ngh if coset_char[sub.coset_id_of[g]] is not None)
+    s_part = tuple(sorted(k_set & set(n_part)))
+    if not sub.eset <= set(s_part):
+        raise InternalError("the subgroup must be contained in S")
+    chars = [(s, coset_char[sub.coset_id_of[s]]) for s in s_part]
+    char_of = dict(chars)
+    for s1 in s_part:
+        for s2 in s_part:
+            if (char_of[s1] * char_of[s2] - char_of[grp.mul(s1, s2)]) % n:
+                raise InternalError("Galois characters are not multiplicative")
+    sbar = tuple(sorted({j for _, j in chars}))
+    field = SubfieldDescriptor.from_generators(n, sbar)
+    if set(field.units) != set(sbar):
+        raise InternalError("character image is not closed under multiplication")
+    return InvariantChain(
+        K=tuple(sorted(k_set)), N=n_part, S=s_part,
+        n=n, image_stable=True, word_bound=CAPS.word_bound,
+        s_characters=tuple(chars), sbar_image=sbar, field=field,
+    )
+
+
+def find_theta_by_elements(p1: Presentation, p2: Presentation) -> int | None:
+    """find_theta with the multiset stabilizer tested on every element of
+    N_G(H) and the least translation taken over its elements; the reference
+    for find_theta, which reads the stabilizer one H-coset at a time."""
+    if full_derivative(p1) != full_derivative(p2):
+        return None
+    grp = p1.group
+    theta0 = grp.mul(p2.entries[0], grp.inv(p1.entries[0]))
+    stab = [g for g in p1.sub.normalizer if p1.lam.translated(g) == p1.lam]
+    return min(grp.mul(theta0, s) for s in stab)
+
+
+def chain_disagreements(p: Presentation) -> list[str]:
+    """The InvariantChain fields in which compute_KNS(p) differs from
+    compute_kns_by_elements(p)."""
+    got, want = compute_KNS(p), compute_kns_by_elements(p)
+    return [f"chain field {f.name} against the element-wise oracle"
+            for f in fields(InvariantChain) if getattr(got, f.name) != getattr(want, f.name)]
+
+
+def presentation_checks(p: Presentation, rng: random.Random) -> tuple[list[str], bool | None, int]:
+    """The checks of the presentation sweep on p: the chains of p and of a
+    fresh copy of its normal form equal the element-wise oracle in every
+    field, normalize is idempotent, constant on three seeded moves and
+    isomorphic to its source, the chain of the normal form is the
+    conjugated chain, and on a connected grading classify agrees with the
+    element-wise test of strong verbal primeness, which implies the division
+    form.
+
+    Returns the names of the failed checks, the verdict of classify's
     conjugation test (alpha^g ~ alpha), or None where classify does not
-    reach it: a disconnected grading, H not normal or a multiset that is not
-    uniform."""
-    failed = []
+    reach it (a disconnected grading, H not normal or a multiset that is not
+    uniform), and the number of chains compared with the oracle."""
     nf = normalize_with_details(p)
     norm = nf.presentation
+    fresh = Presentation(norm.group, norm.sub, norm.alpha, norm.entries)
+    compared = (p, fresh)
+    failed = [name for q in compared for name in chain_disagreements(q)]
     if normalize(norm) != norm:
         failed.append("normalize is idempotent")
     if not iso_test(p, norm):
         failed.append("iso_test to the normal form")
-    fresh = Presentation(norm.group, norm.sub, norm.alpha, norm.entries)
     if compute_KNS(fresh) != _conjugate_chain(p.group, compute_KNS(p), nf.theta):
         failed.append("chain of the normal form")
     q = p
@@ -448,15 +531,15 @@ def presentation_checks(p: Presentation, rng: random.Random) -> tuple[list[str],
         if normalize(q) != norm:
             failed.append("normalize after a move")
     if not validate_presentation(p).connected:
-        return failed, None
+        return failed, None, len(compared)
     flags = classify(p)
     if flags.strongly_vp != strongly_vp_by_elements(p):
         failed.append("classify against the element-wise test")
     if flags.strongly_vp and not flags.division_form:
         failed.append("strongly verbally prime without the division form")
     if not p.sub.is_normal or p.lam.uniform_multiplicity() is None:
-        return failed, None
-    return failed, flags.strongly_vp
+        return failed, None, len(compared)
+    return failed, flags.strongly_vp, len(compared)
 
 
 def factors_along_by_subgroup(grp: Group, sub: SubgroupData, lam: CosetMultiset,

@@ -11,10 +11,13 @@ type, and must agree.
 The presentation pass runs the checks of the tier-1 presentation sweep
 (helpers.presentation_checks) on helpers.sweep_inputs at m in MODULI, on
 every pool group and on the class-moving ambients of helpers.chain_ambients
-with their subgroup H. It counts the inputs that reach classify's
-conjugation test with each verdict; the pool alone never gives a False, the
-ambients whose outer conjugations move classes do, and the pass fails when
-none does.
+with their subgroup H. Among them, the invariant chain of each input and of
+a fresh copy of its normal form must equal helpers.compute_kns_by_elements,
+the element-wise computation that compute_KNS replaced, in every field; the
+pass prints how many chains it compared. It counts the inputs that reach
+classify's conjugation test with each verdict; the pool alone never gives a
+False, the ambients whose outer conjugations move classes do, and the pass
+fails when none does.
 
 The iso pass compares presentation.iso_witness, which makes one class test
 per left coset of H1, with helpers.iso_witness_every_element, which makes
@@ -56,8 +59,8 @@ Run from the repository root:
 
     PYTHONPATH=src python tests/sweep_wide.py
 
-It prints the outcome counts per mode, the number of presentation inputs and
-conjugation verdicts, iso pairs, h2 cases, products per kernel, identity inputs
+It prints the outcome counts per mode, the number of presentation inputs,
+chains compared and conjugation verdicts, iso pairs, h2 cases, products per kernel, identity inputs
 and lead prefixes, and of disagreements, and exits 1 on any disagreement, on a k-form
 PreconditionError, or when no input reaches a False conjugation test.
 """
@@ -102,25 +105,28 @@ def presentation_inputs(seed: str):
 
 
 def presentation_pass() -> int:
-    """Prints the presentation input count, the conjugation test verdicts
-    and the disagreements; returns the latter's number, plus 1 when no input
-    reaches a False conjugation test."""
+    """Prints the presentation input count, the chains compared with the
+    element-wise oracle, the conjugation test verdicts and the
+    disagreements; returns the latter's number, plus 1 when no input reaches
+    a False conjugation test."""
     start = time.perf_counter()
-    inputs, reached, false, mismatches = 0, 0, Counter(), []
+    inputs, chains, reached, false, mismatches = 0, 0, 0, Counter(), []
     for label, rng, ps in presentation_inputs("presentation-sweep-wide"):
         for p in ps:
             inputs += 1
             try:
-                failed, verdict = helpers.presentation_checks(p, rng)
+                failed, verdict, compared = helpers.presentation_checks(p, rng)
             except GForgeError as e:  # such as a cross-check's InternalError
-                failed, verdict = [f"{type(e).__name__}: {e}"], None
+                failed, verdict, compared = [f"{type(e).__name__}: {e}"], None, 0
+            chains += compared
             reached += verdict is not None
             false[label] += verdict is False
             if failed:
                 mismatches.append((label, p.sub.elements, p.alpha.modulus, p.entries, failed))
     false = +false  # drops the labels with no False
     print(f"presentations: {inputs} inputs (pool and class-moving ambients, m in {MODULI}), "
-          f"{time.perf_counter() - start:.1f} s; conjugation test reached on {reached}, "
+          f"{time.perf_counter() - start:.1f} s; {chains} chains compared with "
+          f"helpers.compute_kns_by_elements; conjugation test reached on {reached}, "
           f"False on {false.total()} ({dict(false)}); {len(mismatches)} disagreements")
     for m in mismatches[:20]:
         print("  ", m)

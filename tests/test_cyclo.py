@@ -263,7 +263,10 @@ def test_pickle_round_trip_and_immutability(index):
         for name, value in (("modulus", 2), ("nums", (1,)), ("den", 3)):
             with pytest.raises(AttributeError):
                 setattr(y, name, value)
+            with pytest.raises(AttributeError, match=f"^CycScalar is immutable; cannot delete '{name}'$"):
+                delattr(y, name)
         assert (y.modulus, y.nums, y.den) == slots
+        assert y + 1 == x + 1
 
 
 def test_rational_constructor_reduces_and_keeps_the_sign_on_the_numerator():

@@ -4,6 +4,7 @@ import json
 import os
 import random
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from gforge import presentation as presentation_mod
 from gforge import twisted
-from gforge.errors import PreconditionError, PresentationError
+from gforge.errors import InternalError, PreconditionError, PresentationError
 from gforge.groups import CosetMultiset, SubgroupData, cyclic, direct_product
 from gforge.presentation import (Presentation, _conjugate_chain, apply_move, classify,
                                  compute_KNS, find_theta, full_derivative,
@@ -134,6 +135,53 @@ def test_maximality_scan_takes_one_element_per_coset_of_k(corpus, p_swap_raw, p_
         assert {frozenset(grp.mul(e[-1], x) for x in k) for e in closed} == cosets
         scanned += len(closed)
     assert scanned > len(cases)
+
+
+def test_chain_translates_the_multiset_once_per_coset_of_h(p_swap_raw, p_inner, monkeypatch):
+    """compute_KNS tests the stabilizer on one representative per right
+    H-coset of N_G(H): on a normal subgroup of order 9, once per coset."""
+    translated = []
+    real = CosetMultiset.translated
+
+    def counting(self, g):
+        translated.append(g)
+        return real(self, g)
+
+    monkeypatch.setattr(CosetMultiset, "translated", counting)
+    for p in map(_fresh, (p_swap_raw, p_inner)):
+        assert p.sub.order == 9 and p.sub.is_normal
+        chain = compute_KNS(p)
+        assert translated == list(p.sub.transversal)
+        assert chain == helpers.compute_kns_by_elements(p)
+        translated.clear()
+
+
+@pytest.mark.parametrize("case, name, corrupt, message", [
+    # (0, 1) holds a rotation of order 3 of D3, but not its square
+    ("d6", "_coset_stabilizer", lambda real: lambda q: (real(q)[0], (0, 1)),
+     "the stabilizer K is not closed under multiplication"),
+    # {e} is closed, but the frequency test finds K = (0, 3)
+    ("d6", "_coset_stabilizer", lambda real: lambda q: (real(q)[0], (0,)),
+     "stabilizer, frequency, and factoring disagree on K"),
+    ("swap", "_galois_characters",
+     lambda real: lambda alpha, n, gs: [None if g == 0 else 1 for g in gs],
+     "the subgroup must be contained in S"),
+    # 2 * 2 = 1 mod 3 is not the character 2 of the identity coset
+    ("swap", "_galois_characters", lambda real: lambda alpha, n, gs: [2] * len(gs),
+     "Galois characters are not multiplicative"),
+    # sBar = (1, 2), but the field is built from no generator
+    ("swap", "SubfieldDescriptor",
+     lambda real: SimpleNamespace(from_generators=lambda n, gens: real.from_generators(n, ())),
+     "character image is not closed under multiplication"),
+], ids=["stabilizer not closed", "stabilizer too small", "no character at e",
+        "characters not multiplicative", "field drops the image"])
+def test_every_chain_cross_check_fires_on_corrupted_data(p_d6, p_swap_raw, monkeypatch,
+                                                         case, name, corrupt, message):
+    p = _fresh({"d6": p_d6, "swap": p_swap_raw}[case])
+    monkeypatch.setattr(presentation_mod, name, corrupt(getattr(presentation_mod, name)))
+    with pytest.raises(InternalError, match=f"^{message}$"):
+        compute_KNS(p)
+    assert p._chain is None
 
 
 def test_disconnected_grading_detected():
@@ -277,6 +325,30 @@ def test_derivative_translation_invariance(p_d6):
         assert t is not None
         # recovered element acts like theta on the multiset
         assert p_d6.lam.translated(t) == p_d6.lam.translated(theta)
+
+
+def test_find_theta_matches_the_element_wise_stabilizer():
+    """find_theta takes the least element of theta0 H r over the coset
+    representatives r of the stabilizer; it is the least translation over
+    the stabilizer's elements, on seeded presentations moved by a
+    normalizing translation and by left factors in H."""
+    rng = random.Random("find-theta-cosets")
+    pool = helpers.group_pool(16)
+    checked = lower = 0
+    while checked < 150:
+        p = helpers.random_presentation(rng, pool, max_len=6)
+        if p.sub.order == 1:
+            continue
+        q = apply_move(p, {"type": "translate", "g": rng.choice(p.sub.normalizer)})
+        for pos in range(len(q.entries)):
+            q = apply_move(q, {"type": "entry", "pos": pos, "h": rng.choice(p.sub.elements)})
+        t = find_theta(p, q)
+        assert t is not None and t == helpers.find_theta_by_elements(p, q)
+        theta0 = p.group.mul(q.entries[0], p.group.inv(p.entries[0]))
+        lower += t != min(p.group.mul(theta0, r) for r in presentation_mod._coset_stabilizer(p)[1])
+        checked += 1
+    # the least element of a coset theta0 H r is often not theta0 r itself
+    assert lower > 20
 
 
 def test_find_theta_absent_on_unequal_derivative(p_d6):
@@ -577,7 +649,7 @@ def test_small_case_presentation_sweep(index):
     rng = random.Random(f"presentation-sweep:{index}")
     connected = 0
     for p in helpers.sweep_inputs(grp):
-        failed, _ = helpers.presentation_checks(p, rng)
+        failed, _, _ = helpers.presentation_checks(p, rng)
         assert not failed, (p.sub.elements, p.alpha.exps, p.entries, failed)
         connected += validate_presentation(p).connected
     assert connected
