@@ -162,7 +162,7 @@ class SubgroupData:
 
     __slots__ = ("group", "elements", "eset", "order", "pos",
                  "coset_id_of", "cosets", "transversal", "normalizer", "is_normal",
-                 "_pmul", "_gens", "_exponent", "coboundary_echelons")
+                 "_pmul", "_gens", "_exponent", "coboundary_echelons", "cayley")
 
     def __init__(self, group: Group, elems):
         elements = tuple(elems)
@@ -201,6 +201,8 @@ class SubgroupData:
         # M -> image echelon over Z/M of the coboundary map on the rows of
         # gens (gforge.twisted)
         self.coboundary_echelons: dict[int, list] = {}
+        # the generating set, BFS tree and relators of gforge.twisted._cayley
+        self.cayley = None
 
     @property
     def pmul(self) -> tuple[tuple[int, ...], ...]:

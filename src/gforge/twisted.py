@@ -35,14 +35,21 @@ is not sub.gens, which the validation and the queries above use. A
 normalized alpha with delta alpha(s, g, h) = 0 for every s in S is a
 cocycle, and then its values on S x H fix it by alpha(sg, h) = alpha(g, h)
 + alpha(s, gh) - alpha(s, g); so Z^2(H, Z/m) is the kernel of a system in
-|S| * (|H| - 1) unknowns, kept without zero or repeated rows. The classes
+|S| * (|H| - 1) unknowns. Its rows say that this expansion closes up on
+each relator of H, a cycle of the Cayley graph of (H, S) (|H| - 1 rows per
+relator, kept without zero or repeated rows): the expansion along a word is
+a crossed homomorphism on the free group F(S), a homomorphism on the
+relation subgroup N that commutes with conjugation, and N is the normal
+closure of the relators. The generating set, BFS tree and relators are
+found once per subgroup (_cayley) and kept on the SubgroupData. The classes
 over Z/M are the quotient Z^2 / L, with L the coboundaries over Z/M whose
 values are m-th roots of unity: L is B^2(H, Z/m) plus one carry row
 delta chi~ / exp(H) for each generator chi of Hom(H, Z/exp(H)), chi~ its
-lift to [0, exp(H)), and Hom is a kernel in |S| unknowns. Z^2 / L is read
-off one Howell echelon over Z/m of the relations of the cocycle generators
-and the coordinates of L, and each class is represented by its lex-least
-such table, found by one reduction against a Howell basis of L.
+lift to [0, exp(H)), and Hom is a kernel in |S| unknowns with one row per
+relator. Z^2 / L is read off one Howell echelon over Z/m of the relations
+of the cocycle generators and the coordinates of L, and each class is
+represented by its lex-least such table, found by one reduction against a
+Howell basis of L.
 The word calculus (folding a word to its accumulated exponent, bucketing
 words by multiset and product) only serves to exhibit explicit binomial
 identities.
@@ -51,7 +58,7 @@ identities.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product as iproduct
+from itertools import compress, product as iproduct
 from math import gcd, lcm, prod
 
 from .config import CAPS
@@ -488,42 +495,122 @@ def _galois_characters(alpha: Cocycle, n: int, gs) -> list[int | None]:
 def _cocycle_system(sub: SubgroupData, m: int):
     """The normalized cocycles over Z/m as the solutions of a linear system
     in the values alpha(s, x), s in S and x != e, with S the generating set
-    covering_generating_set(sub.pmul) (not sub.gens: fewer unknowns and
-    rows); variable (i, x) is column i * (|H| - 1) + x - 1.
+    of _cayley (not sub.gens: fewer unknowns and rows); variable (i, x) is
+    column i * (|H| - 1) + x - 1.
 
-    Every alpha(g, .) is expanded along a BFS tree of the Cayley graph of
-    (H, S) by alpha(sg, h) = alpha(g, h) + alpha(s, gh) - alpha(s, g), and
-    each edge (s, g) outside the tree gives the |H| - 1 rows of that
-    identity at h != e; zero rows are dropped, and of equal rows the first
-    is kept. Returns (S, tree, rows), tree listing the edges (s, g, sg) in
-    BFS order, for _expand and _root_coboundaries."""
+    Along an edge y -> sy of the Cayley graph of (H, S) the cocycle identity
+    reads alpha(sy, h) - alpha(y, h) = alpha(s, yh) - alpha(s, y). So along
+    a walk w of edges (s, y), each traversed in direction d = +-1, the sum
+    A_w(h) of d * (alpha(s, yh) - alpha(s, y)) is the change of alpha(., h),
+    and on a closed walk it must vanish: each relator r of _cayley gives the
+    |H| - 1 rows A_r(h), h != e. Zero rows are dropped, and of equal rows
+    the first is kept. These rows span those of every closed walk, one block
+    per non-tree edge included: w -> A_w is a crossed homomorphism on the
+    free group F(S), acted on by (T_g f)(h) = f(gh) - f(g), so on the
+    relation subgroup N it is a homomorphism, and the loop r conjugated by a
+    walk to g gives A_r(gh) - A_r(g). N is the normal closure of the
+    relators, so the kernel is Z^2 all the same. The deduction that picks
+    the relators marks each of the |S| * |H| edges known at most once, so
+    it ends after at most |S| * |H| steps (see _cayley). Returns
+    (S, tree, rows), tree listing the BFS tree edges (s, g, sg) in BFS
+    order, for _expand and _root_coboundaries."""
+    size, pmul = sub.order, sub.pmul
+    gens, tree, relators = _cayley(sub)
+    nvars = len(gens) * (size - 1)
+    rows, mod = {}, m.__rmod__
+    for cycle in relators:
+        start, edges = [0] * nvars, []  # start: -sum d * alpha(s, y)
+        for i, y, d in cycle:
+            base = i * (size - 1) - 1
+            if y:
+                start[base + y] -= d
+            edges.append((base, pmul[y], d))
+        for h in range(1, size):
+            row = start[:]
+            for base, py, d in edges:
+                if py[h]:
+                    row[base + py[h]] += d
+            rows[tuple(map(mod, row))] = None
+    return gens, tree, [list(row) for row in rows if any(row)]
+
+
+def _cayley(sub: SubgroupData):
+    """(S, tree, relators) of the Cayley graph of (H, S), edges y -> sy, with
+    S = covering_generating_set(sub.pmul); built on first use and kept on
+    the SubgroupData. tree lists the BFS tree edges (s, g, sg) in BFS order
+    (each g in turn, each s in S in turn), and each relator is a cycle of
+    edges (i, y, d), the edge y -> s_i y traversed in direction d = +-1,
+    such that N, the relations of H in the free group F(S), is the normal
+    closure of the relators.
+
+    A non-tree edge (s, g) closes the cycle of the tree paths from g and sg
+    to where they meet. The right translates y -> yh of a cycle are cycles
+    too, and an edge is known once its cycle lies in the normal closure of
+    the relators so far. The non-tree edges are taken in BFS order, and one
+    that is not known makes its cycle a relator. Then comes deduction, as in
+    coset enumeration: a translate of a relator with exactly one edge that
+    is neither a tree edge nor known makes that edge known, as its cycle is
+    the translate times the cycles of the others. Each translate counts its
+    unknown edges, and an edge is marked known at most once, so the
+    deduction takes at most |S| * |H| steps in all, each over the
+    translates that held the edge while it was unknown."""
+    if sub.cayley is not None:
+        return sub.cayley
     size, pmul = sub.order, sub.pmul
     gens = covering_generating_set(pmul)
-    nvars = len(gens) * (size - 1)
-    forms = {0: [[0] * nvars for _ in range(size)]}
-    tree, rows = [], {}
-    order = [0]
+    unknown = bytearray([1]) * (len(gens) * size)  # edge (i, y) is i * size + y
+    tree, order, up, depth = [], [0], [None] * size, [0] * size
     for g in order:  # grows as the BFS reaches new elements
-        fg, pg = forms[g], pmul[g]
         for i, s in enumerate(gens):
-            sg, base = pmul[s][g], i * (size - 1) - 1
-            known = forms.get(sg)
-            step = []
-            # alpha(g, h) + alpha(s, gh) - alpha(s, g), less alpha(sg, h) if known
-            for h in range(size) if known is None else range(1, size):
-                form = fg[h][:] if known is None else [
-                    (a - b) % m for a, b in zip(fg[h], known[h])]
-                for x, sign in ((pg[h], 1), (g, -1)):
-                    if x:
-                        form[base + x] = (form[base + x] + sign) % m
-                step.append(form)
-            if known is None:
-                forms[sg] = step
+            sg = pmul[s][g]
+            if sg and up[sg] is None:
                 tree.append((s, g, sg))
                 order.append(sg)
-            else:
-                rows.update(dict.fromkeys(map(tuple, step)))
-    return gens, tree, [list(row) for row in rows if any(row)]
+                up[sg], depth[sg] = (i, g), depth[g] + 1
+                unknown[i * size + g] = 0
+    relators = []
+    members, counts = [], []  # per translate: its edges, how many are unknown
+    holding = {}  # edge -> the translates it is unknown in
+    stack, remaining = [], len(unknown) - len(tree)
+    for g in order:
+        for i, s in enumerate(gens):
+            if not unknown[i * size + g]:
+                continue
+            a, b, cycle = g, pmul[s][g], [(i, g, 1)]
+            while a != b:
+                if depth[a] >= depth[b]:
+                    j, a = up[a]
+                    cycle.append((j, a, 1))
+                else:
+                    j, b = up[b]
+                    cycle.append((j, b, -1))
+            relators.append(cycle)
+            stack.append(i * size + g)
+            if remaining == 1:  # no other edge is left to deduce
+                edge_lists = ()
+            else:  # the edges of each translate, h = e first
+                edge_lists = zip(*[[j * size + x for x in pmul[y]] for j, y, _ in cycle])
+            for edges in edge_lists:
+                left = list(compress(edges, map(unknown.__getitem__, edges)))
+                if len(left) == 1:
+                    stack.append(left[0])
+                elif left:
+                    for e in left:
+                        holding.setdefault(e, []).append(len(members))
+                    members.append(edges)
+                    counts.append(len(left))
+            while stack:
+                e = stack.pop()
+                if not unknown[e]:
+                    continue
+                unknown[e] = 0
+                remaining -= 1
+                for t in holding.get(e, ()):
+                    counts[t] -= 1
+                    if counts[t] == 1:
+                        stack.extend(compress(members[t], map(unknown.__getitem__, members[t])))
+    sub.cayley = (gens, tuple(tree), tuple(map(tuple, relators)))
+    return sub.cayley
 
 
 def _expand(sub: SubgroupData, gens, tree, x, m: int) -> list[int]:
@@ -546,10 +633,13 @@ def _root_coboundaries(sub: SubgroupData, m: int, gens, tree) -> Echelon:
     any g: H -> Z/m; a sum of lifts is the lift of the sum plus k times a
     function. So L is spanned by B^2(H, Z/m), the rows delta e_h for
     h != e, and one row delta chi~ / k for each generator chi of
-    Hom(H, Z/k). chi(g) is read along the BFS tree (gens, tree) of
-    _cocycle_system as a form in the values chi(s), s in S, and Hom(H, Z/k)
-    is the kernel of the relations chi(s) + chi(g) = chi(sg) on the other
-    edges."""
+    Hom(H, Z/k). chi(g) is read along the BFS tree (gens, tree) that
+    _cocycle_system returns, that of _cayley, as a form in the values
+    chi(s), s in S. A map F(S) -> Z/k factors through H when it vanishes
+    on the relation subgroup N, and as Z/k is abelian it is enough that it
+    vanish on the relators of _cayley, whose normal closure is N: so
+    Hom(H, Z/k) is the kernel of one row per relator, the sum of d * e_s
+    over its edges (s, y, d)."""
     size, pmul, k = sub.order, sub.pmul, sub.exponent()
     at = [[] for _ in range(size)]  # h -> the flat indices of (a, b) with ab = h
     for t, p in enumerate(x for row in pmul for x in row):
@@ -567,10 +657,15 @@ def _root_coboundaries(sub: SubgroupData, m: int, gens, tree) -> Echelon:
     forms = {0: (0,) * len(gens)}
     for s, g, sg in tree:
         forms[sg] = tuple(v + (i == col[s]) for i, v in enumerate(forms[g]))
-    relations = dict.fromkeys(tuple((v + (i == col[s]) - w) % k for i, (v, w) in
-                                    enumerate(zip(forms[g], forms[pmul[s][g]])))
-                              for s in gens for g in range(size))
-    for chi in kernel_mod([r for r in relations if any(r)], len(gens), k):
+    relations = []
+    for cycle in _cayley(sub)[2]:
+        row = [0] * len(gens)
+        for i, _, d in cycle:
+            row[i] += d
+        row = [v % k for v in row]
+        if any(row):
+            relations.append(row)
+    for chi in kernel_mod(relations, len(gens), k):
         lift = [sum(c * v for c, v in zip(chi, forms[g])) % k for g in range(size)]
         delta = list(_delta(sub, lift))
         if any(d % k for d in delta):
@@ -601,7 +696,11 @@ def h2_classes(sub: SubgroupData, m: int) -> list[Cocycle]:
     normalized alpha with delta alpha(s, g, h) = 0 for all s in S is a
     cocycle (beta = delta alpha is a 3-cocycle, so delta beta(s, g, h, k) = 0
     gives beta(sg, h, k) = beta(g, h, k), and S generates H as a monoid), so
-    its |S| * (|H| - 1) values on S x H determine it. With r cocycle
+    its |S| * (|H| - 1) values on S x H determine it. The system has
+    |H| - 1 rows per relator of H: the expansion of alpha along a word in S
+    is a crossed homomorphism on the free group F(S), so it vanishes on the
+    relation subgroup exactly when it vanishes on the relators, and the
+    kernel, Z^2, is that of one row block per non-tree edge. With r cocycle
     generators, their relations and L's coordinates span a lattice that
     holds m * Z^r, so Z^2 / L is (Z/m)^r modulo one Howell echelon over Z/m
     of those rows. Its elements are the vectors that reduce_least fixes

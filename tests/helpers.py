@@ -21,7 +21,7 @@ from gforge.algebra import (AlgElement, KFormReport, _apply, _lift, _operator,
 from gforge.config import CAPS
 from gforge.errors import (BudgetExceeded, CapExceeded, GForgeError, GroupError, InternalError,
                            PreconditionError, PresentationError)
-from gforge.groups import (CosetMultiset, Group, SubgroupData, cyclic,
+from gforge.groups import (CosetMultiset, Group, SubgroupData, covering_generating_set, cyclic,
                            dihedral, direct_product, semidirect_product)
 from gforge.identities import GradedPolynomial, IdentityReport, linearize
 from gforge.modlinalg import (Echelon, howell_echelon, kernel_mod, reduce_least, reduce_mod,
@@ -30,7 +30,7 @@ from gforge.presentation import (InvariantChain, NormalForm, Presentation, _conj
                                  _factored_form, apply_move, classify, compute_KNS,
                                  full_derivative, iso_test, normalize,
                                  normalize_with_details, same_group, validate_presentation)
-from gforge.twisted import (BinomialDatum, Cocycle, _check_modulus, _cocycle_system,
+from gforge.twisted import (BinomialDatum, Cocycle, _check_modulus,
                             _delta, _expand, _match_perm, binomial_datum, class_order,
                             conjugate_cocycle, coboundary_rows, galois_character,
                             conjugate_is_cohomologous, h2_classes,
@@ -1107,10 +1107,48 @@ def root_coboundaries_by_kernel(sub: SubgroupData, m: int) -> Echelon:
     return howell_echelon(ell, m)
 
 
+def cocycle_system_by_edges(sub: SubgroupData, m: int):
+    """twisted._cocycle_system with one row block per non-tree edge: every
+    alpha(g, .) is expanded along the BFS tree of the Cayley graph of (H, S)
+    by alpha(sg, h) = alpha(g, h) + alpha(s, gh) - alpha(s, g), and each
+    edge (s, g) outside the tree gives the |H| - 1 rows of that identity at
+    h != e; zero rows are dropped, and of equal rows the first is kept.
+    The same (S, tree) and unknowns as the relator system, so its kernel
+    is Z^2 too."""
+    size, pmul = sub.order, sub.pmul
+    gens = covering_generating_set(pmul)
+    nvars = len(gens) * (size - 1)
+    forms = {0: [[0] * nvars for _ in range(size)]}
+    tree, rows = [], {}
+    order = [0]
+    for g in order:  # grows as the BFS reaches new elements
+        fg, pg = forms[g], pmul[g]
+        for i, s in enumerate(gens):
+            sg, base = pmul[s][g], i * (size - 1) - 1
+            known = forms.get(sg)
+            step = []
+            # alpha(g, h) + alpha(s, gh) - alpha(s, g), less alpha(sg, h) if known
+            for h in range(size) if known is None else range(1, size):
+                form = fg[h][:] if known is None else [
+                    (a - b) % m for a, b in zip(fg[h], known[h])]
+                for x, sign in ((pg[h], 1), (g, -1)):
+                    if x:
+                        form[base + x] = (form[base + x] + sign) % m
+                step.append(form)
+            if known is None:
+                forms[sg] = step
+                tree.append((s, g, sg))
+                order.append(sg)
+            else:
+                rows.update(dict.fromkeys(map(tuple, step)))
+    return gens, tree, [list(row) for row in rows if any(row)]
+
+
 def h2_classes_by_snf(sub: SubgroupData, m: int) -> list[Cocycle]:
     """h2_classes with Z^2 / L read off an integer Smith normal form of the
     relations of the cocycle generators and the coordinates of L, each
-    quotient element enumerated through the inverse left transform."""
+    quotient element enumerated through the inverse left transform, on the
+    per-edge system of cocycle_system_by_edges."""
     if sub.order > CAPS.h2_subgroup:
         raise CapExceeded(
             f"cohomology enumeration capped at subgroup order {CAPS.h2_subgroup}")
@@ -1118,7 +1156,7 @@ def h2_classes_by_snf(sub: SubgroupData, m: int) -> list[Cocycle]:
     if m == 1:
         return [trivial_cocycle(sub, 1)]
     size = sub.order
-    gens, tree, rows = _cocycle_system(sub, m)
+    gens, tree, rows = cocycle_system_by_edges(sub, m)
     z2 = Echelon(kernel_mod(rows, len(gens) * (size - 1), m))
     if not z2:
         return [trivial_cocycle(sub, m)]

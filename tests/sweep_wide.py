@@ -27,15 +27,18 @@ seeded translate of itself and against every other class on its subgroup
 
 The h2 pass runs twisted.h2_classes on every subgroup of each pool group,
 in that group, at m in H2_MODULI, and compares the classes (or the cap
-message) with helpers.h2_classes_by_snf, whose L is the kernel over Z/M of
-the coboundary rows and whose quotient is a Smith normal form.
+message) with helpers.h2_classes_by_snf, whose Z^2 is the kernel of the
+per-edge system (helpers.cocycle_system_by_edges, not the relator system),
+whose L is the kernel over Z/M of the coboundary rows and whose quotient is
+a Smith normal form.
 
 The semidirect pass runs build_k_form in every mode on the seeded
 (C_p x C_p) x| C_k presentations of helpers.semidirect_pair_presentations
 (SEMIDIRECT_SEEDS, SEMIDIRECT_COUNT per action), the family on which the
-modes differ, and counts the outcomes per mode. Every input must return a
-report: a cocycle whose roots leave Q(zeta_big) is closed on a
-mu_n-valued representative, so a PreconditionError counts as a fault.
+modes differ, counts the outcomes per mode and names every input on which
+mode "corrected" is not ok. Every input must return a report: a cocycle
+whose roots leave Q(zeta_big) is closed on a mu_n-valued representative,
+so a PreconditionError counts as a fault.
 
 The product pass multiplies seeded dense elements (helpers.dense_element)
 of the algebra of each normal form of the k-form pass, both ways round,
@@ -303,15 +306,16 @@ def identity_pass() -> int:
 
 
 def semidirect_pass() -> int:
-    """Prints the k-form outcome counts per mode on the semidirect family and
-    the inputs on which the modes differ; returns the number of
-    PreconditionErrors."""
+    """Prints the k-form outcome counts per mode on the semidirect family,
+    the inputs on which the modes differ and, by name (seed, action-p-index
+    and the modulus m), every input on which mode "corrected" is not ok;
+    returns the number of PreconditionErrors."""
     start = time.perf_counter()
     counts = {mode: Counter() for mode in MODES}
-    inputs, differ, unnormalized = 0, 0, Counter()
+    inputs, differ, unnormalized, not_ok = 0, 0, Counter(), []
     for seed in SEMIDIRECT_SEEDS:
-        for _, p in helpers.semidirect_pair_presentations(random.Random(seed),
-                                                          count=SEMIDIRECT_COUNT):
+        for name, p in helpers.semidirect_pair_presentations(random.Random(seed),
+                                                             count=SEMIDIRECT_COUNT):
             try:
                 q = normalize(p)
             except GForgeError as e:
@@ -321,8 +325,11 @@ def semidirect_pass() -> int:
             outcomes = set()
             for mode in MODES:
                 got = helpers.span_outcome(lambda: build_k_form(q, mode).report, ())
-                counts[mode][got.__name__ if isinstance(got, type)
-                             else "ok" if got[2] else "not ok"] += 1
+                kind = (got.__name__ if isinstance(got, type)
+                        else "ok" if got[2] else "not ok")
+                counts[mode][kind] += 1
+                if mode == "corrected" and kind == "not ok":
+                    not_ok.append(f"seed {seed}, {name} (m = {p.alpha.modulus})")
                 outcomes.add(got)
             differ += len(outcomes) > 1
     print(f"semidirect pairs: {inputs} normal forms (seeds {SEMIDIRECT_SEEDS}, "
@@ -330,6 +337,8 @@ def semidirect_pass() -> int:
           f"normalize failed: {dict(unnormalized)}; the modes differ on {differ}")
     for mode, c in counts.items():
         print(f"mode {mode}: " + ", ".join(f"{n} {name}" for name, n in sorted(c.items())))
+    for line in not_ok:
+        print(f"  corrected not ok: {line}")
     return sum(c["PreconditionError"] for c in counts.values())
 
 

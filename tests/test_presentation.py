@@ -4,6 +4,7 @@ import json
 import os
 import random
 from dataclasses import replace
+from itertools import permutations
 from types import SimpleNamespace
 
 import pytest
@@ -13,14 +14,14 @@ from hypothesis import strategies as st
 from gforge import presentation as presentation_mod
 from gforge import twisted
 from gforge.errors import InternalError, PreconditionError, PresentationError
-from gforge.groups import CosetMultiset, SubgroupData, cyclic, direct_product
+from gforge.groups import CosetMultiset, Group, SubgroupData, cyclic, direct_product
 from gforge.presentation import (Presentation, _conjugate_chain, apply_move, classify,
                                  compute_KNS, find_theta, full_derivative,
                                  iso_test, iso_witness, minimal_field,
                                  normalize, normalize_with_details,
                                  pointwise_derivative, validate_presentation)
 from gforge.schemas import parse_presentation
-from gforge.twisted import h2_classes, shift_by_coboundary, trivial_cocycle
+from gforge.twisted import conjugate_cocycle, h2_classes, shift_by_coboundary, trivial_cocycle
 
 import helpers
 from conftest import DATA_DIR
@@ -428,6 +429,43 @@ def test_iso_witness_tests_each_left_coset_once(monkeypatch):
         assert len(calls) == len(cosets) < len(passing)
         assert {min(grp.mul(g, h) for h in elems) for g in calls} == cosets
         calls.clear()
+
+
+def test_iso_witness_keys_the_class_test_by_left_coset():
+    """In G = S4 x C2, H1 = <(12), (34)> x C2 is not normal, and with
+    g = (23), h = (12)(34) lies in H1 and normalizes H2 = g H1 g^-1 without
+    lying in it; it swaps the factors (13) and (24) of H2, so it moves the
+    class of alpha1^g. g and hg share the right coset H1 g but not the left
+    coset g H1, and alpha2 = alpha1^(hg): the class test fails at g and
+    passes at hg, so a test keyed by the right coset would never reach hg
+    and no other g passes. Pool groups of order <= 16 and the class-moving
+    ambients hold no such input."""
+    perms = sorted(permutations(range(4)))  # the identity first
+    at = {q: i for i, q in enumerate(perms)}
+    s4 = Group([[at[tuple(a[x] for x in b)] for b in perms] for a in perms], name="S4")
+    grp = direct_product(s4, cyclic(2))
+
+    def elem(*images):  # a permutation of S4 times the identity of C2
+        return at[images] * 2
+
+    z = 1  # the generator of the C2 factor
+    sub1 = SubgroupData(grp, grp.closure([elem(1, 0, 2, 3), elem(0, 1, 3, 2), z]))
+    g, h = elem(0, 2, 1, 3), elem(1, 0, 3, 2)
+    sub2 = sub1.conjugated(g)
+    assert not sub1.is_normal and sub2.elements != sub1.elements
+    assert h in sub1.eset and h in sub2.normalizer and h not in sub2.eset
+    hg = grp.mul(h, g)
+    assert min(grp.mul(x, g) for x in sub1.elements) == min(grp.mul(x, hg) for x in sub1.elements)
+    assert min(grp.mul(g, x) for x in sub1.elements) != min(grp.mul(hg, x) for x in sub1.elements)
+    alpha1 = h2_classes(sub1, 2)[2]  # classes 2 to 5 are moved by h
+    beta = conjugate_cocycle(alpha1, g, sub2)
+    assert not twisted.conjugate_is_cohomologous(beta, h, beta)[0]
+    p1 = Presentation(grp, sub1, alpha1, sub1.transversal)
+    p2 = Presentation(grp, sub2, conjugate_cocycle(alpha1, hg, sub2),
+                      tuple(grp.mul(hg, x) for x in sub1.transversal))
+    assert not twisted.conjugate_is_cohomologous(alpha1, g, p2.alpha)[0]
+    w = iso_witness(p1, p2)
+    assert w is not None and w == helpers.iso_witness_every_element(p1, p2)
 
 
 @settings(deadline=None, max_examples=25)

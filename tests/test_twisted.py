@@ -503,8 +503,9 @@ def test_h2_classes_named_tables():
 @pytest.mark.parametrize("grp", helpers.group_pool(16), ids=lambda g: str(g.order))
 def test_cocycle_system_shape(grp):
     # the system's S is a least generating set, no larger than sub.gens, and
-    # it keeps no zero or repeated row, so it is never longer than the
-    # system on sub.gens with one row per non-tree edge and h != e
+    # it keeps no zero or repeated row; each relator is a closed walk and
+    # gives at most |H| - 1 rows, so the system is never longer than the one
+    # on sub.gens with one row per non-tree edge and h != e
     sub = SubgroupData(grp, range(grp.order))
     gens, tree, rows = twisted._cocycle_system(sub, 4)
     size = sub.order
@@ -514,6 +515,54 @@ def test_cocycle_system_shape(grp):
     assert all(len(row) == len(gens) * (size - 1) for row in rows)
     assert all(any(row) for row in rows) and len(set(map(tuple, rows))) == len(rows)
     assert len(rows) <= (len(sub.gens) * size - size + 1) * (size - 1)
+    relators = twisted._cayley(sub)[2]
+    assert twisted._cayley(sub)[:2] == (gens, tree)
+    assert len(rows) <= len(relators) * (size - 1)
+    for cycle in relators:  # every vertex is entered as often as it is left
+        balance = Counter()
+        for i, y, d in cycle:
+            balance[y] -= d
+            balance[sub.pmul[gens[i]][y]] += d
+        assert not any(balance.values()), cycle
+    if any(grp.order_of(x) == size for x in range(size)):
+        assert len(relators) == 1
+
+
+@pytest.mark.parametrize("name,m,most", [("D5", 2, 20), ("C4xC4", 2, 21)])
+def test_cocycle_system_rows_come_from_the_relators(name, m, most):
+    # one row block per relator, not per non-tree edge: 50 rows on D5 and
+    # 159 on C4 x C4 before
+    grp = {"D5": lambda: dihedral(5),
+           "C4xC4": lambda: direct_product(cyclic(4), cyclic(4))}[name]()
+    sub = SubgroupData(grp, range(grp.order))
+    rows = twisted._cocycle_system(sub, m)[2]
+    assert len(rows) <= most < len(helpers.cocycle_system_by_edges(sub, m)[2])
+
+
+def test_cocycle_system_has_the_kernel_of_the_edge_system():
+    # the relator rows and the per-edge rows have one kernel: the generators
+    # of each reduce to 0 against a Howell echelon of the other's
+    for grp in helpers.group_pool(16):
+        sub = SubgroupData(grp, range(grp.order))
+        nvars = len(twisted._cayley(sub)[0]) * (sub.order - 1)
+        for m in (2, 3, 4, 6, 12):
+            kernels = [modlinalg.kernel_mod(system(sub, m)[2], nvars, m) for system in
+                       (twisted._cocycle_system, helpers.cocycle_system_by_edges)]
+            for gens, other in (kernels, kernels[::-1]):
+                ech = modlinalg.howell_echelon(other, m)
+                for g in gens:
+                    red = modlinalg.reduce_mod(g, ech, m)
+                    assert red is not None and not any(red[1]), (grp.name, m)
+
+
+def test_h2_classes_on_the_edge_system_give_the_same_tables(monkeypatch):
+    # h2_classes with the per-edge system in place of the relator system
+    cases = [(SubgroupData(grp, range(grp.order)), m) for grp in helpers.group_pool(16)
+             for m in (2, 3, 4, 6, 12)]
+    want = [helpers.h2_outcome(h2_classes, sub, m) for sub, m in cases]
+    monkeypatch.setattr(twisted, "_cocycle_system", helpers.cocycle_system_by_edges)
+    fresh = [(SubgroupData(sub.group, sub.elements), m) for sub, m in cases]
+    assert [helpers.h2_outcome(h2_classes, sub, m) for sub, m in fresh] == want
 
 
 def test_generating_set_rows_decide_the_cocycle_identity():
