@@ -31,7 +31,6 @@ class RunConfig:
     input: str
     input2: str | None = None
     budget: int | None = None
-    as_json: bool = False
 
     def __post_init__(self):
         if self.budget is not None and self.budget < 1:
@@ -247,7 +246,7 @@ def run(argv=None) -> int:
     ns = build_parser().parse_args(argv)
     try:
         cfg = RunConfig(command=ns.command, input=ns.input, input2=ns.input2,
-                        budget=ns.budget, as_json=ns.json)
+                        budget=ns.budget)
         code, report, lines = COMMANDS[cfg.command](cfg)
     except ParseError as exc:
         return _fail(ns.json, "parse", str(exc), 1)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from math import lcm
+from math import gcd, lcm
 
 from .config import CAPS
 from .errors import CapExceeded, GroupError, PreconditionError
@@ -20,33 +20,37 @@ def all_ints(rows) -> bool:
     return set(map(type, chain.from_iterable(rows))) <= {int}
 
 
-def generating_set(table) -> tuple[int, ...]:
+def element_orders(table) -> list[int]:
+    """The order of each element of a group table (table[a][b] = a * b): one
+    power walk a, a^2, ... back to 0 per element not yet assigned, which
+    also sets the order of every power on the walk."""
+    order = [1] + [0] * (len(table) - 1)
+    for a in range(1, len(table)):
+        if not order[a]:
+            row, walk, x = table[a], [], a
+            while x:  # row a is a permutation, so the walk comes back to 0
+                walk.append(x)
+                x = row[x]
+            k = len(walk) + 1
+            for j, x in enumerate(walk, 1):
+                order[x] = k // gcd(j, k)
+    return order
+
+
+def generating_set(table, orders=None) -> tuple[int, ...]:
     """Elements S reaching every element from 0 by left multiplication in the
-    table (table[a][b] = a * b), each the least one not reached yet: so
-    |S| <= log2 |G| on a group, and if a set of elements holds 0 and is closed
-    under products, the least element outside it is in S."""
+    table: the elements in order of decreasing order (orders, by default
+    element_orders(table)), the least first on a tie, each kept when it is
+    not reached yet. On a group each pick outside the subgroup reached so
+    far at least doubles it, so |S| <= log2 |G|."""
+    if orders is None:
+        orders = element_orders(table)
     gens: list[int] = []
     reached = {0}
-    for x in range(len(table)):
+    for x in sorted(range(len(table)), key=orders.__getitem__, reverse=True):
         if x not in reached:
             gens.append(x)
             _reach(table, gens, reached)
-    return tuple(gens)
-
-
-def covering_generating_set(table) -> tuple[int, ...]:
-    """Elements S generating the group of the table, picked by coverage:
-    each is the element whose closure with the earlier picks reaches the
-    most elements, the least one on a tie. On every group of order <= 16
-    tried this is a generating set of least size."""
-    gens: list[int] = []
-    reached = {0}
-    while len(reached) < len(table):
-        # max keeps the first of equal picks, so the least element
-        x, reached = max(((x, _reach(table, gens + [x], set(reached)))
-                          for x in range(len(table)) if x not in reached),
-                         key=lambda pick: len(pick[1]))
-        gens.append(x)
     return tuple(gens)
 
 
@@ -71,7 +75,7 @@ def _associative_at(rows, a: int) -> bool:
 
 
 class Group:
-    __slots__ = ("order", "name", "names", "_mul", "_inv")
+    __slots__ = ("order", "name", "names", "_mul", "_inv", "_orders")
 
     def __init__(self, table, names=None, name="G"):
         try:
@@ -94,10 +98,11 @@ class Group:
             raise GroupError("rows are not permutations")
         if any(len(set(col)) != order for col in zip(*rows)):
             raise GroupError("columns are not permutations")
+        orders = element_orders(rows)
         # Light's test: the a with (ab)c = a(bc) are closed under products, so
-        # S decides, and its first failure is the least element that fails
-        a = next((a for a in generating_set(rows) if not _associative_at(rows, a)), None)
-        if a is not None:
+        # S decides; the message names the least element that fails
+        if not all(_associative_at(rows, a) for a in generating_set(rows, orders)):
+            a = next(a for a in range(order) if not _associative_at(rows, a))
             raise GroupError(f"associativity fails at element {a}")
         inv = [row.index(0) for row in rows]
         if any(rows[b][a] for a, b in enumerate(inv)):
@@ -105,6 +110,7 @@ class Group:
         self.order = order
         self._mul = tuple(map(tuple, rows))
         self._inv = tuple(inv)
+        self._orders = tuple(orders)
         if names is None:
             names = ["e"] + [f"g{i}" for i in range(1, order)]
         if len(names) != order:
@@ -122,14 +128,10 @@ class Group:
         return self._mul[self._mul[self._inv[g]][h]][g]
 
     def order_of(self, a: int) -> int:
-        k, x = 1, a
-        while x != 0:
-            x = self._mul[x][a]
-            k += 1
-        return k
+        return self._orders[a]
 
     def exponent(self) -> int:
-        return lcm(*(self.order_of(a) for a in range(self.order)))
+        return lcm(*self._orders)
 
     def closure(self, elems) -> tuple[int, ...]:
         """The subgroup generated by elems: the words in them, sorted."""
@@ -215,10 +217,11 @@ class SubgroupData:
 
     @property
     def gens(self) -> tuple[int, ...]:
-        """generating_set(pmul): a generating set of H as positions; built on
-        first use and kept."""
+        """generating_set(pmul): the generating set S of H, as positions, that
+        every reader of the subgroup uses, picked by the element orders the
+        group keeps; built on first use and kept."""
         if self._gens is None:
-            self._gens = generating_set(self.pmul)
+            self._gens = generating_set(self.pmul, [self.group._orders[h] for h in self.elements])
         return self._gens
 
     def exponent(self) -> int:

@@ -252,6 +252,9 @@ def identity_report(p: GradedPolynomial, algebra: GradedAlgebra,
     including the first one, in itertools.product order over the variables'
     `basis_of_degree` lists, on which p is nonzero.
     """
+    for _, d in p.variables:
+        if not 0 <= d < algebra.group.order:
+            raise PreconditionError(f"degree out of range: {d}")
     if budget is None:
         budget = CAPS.budget
     linearized = False
@@ -413,12 +416,8 @@ def linearize(p: GradedPolynomial, budget: int | None = None) -> GradedPolynomia
     fresh = 0
     while not p.multilinear:
         counts = Counter(p.monomials[0][1])
-        target = max(counts, key=lambda v: (counts[v],))
-        best = counts[target]
-        for v, _ in p.variables:
-            if counts.get(v, 0) == best:
-                target = v
-                break
+        # the first declared variable with the largest count
+        target = max((v for v, _ in p.variables), key=counts.__getitem__)
         k = counts[target]
         ids = set(p.vdeg)
         tids = []

@@ -102,6 +102,8 @@ def parse_scalar(obj) -> CycScalar:
         if len(obj) != 2:
             raise ParseError("scalar: a bare fraction is [num, den]")
         num, den = (_int(x, "scalar") for x in obj)
+        if den == 0:
+            raise ParseError("scalar: zero denominator")
         return CycScalar.from_rational(Fraction(num, den))
     _check_keys(obj, "scalar", ("modulus", "coeffs"))
     m = _int(obj["modulus"], "scalar.modulus")

@@ -29,9 +29,8 @@ alpha^g ~ j * alpha, which is the Galois character of g. The k-form descent
 of gforge.algebra asks the same queries of the same echelons, and one over
 Z/(M/n) for a mu_n-valued representative: f with delta f = -(M/m) * alpha.
 
-h2_classes works on a generating set S of H, picked by coverage
-(groups.covering_generating_set) so that it is as small as it can be; it
-is not sub.gens, which the validation and the queries above use. A
+h2_classes works on the same S = sub.gens as the validation and the
+queries above: groups.generating_set, the one pick of a generating set. A
 normalized alpha with delta alpha(s, g, h) = 0 for every s in S is a
 cocycle, and then its values on S x H fix it by alpha(sg, h) = alpha(g, h)
 + alpha(s, gh) - alpha(s, g); so Z^2(H, Z/m) is the kernel of a system in
@@ -40,8 +39,8 @@ each relator of H, a cycle of the Cayley graph of (H, S) (|H| - 1 rows per
 relator, kept without zero or repeated rows): the expansion along a word is
 a crossed homomorphism on the free group F(S), a homomorphism on the
 relation subgroup N that commutes with conjugation, and N is the normal
-closure of the relators. The generating set, BFS tree and relators are
-found once per subgroup (_cayley) and kept on the SubgroupData. The classes
+closure of the relators. The BFS tree and relators are found once per
+subgroup (_cayley) and kept on the SubgroupData. The classes
 over Z/M are the quotient Z^2 / L, with L the coboundaries over Z/M whose
 values are m-th roots of unity: L is B^2(H, Z/m) plus one carry row
 delta chi~ / exp(H) for each generator chi of Hom(H, Z/exp(H)), chi~ its
@@ -69,7 +68,7 @@ from .errors import (
     InternalError,
     PreconditionError,
 )
-from .groups import SubgroupData, all_ints, covering_generating_set
+from .groups import SubgroupData, all_ints
 from .modlinalg import (Echelon, howell_echelon, kernel_mod, reduce_least, reduce_mod,
                         solve_in_image, split_echelon)
 
@@ -102,9 +101,9 @@ class Cocycle:
         if any(self.exps[0]) or any(row[0] for row in self.exps):
             raise CocycleError("table must be normalized at the identity")
         # the rows where the identity holds are closed under products (see
-        # h2_classes), so S decides, and its first failure is the first row
-        i = next((i for i in sub.gens if not _identity_holds_at(self, i)), None)
-        if i is not None:
+        # h2_classes), so S decides; the message names the least failing row
+        if not all(_identity_holds_at(self, i) for i in sub.gens):
+            i = next(i for i in range(size) if not _identity_holds_at(self, i))
             raise CocycleError(f"cocycle identity fails at row {i}")
 
     @classmethod
@@ -494,9 +493,8 @@ def _galois_characters(alpha: Cocycle, n: int, gs) -> list[int | None]:
 
 def _cocycle_system(sub: SubgroupData, m: int):
     """The normalized cocycles over Z/m as the solutions of a linear system
-    in the values alpha(s, x), s in S and x != e, with S the generating set
-    of _cayley (not sub.gens: fewer unknowns and rows); variable (i, x) is
-    column i * (|H| - 1) + x - 1.
+    in the values alpha(s, x), s in S = sub.gens and x != e; variable (i, x)
+    is column i * (|H| - 1) + x - 1.
 
     Along an edge y -> sy of the Cayley graph of (H, S) the cocycle identity
     reads alpha(sy, h) - alpha(y, h) = alpha(s, yh) - alpha(s, y). So along
@@ -536,12 +534,11 @@ def _cocycle_system(sub: SubgroupData, m: int):
 
 def _cayley(sub: SubgroupData):
     """(S, tree, relators) of the Cayley graph of (H, S), edges y -> sy, with
-    S = covering_generating_set(sub.pmul); built on first use and kept on
-    the SubgroupData. tree lists the BFS tree edges (s, g, sg) in BFS order
-    (each g in turn, each s in S in turn), and each relator is a cycle of
-    edges (i, y, d), the edge y -> s_i y traversed in direction d = +-1,
-    such that N, the relations of H in the free group F(S), is the normal
-    closure of the relators.
+    S = sub.gens; built on first use and kept on the SubgroupData. tree
+    lists the BFS tree edges (s, g, sg) in BFS order (each g in turn, each s
+    in S in turn), and each relator is a cycle of edges (i, y, d), the edge
+    y -> s_i y traversed in direction d = +-1, such that N, the relations of
+    H in the free group F(S), is the normal closure of the relators.
 
     A non-tree edge (s, g) closes the cycle of the tree paths from g and sg
     to where they meet. The right translates y -> yh of a cycle are cycles
@@ -556,8 +553,7 @@ def _cayley(sub: SubgroupData):
     translates that held the edge while it was unknown."""
     if sub.cayley is not None:
         return sub.cayley
-    size, pmul = sub.order, sub.pmul
-    gens = covering_generating_set(pmul)
+    size, pmul, gens = sub.order, sub.pmul, sub.gens
     unknown = bytearray([1]) * (len(gens) * size)  # edge (i, y) is i * size + y
     tree, order, up, depth = [], [0], [None] * size, [0] * size
     for g in order:  # grows as the BFS reaches new elements
@@ -691,12 +687,12 @@ def h2_classes(sub: SubgroupData, m: int) -> list[Cocycle]:
     M/m; L is B^2(H, Z/m) plus the Hom carries of _root_coboundaries, and
     the output is Z^2 / L.
 
-    Z^2 comes from the generating-set system of _cocycle_system, on the
-    least generating set S that covering_generating_set picks: a
-    normalized alpha with delta alpha(s, g, h) = 0 for all s in S is a
-    cocycle (beta = delta alpha is a 3-cocycle, so delta beta(s, g, h, k) = 0
-    gives beta(sg, h, k) = beta(g, h, k), and S generates H as a monoid), so
-    its |S| * (|H| - 1) values on S x H determine it. The system has
+    Z^2 comes from the generating-set system of _cocycle_system, on
+    S = sub.gens: a normalized alpha with delta alpha(s, g, h) = 0 for all s
+    in S is a cocycle (beta = delta alpha is a 3-cocycle, so
+    delta beta(s, g, h, k) = 0 gives beta(sg, h, k) = beta(g, h, k), and S
+    generates H as a monoid), so its |S| * (|H| - 1) values on S x H
+    determine it. The system has
     |H| - 1 rows per relator of H: the expansion of alpha along a word in S
     is a crossed homomorphism on the free group F(S), so it vanishes on the
     relation subgroup exactly when it vanishes on the relators, and the

@@ -21,7 +21,7 @@ from gforge.algebra import (AlgElement, KFormReport, _apply, _lift, _operator,
 from gforge.config import CAPS
 from gforge.errors import (BudgetExceeded, CapExceeded, GForgeError, GroupError, InternalError,
                            PreconditionError, PresentationError)
-from gforge.groups import (CosetMultiset, Group, SubgroupData, covering_generating_set, cyclic,
+from gforge.groups import (CosetMultiset, Group, SubgroupData, _reach, cyclic,
                            dihedral, direct_product, semidirect_product)
 from gforge.identities import GradedPolynomial, IdentityReport, linearize
 from gforge.modlinalg import (Echelon, howell_echelon, kernel_mod, reduce_least, reduce_mod,
@@ -198,6 +198,21 @@ def least_generating_size(table) -> int:
             if len(reached) == n:
                 return r
     raise InternalError("no generating set")
+
+
+def covering_generating_set(table) -> tuple[int, ...]:
+    """A generating set picked by coverage, the oracle for the size of
+    groups.generating_set: each element is the one whose closure with the
+    earlier picks reaches the most elements, the least one on a tie."""
+    gens: list[int] = []
+    reached = {0}
+    while len(reached) < len(table):
+        # max keeps the first of equal picks, so the least element
+        x, reached = max(((x, _reach(table, gens + [x], set(reached)))
+                          for x in range(len(table)) if x not in reached),
+                         key=lambda pick: len(pick[1]))
+        gens.append(x)
+    return tuple(gens)
 
 
 def random_subgroup(rng: random.Random, grp: Group) -> SubgroupData:
@@ -751,14 +766,24 @@ def galois_character_by_solve(g: int, alpha: Cocycle, n: int) -> int | None:
     return j % n
 
 
+def _gens_first(sub: SubgroupData, flat) -> list:
+    """The |H| blocks of flat, one per row i of a table, those of the rows
+    in sub.gens first and then the others in order: so the system on the
+    whole table starts with the rows that twisted.coboundary_rows keeps,
+    and its witnesses are those of the rows of S."""
+    size, gens = sub.order, sub.gens
+    rows = list(gens) + [i for i in range(size) if i not in gens]
+    return [x for i in rows for x in flat[i * size:(i + 1) * size]]
+
+
 def coboundary_witness_full(sub: SubgroupData, M: int, z) -> tuple[int, ...] | None:
     """twisted._coboundary_witness on the whole table: f with f[identity] = 0
     and delta f = z over Z/M for z a flat |H|^2 table (row-major), or None,
     by one reduction against the image echelon of the coboundary map on
-    every row (i, j), rebuilt on each call; each witness is checked on the
-    whole table."""
-    image = split_echelon(coboundary_rows_full(sub, M), sub.order - 1, M)[0]
-    x = solve_in_image(image, z, sub.order - 1, M)
+    every row (i, j), the rows of sub.gens first (_gens_first), rebuilt on
+    each call; each witness is checked on the whole table."""
+    image = split_echelon(_gens_first(sub, coboundary_rows_full(sub, M)), sub.order - 1, M)[0]
+    x = solve_in_image(image, _gens_first(sub, z), sub.order - 1, M)
     if x is None:
         return None
     f = (0,) + x
@@ -806,15 +831,16 @@ def descent_witness_full(grp, alpha: Cocycle, gc: int, u: int, n_root: int,
                          big_m: int, enforce: bool):
     """algebra._descent_witness on the whole table: f with f[e] = 0 and
     delta f = u * alpha - alpha(gc . gc^-1, gc . gc^-1) over Z/big_m from one
-    fresh solve_mod of the |H|^2 coboundary rows, alpha^(gc^-1) built as a
-    Cocycle; with enforce=True the descent rows are added. None if there is
-    no such f."""
+    fresh solve_mod of the |H|^2 coboundary rows, the rows of sub.gens first
+    (_gens_first), alpha^(gc^-1) built as a Cocycle; with enforce=True the
+    descent rows are added. None if there is no such f."""
     beta = conjugate_cocycle(alpha, grp.inv(gc))
     sub = alpha.sub
     elems, pos = sub.elements, sub.pos
     nv = len(elems) - 1
-    rows = coboundary_rows_full(sub, big_m)
-    rhs = [(u * a - b) % big_m for a, b in zip(_flat(alpha, big_m), _flat(beta, big_m))]
+    rows = _gens_first(sub, coboundary_rows_full(sub, big_m))
+    rhs = _gens_first(sub, [(u * a - b) % big_m
+                            for a, b in zip(_flat(alpha, big_m), _flat(beta, big_m))])
     if enforce:
         for x in elems[1:]:
             if n_root > 1:
@@ -1115,8 +1141,7 @@ def cocycle_system_by_edges(sub: SubgroupData, m: int):
     h != e; zero rows are dropped, and of equal rows the first is kept.
     The same (S, tree) and unknowns as the relator system, so its kernel
     is Z^2 too."""
-    size, pmul = sub.order, sub.pmul
-    gens = covering_generating_set(pmul)
+    size, pmul, gens = sub.order, sub.pmul, sub.gens
     nvars = len(gens) * (size - 1)
     forms = {0: [[0] * nvars for _ in range(size)]}
     tree, rows = [], {}

@@ -319,3 +319,44 @@ def test_cohomology_modulus_above_the_echelon_limit(capsys, tmp_path):
     code, rep = run_json(capsys, "invariants", "--input", path_)
     assert code == 2 and rep == {"error": "precondition",
                                  "reason": "modulus must be below 2**31"}
+
+
+def _zero_denominator(doc):
+    doc["polynomial"]["monomials"][0]["coeff"] = [1, 0]
+
+
+def test_identity_zero_denominator_is_a_parse_error(capsys, tmp_path):
+    # a bare fraction [1, 0] is refused as the object form's [num, 0] is
+    f = _write_variant(tmp_path, "identity_pauli.json", _zero_denominator)
+    code, rep = run_json(capsys, "identity", "--input", f)
+    assert code == 1 and rep == {"error": "parse", "reason": "scalar: zero denominator"}
+
+
+@pytest.mark.parametrize("degree", [99, -1])
+def test_identity_degree_outside_the_group_is_a_precondition(capsys, tmp_path, degree):
+    def set_degree(doc):
+        doc["polynomial"]["vars"][1]["degree"] = degree
+    f = _write_variant(tmp_path, "identity_pauli.json", set_degree)
+    code, rep = run_json(capsys, "identity", "--input", f)
+    assert code == 2 and rep == {"error": "precondition",
+                                 "reason": f"degree out of range: {degree}"}
+
+
+def test_console_entry_point(tmp_path):
+    # python -m gforge runs cli.main in a fresh interpreter: its stdout and
+    # exit code are those of the in-process golden case
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = {**os.environ, "PYTHONPATH": "src"}
+
+    def gforge_main(*argv):
+        return subprocess.run([sys.executable, "-m", "gforge", *argv], cwd=root, env=env,
+                              capture_output=True, text=True, timeout=60)
+    argv = ["h2", "--input", "tests/data/h2_z2z2.json", "--json"]
+    with open(os.path.join(root, "tests", "golden", "h2.json"), encoding="utf-8") as fh:
+        golden = next(case for case in json.load(fh) if case["argv"] == argv)
+    out = gforge_main(*argv)
+    assert (out.returncode, out.stdout, out.stderr) == (0, golden["stdout"], "")
+    bad = gforge_main("identity", "--input",
+                      _write_variant(tmp_path, "identity_pauli.json", _zero_denominator), "--json")
+    assert (bad.returncode, bad.stderr) == (1, "")
+    assert json.loads(bad.stdout) == {"error": "parse", "reason": "scalar: zero denominator"}

@@ -1,12 +1,13 @@
 import random
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gforge.errors import CapExceeded, GroupError, PreconditionError
-from gforge.groups import (CosetMultiset, Group, SubgroupData, covering_generating_set,
-                           cyclic, dihedral, direct_product, from_permutations,
+from gforge.groups import (CosetMultiset, Group, SubgroupData, _associative_at,
+                           cyclic, dihedral, direct_product, element_orders, from_permutations,
                            generating_set, quotient_group, semidirect_product,
                            subgroup_group)
 
@@ -99,8 +100,8 @@ def test_group_check_matches_the_numpy_check(corpus):
         got = _table_outcome(_group_tables, table)
         assert got == _table_outcome(helpers.group_tables_numpy, table)
         outcomes.append(got if isinstance(got, str) else "group")
-        if outcomes[-1].startswith("associativity fails"):  # at a member of S
-            assert int(got.split()[-1]) in generating_set(table)
+        if outcomes[-1].startswith("associativity fails"):  # the rows of S decide
+            assert not all(_associative_at(table, a) for a in generating_set(table))
     assert {o for o in outcomes if not o.startswith("associativity fails")} == {
         "group", "identity must be element 0", "rows are not permutations",
         "columns are not permutations"}
@@ -144,11 +145,46 @@ def test_covering_generating_set_is_least():
     for grp in helpers.group_pool(16):
         for elems in helpers.all_subgroups(grp):
             pmul = SubgroupData(grp, elems).pmul
-            gens = covering_generating_set(pmul)
+            gens = helpers.covering_generating_set(pmul)
             assert grp.closure([elems[s] for s in gens]) == elems
             assert len(gens) == helpers.least_generating_size(pmul) <= len(generating_set(pmul))
             subs += 1
     assert subs == 189
+
+
+def test_generating_set_is_least():
+    # on every subgroup of every pool group, the one pick of a generating
+    # set, which every reader of the subgroup uses, is as small as any set
+    subs = 0
+    for grp in helpers.group_pool(16):
+        for elems in helpers.all_subgroups(grp):
+            sub = SubgroupData(grp, elems)
+            assert sub.gens == generating_set(sub.pmul)
+            assert grp.closure([elems[s] for s in sub.gens]) == elems
+            assert len(sub.gens) == helpers.least_generating_size(sub.pmul) == len(
+                helpers.covering_generating_set(sub.pmul))
+            subs += 1
+    assert subs == 189
+
+
+@pytest.mark.parametrize("grp", helpers.group_pool(16), ids=lambda g: g.name)
+def test_element_orders_match_the_power_walk_of_each_element(grp):
+    # the walks of element_orders set the orders of every power on them
+    for a in range(grp.order):
+        k, x = 1, a
+        while x:
+            x, k = grp.mul(x, a), k + 1
+        assert grp.order_of(a) == element_orders(grp._mul)[a] == k
+    assert grp.exponent() == lcm(*map(grp.order_of, range(grp.order)))
+
+
+def test_generating_set_takes_larger_orders_first():
+    # C2 x C4: (0, 1) has order 4 and (1, 0) only 2, so after (0, 1) the
+    # pick is (1, 1) of order 4; the least-first pick took (1, 0)
+    assert generating_set(direct_product(cyclic(2), cyclic(4))._mul) == (1, 5)
+    # on a cyclic group one element of full order generates it
+    assert generating_set(cyclic(512)._mul) == (1,)
+    assert generating_set(cyclic(1)._mul) == ()
 
 
 def test_from_permutations():

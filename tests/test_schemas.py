@@ -62,6 +62,8 @@ def test_scalar_forms():
         parse_scalar(True)
     with pytest.raises(ParseError):
         parse_scalar([1, 2, 3])
+    with pytest.raises(ParseError, match="^scalar: zero denominator$"):
+        parse_scalar([1, 0])
     with pytest.raises(ParseError):
         parse_scalar({"modulus": 3, "coeffs": [[1, 1]]})  # need phi(3) = 2
     with pytest.raises(ParseError):
