@@ -22,7 +22,8 @@ The closure works at one modulus, big, the lcm of the field modulus and
 the generator coefficient moduli, and reduces a vector mod the big-th
 cyclotomic polynomial only when it enters the echelon. When the cocycle's
 roots leave Q(zeta_big), build_k_form builds on a mu_n-valued representative
-of its class and carries the generators back.
+of its class and carries the generators back. The coboundary systems of the
+descent (slot witnesses, that representative) are solved in gforge.twisted.
 """
 
 from dataclasses import dataclass
@@ -33,11 +34,8 @@ from .cyclo import (CycScalar, SubfieldDescriptor, _demoted, _power_rows, _ratio
                     as_cyc, phi)
 from .errors import CapExceeded, InternalError, PreconditionError, PresentationError
 from .groups import SubgroupData, subgroup_group
-from .modlinalg import solve_mod
 from .presentation import Presentation, normalize_with_details, related_reps
-from .twisted import (Cocycle, _coboundary_witness, _conjugation_positions, _gen_rows,
-                      coboundary_rows, conjugate_is_cohomologous, galois_twist,
-                      shift_by_coboundary, unit_lifts)
+from .twisted import Cocycle, _mu_n_representative, _slot_witnesses
 
 
 class GradedAlgebra:
@@ -640,91 +638,6 @@ def build_k_form(p: Presentation, mode: str = "corrected",
         gens = [AlgElement(algebra, {t: c * roots[sub.pos[t[0]]] for t, c in g.terms.items()})
                 for g in gens]
     return KFormResult(p_s, algebra, field, tuple(gens), tuple(labels), report)
-
-
-def _mu_n_representative(alpha: Cocycle, n: int) -> tuple[Cocycle, tuple, int]:
-    """(beta, f, M) with beta at modulus n and (M/m) * alpha + delta f =
-    (M/n) * beta over Z/M, M = m * exp(H), for alpha of class order n; so
-    u_h -> zeta_M^f(h) u_h maps the algebra of beta onto that of alpha.
-    f is one coboundary query over Z/(M/n) on the rows of -(M/m) * alpha."""
-    sub, big_m = alpha.sub, alpha.modulus * alpha.sub.exponent()
-    q = big_m // n
-    f = _coboundary_witness(sub, q, [-e % q for e in _gen_rows(alpha, big_m)])
-    if f is None:
-        raise InternalError("class of order n has no mu_n-valued representative")
-    exps = shift_by_coboundary(alpha.embedded(big_m), f).exps
-    if any(e % q for row in exps for e in row):
-        raise InternalError("coboundary shift is not mu_n-valued")
-    return Cocycle._derived(sub, n, tuple(tuple(e // q for e in row) for row in exps)), f, big_m
-
-
-def _slot_witnesses(grp, alpha: Cocycle, g_slots, chars, n_root: int, mode: str):
-    """(slot_units, per-slot (f, big_m) or None, descent_enforced) for the
-    Galois slots g_c of build_k_form; each unit is j^-1 mod n, j = chars[g_c].
-
-    In mode "corrected" each slot but e gets f over Z/big_m, big_m = m * exp(H),
-    with delta f = u * alpha - alpha^(g_c^-1) for a unit u = j^-1 mod n. An
-    involutive slot (j^2 = 1, g_c^2 = e) first tries every lift u with the
-    descent rows (_descent_witness). Otherwise the least lift u is one
-    cohomology query: alpha^(g_c^-1) ~ j^-1 * alpha by the Galois character,
-    and u * alpha depends only on u mod n, so a witness must exist.
-    """
-    units = tuple(pow(chars[gc], -1, n_root) if n_root > 1 else 0 for gc in g_slots)
-    if mode != "corrected":
-        return units, [None] * len(g_slots), len(g_slots) == 1
-    big_m = alpha.modulus * alpha.sub.exponent()
-    scalars: list = []
-    enforced = True
-    for gc, u_n in zip(g_slots, units):
-        if gc == 0:
-            scalars.append(None)
-            continue
-        lifts = unit_lifts(u_n, n_root, alpha.modulus)
-        f = None
-        if chars[gc] ** 2 % n_root == 1 % n_root and grp.mul(gc, gc) == 0:
-            f = next(filter(None, (_descent_witness(grp, alpha, gc, u, n_root, big_m)
-                                   for u in lifts)), None)
-        if f is None:
-            enforced = False
-            ok, f, _ = conjugate_is_cohomologous(alpha, grp.inv(gc),
-                                                 galois_twist(alpha, lifts[0]))
-            if not ok:
-                raise InternalError("Galois character has no descent witness")
-        scalars.append((f, big_m))
-    return units, scalars, enforced
-
-
-def _descent_witness(grp, alpha: Cocycle, gc: int, u: int, n_root: int, big_m: int):
-    """f (mod big_m, by subgroup position, f[e] = 0) with delta f =
-    u * alpha - alpha(gc . gc^-1, gc . gc^-1) and the descent rows, or None.
-
-    Both sides are normalized, so the rows (s, h) of coboundary_rows decide
-    delta f; the conjugate's rows are read through its position map. The
-    descent rows keep the Galois permutation conjugates of the twisted
-    diagonals inside the span: zeta^f lies in Q(mu_n), and
-    u * f(x) + f(gc x gc^-1) = 0.
-    """
-    sub, pos = alpha.sub, alpha.sub.pos
-    nv = sub.order - 1
-    conj = _conjugation_positions(alpha, grp.inv(gc), None)
-    rows = coboundary_rows(sub, big_m)
-    rhs = [(u * a - b) % big_m
-           for a, b in zip(_gen_rows(alpha, big_m), _gen_rows(alpha, big_m, conj))]
-    for x in sub.elements[1:]:
-        if n_root > 1:
-            row = [0] * nv
-            row[pos[x] - 1] = n_root % big_m
-            rows.append(row)
-            rhs.append(0)
-        row = [0] * nv
-        row[pos[x] - 1] = u % big_m
-        xc = grp.conj(x, grp.inv(gc))
-        if pos[xc]:
-            row[pos[xc] - 1] = (row[pos[xc] - 1] + 1) % big_m
-        rows.append(row)
-        rhs.append(0)
-    sol = solve_mod(rows, rhs, big_m)
-    return None if sol is None else (0,) + sol
 
 
 def _operator(algebra: GradedAlgebra, g: AlgElement, L: int) -> list:

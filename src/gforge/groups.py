@@ -203,7 +203,7 @@ class SubgroupData:
         # M -> image echelon over Z/M of the coboundary map on the rows of
         # gens (gforge.twisted)
         self.coboundary_echelons: dict[int, list] = {}
-        # the generating set, BFS tree and relators of gforge.twisted._cayley
+        # the BFS tree and relators of gforge.twisted._cayley
         self.cayley = None
 
     @property
@@ -370,19 +370,10 @@ def dihedral(n: int) -> Group:
 
 
 def direct_product(a: Group, b: Group) -> Group:
-    order = a.order * b.order
-    if order > CAPS.group_order:
-        raise CapExceeded(f"product order {order} exceeds cap {CAPS.group_order}")
-
-    def idx(x, y):
-        return x * b.order + y
-
-    table = [
-        [idx(a.mul(x1, x2), b.mul(y1, y2)) for x2 in range(a.order) for y2 in range(b.order)]
-        for x1 in range(a.order) for y1 in range(b.order)
-    ]
-    names = [f"({a.names[x]},{b.names[y]})" for x in range(a.order) for y in range(b.order)]
-    return Group(table, names=names, name=f"{a.name}x{b.name}")
+    """A x B: semidirect_product with the trivial action, named AxB."""
+    grp = semidirect_product(a, b, lambda h, x: x)
+    grp.name = f"{a.name}x{b.name}"
+    return grp
 
 
 def semidirect_product(n_grp: Group, h_grp: Group, action) -> Group:

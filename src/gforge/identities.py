@@ -27,7 +27,7 @@ from itertools import permutations
 from itertools import product as iproduct
 from math import factorial, lcm, prod
 
-from .algebra import AlgElement, GradedAlgebra, _root_shifts, bridge, multiply
+from .algebra import AlgElement, GradedAlgebra, _monomials, _root_shifts, bridge, multiply
 from .config import CAPS
 from .cyclo import CycScalar, _reduce_poly, as_cyc
 from .errors import (
@@ -36,6 +36,7 @@ from .errors import (
     InternalError,
     PreconditionError,
 )
+from .groups import all_ints
 from .presentation import InvariantChain, Presentation, compute_KNS
 from .twisted import BinomialDatum, Cocycle, binomial_ratio
 
@@ -60,7 +61,9 @@ class GradedPolynomial:
             if v in seen:
                 raise PreconditionError(f"duplicate variable id: {v}")
             seen.add(v)
-            vs.append((v, int(d)))
+            vs.append((v, d))
+        if not all_ints([[d for _, d in vs]]):
+            raise PreconditionError("variable degrees must be integers")
         vdeg = dict(vs)
         acc: dict = {}
         order = []
@@ -336,8 +339,7 @@ def _first_nonzero(p: GradedPolynomial, algebra: GradedAlgebra, used,
     var_of = {v: t for t, v in enumerate(used)}
     monos = []
     for c, seq in p.monomials:
-        step, scale = L // c.modulus, den // c.den
-        vec = [(t * step, x * scale) for t, x in enumerate(c.nums) if x]
+        vec = _monomials(c, L, den)
         seq = [var_of[v] for v in seq]
         k = seq.index(0)
         monos.append((vec, [(t, strides[t]) for t in seq[k + 1:]],
@@ -451,9 +453,10 @@ def is_good_permutation(pres: Presentation, degrees, sigma) -> bool:
     sigma[p]; its prefix must match the base prefix ending at that variable.
     """
     grp, sub = pres.group, pres.sub
-    degrees = tuple(int(t) for t in degrees)
+    degrees, sigma = tuple(degrees), tuple(sigma)
+    if not all_ints([degrees, sigma]):
+        raise PreconditionError("degrees and sigma must be integers")
     n = len(degrees)
-    sigma = tuple(int(s) for s in sigma)
     if sorted(sigma) != list(range(n)):
         raise PreconditionError("sigma must be a permutation of the positions")
     for t in degrees:
@@ -740,8 +743,9 @@ def binomial_polynomial(alpha: Cocycle, word, tau,
 
     Degrees are subgroup positions, matching twisted_group_algebra.
     """
-    word = tuple(int(h) for h in word)
-    tau = tuple(int(t) for t in tau)
+    word, tau = tuple(word), tuple(tau)
+    if not all_ints([word, tau]):
+        raise PreconditionError("word and tau must be integers")
     if sorted(tau) != list(range(len(word))):
         raise PreconditionError("tau must be a permutation of the positions")
     sub = alpha.sub

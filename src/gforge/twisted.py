@@ -26,8 +26,10 @@ depend only on the class of alpha, so the data the invariant chain needs
 comes from such reductions: the order n of the class (the ratios generate
 the n-th roots of unity), and for g normalizing H the unit j with
 alpha^g ~ j * alpha, which is the Galois character of g. The k-form descent
-of gforge.algebra asks the same queries of the same echelons, and one over
-Z/(M/n) for a mu_n-valued representative: f with delta f = -(M/m) * alpha.
+systems of gforge.algebra live here too, so no other module knows the row
+format: _slot_witnesses reduces u * alpha - alpha^g on the same echelons (or
+adds the descent rows), and _mu_n_representative asks one query over Z/(M/n):
+f with delta f = -(M/m) * alpha.
 
 h2_classes works on the same S = sub.gens as the validation and the
 queries above: groups.generating_set, the one pick of a generating set. A
@@ -70,7 +72,7 @@ from .errors import (
 )
 from .groups import SubgroupData, all_ints
 from .modlinalg import (Echelon, howell_echelon, kernel_mod, reduce_least, reduce_mod,
-                        solve_in_image, split_echelon)
+                        solve_in_image, solve_mod, split_echelon)
 
 
 def _check_modulus(m: int) -> None:
@@ -208,8 +210,9 @@ class BinomialDatum:
 
 
 def binomial_datum(alpha: Cocycle, word, tau) -> BinomialDatum:
-    word = tuple(int(h) for h in word)
-    tau = tuple(int(t) for t in tau)
+    word, tau = tuple(word), tuple(tau)
+    if not all_ints([word, tau]):
+        raise PreconditionError("word and perm must be integers")
     if sorted(tau) != list(range(len(word))):
         raise PreconditionError("perm must be a permutation of the word positions")
     r = binomial_ratio(alpha, word, tau)
@@ -491,6 +494,91 @@ def _galois_characters(alpha: Cocycle, n: int, gs) -> list[int | None]:
     return chars
 
 
+def _mu_n_representative(alpha: Cocycle, n: int) -> tuple[Cocycle, tuple, int]:
+    """(beta, f, M) with beta at modulus n and (M/m) * alpha + delta f =
+    (M/n) * beta over Z/M, M = m * exp(H), for alpha of class order n; so
+    u_h -> zeta_M^f(h) u_h maps the algebra of beta onto that of alpha.
+    f is one coboundary query over Z/(M/n) on the rows of -(M/m) * alpha."""
+    sub, big_m = alpha.sub, alpha.modulus * alpha.sub.exponent()
+    q = big_m // n
+    f = _coboundary_witness(sub, q, [-e % q for e in _gen_rows(alpha, big_m)])
+    if f is None:
+        raise InternalError("class of order n has no mu_n-valued representative")
+    exps = shift_by_coboundary(alpha.embedded(big_m), f).exps
+    if any(e % q for row in exps for e in row):
+        raise InternalError("coboundary shift is not mu_n-valued")
+    return Cocycle._derived(sub, n, tuple(tuple(e // q for e in row) for row in exps)), f, big_m
+
+
+def _slot_witnesses(grp, alpha: Cocycle, g_slots, chars, n_root: int, mode: str):
+    """(slot_units, per-slot (f, big_m) or None, descent_enforced) for the
+    Galois slots g_c of gforge.algebra.build_k_form; each unit is j^-1 mod n,
+    j = chars[g_c].
+
+    In mode "corrected" each slot but e gets f over Z/big_m, big_m = m * exp(H),
+    with delta f = u * alpha - alpha^(g_c^-1) for a unit u = j^-1 mod n. The
+    rows s in S of alpha are read once per call, and those of alpha^(g_c^-1)
+    once per slot, through one position map; every try below reduces
+    u * alpha - alpha^(g_c^-1) on them. An involutive slot (j^2 = 1,
+    g_c^2 = e) first tries every lift u with the descent rows
+    (_descent_witness). Otherwise the least lift u is one reduction
+    (_coboundary_witness): alpha^(g_c^-1) ~ j^-1 * alpha by the Galois
+    character, and u * alpha depends only on u mod n, so a witness must exist.
+    """
+    units = tuple(pow(chars[gc], -1, n_root) if n_root > 1 else 0 for gc in g_slots)
+    if mode != "corrected":
+        return units, [None] * len(g_slots), len(g_slots) == 1
+    sub = alpha.sub
+    big_m = alpha.modulus * sub.exponent()
+    flat_a = _gen_rows(alpha, big_m)
+    scalars: list = []
+    enforced = True
+    for gc, u_n in zip(g_slots, units):
+        if gc == 0:
+            scalars.append(None)
+            continue
+        conj = _conjugation_positions(alpha, grp.inv(gc), None)
+        flat_c = _gen_rows(alpha, big_m, conj)
+        lifts = unit_lifts(u_n, n_root, alpha.modulus)
+        f = None
+        if chars[gc] ** 2 % n_root == 1 % n_root and grp.mul(gc, gc) == 0:
+            f = next(filter(None, (
+                _descent_witness(sub, conj[1], [u * a - c for a, c in zip(flat_a, flat_c)],
+                                 u, n_root, big_m) for u in lifts)), None)
+        if f is None:
+            enforced = False
+            f = _coboundary_witness(sub, big_m,
+                                    [lifts[0] * a - c for a, c in zip(flat_a, flat_c)])
+            if f is None:
+                raise InternalError("Galois character has no descent witness")
+        scalars.append((f, big_m))
+    return units, scalars, enforced
+
+
+def _descent_witness(sub: SubgroupData, back, z, u: int, n_root: int, big_m: int):
+    """f (mod big_m, by subgroup position, f[e] = 0) with delta f = z on the
+    rows (s, h) of coboundary_rows and the descent rows, or None; z is
+    u * alpha - alpha^(gc^-1) on the rows s in S, flat, and back the
+    positions of its conjugation by gc^-1 (_conjugation_positions).
+
+    Both sides are normalized, so those rows decide delta f. The descent
+    rows keep the Galois permutation conjugates of the twisted diagonals
+    inside the span: zeta^f lies in Q(mu_n), and u * f(x) + f(gc x gc^-1) = 0,
+    gc x gc^-1 at position back[pos x].
+    """
+    nv = sub.order - 1
+    rows = coboundary_rows(sub, big_m)
+    for p in range(1, sub.order):
+        if n_root > 1:
+            rows.append([n_root * (t == p - 1) for t in range(nv)])
+        row = [u * (t == p - 1) for t in range(nv)]
+        if back[p]:
+            row[back[p] - 1] += 1
+        rows.append(row)
+    sol = solve_mod(rows, list(z) + [0] * (len(rows) - len(z)), big_m)
+    return None if sol is None else (0,) + sol
+
+
 def _cocycle_system(sub: SubgroupData, m: int):
     """The normalized cocycles over Z/m as the solutions of a linear system
     in the values alpha(s, x), s in S = sub.gens and x != e; variable (i, x)
@@ -509,14 +597,11 @@ def _cocycle_system(sub: SubgroupData, m: int):
     walk to g gives A_r(gh) - A_r(g). N is the normal closure of the
     relators, so the kernel is Z^2 all the same. The deduction that picks
     the relators marks each of the |S| * |H| edges known at most once, so
-    it ends after at most |S| * |H| steps (see _cayley). Returns
-    (S, tree, rows), tree listing the BFS tree edges (s, g, sg) in BFS
-    order, for _expand and _root_coboundaries."""
+    it ends after at most |S| * |H| steps (see _cayley). Returns the rows."""
     size, pmul = sub.order, sub.pmul
-    gens, tree, relators = _cayley(sub)
-    nvars = len(gens) * (size - 1)
+    nvars = len(sub.gens) * (size - 1)
     rows, mod = {}, m.__rmod__
-    for cycle in relators:
+    for cycle in _cayley(sub)[1]:
         start, edges = [0] * nvars, []  # start: -sum d * alpha(s, y)
         for i, y, d in cycle:
             base = i * (size - 1) - 1
@@ -529,11 +614,11 @@ def _cocycle_system(sub: SubgroupData, m: int):
                 if py[h]:
                     row[base + py[h]] += d
             rows[tuple(map(mod, row))] = None
-    return gens, tree, [list(row) for row in rows if any(row)]
+    return [list(row) for row in rows if any(row)]
 
 
 def _cayley(sub: SubgroupData):
-    """(S, tree, relators) of the Cayley graph of (H, S), edges y -> sy, with
+    """(tree, relators) of the Cayley graph of (H, S), edges y -> sy, with
     S = sub.gens; built on first use and kept on the SubgroupData. tree
     lists the BFS tree edges (s, g, sg) in BFS order (each g in turn, each s
     in S in turn), and each relator is a cycle of edges (i, y, d), the edge
@@ -605,23 +690,25 @@ def _cayley(sub: SubgroupData):
                     counts[t] -= 1
                     if counts[t] == 1:
                         stack.extend(compress(members[t], map(unknown.__getitem__, members[t])))
-    sub.cayley = (gens, tuple(tree), tuple(map(tuple, relators)))
+    sub.cayley = (tuple(tree), tuple(map(tuple, relators)))
     return sub.cayley
 
 
-def _expand(sub: SubgroupData, gens, tree, x, m: int) -> list[int]:
+def _expand(sub: SubgroupData, x, m: int) -> list[int]:
     """The flat table (row-major in subgroup positions) that the cocycle
-    expansion of _cocycle_system gives the values x of alpha on S x H."""
+    expansion of _cocycle_system gives the values x of alpha on S x H,
+    along the BFS tree of _cayley."""
     size, pmul = sub.order, sub.pmul
-    on_gen = {s: (0, *x[i * (size - 1):(i + 1) * (size - 1)]) for i, s in enumerate(gens)}
+    on_gen = {s: (0, *x[i * (size - 1):(i + 1) * (size - 1)])
+              for i, s in enumerate(sub.gens)}
     rows = {0: [0] * size}
-    for s, g, sg in tree:
+    for s, g, sg in _cayley(sub)[0]:
         a, back = on_gen[s], on_gen[s][g]
         rows[sg] = [(e + a[p] - back) % m for e, p in zip(rows[g], pmul[g])]
     return [e for i in range(size) for e in rows[i]]
 
 
-def _root_coboundaries(sub: SubgroupData, m: int, gens, tree) -> Echelon:
+def _root_coboundaries(sub: SubgroupData, m: int) -> Echelon:
     """A Howell basis over Z/m, in flat table coordinates, of L: the
     coboundaries delta f over Z/M, M = m * exp(H), whose values lie in
     (M/m) Z/M, divided by M/m. With k = M/m, such an f is chi~ + k * g for
@@ -629,14 +716,14 @@ def _root_coboundaries(sub: SubgroupData, m: int, gens, tree) -> Echelon:
     any g: H -> Z/m; a sum of lifts is the lift of the sum plus k times a
     function. So L is spanned by B^2(H, Z/m), the rows delta e_h for
     h != e, and one row delta chi~ / k for each generator chi of
-    Hom(H, Z/k). chi(g) is read along the BFS tree (gens, tree) that
-    _cocycle_system returns, that of _cayley, as a form in the values
-    chi(s), s in S. A map F(S) -> Z/k factors through H when it vanishes
+    Hom(H, Z/k). chi(g) is read along the BFS tree of _cayley as a form in
+    the values chi(s), s in S = sub.gens. A map F(S) -> Z/k factors through H when it vanishes
     on the relation subgroup N, and as Z/k is abelian it is enough that it
     vanish on the relators of _cayley, whose normal closure is N: so
     Hom(H, Z/k) is the kernel of one row per relator, the sum of d * e_s
     over its edges (s, y, d)."""
-    size, pmul, k = sub.order, sub.pmul, sub.exponent()
+    size, pmul, k, gens = sub.order, sub.pmul, sub.exponent(), sub.gens
+    tree, relators = _cayley(sub)
     at = [[] for _ in range(size)]  # h -> the flat indices of (a, b) with ab = h
     for t, p in enumerate(x for row in pmul for x in row):
         at[p].append(t)
@@ -654,7 +741,7 @@ def _root_coboundaries(sub: SubgroupData, m: int, gens, tree) -> Echelon:
     for s, g, sg in tree:
         forms[sg] = tuple(v + (i == col[s]) for i, v in enumerate(forms[g]))
     relations = []
-    for cycle in _cayley(sub)[2]:
+    for cycle in relators:
         row = [0] * len(gens)
         for i, _, d in cycle:
             row[i] += d
@@ -710,12 +797,11 @@ def h2_classes(sub: SubgroupData, m: int) -> list[Cocycle]:
     _check_modulus(m)
     if m == 1:
         return [trivial_cocycle(sub, 1)]
-    size = sub.order
-    gens, tree, rows = _cocycle_system(sub, m)
-    z2 = Echelon(kernel_mod(rows, len(gens) * (size - 1), m))
+    size, gens = sub.order, sub.gens
+    z2 = Echelon(kernel_mod(_cocycle_system(sub, m), len(gens) * (size - 1), m))
     if not z2:
         return [trivial_cocycle(sub, m)]
-    ell = _root_coboundaries(sub, m, gens, tree)
+    ell = _root_coboundaries(sub, m)
 
     def on_gens(flat):
         return [flat[s * size + x] for s in gens for x in range(1, size)]
@@ -732,7 +818,7 @@ def h2_classes(sub: SubgroupData, m: int) -> list[Cocycle]:
     l_coords = []
     for row in ell:
         red = reduce_mod(on_gens(row), z2, m)
-        if red is None or _expand(sub, gens, tree, combined(red[0]), m) != list(row):
+        if red is None or _expand(sub, combined(red[0]), m) != list(row):
             raise InternalError("coboundary is not in the cocycle module")
         l_coords.append(red[0])
     # the relations of the generators: (m / gcd(lead, m)) * z2_i reduces
@@ -764,7 +850,7 @@ def h2_classes(sub: SubgroupData, m: int) -> list[Cocycle]:
         x = list(x)
         if reduce_least(x, quot, m) != x:
             raise InternalError("class coordinates are not reduced")
-        flat = reduce_least(_expand(sub, gens, tree, combined(x), m), ell, m)
+        flat = reduce_least(_expand(sub, combined(x), m), ell, m)
         red = reduce_mod(on_gens(flat), z2, m)
         if red is None or any(red[1]) or reduce_least(red[0], quot, m) != x:
             raise InternalError("class representative is not in its class")

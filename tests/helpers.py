@@ -829,7 +829,7 @@ def galois_character_full(g: int, alpha: Cocycle, n: int) -> int | None:
 
 def descent_witness_full(grp, alpha: Cocycle, gc: int, u: int, n_root: int,
                          big_m: int, enforce: bool):
-    """algebra._descent_witness on the whole table: f with f[e] = 0 and
+    """twisted._descent_witness on the whole table: f with f[e] = 0 and
     delta f = u * alpha - alpha(gc . gc^-1, gc . gc^-1) over Z/big_m from one
     fresh solve_mod of the |H|^2 coboundary rows, the rows of sub.gens first
     (_gens_first), alpha^(gc^-1) built as a Cocycle; with enforce=True the
@@ -862,7 +862,7 @@ def descent_witness_full(grp, alpha: Cocycle, gc: int, u: int, n_root: int,
 
 
 def slot_witnesses_full(grp, alpha: Cocycle, g_slots, chars, n_root: int, mode: str):
-    """algebra._slot_witnesses by the search it replaced: per slot, the
+    """twisted._slot_witnesses by the search it replaced: per slot, the
     descent rows first on an involutive slot, then u_n in {j^-1, j} and
     every unit lift u of u_n, one descent_witness_full per try."""
     m_alpha = alpha.modulus
@@ -1139,13 +1139,13 @@ def cocycle_system_by_edges(sub: SubgroupData, m: int):
     by alpha(sg, h) = alpha(g, h) + alpha(s, gh) - alpha(s, g), and each
     edge (s, g) outside the tree gives the |H| - 1 rows of that identity at
     h != e; zero rows are dropped, and of equal rows the first is kept.
-    The same (S, tree) and unknowns as the relator system, so its kernel
-    is Z^2 too."""
+    The same S, tree (that of twisted._cayley, in the same BFS order) and
+    unknowns as the relator system, so its kernel is Z^2 too. Returns the
+    rows."""
     size, pmul, gens = sub.order, sub.pmul, sub.gens
     nvars = len(gens) * (size - 1)
     forms = {0: [[0] * nvars for _ in range(size)]}
-    tree, rows = [], {}
-    order = [0]
+    rows, order = {}, [0]
     for g in order:  # grows as the BFS reaches new elements
         fg, pg = forms[g], pmul[g]
         for i, s in enumerate(gens):
@@ -1162,11 +1162,10 @@ def cocycle_system_by_edges(sub: SubgroupData, m: int):
                 step.append(form)
             if known is None:
                 forms[sg] = step
-                tree.append((s, g, sg))
                 order.append(sg)
             else:
                 rows.update(dict.fromkeys(map(tuple, step)))
-    return gens, tree, [list(row) for row in rows if any(row)]
+    return [list(row) for row in rows if any(row)]
 
 
 def h2_classes_by_snf(sub: SubgroupData, m: int) -> list[Cocycle]:
@@ -1180,9 +1179,8 @@ def h2_classes_by_snf(sub: SubgroupData, m: int) -> list[Cocycle]:
     _check_modulus(m)
     if m == 1:
         return [trivial_cocycle(sub, 1)]
-    size = sub.order
-    gens, tree, rows = cocycle_system_by_edges(sub, m)
-    z2 = Echelon(kernel_mod(rows, len(gens) * (size - 1), m))
+    size, gens = sub.order, sub.gens
+    z2 = Echelon(kernel_mod(cocycle_system_by_edges(sub, m), len(gens) * (size - 1), m))
     if not z2:
         return [trivial_cocycle(sub, m)]
     ell = root_coboundaries_by_kernel(sub, m)
@@ -1195,7 +1193,7 @@ def h2_classes_by_snf(sub: SubgroupData, m: int) -> list[Cocycle]:
     l_coords = []
     for row in ell:
         red = reduce_mod([row[s * size + x] for s in gens for x in range(1, size)], z2, m)
-        if red is None or _expand(sub, gens, tree, combined(red[0]), m) != list(row):
+        if red is None or _expand(sub, combined(red[0]), m) != list(row):
             raise InternalError("coboundary is not in the cocycle module")
         l_coords.append(red[0])
     # the relations of the generators: (m / gcd(lead, m)) * z2_i reduces
@@ -1219,7 +1217,7 @@ def h2_classes_by_snf(sub: SubgroupData, m: int) -> list[Cocycle]:
     tables = set()
     for y in iproduct(*(range(diag[t]) for t in free)):
         x = [sum(uinv[i][t] * yt for t, yt in zip(free, y)) for i in range(r)]
-        flat = reduce_least(_expand(sub, gens, tree, combined(x), m), ell, m)
+        flat = reduce_least(_expand(sub, combined(x), m), ell, m)
         tables.add(tuple(tuple(flat[i * size:(i + 1) * size]) for i in range(size)))
     if len(tables) != total:
         raise InternalError("class representatives are not distinct")

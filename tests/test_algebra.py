@@ -292,13 +292,13 @@ def test_k_form_solves_no_full_table_system(monkeypatch):
 
 def test_k_form_descent_falls_back_to_the_cohomology_query(p_swap, monkeypatch):
     # with no descent witness the involutive slot takes the query's witness
-    monkeypatch.setattr(algebra_mod, "_descent_witness", lambda *args: None)
+    monkeypatch.setattr(twisted, "_descent_witness", lambda *args: None)
     assert not build_k_form(p_swap).report.descent_enforced
     # and a Galois character the query cannot realize is an internal fault
-    monkeypatch.setattr(algebra_mod, "conjugate_is_cohomologous",
-                        lambda alpha, theta, beta: (False, None, 0))
+    args = _slot_args(p_swap, "corrected", monkeypatch)
+    monkeypatch.setattr(twisted, "_coboundary_witness", lambda sub, M, z: None)
     with pytest.raises(InternalError, match="^Galois character has no descent witness$"):
-        build_k_form(p_swap)
+        twisted._slot_witnesses(*args)
 
 
 @settings(deadline=None, max_examples=20)

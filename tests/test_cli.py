@@ -360,3 +360,50 @@ def test_console_entry_point(tmp_path):
                       _write_variant(tmp_path, "identity_pauli.json", _zero_denominator), "--json")
     assert (bad.returncode, bad.stderr) == (1, "")
     assert json.loads(bad.stdout) == {"error": "parse", "reason": "scalar: zero denominator"}
+
+
+def _setter(*keys, value):
+    """An edit that sets doc[k1]...[kn] = value."""
+    def edit(doc):
+        for k in keys[:-1]:
+            doc = doc[k]
+        doc[keys[-1]] = value
+    return edit
+
+
+# CLI-reachable input errors of schemas and of the group names check, with
+# the command, the corpus file each edits, the exit code and the reason
+SCHEMA_ERRORS = {
+    "int": ("validate", "pauli.json", _setter("cocycle", "modulus", value="2"), 1,
+            "cocycle.modulus: expected an integer, got '2'"),
+    "int-list": ("validate", "pauli.json", _setter("subgroup", value=3), 1,
+                 "presentation.subgroup: expected a list"),
+    "group-name": ("validate", "pauli.json", _setter("group", "name", value=4), 1,
+                   "group.name: expected a string"),
+    "group-table": ("validate", "pauli.json", _setter("group", "table", value=5), 1,
+                    "group.table: expected a list of rows"),
+    "group-generators": ("h2", "h2_z2z2.json",
+                         _setter("group", value={"generators": 6, "degree": 2}), 1,
+                         "group.generators: expected a list"),
+    "scalar-coeffs": ("identity", "identity_pauli.json",
+                      _setter("polynomial", "monomials", 0, "coeff", "coeffs", value=[[1]]),
+                      1, "scalar.coeffs: entries are [num, den]"),
+    "cocycle-exps": ("validate", "pauli.json", _setter("cocycle", "exps", value=7), 1,
+                     "cocycle.exps: expected a list of rows"),
+    "polynomial-lists": ("identity", "identity_pauli.json",
+                         _setter("polynomial", "vars", value={}), 1,
+                         "polynomial: vars and monomials are lists"),
+    "monomial-seq": ("identity", "identity_pauli.json",
+                     _setter("polynomial", "monomials", 1, "seq", value=["y", 8]), 1,
+                     "polynomial.monomials: seq is a list of ids"),
+    "group-names": ("validate", "pauli.json", _setter("group", "names", value=["e"]), 2,
+                    "names length must equal group order"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SCHEMA_ERRORS))
+def test_input_errors_have_their_exit_code_and_reason(capsys, tmp_path, case):
+    command, name, edit, exit_code, reason = SCHEMA_ERRORS[case]
+    code, rep = run_json(capsys, command, "--input", _write_variant(tmp_path, name, edit))
+    kind = "parse" if exit_code == 1 else "precondition"
+    assert code == exit_code and rep == {"error": kind, "reason": reason}

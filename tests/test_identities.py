@@ -21,7 +21,7 @@ from gforge.identities import (GradedPolynomial, binomial_polynomial,
                                path_check, poly_mul, pure_split,
                                rename_variables)
 from gforge.presentation import compute_KNS
-from gforge.twisted import (conjugate_cocycle, find_primitive_binomial,
+from gforge.twisted import (binomial_datum, conjugate_cocycle, find_primitive_binomial,
                             galois_twist, is_binomial_identity, lift_unit)
 
 import helpers
@@ -588,3 +588,29 @@ def test_linearize_budget(algebras):
     assert len(linearize(sqy, budget=24).monomials) == 24
     with pytest.raises(BudgetExceeded):
         linearize(sqy, budget=23)
+
+
+@pytest.mark.parametrize("bad", [1.7, "1", True], ids=["float", "str", "bool"])
+def test_entry_points_refuse_non_integers(p_pauli, bad):
+    # int() read each of these as 1, so every call below went through
+    alpha = p_pauli.alpha
+    cases = [
+        (lambda: GradedPolynomial((("x", bad),), ((1, ("x",)),)),
+         "variable degrees must be integers"),
+        (lambda: is_good_permutation(p_pauli, (bad, 2), (1, 0)),
+         "degrees and sigma must be integers"),
+        (lambda: is_good_permutation(p_pauli, (1, 2), (bad, 0)),
+         "degrees and sigma must be integers"),
+        (lambda: binomial_polynomial(alpha, (bad, 2), (1, 0), 0), "word and tau must be integers"),
+        (lambda: binomial_polynomial(alpha, (1, 2), (bad, 0), 0), "word and tau must be integers"),
+        (lambda: binomial_datum(alpha, (bad, 2), (1, 0)), "word and perm must be integers"),
+        (lambda: binomial_datum(alpha, (1, 2), (bad, 0)), "word and perm must be integers"),
+    ]
+    for call, message in cases:
+        with pytest.raises(PreconditionError, match=f"^{message}$"):
+            call()
+    # the same calls on ints
+    GradedPolynomial((("x", 1),), ((1, ("x",)),))
+    is_good_permutation(p_pauli, (1, 2), (1, 0))
+    binomial_polynomial(alpha, (1, 2), (1, 0), 0)
+    assert binomial_datum(alpha, (1, 2), (1, 0)).word == (1, 2)

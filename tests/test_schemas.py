@@ -115,6 +115,9 @@ def test_element_round_trip(algebras):
     assert back == x
     with pytest.raises(ParseError):
         parse_element(a, {"terms": [{"h": 0, "i": 0, "j": 0}]})
+    # no CLI command reads an element, so this check is reached only here
+    with pytest.raises(ParseError, match=r"^element\.terms: expected a list$"):
+        parse_element(a, {"terms": {}})
 
 
 def test_report_serializers(p_pauli, p_d6):
