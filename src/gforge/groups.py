@@ -193,13 +193,16 @@ class SubgroupData:
         self.coset_id_of = tuple(cid)
         self.cosets = cosets
         self.transversal = tuple(sorted(cosets))
+        self._pmul = self._gens = self._exponent = None
+        # conjugation by g is an automorphism, so g^-1 H g = H exactly when
+        # it maps each generator into H
+        gens = [elements[s] for s in self.gens]
         nz = tuple(
             g for g in range(group.order)
-            if {group.conj(h, g) for h in elements} == set(elements)
+            if all(group.conj(s, g) in self.eset for s in gens)
         )
         self.normalizer = nz
         self.is_normal = len(nz) == group.order
-        self._pmul = self._gens = self._exponent = None
         # M -> image echelon over Z/M of the coboundary map on the rows of
         # gens (gforge.twisted)
         self.coboundary_echelons: dict[int, list] = {}

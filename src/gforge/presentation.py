@@ -25,11 +25,16 @@ chain only records the one it was given.
 
 A Presentation is immutable, so compute_KNS keeps its chain on the object
 (the way lam is kept) and later calls on the same object read it back; an
-equal but separately built Presentation computes its own. The normal form is
-always a new object, so the covariance cross-check of normalize computes the
-chain of the normal form from scratch. When the normal form's translation
-normalizes H, the normal form sits on the same SubgroupData as its source and
-shares its caches (products, generators, exponent, coboundary echelons).
+equal but separately built Presentation computes its own. A move carries the
+kept chain to the moved presentation: the same chain after an entry or
+permute move, the conjugated chain after a translate (apply_move). The normal
+form is always a new object, so the covariance cross-check of normalize
+computes the chain of the normal form from scratch; a carried chain is thus
+checked whenever its presentation is normalized. When the normal form's
+translation normalizes H, the normal form sits on the same SubgroupData as
+its source and shares its caches (products, generators, exponent, coboundary
+echelons). normalize compares one conjugate table per right coset of the
+stabilizer of alpha in H (normalize_with_details).
 """
 
 from __future__ import annotations
@@ -150,7 +155,25 @@ def apply_move(p: Presentation, move: dict) -> Presentation:
     {"type": "permute", "perm": [...]}   places old entry perm[i] at slot i;
     {"type": "translate", "g": g}        maps entries to g*entries, H to
                                          gHg^-1 and alpha accordingly.
+
+    When p keeps its chain (compute_KNS), the moved presentation keeps one
+    too. The chain depends on H, alpha and lam alone: an entry or permute
+    move changes none of them, so the chain is the same; a translate by g
+    conjugates all three, so it is _conjugate_chain(G, chain, g), the
+    covariance that normalize_with_details checks on every call. A moved
+    presentation whose source keeps no chain computes its own.
     """
+    q = _moved(p, move)
+    kept = p._chain
+    if kept is not None:
+        if move["type"] == "translate":
+            kept = _conjugate_chain(p.group, kept, move["g"])
+        object.__setattr__(q, "_chain", kept)
+    return q
+
+
+def _moved(p: Presentation, move: dict) -> Presentation:
+    """The presentation of apply_move, without a chain."""
     kind = move.get("type")
     for key in ("pos", "h") if kind == "entry" else ("g",) if kind == "translate" else ():
         if type(move.get(key)) is not int:
@@ -222,9 +245,12 @@ def compute_KNS(p: Presentation, word_bound: int | None = None) -> InvariantChai
 
     The first call on p computes the chain, with every cross-check, and
     keeps it on p; later calls return it, with word_bound set to the bound
-    asked for (the chain does not depend on it).
+    asked for (the chain does not depend on it). word_bound is an int, or
+    None for CAPS.word_bound.
     """
-    L = CAPS.word_bound if word_bound is None else int(word_bound)
+    if word_bound is not None and not all_ints([[word_bound]]):
+        raise PreconditionError("word_bound must be an integer")
+    L = CAPS.word_bound if word_bound is None else word_bound
     kept = p._chain
     if kept is not None:
         return kept if kept.word_bound == L else replace(kept, word_bound=L)
@@ -349,6 +375,24 @@ def normalize_with_details(p: Presentation,
     tuple, cocycle table) lexicographically, which makes the result
     constant on move orbits.
 
+    Only the least cosets, whose subgroup and flat tuple are least, compare
+    their candidates' conjugate tables, through the position maps of
+    twisted._conjugation_positions. The candidates of the coset H c0 are its
+    elements c, with theta = c^-1; for c1, c2 in it, t = c1 c2^-1 lies in H,
+    and the table of theta1 equals that of theta2 exactly when
+    alpha(t x t^-1, t y t^-1) = alpha(x, y) for all x, y in H, that is when t
+    lies in the stabilizer T of alpha in H. So the candidates with equal
+    tables are those of one right coset T c, on the left of c. T is found by
+    closure: a candidate whose position map repeats an earlier one's, or
+    whose table ties with the best candidate of its coset, gives a new
+    element c c'^-1 of T, so the part of T found at least doubles, and at
+    most log2 |H| ties inside the cosets read a whole table. Each candidate
+    in a right coset of the part found, after the first, is skipped. T does
+    not depend on the coset, so it carries over to the next least coset.
+    The winner is the first candidate, in the order of the cosets and of
+    their elements, whose table is least, as when every candidate is
+    compared.
+
     The chain of p is the one kept on p (compute_KNS). A candidate
     translation that normalizes H keeps p.sub, so the normal form shares its
     subgroup's caches; otherwise it gets the conjugated subgroup. The normal
@@ -376,19 +420,42 @@ def normalize_with_details(p: Presentation,
         )
         heads.append((cid, sub2, flat, ufactor, core))
     # every candidate of a coset shares the first two key parts, so only the
-    # cosets whose parts are least compare their conjugate tables, row by
-    # row through the position maps, and only the winner's table is built
+    # least cosets compare their conjugate tables, and only the winner's
+    # table is built; stab is the part of T found so far, and seen the
+    # right cosets stab r of the candidates r of this coset read so far
     least = min((sub2.elements, flat) for _, sub2, flat, _, _ in heads)
+    exps, mul = p.alpha.exps, grp._mul
+    stab, stab_gens = (0,), []
     best = None
-    for cid, sub2, flat, ufactor, core in heads:
+    for head in heads:
+        cid, sub2, flat, _, _ = head
         if (sub2.elements, flat) != least:
             continue
+        reps, seen, maps = [], set(), {}
         for c in p.sub.cosets[cid]:
-            theta = grp.inv(c)
-            _, back = _conjugation_positions(p.alpha, theta, sub2)
-            if best is None or _conjugate_precedes(p.alpha.exps, back, best[1]):
-                best = (theta, back, sub2, flat, ufactor, core)
-    theta, _, sub2, flat, ufactor, core = best
+            if c in seen:
+                continue
+            _, back = _conjugation_positions(p.alpha, grp.inv(c), sub2)
+            # a candidate with the map of an earlier one, or one whose table
+            # ties with the best of its coset, brings a new element of T
+            key = tuple(back)
+            tie = maps.get(key)
+            if tie is None:
+                maps[key] = c
+                order = -1 if best is None else _conjugate_compare(exps, back, best[1])
+                if order < 0:
+                    best = (c, back, head)
+                elif order == 0 and p.sub.coset_id_of[best[0]] == cid:
+                    tie = best[0]
+            reps.append(c)
+            if tie is None:
+                seen.update(mul[t][c] for t in stab)
+            else:
+                stab_gens.append(mul[c][grp.inv(tie)])
+                stab = grp.closure(stab_gens)
+                seen = {mul[t][r] for t in stab for r in reps}
+    c, _, (_, sub2, flat, ufactor, core) = best
+    theta = grp.inv(c)
     norm = Presentation(grp, sub2, conjugate_cocycle(p.alpha, theta, sub2), flat)
     moved = CosetMultiset.from_elements(sub2, [grp.mul(theta, x) for x in p.entries])
     if norm.lam.counts != moved.counts:
@@ -403,16 +470,17 @@ def normalize_with_details(p: Presentation,
     )
 
 
-def _conjugate_precedes(exps, back, other) -> bool:
-    """Whether the conjugate table with position map back (see
-    twisted._conjugation_positions) is lexicographically less than the one
-    with position map other, read row by row up to the first difference."""
+def _conjugate_compare(exps, back, other) -> int:
+    """-1, 0 or 1 as the conjugate table with position map back (see
+    twisted._conjugation_positions) is lexicographically less than, equal to
+    or greater than the one with position map other, read row by row up to
+    the first difference."""
     for p, q in zip(back, other):
         row, row2 = exps[p], exps[q]
         a, b = [row[k] for k in back], [row2[k] for k in other]
         if a != b:
-            return a < b
-    return False
+            return -1 if a < b else 1
+    return 0
 
 
 def normalize(p: Presentation, word_bound: int | None = None) -> Presentation:

@@ -215,6 +215,13 @@ def covering_generating_set(table) -> tuple[int, ...]:
     return tuple(gens)
 
 
+def normalizer_by_elements(grp: Group, elems) -> tuple[int, ...]:
+    """SubgroupData.normalizer as it was before it tested the generators of
+    H: every g whose set of conjugates g^-1 h g of all h in H is H."""
+    eset = set(elems)
+    return tuple(g for g in range(grp.order) if {grp.conj(h, g) for h in elems} == eset)
+
+
 def random_subgroup(rng: random.Random, grp: Group) -> SubgroupData:
     gens = [rng.randrange(grp.order) for _ in range(rng.randint(0, 2))]
     return SubgroupData(grp, grp.closure(gens))
@@ -346,9 +353,10 @@ def sweep_inputs(grp: Group, moduli=(2, 4), subs=None):
 def normalize_with_details_by_tables(p: Presentation,
                                      word_bound: int | None = None) -> NormalForm:
     """presentation.normalize_with_details as it was before the tied
-    candidates were compared through their position maps: every candidate
-    of a least head builds its full conjugate table, and the tables are
-    compared as tuples."""
+    candidates were compared through their position maps, one per right
+    coset of the stabilizer of alpha: every candidate of a least head
+    builds its full conjugate table, and the tables are compared as
+    tuples."""
     chain = compute_KNS(p, word_bound)
     grp = p.group
     maxmult = max(m for _, m in p.lam.counts)

@@ -58,14 +58,26 @@ lead prefix. The polynomials are s_2, s_3, s_4 and the Hall polynomial with
 every variable in one degree g, and s_3 and s_4 with the first variable in
 degree g and the others in degree e, for each degree g of the algebra.
 
+The scale pass runs the rungs at the group_order cap: G = D256 (order
+512), H the rotations of order 64, 128 and 256 or the dihedral subgroups
+D32, D64 and D128, the trivial cocycle shifted by a seeded coboundary at
+m in SCALE_MODULI, and the tuple (0, st) of two entries. On each rung it
+times normalize and compute_KNS on fresh presentations, classify (which
+refuses the disconnected gradings of the rotation rungs of index 4 and 8)
+and iso_witness against a seeded translate, and prints the ms per rung. It
+compares normalize_with_details with helpers.normalize_with_details_by_tables,
+which builds every candidate's table, and counts a disagreement there or
+when iso_witness finds no witness for the translate. It never fails on a
+time.
+
 Run from the repository root:
 
     PYTHONPATH=src python tests/sweep_wide.py
 
 It prints the outcome counts per mode, the number of presentation inputs,
 chains compared and conjugation verdicts, iso pairs, h2 cases, products per kernel, identity inputs
-and lead prefixes, and of disagreements, and exits 1 on any disagreement, on a k-form
-PreconditionError, or when no input reaches a False conjugation test.
+and lead prefixes, the times per scale rung, and of disagreements, and exits 1 on any
+disagreement, on a k-form PreconditionError, or when no input reaches a False conjugation test.
 """
 
 from __future__ import annotations
@@ -81,11 +93,13 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 import helpers  # noqa: E402
 from gforge.algebra import MODES, GradedAlgebra, build_k_form, multiply  # noqa: E402
-from gforge.errors import GForgeError  # noqa: E402
-from gforge.groups import SubgroupData  # noqa: E402
+from gforge.errors import GForgeError, PreconditionError  # noqa: E402
+from gforge.groups import SubgroupData, dihedral  # noqa: E402
 from gforge.identities import GradedPolynomial, identity_report  # noqa: E402
-from gforge.presentation import iso_witness, normalize, validate_presentation  # noqa: E402
-from gforge.twisted import h2_classes  # noqa: E402
+from gforge.presentation import (Presentation, apply_move, classify, compute_KNS,  # noqa: E402
+                                 iso_witness, normalize, normalize_with_details,
+                                 validate_presentation)
+from gforge.twisted import h2_classes, shift_by_coboundary, trivial_cocycle  # noqa: E402
 
 MAX_ORDER = 16
 MODULI = (2, 3, 4, 6)
@@ -93,6 +107,7 @@ H2_MODULI = (2, 3, 4, 5, 6, 8, 12)
 SEMIDIRECT_SEEDS = (7, 11, 12, 13)
 SEMIDIRECT_COUNT = 4
 PRODUCT_SHARE = 0.6
+SCALE_MODULI = (1, 4)
 
 
 def presentation_inputs(seed: str):
@@ -342,9 +357,64 @@ def semidirect_pass() -> int:
     return sum(c["PreconditionError"] for c in counts.values())
 
 
+def scale_rungs():
+    """(label, G, H) of the scale pass: D256, with s^a at a and s^a t at
+    256 + a, and H the rotations of order k or the dihedral subgroup
+    <s^(256/k), t> of order 2k."""
+    grp = dihedral(256)
+    rungs = [(f"rotations of order {k}", tuple(range(0, 256, 256 // k))) for k in (64, 128, 256)]
+    rungs += [(f"D{k}", tuple(x for a in range(0, 256, 256 // k) for x in (a, 256 + a)))
+              for k in (32, 64, 128)]
+    return [(label, grp, elems) for label, elems in rungs]
+
+
+def scale_pass() -> int:
+    """Prints the ms of each step per rung and the disagreements; returns
+    the latter's number."""
+    start = time.perf_counter()
+    mismatches = []
+
+    def timed(call):
+        t = time.perf_counter()
+        out = call()
+        return out, f"{(time.perf_counter() - t) * 1e3:.0f} ms"
+
+    for label, grp, elems in scale_rungs():
+        for m in SCALE_MODULI:
+            rng = random.Random(f"scale:{label}:{m}")
+            sub = SubgroupData(grp, elems)
+            f = [0] + [rng.randrange(m) for _ in range(sub.order - 1)]
+            alpha = shift_by_coboundary(trivial_cocycle(sub, m), f)
+
+            def fresh():
+                return Presentation(grp, sub, alpha, (0, 257))
+
+            nf, t_norm = timed(lambda: normalize_with_details(fresh()))
+            p = fresh()
+            _, t_kns = timed(lambda: compute_KNS(p))
+            try:
+                _, t_cls = timed(lambda: classify(p))
+            except PreconditionError:
+                t_cls = "refused (disconnected)"
+            q = apply_move(fresh(), {"type": "translate", "g": rng.randrange(grp.order)})
+            w, t_iso = timed(lambda: iso_witness(p, q))
+            want, t_oracle = timed(lambda: helpers.normalize_with_details_by_tables(fresh()))
+            agree = nf == want
+            if not agree or w is None:
+                mismatches.append((label, m, "normalize" if not agree else "iso_witness"))
+            print(f"  D256 > {label}, m = {m}: normalize {t_norm}, compute_KNS {t_kns}, "
+                  f"classify {t_cls}, iso_witness {t_iso}; table oracle "
+                  f"{'agrees' if agree else 'DISAGREES'} ({t_oracle})")
+    print(f"scale: {len(scale_rungs()) * len(SCALE_MODULI)} rungs at the group_order cap, "
+          f"{time.perf_counter() - start:.1f} s; {len(mismatches)} disagreements")
+    for m in mismatches:
+        print("  ", m)
+    return len(mismatches)
+
+
 def main() -> int:
     failures = (presentation_pass() + iso_pass() + h2_pass() + kform_pass()
-                + product_pass() + identity_pass() + semidirect_pass())
+                + product_pass() + identity_pass() + semidirect_pass() + scale_pass())
     return 1 if failures else 0
 
 

@@ -225,6 +225,23 @@ def test_subgroup_data():
         SubgroupData(g, (0, 1))  # not closed
 
 
+def test_normalizer_matches_the_element_wise_normalizer():
+    # the normalizer tests g^-1 s g in H for the generators s of H; on every
+    # subgroup of every pool group and on the class-moving ambients it is
+    # the set of g with g^-1 H g = H, tested element by element
+    cases = [(grp, elems) for grp in helpers.group_pool(16)
+             for elems in helpers.all_subgroups(grp)]
+    cases += sorted(helpers.chain_ambients().values(), key=lambda c: c[0].name)
+    normal = 0
+    for grp, elems in cases:
+        sub = SubgroupData(grp, elems)
+        want = helpers.normalizer_by_elements(grp, elems)
+        assert sub.normalizer == want, (grp.name, elems)
+        assert sub.is_normal == (len(want) == grp.order)
+        normal += sub.is_normal
+    assert len(cases) == 196 and 0 < normal < len(cases)
+
+
 def test_subgroup_product_table():
     rng = random.Random(7)
     for grp in helpers.group_pool(16):

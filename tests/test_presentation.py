@@ -3,7 +3,7 @@ import inspect
 import json
 import os
 import random
-from dataclasses import replace
+from dataclasses import fields, replace
 from itertools import permutations
 from types import SimpleNamespace
 
@@ -13,9 +13,11 @@ from hypothesis import strategies as st
 
 from gforge import presentation as presentation_mod
 from gforge import twisted
+from gforge.config import CAPS
 from gforge.errors import InternalError, PreconditionError, PresentationError
-from gforge.groups import CosetMultiset, Group, SubgroupData, cyclic, direct_product
-from gforge.presentation import (Presentation, _conjugate_chain, apply_move, classify,
+from gforge.groups import CosetMultiset, Group, SubgroupData, cyclic, dihedral, direct_product
+from gforge.presentation import (InvariantChain, Presentation, _conjugate_chain, apply_move,
+                                 classify,
                                  compute_KNS, find_theta, full_derivative,
                                  iso_test, iso_witness, minimal_field,
                                  normalize, normalize_with_details,
@@ -431,6 +433,14 @@ def test_iso_witness_tests_each_left_coset_once(monkeypatch):
         calls.clear()
 
 
+def _s4():
+    """S4 on its permutations in lexicographic order, the identity first, and
+    the index of each permutation."""
+    perms = sorted(permutations(range(4)))
+    at = {q: i for i, q in enumerate(perms)}
+    return Group([[at[tuple(a[x] for x in b)] for b in perms] for a in perms], name="S4"), at
+
+
 def test_iso_witness_keys_the_class_test_by_left_coset():
     """In G = S4 x C2, H1 = <(12), (34)> x C2 is not normal, and with
     g = (23), h = (12)(34) lies in H1 and normalizes H2 = g H1 g^-1 without
@@ -440,9 +450,7 @@ def test_iso_witness_keys_the_class_test_by_left_coset():
     passes at hg, so a test keyed by the right coset would never reach hg
     and no other g passes. Pool groups of order <= 16 and the class-moving
     ambients hold no such input."""
-    perms = sorted(permutations(range(4)))  # the identity first
-    at = {q: i for i, q in enumerate(perms)}
-    s4 = Group([[at[tuple(a[x] for x in b)] for b in perms] for a in perms], name="S4")
+    s4, at = _s4()
     grp = direct_product(s4, cyclic(2))
 
     def elem(*images):  # a permutation of S4 times the identity of C2
@@ -610,6 +618,20 @@ def test_kept_chain_records_the_word_bound_asked_for(p_swap_raw, monkeypatch):
     assert len(seen) == 1
 
 
+@pytest.mark.parametrize("bad", [3.7, "3", True], ids=["float", "str", "bool"])
+def test_word_bound_must_be_an_integer(p_swap_raw, bad):
+    # int() read each of these as 3 (the bool as 1), so compute_KNS went on
+    for call in (compute_KNS, normalize, classify):
+        with pytest.raises(PreconditionError, match="^word_bound must be an integer$"):
+            call(_fresh(p_swap_raw), bad)
+    # also when the chain is kept; None still means the default bound
+    p = _fresh(p_swap_raw)
+    assert compute_KNS(p, None).word_bound == compute_KNS(p).word_bound == CAPS.word_bound
+    with pytest.raises(PreconditionError, match="^word_bound must be an integer$"):
+        compute_KNS(p, bad)
+    assert compute_KNS(p, 3).word_bound == 3
+
+
 def test_kept_chain_is_referenced_by_its_presentation_alone(p_swap_raw):
     def holders(obj):
         return [id(r) for r in gc.get_referrers(obj) if not inspect.isframe(r)]
@@ -654,6 +676,155 @@ def test_orbit_op_computes_two_chains_and_one_echelon(monkeypatch):
     assert seen == [q.alpha, nf.alpha]
     assert nf.sub is q.sub is sub
     assert echelons == [(sub, alpha.modulus * sub.exponent())]
+
+
+def test_moved_chain_is_carried_and_is_the_fresh_chain(monkeypatch):
+    """A move on a presentation that keeps its chain gives the moved one a
+    chain without computing it: the same chain after an entry or permute
+    move and the conjugated chain after a translate. On the inputs of the
+    presentation sweep over the pool groups of order <= 8 and on the
+    class-moving ambients, each carried chain equals, in every field, the
+    chain computed from scratch on an equal presentation built directly."""
+    seen = _spy_class_order(monkeypatch)
+    rng = random.Random("carried-chains")
+    cases = [(grp, (2, 4), None) for grp in helpers.group_pool(8)]
+    cases += [(grp, (2, 3, 4), [elems])
+              for _, (grp, elems) in sorted(helpers.chain_ambients().items())]
+    kinds = set()
+    for grp, moduli, subs in cases:
+        for p in helpers.sweep_inputs(grp, moduli, subs):
+            compute_KNS(p)
+            q = p
+            for _ in range(4):
+                move = helpers.random_move(rng, q)
+                q = apply_move(q, move)
+                kinds.add(move["type"])
+                seen.clear()
+                carried = compute_KNS(q)
+                assert not seen and q._chain is carried
+                fresh = compute_KNS(_fresh(q))
+                assert seen == [q.alpha]
+                for field in fields(InvariantChain):
+                    assert getattr(carried, field.name) == getattr(fresh, field.name), field.name
+    assert kinds == {"entry", "permute", "translate"}
+
+
+def test_normal_form_matches_the_full_table_comparison_on_the_sweep():
+    """normalize_with_details compares one candidate per right coset of the
+    stabilizer of alpha; on the inputs of the presentation sweep over the
+    pool groups of order <= 8 and on the class-moving ambients, and on a
+    seeded move of each, its normal form is that of the comparison of every
+    candidate's full table."""
+    rng = random.Random("sweep-tables")
+    cases = [(grp, (2, 4), None) for grp in helpers.group_pool(8)]
+    cases += [(grp, (2, 3, 4), [elems])
+              for _, (grp, elems) in sorted(helpers.chain_ambients().items())]
+    inputs = 0
+    for grp, moduli, subs in cases:
+        for p in helpers.sweep_inputs(grp, moduli, subs):
+            for q in (p, apply_move(p, helpers.random_move(rng, p))):
+                assert normalize_with_details(q) == helpers.normalize_with_details_by_tables(q)
+                inputs += 1
+    assert inputs > 1000
+
+
+@pytest.mark.parametrize("normal", (True, False), ids=("normal", "not-normal"))
+def test_orbit_op_on_a_kept_chain_computes_one_chain(monkeypatch, normal):
+    """One orbit-shaped sequence from a base that keeps its chain, on a
+    normal subgroup and on the non-normal D8 subgroup of order 4 (whose
+    translates move H): normalize, compute_KNS and classify on the moved q
+    make one full chain computation, the normal form's."""
+    if normal:
+        grp = direct_product(cyclic(4), cyclic(4))
+        sub = SubgroupData(grp, (0, 2, 8, 10))
+        alpha = shift_by_coboundary(h2_classes(sub, 2)[1], [0, 1, 1, 0])
+        entries = (0, 1, 4)
+    else:
+        grp = dihedral(8)
+        sub = SubgroupData(grp, (0, 4, 8, 12))
+        alpha = shift_by_coboundary(h2_classes(sub, 2)[1], [0, 1, 0, 1])
+        entries = (0, 1, 2, 3)
+    assert sub.is_normal == normal
+    rng = random.Random("orbit-op-kept")
+    base = Presentation(grp, sub, alpha, entries)
+    for _ in range(6):
+        base = apply_move(base, helpers.random_move(rng, base))
+    compute_KNS(base, 3)
+    seen = _spy_class_order(monkeypatch)
+    q = base
+    for _ in range(12):
+        q = apply_move(q, helpers.random_move(rng, q))
+    nf = normalize(q, 3)
+    chain = compute_KNS(q, 3)
+    classify(q, 3)
+    assert iso_test(base, q)
+    assert seen == [nf.alpha]
+    assert chain == compute_KNS(_fresh(q), 3)
+    assert normal or q.sub is not sub
+
+
+def test_normalize_finds_the_cocycle_stabilizer_by_closure(monkeypatch):
+    """On D64 with H = D32, with the trivial cocycle and with a coboundary
+    shift at m = 4: the normal form is that of the full-table comparison,
+    and the candidates of one coset tie on a whole table at most
+    ceil(log2 |H|) times, since each tie at least doubles the part of the
+    stabilizer T found, after which one candidate per coset T c is
+    compared."""
+    results = []
+    real = presentation_mod._conjugate_compare
+
+    def spy(exps, back, other):
+        results.append(real(exps, back, other))
+        return results[-1]
+
+    monkeypatch.setattr(presentation_mod, "_conjugate_compare", spy)
+    grp = dihedral(64)
+    sub = SubgroupData(grp, [x for a in range(0, 64, 2) for x in (a, 64 + a)])
+    assert sub.order == 64
+    rng = random.Random("stabilizer-closure")
+    bound = (sub.order - 1).bit_length()  # ceil(log2 |H|)
+    ties = []
+    for m in (1, 4):
+        alpha = shift_by_coboundary(trivial_cocycle(sub, m),
+                                    [0] + [rng.randrange(m) for _ in range(sub.order - 1)])
+        for x in rng.sample(range(grp.order), 8):
+            for entries in ((0, 0, x), (0, x)):
+                p = Presentation(grp, sub, alpha, entries)
+                top = max(d for _, d in p.lam.counts)
+                heads = sum(d == top for _, d in p.lam.counts)  # the candidate cosets
+                results.clear()
+                assert normalize_with_details(p) == helpers.normalize_with_details_by_tables(p)
+                assert results.count(0) <= heads * bound
+                if x not in sub.eset and len(entries) == 3:
+                    assert heads == 1
+                # the trivial cocycle is fixed by all of H, so once the
+                # closure reaches T = H every other candidate is skipped
+                assert m == 4 or len(results) <= heads * bound
+                ties.append((m, results.count(0)))
+    assert max(t for m, t in ties if m == 1) > 1
+
+
+@pytest.mark.parametrize("m, r, f, entries", [
+    (2, 2, "001000110001001110111111", (11,)),
+    (4, 2, "012221320103003321311030", (0,)),
+    (2, 14, "001110100101011000110010", (18, 22)),
+    (3, 22, "022112201221122110211201", (13, 16, 16)),
+])
+def test_normalize_skips_the_right_cosets_of_the_stabilizer(m, r, f, entries):
+    """Candidates c1 and c2 give equal tables exactly when c1 c2^-1 lies in
+    T, the stabilizer of alpha in H, so the loop skips the right cosets T c.
+    On H = G = S4 with alpha = delta f, f fixed by conjugation by r, T is
+    not normal in H; on these inputs a loop that skipped the left cosets c T
+    picks another normal form than the full-table comparison."""
+    grp, _ = _s4()
+    sub = SubgroupData(grp, range(24))
+    f = [int(v) for v in f]
+    assert all(f[grp.conj(x, r)] == f[x] for x in range(24))
+    alpha = shift_by_coboundary(trivial_cocycle(sub, m), f)
+    stab = [t for t in range(24) if conjugate_cocycle(alpha, t).exps == alpha.exps]
+    assert r in stab and any(grp.conj(t, h) not in stab for t in stab for h in range(24))
+    p = Presentation(grp, sub, alpha, entries)
+    assert normalize_with_details(p) == helpers.normalize_with_details_by_tables(p)
 
 
 def test_classify_matches_the_element_wise_test():
