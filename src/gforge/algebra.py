@@ -47,7 +47,7 @@ class GradedAlgebra:
 
     __slots__ = ("presentation", "group", "sub", "alpha", "entries", "size",
                  "dim", "dims", "blocks", "block_of", "_deg", "_by_degree",
-                 "_triples", "_root_modulus", "_products", "_walks", "_leads")
+                 "_lead_need", "_triples", "_root_modulus", "_products", "_walks")
 
     def __init__(self, presentation: Presentation):
         self.presentation = presentation
@@ -90,6 +90,13 @@ class GradedAlgebra:
             for i in members:
                 block_of[i] = b
         self.block_of = tuple(block_of)
+        # for lead_prefixes: the bit 1 << a of the position a before each
+        # position in its block, 0 for the first
+        need = [0] * n
+        for members in blocks:
+            for a, x in zip(members, members[1:]):
+                need[x] = 1 << a
+        self._lead_need = tuple(need)
 
         # _triples[s] is the triple at slot s = pos[h] * n^2 + i * n + j,
         # the order _deg was filled in, as sub.elements is sorted.
@@ -102,8 +109,7 @@ class GradedAlgebra:
         # rational elements run, is built with the algebra
         self._products = {}
         self.product_table(self._root_modulus)
-        self._walks = None  # walk_index, filled on use by the identity oracle
-        self._leads = None  # lead_prefixes, likewise
+        self._walks = {}  # walk_index, filled on use by the identity oracle
 
         if sum(dims.values()) != dim:
             raise InternalError("degree dimensions do not sum to the total dimension")
@@ -124,10 +130,7 @@ class GradedAlgebra:
         """(by_row, by_col) for the degree-g basis triples (h, i, j), built on
         first use and kept: by_row[i] lists (index in basis_of_degree(g),
         pos h, j) for row i, by_col[j] lists (index, pos h, i) for column j."""
-        walks = self._walks
-        if walks is None:
-            walks = self._walks = {}
-        hit = walks.get(g)
+        hit = self._walks.get(g)
         if hit is None:
             pos = self.sub.pos
             by_row: dict = {}
@@ -135,7 +138,7 @@ class GradedAlgebra:
             for c, (h, i, j) in enumerate(self.basis_of_degree(g)):
                 by_row.setdefault(i, []).append((c, pos[h], j))
                 by_col.setdefault(j, []).append((c, pos[h], i))
-            hit = walks[g] = (by_row, by_col)
+            hit = self._walks[g] = (by_row, by_col)
         return hit
 
     def lead_prefixes(self, degrees: tuple):
@@ -147,41 +150,12 @@ class GradedAlgebra:
         Each basis_of_degree list is sorted by (h, i, j) and pi fixes h, so a
         tuple is lex-least exactly when, along its rows and columns
         i1, j1, i2, j2, ..., each position met for the first time is the
-        least unmet one of its block; with one position per block that is
-        every tuple. The tuples are the paths of a graph, built on first use
-        and kept per degrees, whose node at depth t is the count of met
-        positions per block after t entries."""
-        leads = self._leads
-        if leads is None:
-            leads = self._leads = {}
-        root = leads.get(degrees)
-        if root is None:
-            rank = [0] * self.size
-            for members in self.blocks:
-                for r, x in enumerate(members):
-                    rank[x] = r
-            block_of, last = self.block_of, len(degrees) - 1
-            nodes: dict = {}
-
-            def node(t: int, met: tuple) -> tuple:
-                hit = nodes.get((t, met))
-                if hit is None:
-                    out = []
-                    for c, (_, i, j) in enumerate(self.basis_of_degree(degrees[t])):
-                        nxt = list(met)
-                        for x in (i, j):
-                            b = block_of[x]
-                            if rank[x] > nxt[b]:
-                                break
-                            if rank[x] == nxt[b]:
-                                nxt[b] += 1
-                        else:
-                            out.append((c, node(t + 1, tuple(nxt)) if t < last else None))
-                    hit = nodes[(t, met)] = tuple(out)
-                return hit
-
-            root = leads[degrees] = node(0, (0,) * len(self.blocks))
-        return _paths(root, ())
+        least unmet one of its block, that is, each position is met only after
+        the one before it in its block. The tuples are grown depth first and
+        a branch is cut at the first position that breaks the rule. The first
+        position of a block never cuts, so with one position per block every
+        tuple is yielded."""
+        return _lead_paths([self.basis_of_degree(g) for g in degrees], self._lead_need, 0, (), 0)
 
     def product_table(self, L: int) -> tuple:
         """The products of basis triples as flat indices into integer vectors,
@@ -223,13 +197,17 @@ class GradedAlgebra:
         return f"GradedAlgebra(|H|={self.sub.order}, n={self.size}, dim={self.dim})"
 
 
-def _paths(node: tuple, prefix: tuple):
-    """The root-to-leaf index tuples of a lead_prefixes graph, in order."""
-    for c, child in node:
-        if child is None:
-            yield prefix + (c,)
+def _lead_paths(cands: list, need: tuple, t: int, prefix: tuple, met: int):
+    """The lead prefixes of GradedAlgebra.lead_prefixes that extend prefix,
+    of length t, after which bit x of met is set when position x is met;
+    need is GradedAlgebra._lead_need."""
+    for c, (_, i, j) in enumerate(cands[t]):
+        if need[i] & ~met or need[j] & ~(met | 1 << i):
+            continue
+        if t + 1 < len(cands):
+            yield from _lead_paths(cands, need, t + 1, prefix + (c,), met | 1 << i | 1 << j)
         else:
-            yield from _paths(child, prefix + (c,))
+            yield prefix + (c,)
 
 
 class AlgElement:
@@ -599,8 +577,8 @@ def build_k_form(p: Presentation, mode: str = "corrected",
             if slot_scalars[c] is None:
                 coeff = one
             else:
-                f, big = slot_scalars[c]
-                coeff = CycScalar.from_root(big, f[sub.pos[h]])
+                f, bm = slot_scalars[c]
+                coeff = CycScalar.from_root(bm, f[sub.pos[h]])
             for i in range(r):
                 for d in range(t_len):
                     key = (hc, pos(i, c, d), pos(i, c, d))

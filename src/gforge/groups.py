@@ -164,7 +164,7 @@ class SubgroupData:
 
     __slots__ = ("group", "elements", "eset", "order", "pos",
                  "coset_id_of", "cosets", "transversal", "normalizer", "is_normal",
-                 "_pmul", "_gens", "_exponent", "coboundary_echelons", "cayley")
+                 "pmul", "gens", "_exponent", "coboundary_echelons", "cayley")
 
     def __init__(self, group: Group, elems):
         elements = tuple(elems)
@@ -193,7 +193,14 @@ class SubgroupData:
         self.coset_id_of = tuple(cid)
         self.cosets = cosets
         self.transversal = tuple(sorted(cosets))
-        self._pmul = self._gens = self._exponent = None
+        # pmul[i][j] is the position of h_i * h_j (positions index the
+        # sorted elements); gens is the generating set S of H, as positions,
+        # that every reader of the subgroup uses, picked by the element
+        # orders the group keeps
+        mul = group._mul
+        self.pmul = tuple(tuple(self.pos[mul[a][b]] for b in elements) for a in elements)
+        self.gens = generating_set(self.pmul, [group._orders[h] for h in elements])
+        self._exponent = None
         # conjugation by g is an automorphism, so g^-1 H g = H exactly when
         # it maps each generator into H
         gens = [elements[s] for s in self.gens]
@@ -208,24 +215,6 @@ class SubgroupData:
         self.coboundary_echelons: dict[int, list] = {}
         # the BFS tree and relators of gforge.twisted._cayley
         self.cayley = None
-
-    @property
-    def pmul(self) -> tuple[tuple[int, ...], ...]:
-        """pmul[i][j] is the position of h_i * h_j (positions index the sorted
-        elements); built on first use and kept."""
-        if self._pmul is None:
-            pos, mul, els = self.pos, self.group._mul, self.elements
-            self._pmul = tuple(tuple(pos[mul[a][b]] for b in els) for a in els)
-        return self._pmul
-
-    @property
-    def gens(self) -> tuple[int, ...]:
-        """generating_set(pmul): the generating set S of H, as positions, that
-        every reader of the subgroup uses, picked by the element orders the
-        group keeps; built on first use and kept."""
-        if self._gens is None:
-            self._gens = generating_set(self.pmul, [self.group._orders[h] for h in self.elements])
-        return self._gens
 
     def exponent(self) -> int:
         """exp(H), the lcm of the element orders; computed on first use and kept."""

@@ -7,8 +7,9 @@ every degree-respecting basis assignment, within a budget, without visiting
 them one by one: a monomial is nonzero on basis triples only along a walk
 whose rows continue the previous columns, so it enumerates those walks and
 sums them per assignment.  The walks start only from lead prefixes that are
-lex-least under the permutations of equal tuple entries: those permutations
-act as graded automorphisms, and graded identities are invariant under graded
+lex-least under the permutations of equal tuple entries, which
+GradedAlgebra.lead_prefixes grows depth first: those permutations act as
+graded automorphisms, and graded identities are invariant under graded
 automorphisms (Bahturin-Drensky, Graded polynomial identities of matrices,
 2002; Aljadeff-Haile, Simple G-graded algebras and their polynomial
 identities, 2014).  The first nonzero assignment has a lex-least prefix, so
@@ -16,7 +17,9 @@ identities, 2014).  The first nonzero assignment has a lex-least prefix, so
 fresh ones, within the same budget.  Good-permutation and path machinery
 compare H-coset prefixes of monomials; the witness constructions walk the
 diagonal e-blocks of an algebra (Euler circuit per block, lemma-compliant
-bridges between blocks) and alternate the designated variables.  The m-product
+bridges between blocks) and alternate the designated variables, and
+nonvanishing_set decides each permutation of them by one entry test per
+frame and per bridge, with no bridge value enumerated.  The m-product
 multiplies one binomial factor per Galois character value of the invariant
 subgroup and checks its coefficients against the minimal subfield.
 """
@@ -24,7 +27,6 @@ subgroup and checks its coefficients against the minimal subfield.
 from collections import Counter
 from dataclasses import dataclass
 from itertools import permutations
-from itertools import product as iproduct
 from math import factorial, lcm, prod
 
 from .algebra import AlgElement, GradedAlgebra, _monomials, _root_shifts, bridge, multiply
@@ -310,7 +312,8 @@ def _first_nonzero(p: GradedPolynomial, algebra: GradedAlgebra, used,
     answer.
 
     Only slabs whose lead prefix is lex-least under the position symmetry S
-    of the tuple are enumerated (GradedAlgebra.lead_prefixes).  Each pi in S
+    of the tuple are enumerated (GradedAlgebra.lead_prefixes; with no two
+    equal entries that is every prefix).  Each pi in S
     gives the graded automorphism (h, i, j) -> (h, pi i, pi j), and graded
     identities are invariant under graded automorphisms (Bahturin-Drensky,
     Graded polynomial identities of matrices, 2002; Aljadeff-Haile, Simple
@@ -344,11 +347,7 @@ def _first_nonzero(p: GradedPolynomial, algebra: GradedAlgebra, used,
         k = seq.index(0)
         monos.append((vec, [(t, strides[t]) for t in seq[k + 1:]],
                       [(t, strides[t]) for t in reversed(seq[:k])]))
-    if len(algebra.blocks) == algebra.size:  # no symmetry: every prefix
-        leads = iproduct(*(range(s) for s in sizes[:fixed]))
-    else:
-        leads = algebra.lead_prefixes(tuple(degrees[:fixed]))
-    for lead in leads:
+    for lead in algebra.lead_prefixes(tuple(degrees[:fixed])):
         for t, c in enumerate(lead):
             h, i, j = cand[t][c]
             right[t] = {i: ((0, pos[h], j),)}
@@ -683,56 +682,50 @@ def build_witness(algebra: GradedAlgebra) -> WitnessBundle:
 
 def nonvanishing_set(bundle: WitnessBundle,
                      budget: int | None = None) -> frozenset:
-    """Permutations of the designated variables whose monomial admits a
-    nonzero value at the basic designated evaluation.
+    """Permutations sigma of the designated variables whose monomial admits a
+    nonzero value at the basic designated evaluation, for some values of
+    the bridges.
 
-    Frame values are forced by their neighbors, so only the walk-border
-    variables are enumerated.
+    In a build_witness walk every frame sits between two non-frames and is
+    forced to (0, c, r), c the column on its left and r the row on its
+    right, a degree-e basis element exactly when entries[c] == entries[r];
+    the walk then runs through it. So the product is nonzero exactly when
+    that holds at every frame. At a frame between two designated variables
+    sigma alone decides it. Each bridge borders only its own frames, at most
+    two, whose other neighbours are designated, so it needs one candidate
+    whose (entries[row], entries[col]) matches them. The budget bounds the
+    d_e! * prod(bridge candidates) products of a scan over every value.
     """
     if budget is None:
         budget = CAPS.budget
     algebra = bundle.algebra
     seq = bundle.z1.monomials[0][1]
     vdeg = bundle.z1.vdeg
-    free_ids = [seq[p] for p in bundle.bridges]
-    cands = [algebra.basis_of_degree(vdeg[v]) for v in free_ids]
+    cands = [algebra.basis_of_degree(vdeg[seq[p]]) for p in bundle.bridges]
     d_e = len(bundle.designated)
     space = factorial(d_e) * prod(len(c) for c in cands)
     if space > budget:
         raise BudgetExceeded(
             f"permutation search needs {space} products, over budget {budget}")
-    x_ids = [seq[p] for p in bundle.designated]
     entries = algebra.entries
+    slot = {pos: t for t, pos in enumerate(bundle.designated)}
+    # the entries at the row and at the column of each basic designated value
+    ends = [(entries[bundle.basic[seq[p]][1]], entries[bundle.basic[seq[p]][2]])
+            for p in bundle.designated]
+    inner = [(slot[p - 1], slot[p + 1]) for p in bundle.frames
+             if p - 1 in slot and p + 1 in slot]
+    # per bridge: the designated slots two to its left and right, or None
+    # at a walk end, and the entry pairs of its candidates
+    sides = [(slot.get(pos - 2), slot.get(pos + 2), {(entries[i], entries[j]) for _, i, j in c})
+             for pos, c in zip(bundle.bridges, cands)]
     out = set()
     for sig in permutations(range(d_e)):
-        vals_base = [None] * len(seq)
-        for t, pos in enumerate(bundle.designated):
-            vals_base[pos] = bundle.basic[x_ids[sig[t]]]
-        hit = False
-        for combo in iproduct(*cands):
-            vals = list(vals_base)
-            for pos, triple in zip(bundle.bridges, combo):
-                vals[pos] = triple
-            ok = True
-            for pos in bundle.frames:
-                c = vals[pos - 1][2]
-                r = vals[pos + 1][1]
-                if entries[c] != entries[r]:
-                    ok = False
-                    break
-                vals[pos] = (0, c, r)
-            if not ok:
-                continue
-            col = vals[0][2]
-            for triple in vals[1:]:
-                if triple[1] != col:
-                    ok = False
-                    break
-                col = triple[2]
-            if ok:
-                hit = True
-                break
-        if hit:
+        row = [ends[s][0] for s in sig]
+        col = [ends[s][1] for s in sig]
+        if all(col[a] == row[b] for a, b in inner) and all(
+                any((a is None or x == col[a]) and (b is None or y == row[b])
+                    for x, y in pairs)
+                for a, b, pairs in sides):
             out.add(sig)
     return frozenset(out)
 

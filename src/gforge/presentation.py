@@ -136,15 +136,19 @@ class NormalForm:
 
 
 def validate_presentation(p: Presentation) -> ValidationReport:
-    """Is the grading connected? A Presentation is well formed by
-    construction, so the report always has wellformed=True and no issues."""
-    grp = p.group
+    """Is the grading connected, that is, do the degrees a^-1 h b (a, b coset
+    representatives of the tuple, h in H) generate G? They generate the
+    same subgroup as a0^-1 S a0 and the a0^-1 b, with a0 the first
+    representative and S = sub.gens, since
+    a^-1 h b = (a0^-1 a)^-1 (a0^-1 h a0) (a0^-1 b). A Presentation is well
+    formed by construction, so the report always has wellformed=True and no
+    issues."""
+    grp, sub = p.group, p.sub
     reps = [cid for cid, _ in p.lam.counts]
-    degrees = {
-        grp.mul(grp.mul(grp.inv(a), h), b)
-        for a in reps for b in reps for h in p.sub.elements
-    }
-    connected = len(grp.closure(degrees)) == grp.order
+    a0, a0_inv = reps[0], grp.inv(reps[0])
+    gens = [grp.conj(sub.elements[s], a0) for s in sub.gens]
+    gens += [grp.mul(a0_inv, b) for b in reps]
+    connected = len(grp.closure(gens)) == grp.order
     return ValidationReport(wellformed=True, connected=connected)
 
 

@@ -325,7 +325,7 @@ def unit_lifts(j: int, n: int, m: int) -> list[int]:
         raise PreconditionError("n must divide m")
     if gcd(j, n) != 1:
         raise PreconditionError(f"{j % n} is not a unit mod {n}")
-    lifts = [u for u in range(1, m + 1) if u % n == j % n and gcd(u, m) == 1]
+    lifts = [u for u in range(j % n or n, m + 1, n) if gcd(u, m) == 1]
     if not lifts:
         raise InternalError("unit lifting failed")
     return lifts

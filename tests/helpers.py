@@ -7,7 +7,7 @@ import random
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from itertools import combinations, permutations, product as iproduct
-from math import gcd, lcm, prod
+from math import factorial, gcd, lcm, prod
 
 import numpy as np
 
@@ -180,6 +180,28 @@ def unit_closure_pairwise(n: int, gens) -> tuple[int, ...]:
                     nxt.append(c)
         frontier = nxt
     return tuple(sorted(seen))
+
+
+# The scan over every u in 1..m that twisted.unit_lifts replaced by a walk
+# through the residue class, and the closure of every degree that
+# presentation.validate_presentation replaced by the closure of a
+# generating set, kept as differential oracles.
+
+def unit_lifts_by_scan(j: int, n: int, m: int) -> list[int]:
+    """twisted.unit_lifts by scanning every u in 1..m for u = j mod n and
+    gcd(u, m) = 1."""
+    return [u for u in range(1, m + 1) if u % n == j % n and gcd(u, m) == 1]
+
+
+def connected_by_every_degree(p: Presentation) -> bool:
+    """presentation.validate_presentation's verdict from the closure of
+    every degree a^-1 h b, a and b coset representatives of the tuple and h
+    in H, each degree a generator."""
+    grp = p.group
+    reps = [cid for cid, _ in p.lam.counts]
+    degrees = {grp.mul(grp.mul(grp.inv(a), h), b)
+               for a in reps for b in reps for h in p.sub.elements}
+    return len(grp.closure(degrees)) == grp.order
 
 
 def least_generating_size(table) -> int:
@@ -2093,6 +2115,100 @@ def first_nonzero_all_leads(p, algebra, used, cand) -> int | None:
         if best is not None:
             return best + sum(c * st for c, st in zip(lead, strides))
     return None
+
+
+# The kept-graph enumeration of lex-least lead prefixes and the product scan
+# of nonvanishing_set, kept as the differential oracles of
+# GradedAlgebra.lead_prefixes (a pruned depth-first generator) and of
+# gforge.identities.nonvanishing_set (one test per frame and per bridge).
+
+def lead_prefixes_by_graph(algebra, degrees: tuple):
+    """The paths of a graph whose node at depth t is the count of met
+    positions per block after t entries, built on the call: its edges are
+    the indices c into basis_of_degree(degrees[t]) whose row and column,
+    met for the first time, are each the least unmet position of its
+    block."""
+    rank, block_of = [0] * algebra.size, [0] * algebra.size
+    for b, members in enumerate(algebra.blocks):
+        for r, x in enumerate(members):
+            rank[x], block_of[x] = r, b
+    last = len(degrees) - 1
+    nodes: dict = {}
+
+    def node(t: int, met: tuple) -> tuple:
+        hit = nodes.get((t, met))
+        if hit is None:
+            out = []
+            for c, (_, i, j) in enumerate(algebra.basis_of_degree(degrees[t])):
+                nxt = list(met)
+                for x in (i, j):
+                    b = block_of[x]
+                    if rank[x] > nxt[b]:
+                        break
+                    if rank[x] == nxt[b]:
+                        nxt[b] += 1
+                else:
+                    out.append((c, node(t + 1, tuple(nxt)) if t < last else None))
+            hit = nodes[(t, met)] = tuple(out)
+        return hit
+
+    def paths(at: tuple, prefix: tuple):
+        for c, child in at:
+            if child is None:
+                yield prefix + (c,)
+            else:
+                yield from paths(child, prefix + (c,))
+
+    return paths(node(0, (0,) * len(algebra.blocks)), ())
+
+
+def nonvanishing_set_by_product(bundle, budget: int | None = None) -> frozenset:
+    """gforge.identities.nonvanishing_set by scanning, for each permutation,
+    every tuple of bridge candidates, with the frames forced by their
+    neighbours and the whole walk checked for continuity."""
+    if budget is None:
+        budget = CAPS.budget
+    algebra = bundle.algebra
+    seq = bundle.z1.monomials[0][1]
+    vdeg = bundle.z1.vdeg
+    free_ids = [seq[p] for p in bundle.bridges]
+    cands = [algebra.basis_of_degree(vdeg[v]) for v in free_ids]
+    d_e = len(bundle.designated)
+    space = factorial(d_e) * prod(len(c) for c in cands)
+    if space > budget:
+        raise BudgetExceeded(
+            f"permutation search needs {space} products, over budget {budget}")
+    x_ids = [seq[p] for p in bundle.designated]
+    entries = algebra.entries
+    out = set()
+    for sig in permutations(range(d_e)):
+        vals_base = [None] * len(seq)
+        for t, pos in enumerate(bundle.designated):
+            vals_base[pos] = bundle.basic[x_ids[sig[t]]]
+        for combo in iproduct(*cands):
+            vals = list(vals_base)
+            for pos, triple in zip(bundle.bridges, combo):
+                vals[pos] = triple
+            ok = True
+            for pos in bundle.frames:
+                c = vals[pos - 1][2]
+                r = vals[pos + 1][1]
+                if entries[c] != entries[r]:
+                    ok = False
+                    break
+                vals[pos] = (0, c, r)
+            if not ok:
+                continue
+            col = vals[0][2]
+            for triple in vals[1:]:
+                if triple[1] != col:
+                    ok = False
+                    break
+                col = triple[2]
+            if ok:
+                out.add(sig)
+                break
+    return frozenset(out)
 
 
 # The binomial word scan over every length at once, kept as the differential

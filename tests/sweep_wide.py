@@ -58,6 +58,13 @@ lead prefix. The polynomials are s_2, s_3, s_4 and the Hall polynomial with
 every variable in one degree g, and s_3 and s_4 with the first variable in
 degree g and the others in degree e, for each degree g of the algebra.
 
+The witness pass runs identities.build_witness on the normal forms of the
+k-form pass and compares identities.nonvanishing_set, which makes one entry
+test per frame and per bridge, with helpers.nonvanishing_set_by_product,
+the scan over every tuple of bridge values it replaced. The sets, or the
+error type, must agree; inputs that build_witness refuses are counted by
+error type.
+
 The scale pass runs the rungs at the group_order cap: G = D256 (order
 512), H the rotations of order 64, 128 and 256 or the dihedral subgroups
 D32, D64 and D128, the trivial cocycle shifted by a seeded coboundary at
@@ -76,7 +83,7 @@ Run from the repository root:
 
 It prints the outcome counts per mode, the number of presentation inputs,
 chains compared and conjugation verdicts, iso pairs, h2 cases, products per kernel, identity inputs
-and lead prefixes, the times per scale rung, and of disagreements, and exits 1 on any
+and lead prefixes, witness inputs, the times per scale rung, and of disagreements, and exits 1 on any
 disagreement, on a k-form PreconditionError, or when no input reaches a False conjugation test.
 """
 
@@ -95,7 +102,8 @@ import helpers  # noqa: E402
 from gforge.algebra import MODES, GradedAlgebra, build_k_form, multiply  # noqa: E402
 from gforge.errors import GForgeError, PreconditionError  # noqa: E402
 from gforge.groups import SubgroupData, dihedral  # noqa: E402
-from gforge.identities import GradedPolynomial, identity_report  # noqa: E402
+from gforge.identities import (GradedPolynomial, build_witness, identity_report,  # noqa: E402
+                               nonvanishing_set)
 from gforge.presentation import (Presentation, apply_move, classify, compute_KNS,  # noqa: E402
                                  iso_witness, normalize, normalize_with_details,
                                  validate_presentation)
@@ -320,6 +328,38 @@ def identity_pass() -> int:
     return len(mismatches)
 
 
+def witness_pass() -> int:
+    """Prints the witness inputs, the refusals and the disagreements;
+    returns the latter's number."""
+    start = time.perf_counter()
+    inputs, refused, sizes, mismatches = 0, Counter(), Counter(), []
+
+    def outcome(scan, bundle):
+        try:
+            return scan(bundle)
+        except GForgeError as e:
+            return type(e).__name__
+
+    for grp, q in normal_forms(Counter()):
+        try:
+            bundle = build_witness(GradedAlgebra(q))
+        except GForgeError as e:
+            refused[type(e).__name__] += 1
+            continue
+        inputs += 1
+        got = outcome(nonvanishing_set, bundle)
+        sizes[len(bundle.designated)] += 1
+        if got != outcome(helpers.nonvanishing_set_by_product, bundle):
+            mismatches.append((grp.order, q.sub.elements, q.alpha.modulus, q.entries))
+    print(f"nonvanishing_set: {inputs} witness inputs (normal forms of the k-form pass; "
+          f"d_e: {dict(sorted(sizes.items()))}), {time.perf_counter() - start:.1f} s; "
+          f"build_witness refused: {dict(refused)}; {len(mismatches)} disagreements "
+          "with the product scan")
+    for m in mismatches[:20]:
+        print("  ", m)
+    return len(mismatches)
+
+
 def semidirect_pass() -> int:
     """Prints the k-form outcome counts per mode on the semidirect family,
     the inputs on which the modes differ and, by name (seed, action-p-index
@@ -414,7 +454,8 @@ def scale_pass() -> int:
 
 def main() -> int:
     failures = (presentation_pass() + iso_pass() + h2_pass() + kform_pass()
-                + product_pass() + identity_pass() + semidirect_pass() + scale_pass())
+                + product_pass() + identity_pass() + witness_pass() + semidirect_pass()
+                + scale_pass())
     return 1 if failures else 0
 
 

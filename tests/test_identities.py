@@ -232,6 +232,40 @@ def test_witness_other_shapes(algebras):
     assert nonvanishing_set(wbs) == frozenset({(0, 1), (1, 0)})
 
 
+def test_nonvanishing_set_matches_the_product_scan():
+    # the corpus algebras build_witness takes (d6 exceeds the designated cap)
+    # and seeded pattern presentations with d_e <= 4
+    bundles = []
+    for name, build in sorted(helpers.CORPUS_BUILDERS.items()):
+        if name != "d6":
+            bundles.append(build_witness(GradedAlgebra(build())))
+    rng = random.Random(17)
+    for _ in range(2):
+        for mults in ((1,), (2,), (1, 1), (1, 1, 1), (1, 1, 1, 1)):
+            for m in (2, 3, 4, 6):
+                algebra = GradedAlgebra(helpers.pattern_presentation(rng, m, mults))
+                bundles.append(build_witness(algebra))
+
+    def refusal(scan, wb):
+        try:
+            scan(wb, budget=1)
+        except BudgetExceeded as e:
+            return str(e)
+        return None
+
+    sizes, refused = Counter(), 0
+    for wb in bundles:
+        got = nonvanishing_set(wb)
+        assert got == helpers.nonvanishing_set_by_product(wb)
+        sizes[len(got)] += 1
+        # the budget counts the products of the scan, so both refuse alike
+        message = refusal(nonvanishing_set, wb)
+        assert message == refusal(helpers.nonvanishing_set_by_product, wb)
+        refused += message is not None
+    assert len(bundles) == 44 and set(sizes) == {1, 2, 3, 4, 24}
+    assert 0 < refused < len(bundles)
+
+
 def test_binomial_polynomial_cross_oracle(p_pauli):
     word, tau = (1, 2), (1, 0)
     tga = twisted_group_algebra(p_pauli.alpha)
@@ -484,8 +518,9 @@ def test_lead_prefixes_are_the_orbit_least_ones():
                     continue
                 want = _orbit_least_prefixes(algebra, degrees)
                 assert list(algebra.lead_prefixes(degrees)) == want
-                # a second call reads the kept graph
+                # a second call enumerates them again
                 assert list(algebra.lead_prefixes(degrees)) == want
+                assert list(helpers.lead_prefixes_by_graph(algebra, degrees)) == want
                 tried += 1
     assert tried == 84
 

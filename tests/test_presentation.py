@@ -195,6 +195,23 @@ def test_disconnected_grading_detected():
     assert rep.wellformed and not rep.connected
 
 
+def test_validate_presentation_matches_the_closure_of_every_degree():
+    # every subgroup of the pool with six seeded tuples of one to three entries
+    rng = random.Random(31)
+    verdicts = []
+    for grp in helpers.group_pool():
+        for elems in helpers.all_subgroups(grp):
+            sub = SubgroupData(grp, elems)
+            alpha = trivial_cocycle(sub)
+            for _ in range(6):
+                entries = tuple(rng.randrange(grp.order) for _ in range(rng.randint(1, 3)))
+                p = Presentation(grp, sub, alpha, entries)
+                got = validate_presentation(p).connected
+                assert got == helpers.connected_by_every_degree(p), (grp.name, elems, entries)
+                verdicts.append(got)
+    assert len(verdicts) == 1134 and 0 < sum(verdicts) < len(verdicts)
+
+
 def test_apply_move_shapes(p_d6):
     moved = apply_move(p_d6, {"type": "permute", "perm": [7, 6, 5, 4, 3, 2, 1, 0]})
     assert sorted(moved.entries) == sorted(p_d6.entries)

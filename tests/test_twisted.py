@@ -24,7 +24,7 @@ from gforge.twisted import (BinomialDatum, Cocycle, binomial_datum,
                             galois_character, galois_twist, h2_classes,
                             is_binomial_identity, is_cohomologous, lift_unit,
                             make_cocycle, shift_by_coboundary,
-                            trivial_cocycle, word_exponent)
+                            trivial_cocycle, unit_lifts, word_exponent)
 
 import helpers
 
@@ -109,7 +109,7 @@ def _random_coboundary(sub, m, seed):
     class_order,
 ], ids=["is_cohomologous", "class_order"])
 def test_cohomology_modulus_above_the_echelon_limit(alpha_pauli, query):
-    # M = 2 * (2**40 + 15) would overflow the int64 Howell echelon
+    # M = 2 * (2**40 + 15) is above the Howell echelon's modulus limit
     alpha = _random_coboundary(alpha_pauli.sub, 2 ** 40 + 15, 1)
     with pytest.raises(PreconditionError, match=r"^modulus must be below 2\*\*31$"):
         query(alpha)
@@ -290,6 +290,18 @@ def test_lift_unit():
     assert lift_unit(1, 1, 4) % 4 in (1, 3)
     with pytest.raises(PreconditionError):
         lift_unit(3, 6, 12)  # not a unit mod 6
+
+
+def test_unit_lifts_match_the_scan_of_every_residue():
+    # every n | m < 80 and every unit j mod n in -n..2n-1
+    compared = 0
+    for m in range(1, 80):
+        for n in (d for d in range(1, m + 1) if m % d == 0):
+            for j in range(-n, 2 * n):
+                if gcd(j, n) == 1:
+                    assert unit_lifts(j, n, m) == helpers.unit_lifts_by_scan(j, n, m), (j, n, m)
+                    compared += 1
+    assert compared == 9480
 
 
 def test_coboundary_shift_is_cohomologous(alpha_pauli):
