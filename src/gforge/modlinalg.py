@@ -82,32 +82,34 @@ def howell_echelon(rows, M: int) -> Echelon:
         raise PreconditionError("modulus must be below 2**31")
     if M == 1:
         return Echelon()
-    try:
-        queue = [[int(x) % M for x in r] for r in rows]
+    try:  # a queued (c, r) is the row that vanishes before column c and is r from there
+        queue = [(0, [int(x) % M for x in r]) for r in rows]
     except TypeError:
         raise PreconditionError("rows must be one-dimensional") from None
-    pivots: dict[int, list[int]] = {}
+    pivots: dict[int, list[int]] = {}  # lead column -> the pivot row from there
     while queue:
-        r = queue.pop()
-        c = next(compress(count(), r), None)
-        if c is None:
+        c, r = queue.pop()
+        lead = next(compress(count(), r), None)
+        if lead is None:
             continue
-        # both rows vanish before column c, so each step starts there
-        head, r = r[:c], r[c:]
-        if c in pivots:
-            p = pivots[c][c:]
+        if lead:  # both rows vanish before column c, so each step starts there
+            c, r = c + lead, r[lead:]
+        p = pivots.get(c)
+        if p is not None:
+            if r[0] % p[0] == 0:  # p reaches r's lead: one subtraction clears it
+                b = r[0] // p[0]
+                queue.append((c, [(v - b * u) % M for u, v in zip(p, r)]))
+                continue
             g, x, y = xgcd(p[0], r[0])
             a, b = p[0] // g, r[0] // g
             # [[x, y], [-b, a]] is unimodular, so the span is unchanged
-            queue.append(head + [(a * v - b * u) % M for u, v in zip(p, r)])
-            if g == p[0]:
-                continue
+            queue.append((c, [(a * v - b * u) % M for u, v in zip(p, r)]))
             r = [(x * u + y * v) % M for u, v in zip(p, r)]
-        pivots[c] = head + r
+        pivots[c] = r
         g = gcd(r[0], M)
         if g > 1:  # for a unit lead the saturation row M * r is zero
-            queue.append(head + [M // g * v % M for v in r])
-    return Echelon(tuple(pivots[c]) for c in sorted(pivots))
+            queue.append((c, [M // g * v % M for v in r]))
+    return Echelon((0,) * c + tuple(pivots[c]) for c in sorted(pivots))
 
 
 def split_echelon(a_rows, n_vars: int, M: int):
@@ -136,6 +138,9 @@ def _reduce(z, ech, M: int, least: bool):
     coeffs = []
     for lead, gg, mi, inv, tail in ech.pivots(M):
         zl = z[lead]
+        if not zl:
+            coeffs.append(0)
+            continue
         rest = zl % gg
         if rest and not least:
             return None

@@ -497,7 +497,8 @@ def classify(p: Presentation, word_bound: int | None = None) -> ClassificationFl
     Strong verbal primeness needs H normal, a uniform multiset and
     alpha^g ~ alpha for every g in G. Conjugation by an element of H fixes
     every class, so alpha^(hr) ~ alpha^r and one g per coset of H (the
-    transversal) decides it.
+    transversal) decides it; a zero table is fixed by every conjugation, so
+    it needs no solve.
     """
     if not validate_presentation(p).connected:
         raise PreconditionError("classification requires a connected grading")
@@ -505,7 +506,7 @@ def classify(p: Presentation, word_bound: int | None = None) -> ClassificationFl
     division = len(chain.S) == p.group.order
     strongly = False
     if p.sub.is_normal and p.lam.uniform_multiplicity() is not None:
-        strongly = all(
+        strongly = p.alpha.is_trivial() or all(
             conjugate_is_cohomologous(p.alpha, g, p.alpha)[0]
             for g in p.sub.transversal
         )

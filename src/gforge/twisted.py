@@ -47,10 +47,12 @@ over Z/M are the quotient Z^2 / L, with L the coboundaries over Z/M whose
 values are m-th roots of unity: L is B^2(H, Z/m) plus one carry row
 delta chi~ / exp(H) for each generator chi of Hom(H, Z/exp(H)), chi~ its
 lift to [0, exp(H)), and Hom is a kernel in |S| unknowns with one row per
-relator. Z^2 / L is read off one Howell echelon over Z/m of the relations
-of the cocycle generators and the coordinates of L, and each class is
-represented by its lex-least such table, found by one reduction against a
-Howell basis of L.
+relator. L is read on S x H as Z^2 is, |S| * (|H| - 1) columns, and Z^2 = L
+(one class, the common case) is decided there by membership. Otherwise
+Z^2 / L is read off one Howell echelon over Z/m of the relations of the
+cocycle generators and the coordinates of L, and each class is its
+lex-least such table, found by one reduction against a Howell basis of L
+on the |H|^2 table entries, built only then.
 The word calculus (folding a word to its accumulated exponent, bucketing
 words by multiset and product) only serves to exhibit explicit binomial
 identities.
@@ -387,8 +389,8 @@ def _delta(sub: SubgroupData, f, firsts=None):
     """delta f(h_i, h_j) = f(h_i) + f(h_j) - f(h_i h_j), unreduced, for i in
     firsts (every position by default) and then j in order."""
     pmul = sub.pmul
-    return (f[i] + fj - f[p] for i in (range(sub.order) if firsts is None else firsts)
-            for fj, p in zip(f, pmul[i]))
+    return [f[i] + fj - f[p] for i in (range(sub.order) if firsts is None else firsts)
+            for fj, p in zip(f, pmul[i])]
 
 
 def _coboundary_witness(sub: SubgroupData, M: int, z) -> tuple[int, ...] | None:
@@ -708,34 +710,24 @@ def _expand(sub: SubgroupData, x, m: int) -> list[int]:
     return [e for i in range(size) for e in rows[i]]
 
 
-def _root_coboundaries(sub: SubgroupData, m: int) -> Echelon:
-    """A Howell basis over Z/m, in flat table coordinates, of L: the
-    coboundaries delta f over Z/M, M = m * exp(H), whose values lie in
-    (M/m) Z/M, divided by M/m. With k = M/m, such an f is chi~ + k * g for
-    a homomorphism chi: H -> Z/k, chi~ its lift to values in [0, k), and
-    any g: H -> Z/m; a sum of lifts is the lift of the sum plus k times a
-    function. So L is spanned by B^2(H, Z/m), the rows delta e_h for
-    h != e, and one row delta chi~ / k for each generator chi of
-    Hom(H, Z/k). chi(g) is read along the BFS tree of _cayley as a form in
-    the values chi(s), s in S = sub.gens. A map F(S) -> Z/k factors through H when it vanishes
-    on the relation subgroup N, and as Z/k is abelian it is enough that it
-    vanish on the relators of _cayley, whose normal closure is N: so
-    Hom(H, Z/k) is the kernel of one row per relator, the sum of d * e_s
-    over its edges (s, y, d)."""
-    size, pmul, k, gens = sub.order, sub.pmul, sub.exponent(), sub.gens
+def _root_generators(sub: SubgroupData, m: int) -> tuple[list[list[int]], list[list[int]]]:
+    """(lifts, rows) for L, the coboundaries delta f over Z/M, M = m * exp(H),
+    whose values lie in (M/m) Z/M, divided by k = M/m: lifts f (f(e) = 0)
+    whose delta f / k generate L, and those generators over Z/m on the rows
+    S x (H - e), S = sub.gens, the unknowns of _cocycle_system (delta f(s, e)
+    = 0). Such an f is chi~ + k * g for a homomorphism chi: H -> Z/k, chi~
+    its lift to values in [0, k), and any g: H -> Z/m; a sum of lifts is
+    the lift of the sum plus k times a function. So the lifts are k * e_h
+    for h != e, whose rows span B^2(H, Z/m), and chi~ for each generator
+    chi of Hom(H, Z/k). chi(g) is read along the BFS tree of _cayley as a
+    form in the values chi(s), s in S. A map F(S) -> Z/k factors through H
+    when it vanishes on the relation subgroup N, and as Z/k is abelian it is
+    enough that it vanish on the relators of _cayley, whose normal closure
+    is N: so Hom(H, Z/k) is the kernel of one row per relator, the sum of
+    d * e_s over its edges (s, y, d). k divides delta f on S x H exactly when
+    f mod k is a homomorphism, as S generates H; then it divides it on H x H."""
+    size, k, gens = sub.order, sub.exponent(), sub.gens
     tree, relators = _cayley(sub)
-    at = [[] for _ in range(size)]  # h -> the flat indices of (a, b) with ab = h
-    for t, p in enumerate(x for row in pmul for x in row):
-        at[p].append(t)
-    ell = []
-    for h in range(1, size):  # delta e_h(a, b) = [a = h] + [b = h] - [ab = h]
-        row = [0] * (size * size)
-        for a in range(size):
-            row[h * size + a] += 1
-            row[a * size + h] += 1
-        for t in at[h]:
-            row[t] -= 1
-        ell.append([v % m for v in row])
     col = {s: i for i, s in enumerate(gens)}
     forms = {0: (0,) * len(gens)}
     for s, g, sg in tree:
@@ -748,13 +740,26 @@ def _root_coboundaries(sub: SubgroupData, m: int) -> Echelon:
         row = [v % k for v in row]
         if any(row):
             relations.append(row)
-    for chi in kernel_mod(relations, len(gens), k):
-        lift = [sum(c * v for c, v in zip(chi, forms[g])) % k for g in range(size)]
-        delta = list(_delta(sub, lift))
-        if any(d % k for d in delta):
+    lifts = [[k * (g == h) for g in range(size)] for h in range(1, size)]
+    lifts += [[sum(c * v for c, v in zip(chi, forms[g])) % k for g in range(size)]
+              for chi in kernel_mod(relations, len(gens), k)]
+    rows = []
+    for f in lifts:
+        delta = _delta(sub, f, gens)
+        if any(map(k.__rmod__, delta)):
             raise InternalError("coboundary is not in the cocycle module")
-        ell.append([d // k % m for d in delta])
-    return howell_echelon(ell, m)
+        del delta[::size]
+        rows.append([d // k % m for d in delta])
+    return lifts, rows
+
+
+def _root_coboundaries(sub: SubgroupData, m: int, lifts) -> Echelon:
+    """A Howell basis over Z/m of L in flat table coordinates, |H|^2
+    columns: delta f / k for the lifts f of _root_generators. h2_classes
+    builds it only when there is more than one class, to find their
+    lex-least tables."""
+    k = sub.exponent()
+    return howell_echelon((map(k.__rfloordiv__, _delta(sub, f)) for f in lifts), m)
 
 
 def _span_order(ech: Echelon, m: int) -> int:
@@ -771,7 +776,7 @@ def h2_classes(sub: SubgroupData, m: int) -> list[Cocycle]:
     members with values in the m-th roots of unity; result sorted, so the
     trivial class comes first. Those members are alpha + L, with L the
     coboundaries delta f over Z/M whose values lie in (M/m) Z/M, divided by
-    M/m; L is B^2(H, Z/m) plus the Hom carries of _root_coboundaries, and
+    M/m; L is B^2(H, Z/m) plus the Hom carries of _root_generators, and
     the output is Z^2 / L.
 
     Z^2 comes from the generating-set system of _cocycle_system, on
@@ -783,13 +788,17 @@ def h2_classes(sub: SubgroupData, m: int) -> list[Cocycle]:
     |H| - 1 rows per relator of H: the expansion of alpha along a word in S
     is a crossed homomorphism on the free group F(S), so it vanishes on the
     relation subgroup exactly when it vanishes on the relators, and the
-    kernel, Z^2, is that of one row block per non-tree edge. With r cocycle
+    kernel, Z^2, is that of one row block per non-tree edge. The generators
+    of L are read on the same rows and must lie in Z^2; when every cocycle
+    generator reduces to 0 against their Howell echelon, Z^2 = L and the
+    trivial class is returned at once. With r cocycle
     generators, their relations and L's coordinates span a lattice that
     holds m * Z^r, so Z^2 / L is (Z/m)^r modulo one Howell echelon over Z/m
     of those rows. Its elements are the vectors that reduce_least fixes
     against that echelon: each pivot coordinate below the gcd of its pivot
     entry and m, every other coordinate below m. Each is expanded to a full
-    table and reduced to its lex-least member against a Howell basis of L.
+    table and reduced to its lex-least member against the flat Howell basis
+    of _root_coboundaries.
     """
     if sub.order > CAPS.h2_subgroup:
         raise CapExceeded(
@@ -801,7 +810,7 @@ def h2_classes(sub: SubgroupData, m: int) -> list[Cocycle]:
     z2 = Echelon(kernel_mod(_cocycle_system(sub, m), len(gens) * (size - 1), m))
     if not z2:
         return [trivial_cocycle(sub, m)]
-    ell = _root_coboundaries(sub, m)
+    lifts, ell_gens = _root_generators(sub, m)
 
     def on_gens(flat):
         return [flat[s * size + x] for s in gens for x in range(1, size)]
@@ -813,14 +822,19 @@ def h2_classes(sub: SubgroupData, m: int) -> list[Cocycle]:
                 acc = [a + c * v for a, v in zip(acc, g)]
         return [a % m for a in acc]
 
-    # each row of L as a combination of the cocycle generators, which must
-    # expand back to the row: L lies in Z^2
-    l_coords = []
+    # each row of the echelon of L as a combination of the cocycle
+    # generators, which must give the row back: L lies in Z^2
+    ell, l_coords = howell_echelon(ell_gens, m), []
     for row in ell:
-        red = reduce_mod(on_gens(row), z2, m)
-        if red is None or _expand(sub, combined(red[0]), m) != list(row):
+        red = reduce_mod(row, z2, m)
+        if red is None or combined(red[0]) != list(row):
             raise InternalError("coboundary is not in the cocycle module")
         l_coords.append(red[0])
+    # Z^2 = L when Z^2 lies in L; a Howell echelon has the leads of its
+    # module, so a lead of Z^2 that L lacks rules that out at once
+    if ell.leads == z2.leads and all(red is not None and not any(red[1]) for red in (
+            reduce_mod(g, ell, m) for g in z2)):
+        return [trivial_cocycle(sub, m)]
     # the relations of the generators: (m / gcd(lead, m)) * z2_i reduces
     # against the generators after it, as z2 is a Howell echelon
     relations = []
@@ -845,12 +859,12 @@ def h2_classes(sub: SubgroupData, m: int) -> list[Cocycle]:
         raise CapExceeded(f"{total} classes exceed the enumeration cap")
     if _span_order(z2, m) != total * _span_order(ell, m):
         raise InternalError("class count is not |Z^2| / |L|")
-    tables = set()
+    flat_ell, tables = _root_coboundaries(sub, m, lifts), set()
     for x in iproduct(*map(range, sizes)):
         x = list(x)
         if reduce_least(x, quot, m) != x:
             raise InternalError("class coordinates are not reduced")
-        flat = reduce_least(_expand(sub, combined(x), m), ell, m)
+        flat = reduce_least(_expand(sub, combined(x), m), flat_ell, m)
         red = reduce_mod(on_gens(flat), z2, m)
         if red is None or any(red[1]) or reduce_least(red[0], quot, m) != x:
             raise InternalError("class representative is not in its class")

@@ -30,7 +30,8 @@ in that group, at m in H2_MODULI, and compares the classes (or the cap
 message) with helpers.h2_classes_by_snf, whose Z^2 is the kernel of the
 per-edge system (helpers.cocycle_system_by_edges, not the relator system),
 whose L is the kernel over Z/M of the coboundary rows and whose quotient is
-a Smith normal form.
+a Smith normal form. It counts the cases that took the one-class exit
+(Z^2 = L, so no flat basis of L was built) and those that enumerated.
 
 The semidirect pass runs build_k_form in every mode on the seeded
 (C_p x C_p) x| C_k presentations of helpers.semidirect_pair_presentations
@@ -99,6 +100,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 import helpers  # noqa: E402
+from gforge import twisted  # noqa: E402
 from gforge.algebra import MODES, GradedAlgebra, build_k_form, multiply  # noqa: E402
 from gforge.errors import GForgeError, PreconditionError  # noqa: E402
 from gforge.groups import SubgroupData, dihedral  # noqa: E402
@@ -183,20 +185,34 @@ def iso_pass() -> int:
 
 
 def h2_pass() -> int:
-    """Prints the h2 case count and disagreements; returns the latter's number."""
+    """Prints the h2 case count, how many cases took the one-class exit
+    (Z^2 = L, no flat basis of L built) and how many enumerated, and the
+    disagreements; returns the latter's number. A one-class exit that
+    returns other than one class counts as a disagreement."""
     start = time.perf_counter()
-    cases, mismatches = 0, []
-    for grp in helpers.group_pool(MAX_ORDER):
-        for elems in helpers.all_subgroups(grp):
-            sub = SubgroupData(grp, elems)
-            for m in H2_MODULI:
-                cases += 1
-                if (helpers.h2_outcome(h2_classes, sub, m)
-                        != helpers.h2_outcome(helpers.h2_classes_by_snf, sub, m)):
-                    mismatches.append((grp.name, elems, m))
+    cases, mismatches, paths = 0, [], Counter()
+    flat_basis, flat_calls = twisted._root_coboundaries, []
+    twisted._root_coboundaries = lambda *args: flat_calls.append(1) or flat_basis(*args)
+    try:
+        for grp in helpers.group_pool(MAX_ORDER):
+            for elems in helpers.all_subgroups(grp):
+                sub = SubgroupData(grp, elems)
+                for m in H2_MODULI:
+                    cases += 1
+                    built = len(flat_calls)
+                    got = helpers.h2_outcome(h2_classes, sub, m)
+                    path = ("enumerated" if len(flat_calls) > built else "capped"
+                            if got[0] == "cap" else "one-class exit")
+                    paths[path] += 1
+                    if ((path == "one-class exit" and len(got) != 1)
+                            or got != helpers.h2_outcome(helpers.h2_classes_by_snf, sub, m)):
+                        mismatches.append((grp.name, elems, m))
+    finally:
+        twisted._root_coboundaries = flat_basis
     print(f"h2_classes: {cases} cases (every subgroup of the pool, m in {H2_MODULI}), "
-          f"{time.perf_counter() - start:.1f} s; {len(mismatches)} disagreements "
-          "with h2_classes_by_snf")
+          f"{time.perf_counter() - start:.1f} s; {paths['one-class exit']} took the "
+          f"one-class exit, {paths['enumerated']} enumerated, {paths['capped']} capped; "
+          f"{len(mismatches)} disagreements with h2_classes_by_snf")
     for m in mismatches[:20]:
         print("  ", m)
     return len(mismatches)

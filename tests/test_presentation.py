@@ -864,6 +864,20 @@ def test_classify_matches_the_element_wise_test():
     assert True in verdicts and False in verdicts
 
 
+def test_classify_answers_a_trivial_cocycle_without_a_solve():
+    """A zero table is fixed by every conjugation: on normal subgroups with a
+    uniform multiset classify gives the element-wise verdict and builds no
+    coboundary echelon."""
+    for grp, elems in helpers.chain_ambients().values():
+        for m in (1, 2, 6):
+            p, oracle_p = [Presentation(grp, sub, trivial_cocycle(sub, m), sub.transversal)
+                           for sub in (SubgroupData(grp, elems), SubgroupData(grp, elems))]
+            assert p.sub.is_normal and p.lam.uniform_multiplicity() is not None
+            assert classify(p).strongly_vp
+            assert p.sub.coboundary_echelons == {}
+            assert helpers.strongly_vp_by_elements(oracle_p)
+
+
 @pytest.mark.parametrize("index", range(len(helpers.group_pool(8))))
 def test_small_case_presentation_sweep(index):
     """The presentation slice of the small-case sweep: normalize is

@@ -483,6 +483,38 @@ def test_h2_classes_match_the_snf_enumeration():
                     == helpers.h2_outcome(helpers.h2_classes_by_snf, sub, m)), (grp.order, m)
 
 
+def test_h2_one_class_exit_matches_the_snf_enumeration(monkeypatch):
+    # Z^2 = L is decided on S x H, and the flat Howell basis of L is built
+    # only when there is more than one class; the |H| = 16 inputs have
+    # Z^2 != L at m = 2 and 4, so they enumerate
+    flat_calls, flat_basis = [], twisted._root_coboundaries
+
+    def counted(sub, m, lifts):
+        flat_calls.append(m)
+        return flat_basis(sub, m, lifts)
+
+    monkeypatch.setattr(twisted, "_root_coboundaries", counted)
+    c2, c4 = cyclic(2), cyclic(4)
+    groups = [cyclic(k) for k in range(2, 17)] + [dihedral(3), dihedral(5), dihedral(7)]
+    wide = [direct_product(c4, c4), dihedral(8), direct_product(c2, cyclic(8)),
+            direct_product(c2, dihedral(4)), direct_product(direct_product(c2, c2),
+                                                            direct_product(c2, c2))]
+    for grp in groups + wide:
+        for m in (2, 3, 4, 6):
+            sub = SubgroupData(grp, range(grp.order))
+            flat_calls.clear()
+            got = helpers.h2_outcome(h2_classes, sub, m)
+            assert got == helpers.h2_outcome(helpers.h2_classes_by_snf, sub, m), (grp.name, m)
+            assert bool(flat_calls) == (len(got) > 1), (grp.name, m)
+            if grp in wide and m in (2, 4):
+                assert len(got) > 1, (grp.name, m)
+    for grp, m, built in ((cyclic(16), 4, False), (dihedral(5), 2, False),
+                          (direct_product(c2, c2), 2, True)):
+        flat_calls.clear()
+        h2_classes(SubgroupData(grp, range(grp.order)), m)
+        assert bool(flat_calls) == built, (grp.name, m)
+
+
 def test_root_coboundaries_span_the_kernel_module():
     # L from B^2 and the Hom carries is the module that the kernel over Z/M
     # of the coboundary rows gives: each echelon's rows reduce to 0 against
@@ -490,7 +522,7 @@ def test_root_coboundaries_span_the_kernel_module():
     for grp in helpers.group_pool(16):
         sub = SubgroupData(grp, range(grp.order))
         for m in (2, 3, 4, 6, 12):
-            ell = twisted._root_coboundaries(sub, m)
+            ell = twisted._root_coboundaries(sub, m, twisted._root_generators(sub, m)[0])
             ref = helpers.root_coboundaries_by_kernel(sub, m)
             for rows, ech in ((ell, ref), (ref, ell)):
                 for row in rows:
@@ -611,13 +643,14 @@ def _wrong_coordinates(z, ech, M):  # reduce_mod, off by one in every coordinate
     return [(x + 1) % M for x in c], rest
 
 
-# on C2 x C2 a flat table has 16 entries and a coordinate vector 4
+# on C2 x C2 a flat table has 16 entries, a row of L on S x (H - e) 6 and a
+# coordinate vector 4, so only the quotient echelon has rows of width 4
 def _one_relation_too_many(rows, M):  # the quotient echelon spans one more vector
-    return modlinalg.howell_echelon(rows + [[0, 0, 1, 0]] if len(rows[0]) < 16 else rows, M)
+    return modlinalg.howell_echelon(rows + [[0, 0, 1, 0]] if len(rows[0]) == 4 else rows, M)
 
 
 def _one_relation_too_few(rows, M):  # the quotient echelon misses the last row
-    return modlinalg.howell_echelon(rows[:-1] if len(rows[0]) < 16 else rows, M)
+    return modlinalg.howell_echelon(rows[:-1] if len(rows[0]) == 4 else rows, M)
 
 
 def _every_table_zero(z, ech, M):  # coordinate vectors reduce as they should
@@ -626,6 +659,13 @@ def _every_table_zero(z, ech, M):  # coordinate vectors reduce as they should
 
 def _every_vector(rows, n_vars, M):  # kernel_mod, ignoring the rows
     return [tuple(int(i == j) for j in range(n_vars)) for i in range(n_vars)]
+
+
+def _one_generator_off(sub, m, root_generators=twisted._root_generators):
+    # the first row of L on S x (H - e), one off in its first entry
+    lifts, rows = root_generators(sub, m)
+    rows[0][0] = (rows[0][0] + 1) % m
+    return lifts, rows
 
 
 @pytest.mark.parametrize("grp, target, fake, message", [
@@ -640,7 +680,11 @@ def _every_vector(rows, n_vars, M):  # kernel_mod, ignoring the rows
     (None, "howell_echelon", _one_relation_too_few,
      "^quotient echelon does not span the relations$"),
     (None, "reduce_least", _every_table_zero, "^class representative is not in its class$"),
-], ids=["hom", "coordinates", "distinct", "count", "span", "representative"])
+    # D5 at m = 2 has one class: Z^2 = L is decided on S x H, and a row of L
+    # moved off Z^2 is caught before that exit
+    (dihedral(5), "_root_generators", _one_generator_off,
+     "^coboundary is not in the cocycle module$"),
+], ids=["hom", "coordinates", "distinct", "count", "span", "representative", "one-class"])
 def test_h2_cross_checks_catch_a_corruption(monkeypatch, grp, target, fake, message):
     # on C2 x C2 unless a group is named
     grp = grp or direct_product(cyclic(2), cyclic(2))
