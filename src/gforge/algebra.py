@@ -15,8 +15,10 @@ has slot pos[h] * n^2 + i * n + j. Each algebra keeps one product table
 per L (GradedAlgebra.product_table), which gives the target block and the
 root of every pair of subgroup positions. `multiply` adds its term pairs
 into such a vector and makes one scalar per output slot at the end; the
-span closure compiles each generator from the same table into a sparse
-index map.
+span closure reads each generator from the same table as a sparse index
+map, compiling a source slot on the first application that reaches it.
+The closure is seeded by a Q-basis of the subfield k (_k_seeds) and skips
+a candidate equal to one offered before, since that one is in the span.
 
 The closure works at one modulus, big, the lcm of the field modulus and
 the generator coefficient moduli, and reduces a vector mod the big-th
@@ -618,31 +620,46 @@ def build_k_form(p: Presentation, mode: str = "corrected",
     return KFormResult(p_s, algebra, field, tuple(gens), tuple(labels), report)
 
 
-def _operator(algebra: GradedAlgebra, g: AlgElement, L: int) -> list:
+class _Operator(dict):
+    """Left multiplication by one generator, as _operator builds it: source
+    slot -> targets, each slot compiled on its first read and kept."""
+
+    __slots__ = ("by_col", "n", "L")
+
+    def __init__(self, by_col: dict, n: int, L: int):
+        super().__init__()
+        self.by_col, self.n, self.L = by_col, n, L
+
+    def __missing__(self, s: int) -> list:
+        n, L = self.n, self.L
+        pb, j = divmod(s // n, n)
+        at_l = s % n * L
+        out = self[s] = []
+        for row, at_i, poly in self.by_col.get(j, ()):
+            base, shift, sign = row[pb]
+            base += at_i + at_l
+            out += [(base, (t + shift) % L, v * sign) for t, v in poly]
+        return out
+
+
+def _operator(algebra: GradedAlgebra, g: AlgElement, L: int) -> _Operator:
     """Left multiplication by g on integer vectors, one Z[x]/(x^L - 1) block
     per basis slot: entry s lists (target slot * L, exponent shift, integer
     coefficient) for the source slot s = (b, j, l), one per power of each term
     u_a e_ij of g, whose product lands in (ab, i, l), read off the algebra's
-    product table at L. L must be a multiple of every coefficient modulus of
-    g and of algebra._root_modulus. The coefficients are cleared of their
-    common denominator, so the operator is g times a positive integer."""
+    product table at L. Only g's terms, grouped by column, are read here;
+    each slot's list is made on the first _apply that reaches the slot and
+    kept, so slots that no vector reaches are never compiled. L must be a
+    multiple of every coefficient modulus of g and of algebra._root_modulus.
+    The coefficients are cleared of their common denominator, so the
+    operator is g times a positive integer."""
     pos, n = algebra.sub.pos, algebra.size
     table = algebra.product_table(L)
     den = lcm(*(c.den for c in g.terms.values()))
     by_col: dict = {}
     for (a, i, j), c in g.terms.items():
         by_col.setdefault(j, []).append((table[pos[a]], i * n * L, _monomials(c, L, den)))
-    op: list = [()] * algebra.dim
-    for pb in range(algebra.sub.order):
-        for j, terms in by_col.items():
-            for l in range(n):
-                out = []
-                for row, at_i, poly in terms:
-                    base, s, sign = row[pb]
-                    base += at_i + l * L
-                    out += [(base, (t + s) % L, v * sign) for t, v in poly]
-                op[(pb * n + j) * n + l] = out
-    return op
+    return _Operator(by_col, n, L)
 
 
 def _lift(x: AlgElement, L: int) -> dict[int, int]:
@@ -656,9 +673,10 @@ def _lift(x: AlgElement, L: int) -> dict[int, int]:
             for (h, i, j), c in x.terms.items() for t, v in _monomials(c, L, den)}
 
 
-def _apply(op: list, x: dict, L: int) -> dict:
+def _apply(op: _Operator, x: dict, L: int) -> dict:
     """The image of the vector x of _lift under the operator op of _operator,
-    zeros dropped."""
+    zeros dropped; a source slot of x that op has not compiled yet is
+    compiled here, once."""
     out: dict = {}
     get = out.get
     for k, v in x.items():
@@ -671,6 +689,49 @@ def _apply(op: list, x: dict, L: int) -> dict:
     return {k: v for k, v in out.items() if v}
 
 
+def _insert(ech: dict[int, dict[int, int]], vec: dict[int, int]) -> bool:
+    """Reduce the integer vector vec against the echelon ech, pivot column ->
+    primitive row (vec := a * vec - b * row, over the content of the
+    result, as in Bareiss 1968); a nonzero remainder becomes a primitive
+    pivot row. A one-entry vector is decided without a new dict: at a new
+    pivot it becomes the +-1 row, against a one-entry row it is dependent."""
+    while vec:
+        piv = min(vec)
+        prow = ech.get(piv)
+        if len(vec) == 1:
+            if prow is None:
+                ech[piv] = {piv: 1 if vec[piv] > 0 else -1}
+                return True
+            if len(prow) == 1:
+                return False
+        elif prow is None:
+            g = gcd(*vec.values())
+            ech[piv] = {i: v // g for i, v in vec.items()}
+            return True
+        a, b = prow[piv], vec[piv]
+        vec = {i: a * vec.get(i, 0) - b * prow.get(i, 0) for i in vec.keys() | prow.keys()}
+        g = gcd(*vec.values())
+        vec = {i: v // g for i, v in vec.items() if v}
+    return False
+
+
+def _k_seeds(field: SubfieldDescriptor) -> list[CycScalar]:
+    """A Q-basis of the subfield k: the nonzero Galois traces
+    sum_u zeta_n^(a u), a < n, that are Q-independent of the traces
+    before them, [k:Q] of them. The traces span k, so the first [k:Q]
+    independent ones are a basis and the rest need not be made."""
+    n, k_deg = field.n, field.degree_over_q()
+    ech: dict[int, dict[int, int]] = {}
+    seeds: list[CycScalar] = []
+    for a in range(n):
+        t = sum((CycScalar.from_root(n, a * u) for u in field.units), CycScalar.zero())
+        if _insert(ech, {i: v for i, v in enumerate(t._promoted(n).nums) if v}):
+            seeds.append(t)
+            if len(seeds) == k_deg:
+                break
+    return seeds
+
+
 def _span_report(algebra: GradedAlgebra, field: SubfieldDescriptor,
                  gens: tuple, mode: str, slot_units: tuple,
                  descent_enforced: bool) -> KFormReport:
@@ -678,22 +739,25 @@ def _span_report(algebra: GradedAlgebra, field: SubfieldDescriptor,
 
     The k-span V of all words in the generators is closed under left
     multiplication by the generators, so the closure walks its basis in
-    insertion order, after the seeds g * kb for kb in a basis of k, and
-    makes g * x for g in gens only when it reaches x: breadth first, as the
-    MeatAxe spins a submodule (Parker 1984). Elements are integer vectors, one in
-    Z[x]/(x^big - 1) per basis slot, with big the lcm of the field modulus
-    and the generator coefficient moduli; the modulus of the cocycle's roots
-    must divide big (build_k_form descends to a mu_n-valued representative
-    where it would not). Each generator is compiled once into a sparse
-    index map (_operator). A vector is reduced mod the big-th cyclotomic
-    polynomial (_power_rows) only when it enters one echelon over Q, reduced
-    fraction-free as in Bareiss (1968). V is a k-subspace, so its
-    Q-dimension is a multiple of [k:Q]. F V = A exactly when the multiples
-    zeta_big^t x (t < phi(big)), shifts by t, of the basis of V reach
-    Q-dimension dim_F A * phi(big) in the same echelon. Every row lies in
-    that Q^(dim_F A * phi(big)), so once the echelon reaches this rank the
-    closure stops, and the multiples are not needed: V = A already. Rank
-    does not depend on the order of insertion, so the report does not either.
+    insertion order, after the seeds g * kb for kb in a Q-basis of k
+    (_k_seeds), and makes g * x for g in gens only when it reaches x:
+    breadth first, as the MeatAxe spins a submodule (Parker 1984). Elements
+    are integer vectors, one in Z[x]/(x^big - 1) per basis slot, with big
+    the lcm of the field modulus and the generator coefficient moduli; the
+    modulus of the cocycle's roots must divide big (build_k_form descends to
+    a mu_n-valued representative where it would not). Each generator is an
+    index map (_operator) whose source slots are compiled on first use. A
+    vector equal to one offered before is skipped: that one is already in
+    the span, which has only grown since. Any other is reduced mod the
+    big-th cyclotomic polynomial (_power_rows) only when it enters one
+    echelon over Q, reduced fraction-free as in Bareiss (1968) (_insert).
+    V is a k-subspace, so its Q-dimension is a multiple of [k:Q]. F V = A
+    exactly when the multiples zeta_big^t x (t < phi(big)), shifts by t, of
+    the basis of V reach Q-dimension dim_F A * phi(big) in the same echelon.
+    Every row lies in that Q^(dim_F A * phi(big)), so once the echelon
+    reaches this rank the closure stops, and the multiples are not needed:
+    V = A already. Rank does not depend on the order of insertion, so the
+    report does not either.
     """
     big = lcm(field.n, *(c.modulus for g in gens for c in g.terms.values()))
     if big % algebra._root_modulus:
@@ -711,39 +775,25 @@ def _span_report(algebra: GradedAlgebra, field: SubfieldDescriptor,
         return {i: v for i, v in out.items() if v}
 
     ech: dict[int, dict[int, int]] = {}
-
-    def insert(vec: dict[int, int]) -> bool:
-        """Reduce vec against ech (vec := a * vec - b * row, over the content
-        of the result); a nonzero remainder becomes a primitive pivot row."""
-        while vec:
-            piv = min(vec)
-            prow = ech.get(piv)
-            if prow is None:
-                g = gcd(*vec.values())
-                ech[piv] = {i: v // g for i, v in vec.items()}
-                return True
-            a, b = prow[piv], vec[piv]
-            vec = {i: a * vec.get(i, 0) - b * prow.get(i, 0) for i in vec.keys() | prow.keys()}
-            g = gcd(*vec.values())
-            vec = {i: v // g for i, v in vec.items() if v}
-        return False
-
-    traces = (sum((CycScalar.from_root(field.n, a * u) for u in field.units), CycScalar.zero())
-              for a in range(field.n))
-    k_basis = [t for t in traces if not t.is_zero()]
-
     ops = [_operator(algebra, g, big) for g in gens]
     basis: list[dict[int, int]] = []
 
     def candidates():
-        yield from (_lift(g.scaled(kb), big) for kb in k_basis for g in gens)
+        yield from (_lift(g.scaled(kb), big) for kb in _k_seeds(field) for g in gens)
         for x in basis:  # basis grows while it is walked: breadth first
             for op in ops:
                 yield _apply(op, x, big)
 
     full = algebra.dim * width
+    offered: set = set()
     for x in candidates():
-        if x and insert(row(x)):
+        if not x:
+            continue
+        key = frozenset(x.items())
+        if key in offered:
+            continue
+        offered.add(key)
+        if _insert(ech, row(x)):
             basis.append(x)
             if len(ech) == full:
                 break
@@ -756,7 +806,7 @@ def _span_report(algebra: GradedAlgebra, field: SubfieldDescriptor,
     if len(ech) != full:
         for x in basis:
             for t in range(1, width):
-                insert(row({k - k % big + (k % big + t) % big: v for k, v in x.items()}))
+                _insert(ech, row({k - k % big + (k % big + t) % big: v for k, v in x.items()}))
 
     f_full = len(ech) == full
     return KFormReport(mode, k_dim, algebra.dim, f_full, tuple(slot_units),

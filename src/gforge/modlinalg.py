@@ -17,6 +17,7 @@ Everything runs on Python ints.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from itertools import compress, count
 from math import gcd
 
@@ -46,14 +47,16 @@ class Echelon(list):
 
     __slots__ = ("leads", "_pivots")
 
-    def __init__(self, rows=()):
+    def __init__(self, rows=(), leads=None):
+        """leads, when given, are the rows' leading columns, found before."""
         super().__init__(rows)
-        leads = []
-        for g in self:
-            lead = next(compress(count(), g), None)
-            if lead is None:
-                raise InternalError("zero generator in echelon basis")
-            leads.append(lead)
+        if leads is None:
+            leads = []
+            for g in self:
+                lead = next(compress(count(), g), None)
+                if lead is None:
+                    raise InternalError("zero generator in echelon basis")
+                leads.append(lead)
         self.leads = leads
         self._pivots = {}
 
@@ -112,10 +115,11 @@ def howell_echelon(rows, M: int) -> Echelon:
     return Echelon((0,) * c + tuple(pivots[c]) for c in sorted(pivots))
 
 
-def split_echelon(a_rows, n_vars: int, M: int):
-    """Howell echelon of the rows (column i of A | e_i), A given as rows of
-    length n_vars, split into the rows (A x | x) with A x != 0, a Howell basis
-    of the image carrying preimages, and the kernel generators x of the rest."""
+def _augmented_echelon(a_rows, n_vars: int, M: int) -> tuple[Echelon, int, int]:
+    """(ech, k, cut): the Howell echelon of the rows (column i of A | e_i),
+    A given as k rows of length n_vars, and the index of its first row that
+    vanishes on the A part. The rows are sorted by leading column, so they
+    are the rows from the first lead >= k on."""
     a_rows = [list(r) for r in a_rows]
     for r in a_rows:
         if len(r) != n_vars:
@@ -124,8 +128,15 @@ def split_echelon(a_rows, n_vars: int, M: int):
     aug = [[r[i] for r in a_rows] + [int(i == t) for t in range(n_vars)]
            for i in range(n_vars)]
     ech = howell_echelon(aug, M)
-    return (Echelon(row for row in ech if any(row[:k])),
-            [row[k:] for row in ech if not any(row[:k])])
+    return ech, k, bisect_left(ech.leads, k)
+
+
+def split_echelon(a_rows, n_vars: int, M: int):
+    """Howell echelon of the rows (column i of A | e_i), A given as rows of
+    length n_vars, split into the rows (A x | x) with A x != 0, a Howell basis
+    of the image carrying preimages, and the kernel generators x of the rest."""
+    ech, k, cut = _augmented_echelon(a_rows, n_vars, M)
+    return Echelon(ech[:cut], ech.leads[:cut]), [row[k:] for row in ech[cut:]]
 
 
 def _reduce(z, ech, M: int, least: bool):
@@ -169,7 +180,8 @@ def reduce_least(z, ech, M: int) -> list[int]:
 
 def kernel_mod(a_rows, n_vars: int, M: int) -> list[tuple[int, ...]]:
     """Generators of {x in (Z/M)^n : A x = 0 mod M}; A given as rows of length n."""
-    return split_echelon(a_rows, n_vars, M)[1]
+    ech, k, cut = _augmented_echelon(a_rows, n_vars, M)
+    return [row[k:] for row in ech[cut:]]
 
 
 def solve_in_image(image, b, n_vars: int, M: int) -> tuple[int, ...] | None:

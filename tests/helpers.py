@@ -16,7 +16,7 @@ from gforge.cyclo import (CycScalar, SubfieldDescriptor, _power_rows, _reduce_po
 from gforge import algebra as algebra_mod
 from gforge import identities as identities_mod
 from gforge import twisted as twisted_mod
-from gforge.algebra import (AlgElement, KFormReport, _apply, _lift, _operator,
+from gforge.algebra import (AlgElement, KFormReport, _apply, _lift, _monomials, _operator,
                             _root_shifts, _same_algebra, multiply)
 from gforge.config import CAPS
 from gforge.errors import (BudgetExceeded, CapExceeded, GForgeError, GroupError, InternalError,
@@ -1558,9 +1558,33 @@ def multiply_by_rows(x, y) -> AlgElement:
                             for key, vec in vecs.items()})
 
 
+def operator_all_slots(algebra, g: AlgElement, L: int) -> list:
+    """algebra._operator as it was before its source slots were compiled on
+    first use: the target list of every source slot, built at once, () for
+    a slot whose column no term of g has."""
+    pos, n = algebra.sub.pos, algebra.size
+    table = algebra.product_table(L)
+    den = lcm(*(c.den for c in g.terms.values()))
+    by_col: dict = {}
+    for (a, i, j), c in g.terms.items():
+        by_col.setdefault(j, []).append((table[pos[a]], i * n * L, _monomials(c, L, den)))
+    op: list = [()] * algebra.dim
+    for pb in range(algebra.sub.order):
+        for j, terms in by_col.items():
+            for l in range(n):
+                out = []
+                for row, at_i, poly in terms:
+                    base, s, sign = row[pb]
+                    base += at_i + l * L
+                    out += [(base, (t + s) % L, v * sign) for t, v in poly]
+                op[(pb * n + j) * n + l] = out
+    return op
+
+
 def _k_basis(field: SubfieldDescriptor) -> list[CycScalar]:
     """The nonzero Galois traces sum_u zeta_n^(a u) over a < n, a spanning
-    set of the subfield k, as _span_report seeds its closure with them."""
+    set of the subfield k, as _span_report seeded its closure with them
+    before it kept only a Q-basis of them (algebra._k_seeds)."""
     k_basis = []
     for a in range(field.n):
         acc = CycScalar.zero()

@@ -75,8 +75,13 @@ refuses the disconnected gradings of the rotation rungs of index 4 and 8)
 and iso_witness against a seeded translate, and prints the ms per rung. It
 compares normalize_with_details with helpers.normalize_with_details_by_tables,
 which builds every candidate's table, and counts a disagreement there or
-when iso_witness finds no witness for the translate. It never fails on a
-time.
+when iso_witness finds no witness for the translate. It then runs the
+k-form rungs: G = H = C_p x C_p for p in KFORM_PRIMES with the bicharacter
+class at n = p (helpers.pairing_cocycle) and the tuple (0,), so that A is
+M_p(F). On each it times build_k_form, checks ok=True and k_dim = p^2, and
+compares the report with helpers.span_report_full_closure, the closure that
+never stops early, and counts a disagreement on any difference. It never
+fails on a time.
 
 Run from the repository root:
 
@@ -84,7 +89,8 @@ Run from the repository root:
 
 It prints the outcome counts per mode, the number of presentation inputs,
 chains compared and conjugation verdicts, iso pairs, h2 cases, products per kernel, identity inputs
-and lead prefixes, witness inputs, the times per scale rung, and of disagreements, and exits 1 on any
+and lead prefixes, witness inputs, the times per scale and k-form rung, and of disagreements, and
+exits 1 on any
 disagreement, on a k-form PreconditionError, or when no input reaches a False conjugation test.
 """
 
@@ -103,7 +109,7 @@ import helpers  # noqa: E402
 from gforge import twisted  # noqa: E402
 from gforge.algebra import MODES, GradedAlgebra, build_k_form, multiply  # noqa: E402
 from gforge.errors import GForgeError, PreconditionError  # noqa: E402
-from gforge.groups import SubgroupData, dihedral  # noqa: E402
+from gforge.groups import SubgroupData, cyclic, dihedral, direct_product  # noqa: E402
 from gforge.identities import (GradedPolynomial, build_witness, identity_report,  # noqa: E402
                                nonvanishing_set)
 from gforge.presentation import (Presentation, apply_move, classify, compute_KNS,  # noqa: E402
@@ -118,6 +124,7 @@ SEMIDIRECT_SEEDS = (7, 11, 12, 13)
 SEMIDIRECT_COUNT = 4
 PRODUCT_SHARE = 0.6
 SCALE_MODULI = (1, 4)
+KFORM_PRIMES = (5, 7, 11)
 
 
 def presentation_inputs(seed: str):
@@ -424,6 +431,16 @@ def scale_rungs():
     return [(label, grp, elems) for label, elems in rungs]
 
 
+def kform_rungs():
+    """(label, p, normal form) of the k-form rungs of the scale pass: the
+    bicharacter class of C_p x C_p at n = p on the tuple (0,)."""
+    for p in KFORM_PRIMES:
+        grp = direct_product(cyclic(p), cyclic(p))
+        sub = SubgroupData(grp, range(p * p))
+        yield f"C{p} x C{p}", p, normalize(Presentation(grp, sub, helpers.pairing_cocycle(sub, p),
+                                                        (0,)))
+
+
 def scale_pass() -> int:
     """Prints the ms of each step per rung and the disagreements; returns
     the latter's number."""
@@ -461,8 +478,21 @@ def scale_pass() -> int:
             print(f"  D256 > {label}, m = {m}: normalize {t_norm}, compute_KNS {t_kns}, "
                   f"classify {t_cls}, iso_witness {t_iso}; table oracle "
                   f"{'agrees' if agree else 'DISAGREES'} ({t_oracle})")
-    print(f"scale: {len(scale_rungs()) * len(SCALE_MODULI)} rungs at the group_order cap, "
-          f"{time.perf_counter() - start:.1f} s; {len(mismatches)} disagreements")
+    for label, p, q in kform_rungs():
+        res, t_form = timed(lambda: build_k_form(q))
+        rep = res.report
+        want, t_oracle = timed(
+            lambda: helpers.span_report_full_closure(*helpers.span_args(q, "corrected")))
+        if not (rep.ok and rep.k_dim == p * p):
+            mismatches.append((label, "build_k_form", rep))
+        elif want != rep:
+            mismatches.append((label, "full closure", rep, want))
+        print(f"  {label}, bicharacter class at n = {p}: build_k_form {t_form}, "
+              f"k_dim = {rep.k_dim}, ok={rep.ok}; full closure "
+              f"{'agrees' if want == rep else 'DISAGREES'} ({t_oracle})")
+    print(f"scale: {len(scale_rungs()) * len(SCALE_MODULI)} rungs at the group_order cap and "
+          f"{len(KFORM_PRIMES)} k-form rungs, {time.perf_counter() - start:.1f} s; "
+          f"{len(mismatches)} disagreements")
     for m in mismatches:
         print("  ", m)
     return len(mismatches)

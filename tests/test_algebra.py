@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -533,6 +533,74 @@ def test_span_operator_is_left_multiplication(algebras, name):
             assert all(read[s] == c for s, c in want.items())
 
 
+@pytest.mark.parametrize("name", ["pauli", "swap", "d6", "mat3", "inner", "k4_shifted"])
+def test_span_operator_compiles_the_eager_slots(algebras, name):
+    # the operator compiles a source slot on the first _apply that reaches
+    # it, and only then; each compiled slot is the entry of the operator that
+    # built every slot at once, at the L values of the test above
+    alg = _shifted_k4_algebra() if name == "k4_shifted" else algebras[name]
+    rng = random.Random(f"operator slots:{name}")
+    for moduli in ((1,), (3,), (1, 4)):
+        L = lcm(alg._root_modulus, *moduli)
+        x = _dense(rng, alg, moduli)
+        op, eager = algebra_mod._operator(alg, x, L), helpers.operator_all_slots(alg, x, L)
+        assert not op
+        for share in (0.2, 0.6):
+            y = algebra_mod._lift(_dense(rng, alg, moduli, share), L)
+            reached = set(op) | {k // L for k in y}
+            algebra_mod._apply(op, y, L)
+            assert set(op) == reached
+            assert all(op[s] == list(eager[s]) for s in op)
+        assert [op[s] for s in range(alg.dim)] == [list(t) for t in eager]
+
+
+def _q_rank(scalars, n: int) -> int:
+    """The Q-dimension of the span of scalars of Q(zeta_n), by Fraction
+    elimination on their power-basis coefficients at n."""
+    rows = [list(c._promoted(n).coeffs) for c in scalars]
+    rank = 0
+    for col in range(phi(n)):
+        at = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if at is None:
+            continue
+        rows[rank], rows[at] = rows[at], rows[rank]
+        piv = rows[rank]
+        for r in rows[rank + 1:]:
+            f = r[col] / piv[col]
+            r[:] = [a - f * b for a, b in zip(r, piv)]
+        rank += 1
+    return rank
+
+
+def _unit_subfields(n: int):
+    """A SubfieldDescriptor of Q(zeta_n) per subgroup of (Z/n)*, each made
+    by from_generators."""
+    units = [u for u in range(n) if gcd(u, n) == 1]
+    found = {}
+    todo = [SubfieldDescriptor.from_generators(n, [])]
+    while todo:
+        f = todo.pop()
+        if f.units not in found:
+            found[f.units] = f
+            todo += [SubfieldDescriptor.from_generators(n, f.units + (u,)) for u in units]
+    return list(found.values())
+
+
+def test_k_seeds_are_a_q_basis_of_the_traces():
+    # the pruned seeds are [k:Q] traces with the Q-span of all nonzero traces
+    for n in range(1, 25):
+        for field in _unit_subfields(n):
+            seeds = algebra_mod._k_seeds(field)
+            traces = helpers._k_basis(field)
+            assert len(seeds) == field.degree_over_q(), (n, field.units)
+            assert (_q_rank(seeds, n) == _q_rank(traces, n) == _q_rank(seeds + traces, n)
+                    == len(seeds)), (n, field.units)
+    # Q(zeta_2) = Q seeds with 1, not also with -1; the trace 2 of Q(zeta_3)
+    # over Q comes before the trace -1 of zeta_3
+    assert algebra_mod._k_seeds(SubfieldDescriptor.from_generators(2, [1])) == [1]
+    assert algebra_mod._k_seeds(SubfieldDescriptor.from_generators(3, [1, 2])) == [2]
+
+
 # Some coboundary shifts of the m = 4 class on C2 x C2 take alpha outside
 # mu_2 in normal form; build_k_form closes them on a mu_2-valued
 # representative, the others directly.
@@ -594,6 +662,25 @@ def test_k_form_generators_are_a_form_of_the_input_algebra(name, monkeypatch):
     assert beta.modulus == n < p.alpha.modulus == big_m // p.sub.exponent()
     assert (shift_by_coboundary(p.alpha.embedded(big_m), f).exps
             == beta.embedded(big_m).exps)
+
+
+def test_span_report_skips_only_equal_candidates(monkeypatch):
+    # over Q in M_2(Q), x = e00 + e01 and y = e00 + 2 e01 share a support
+    # but span Q^2; every product of two of them is x or y again, so the
+    # closure reduces the two seeds and skips the four repeated products
+    # (_k_seeds reduces the one trace of Q before them)
+    grp = cyclic(2)
+    sub = SubgroupData(grp, (0,))
+    alg = GradedAlgebra(Presentation(grp, sub, trivial_cocycle(sub), (0, 1)))
+    x = alg.element({(0, 0, 0): 1, (0, 0, 1): 1})
+    y = alg.element({(0, 0, 0): 1, (0, 0, 1): 2})
+    args = (alg, SubfieldDescriptor.from_generators(1, []), (x, y), "corrected", (0,), False)
+    real, inserted = algebra_mod._insert, []
+    monkeypatch.setattr(algebra_mod, "_insert",
+                        lambda ech, vec: inserted.append(vec) or real(ech, vec))
+    rep = algebra_mod._span_report(*args)
+    assert rep.k_dim == 2 and not rep.f_span_full and len(inserted) == 1 + 2
+    assert rep == helpers.span_report_full_closure(*args)
 
 
 def test_span_report_refuses_roots_outside_the_working_field():
